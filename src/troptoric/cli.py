@@ -34,6 +34,10 @@ SWEEP_EXHAUSTIVE_LIMIT = 100_000
 SWEEP_SAMPLE_SIZE = 10_000
 
 
+class ParseError(Exception):
+    """Input that decodes as JSON but does not have the documented shape."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; our convention reserves 2 for
     # precondition violations, so usage problems are parse errors (1)
@@ -65,6 +69,20 @@ def _builtin_fan(name: str, param):
 
 def _pt_json(p):
     return [format_rational(p[0]), format_rational(p[1])]
+
+
+def _parse_points(raw) -> list:
+    if not isinstance(raw, list):
+        raise ParseError("points must be a JSON list of [x, y] pairs")
+    points = []
+    for p in raw:
+        if not isinstance(p, list) or len(p) != 2:
+            raise ParseError(f"a point must be a pair [x, y], got {p!r}")
+        try:
+            points.append((parse_rational(p[0]), parse_rational(p[1])))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+    return points
 
 
 def cmd_fan(args) -> tuple[list[str], int]:
@@ -128,8 +146,7 @@ def cmd_sections(args) -> tuple[list[str], int]:
         "h0_b": h0_b(module),
     }
     if args.vandermonde is not None:
-        raw = _load_json(args.vandermonde)
-        points = [(parse_rational(p[0]), parse_rational(p[1])) for p in raw]
+        points = _parse_points(_load_json(args.vandermonde))
         section = vandermonde_section(module, points)
         payload["coefficients"] = [
             format_rational(section.coeff(m).value) for m in module.generators
@@ -273,7 +290,7 @@ def main(argv=None) -> int:
         )
     try:
         lines, code = _HANDLERS[args.command](args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, TypeError) as exc:
+    except (ParseError, json.JSONDecodeError, FileNotFoundError, KeyError, TypeError) as exc:
         print(f"troptoric: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -25,7 +25,8 @@ def dot(a, b):
 
 def _as_vec(v) -> Vec:
     x, y = v
-    if not isinstance(x, int) or not isinstance(y, int):
+    # bool is an int subclass, but JSON true/false is not a coordinate
+    if any(not isinstance(c, int) or isinstance(c, bool) for c in (x, y)):
         raise TypeError("lattice vectors must have integer coordinates")
     return (x, y)
 

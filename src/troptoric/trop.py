@@ -9,7 +9,7 @@ rounding.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -274,35 +274,116 @@ def trop_det(m: TropMatrix) -> tuple[TropValue, bool]:
 
     Returns (value, tie) where value = max over permutations sigma of
     sum_i t[sigma(i)][i] and tie is True when at least two permutations
-    attain the maximum, or when the maximum is -infinity.  All k!
-    permutations are enumerated; this is intended for desk-scale matrices
-    (k <= 8), and tie detection needs to see every optimum anyway.
+    attain the maximum, or when the maximum is -infinity.
+
+    The maximum is a max-weight assignment, solved in O(k^3) by shortest
+    augmenting paths with dual potentials (Kuhn 1955; Butkovic,
+    *Max-linear Systems*, 2010, ch. 1).  Finite entries are scaled by the
+    lcm of their denominators, which keeps the set of optimal permutations,
+    so the search runs on exact integers; -infinity entries are forbidden.
+    The optimum is non-unique exactly when the edges made tight by the
+    optimal potentials contain an alternating cycle (Richter-Gebert,
+    Sturmfels and Theobald, *First steps in tropical geometry*, 2005):
+    every optimal permutation uses tight edges only, and any alternating
+    cycle of tight edges turns the optimal permutation into another one.
     """
     if not isinstance(m, TropMatrix):
         m = TropMatrix(tuple(m))
     k = m.size
-    vals = tuple(tuple(v.value for v in row) for row in m.entries)
-    best: Fraction | None = None
-    count = 0
-    for perm in itertools.permutations(range(k)):
-        total = Fraction(0)
-        feasible = True
-        for col in range(k):
-            v = vals[perm[col]][col]
-            if v is None:
-                feasible = False
-                break
-            total += v
-        if not feasible:
-            continue
-        if best is None or total > best:
-            best = total
-            count = 1
-        elif total == best:
-            count += 1
-    if best is None:
+    vals = [[v.value for v in row] for row in m.entries]
+    finite = [x for row in vals for x in row if x is not None]
+    if not finite:
         return NEG_INF, True
-    return TropValue(best), count >= 2
+    scale = math.lcm(*(x.denominator for x in finite))
+    scaled = [
+        [None if x is None else x.numerator * (scale // x.denominator) for x in row]
+        for row in vals
+    ]
+    # minimisation form: nonnegative integer costs, with a forbidden edge
+    # priced above every assignment that avoids forbidden edges
+    finite_scaled = [x for row in scaled for x in row if x is not None]
+    top = max(finite_scaled)
+    forbidden = k * (top - min(finite_scaled)) + 1
+    cost = [[forbidden if x is None else top - x for x in row] for row in scaled]
+    owner, u, v = _min_cost_assignment(cost)
+    if any(scaled[owner[j]][j] is None for j in range(k)):
+        return NEG_INF, True
+    value = Fraction(sum(scaled[owner[j]][j] for j in range(k)), scale)
+    # tight (i, j) off the optimum lets row i take column j from owner[j]
+    succ = [
+        [
+            owner[j]
+            for j in range(k)
+            if owner[j] != i and scaled[i][j] is not None and cost[i][j] == u[i] + v[j]
+        ]
+        for i in range(k)
+    ]
+    return TropValue(value), _has_cycle(succ)
+
+
+def _min_cost_assignment(cost):
+    """Min-cost perfect matching of a square integer cost matrix.
+
+    Adds one row at a time along a shortest augmenting path, keeping dual
+    potentials with u[i] + v[j] <= cost[i][j] everywhere and equality on
+    matched edges.  Returns (owner, u, v) with owner[j] the row matched to
+    column j.
+    """
+    k = len(cost)
+    u = [0] * k
+    v = [0] * (k + 1)  # column k is the root slot of the row being added
+    owner = [-1] * (k + 1)
+    for i in range(k):
+        owner[k] = i
+        j0 = k
+        used = [False] * (k + 1)
+        minv = [cost[i][j] - u[i] - v[j] for j in range(k)]
+        way = [k] * k
+        while True:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui0 = cost[i0], u[i0]
+            delta = j1 = None
+            for j in range(k):
+                if not used[j]:
+                    cur = row[j] - ui0 - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if delta is None or minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if owner[j0] == -1:
+                break
+        while j0 != k:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return owner[:k], u, v
+
+
+def _has_cycle(succ) -> bool:
+    """Whether the directed graph given by successor lists has a cycle."""
+    indegree = [0] * len(succ)
+    for targets in succ:
+        for t in targets:
+            indegree[t] += 1
+    stack = [i for i, d in enumerate(indegree) if d == 0]
+    removed = 0
+    while stack:
+        i = stack.pop()
+        removed += 1
+        for t in succ[i]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                stack.append(t)
+    return removed < len(succ)
 
 
 def is_extremal(gens: Iterable[TropMonomial], g: TropMonomial) -> bool:

@@ -1,11 +1,12 @@
 """Independent oracles and seeded generators shared by the test modules.
 
 These deliberately avoid the code paths they check: the determinant
-oracle is a recursive Laplace expansion (production enumerates
-permutations), the lattice oracle projects with Fourier-Motzkin and
-filters a box (production intersects boundary lines), and the upper-hull
-oracle finds subdivision 2-cells from lifted planes (production dualizes
-tie lines).
+oracle is a recursive Laplace expansion that counts the optimal
+permutations (production solves an assignment problem and reads ties off
+the optimal dual potentials), the lattice oracle projects with
+Fourier-Motzkin and filters a box (production intersects boundary
+lines), and the upper-hull oracle finds subdivision 2-cells from lifted
+planes (production dualizes tie lines).
 """
 
 from __future__ import annotations
@@ -150,11 +151,17 @@ def random_fraction(rng, lo=-20, hi=20, max_den=6) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
-def random_trop_rows(rng, k, neg_inf_prob=0.15):
-    """k x k grid of Fraction-or-None entries for determinant tests."""
+def random_trop_rows(rng, k, neg_inf_prob=0.15, pool=None):
+    """k x k grid of Fraction-or-None entries for determinant tests.
+
+    Finite entries come from ``pool`` when given (a small pool makes tied
+    optima common), otherwise from random_fraction.
+    """
     return [
         [
-            None if rng.random() < neg_inf_prob else random_fraction(rng)
+            None
+            if rng.random() < neg_inf_prob
+            else (random_fraction(rng) if pool is None else Fraction(rng.choice(pool)))
             for _ in range(k)
         ]
         for _ in range(k)

@@ -62,6 +62,12 @@ def test_fan_validate_invalid_structure(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+def test_fan_validate_bool_rays_exit_1(capsys, tmp_path):
+    fan = {"rays": [[True, 0], [0, True], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+    path = write(tmp_path, "fan.json", fan)
+    assert run(capsys, "fan", "validate", path)[0] == 1
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     path = write(tmp_path, "bad.json", "{nope")
     assert run(capsys, "fan", "validate", path)[0] == 1
@@ -139,6 +145,22 @@ def test_sections_rational_points(capsys, tmp_path):
     code, out = run(capsys, "sections", fan_path, div_path, "--vandermonde", pts_path)
     payload = json.loads(out)
     assert code == 0 and payload["pass_through"] == [True, True]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [["1/0", 0], [1, 2]],  # zero denominator
+        [["abc", 0], [1, 2]],  # not a rational
+        [[0, 0, 99], [1, 2]],  # three coordinates
+        [5, [1, 2]],  # not a list
+    ],
+)
+def test_sections_malformed_points_exit_1(capsys, tmp_path, points):
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 1}})
+    pts_path = write(tmp_path, "pts.json", points)
+    assert run(capsys, "sections", fan_path, div_path, "--vandermonde", pts_path)[0] == 1
 
 
 def test_sweep_exhaustive(capsys, tmp_path):

@@ -163,3 +163,11 @@ def test_fan_json_round_trip():
         assert fan_from_dict(json.loads(json.dumps(d))) == f
     with pytest.raises(ValueError):
         fan_from_dict({"rays": [[1, 0]], "max_cones": [[0, 3]]})
+
+
+def test_bool_coordinates_rejected():
+    # JSON true/false decode to bool, an int subclass
+    with pytest.raises(TypeError):
+        fan_from_dict({"rays": [[True, 0], [0, True], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]})
+    with pytest.raises(TypeError):
+        Cone(((1, 0), (0, False)))

@@ -101,14 +101,16 @@ def test_vandermonde_validation():
 
 def test_vandermonde_pass_through_random():
     rng = random.Random(67)
-    m = hyperplane_sections(2)  # l = 6
-    for _ in range(25):
-        pts = [
-            (Fraction(rng.randint(-12, 12), rng.randint(1, 4)), Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
-            for _ in range(5)
-        ]
-        s = vandermonde_section(m, pts)
-        assert all(passes_through(s, p) for p in pts)
+    # ranks 6, 10 (the plane cubic, nine points) and 21 (plane quintics)
+    for d, rounds in ((2, 25), (3, 5), (5, 2)):
+        m = hyperplane_sections(d)
+        for _ in range(rounds):
+            pts = [
+                (Fraction(rng.randint(-12, 12), rng.randint(1, 4)), Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
+                for _ in range(m.rank - 1)
+            ]
+            s = vandermonde_section(m, pts)
+            assert all(passes_through(s, p) for p in pts)
 
 
 def test_vandermonde_point_order_irrelevant():

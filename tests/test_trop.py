@@ -77,6 +77,9 @@ def test_trop_det_two_by_two():
 def test_trop_det_all_equal_ties():
     m = TropMatrix(((TropValue(0), TropValue(0)), (TropValue(0), TropValue(0))))
     assert trop_det(m) == (TropValue(0), True)
+    for k in (12, 20):
+        third = Fraction(1, 3)
+        assert trop_det(TropMatrix(((third,) * k,) * k)) == (TropValue(k * third), True)
 
 
 def test_trop_det_neg_inf_counts_as_tie():
@@ -84,17 +87,39 @@ def test_trop_det_neg_inf_counts_as_tie():
     assert trop_det(m) == (NEG_INF, True)
     m2 = TropMatrix(((NEG_INF, TropValue(0)), (NEG_INF, TropValue(1))))
     assert trop_det(m2) == (NEG_INF, True)
+    rng = random.Random(5)
+    for k in (12, 20):
+        rows = random_trop_rows(rng, k, neg_inf_prob=0)
+        rows[rng.randrange(k)] = [None] * k
+        assert trop_det(TropMatrix(tuple(map(tuple, rows)))) == (NEG_INF, True)
+
+
+def test_trop_det_dominant_diagonal_beyond_oracle():
+    # off-diagonal entries are at most 20 and each diagonal entry exceeds
+    # 20, so the identity is the unique optimum
+    rng = random.Random(12)
+    for k in (12, 20):
+        rows = random_trop_rows(rng, k)
+        for i in range(k):
+            rows[i][i] = 20 + Fraction(rng.randint(1, 40), rng.randint(1, 6))
+        value, tie = trop_det(TropMatrix(tuple(map(tuple, rows))))
+        assert value == TropValue(sum(rows[i][i] for i in range(k)))
+        assert tie is False
 
 
 def test_trop_det_matches_laplace_oracle():
+    # the pool {0, 1, 2} makes tied finite optima common
     rng = random.Random(42)
+    finite_ties = 0
     for _ in range(150):
-        k = rng.randint(1, 6)
-        rows = random_trop_rows(rng, k)
-        value, tie = trop_det(TropMatrix(tuple(tuple(rows[i]) for i in range(k))))
-        oracle_value, oracle_count = laplace_det(rows)
-        assert value == (NEG_INF if oracle_value is None else TropValue(oracle_value))
-        assert tie == (oracle_count >= 2 or oracle_value is None)
+        k = rng.randint(1, 7)
+        for rows in (random_trop_rows(rng, k), random_trop_rows(rng, k, pool=(0, 1, 2))):
+            value, tie = trop_det(TropMatrix(tuple(tuple(rows[i]) for i in range(k))))
+            oracle_value, oracle_count = laplace_det(rows)
+            assert value == (NEG_INF if oracle_value is None else TropValue(oracle_value))
+            assert tie == (oracle_count >= 2 or oracle_value is None)
+            finite_ties += oracle_value is not None and oracle_count >= 2
+    assert finite_ties >= 50
 
 
 def test_evaluate_examples():
