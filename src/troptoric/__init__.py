@@ -39,7 +39,6 @@ from .fan import (
 from .intersect import (
     IntersectionMatrix,
     RRReport,
-    euler_characteristic,
     intersection_matrix,
     pairing,
     ray_intersection,

@@ -68,7 +68,12 @@ class ToricDivisor:
 
 
 def divisor_from_dict(fan: Fan, d: dict) -> ToricDivisor:
+    """Inverse of ToricDivisor.to_dict: TypeError for ``coeffs`` that is not
+    an object or a coefficient that is not an int (JSON booleans and floats
+    included), ValueError for a missing or unknown ray index."""
     raw = d["coeffs"]
+    if not isinstance(raw, dict):
+        raise TypeError(f"divisor coeffs must be an object keyed by ray index, got {raw!r}")
     coeffs = []
     for i in range(len(fan.rays)):
         key = str(i)
@@ -76,7 +81,7 @@ def divisor_from_dict(fan: Fan, d: dict) -> ToricDivisor:
             raise ValueError(f"missing coefficient for ray index {i}")
         c = raw[key]
         if isinstance(c, bool) or not isinstance(c, int):
-            raise ValueError("divisor coefficients must be integers")
+            raise TypeError(f"divisor coefficients must be integers, got {c!r}")
         coeffs.append(c)
     if len(raw) != len(fan.rays):
         raise ValueError("divisor has coefficients for unknown ray indices")

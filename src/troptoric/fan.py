@@ -307,12 +307,19 @@ def fan_to_dict(f: Fan) -> dict:
 
 
 def fan_from_dict(d: dict) -> Fan:
+    """Inverse of fan_to_dict: TypeError for a cone that is not a list or
+    an index that is not an int (JSON booleans included), ValueError for
+    an index outside the ray list."""
     rays = [_as_vec(r) for r in d["rays"]]
     cones = []
     for idxs in d["max_cones"]:
+        if not isinstance(idxs, list):
+            raise TypeError(f"a cone must be a list of ray indices, got {idxs!r}")
         members = []
         for i in idxs:
-            if not isinstance(i, int) or not 0 <= i < len(rays):
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise TypeError(f"cone ray indices must be integers, got {i!r}")
+            if not 0 <= i < len(rays):
                 raise ValueError(f"cone ray index {i} out of range")
             members.append(rays[i])
         cones.append(Cone(tuple(members)))

@@ -5,7 +5,8 @@ Two distinct ray divisors meet once iff their rays span a cone; the
 self-intersection of a ray with primitive generator u and neighbors
 u1, u2 is the integer b solving u1 + u2 + b*u = 0, verified exactly by
 substitution.  The verifier compares h0(D) + h0(K-D) against
-chi + D(D-K)/2 with chi = 1 and reports the defect as an exact rational.
+chi(O_X) + D(D-K)/2 with chi(O_X) = 1 and reports the defect as an exact
+rational.
 """
 
 from __future__ import annotations
@@ -110,12 +111,6 @@ def pairing(fan: Fan, d1: ToricDivisor, d2: ToricDivisor) -> int:
     return total
 
 
-def euler_characteristic(fan: Fan) -> int:
-    """chi of a smooth complete toric surface; the constant 1."""
-    _require_smooth_complete(fan)
-    return 1
-
-
 @dataclass(frozen=True)
 class RRReport:
     """One Riemann-Roch inequality check: both h0 values, the pairing
@@ -152,7 +147,9 @@ def rr_check(fan: Fan, d: ToricDivisor) -> RRReport:
     h0_d = h0(fan, d)
     h0_k_minus_d = h0(fan, k - d)
     pairing_term = Fraction(pairing(fan, d, d - k), 2)
-    euler = euler_characteristic(fan)
+    # chi(O_X) = 1: the higher cohomology of O_X vanishes on a complete
+    # toric variety (Cox, Little and Schenck, Toric Varieties, §9.2)
+    euler = 1
     rhs = euler + pairing_term
     defect = Fraction(int(h0_d) + int(h0_k_minus_d)) - rhs
     return RRReport(

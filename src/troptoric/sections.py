@@ -2,23 +2,23 @@
 
 On a smooth toric surface the sections are generated by the monomials
 x^m for m in P(D) ∩ M (one generator per lattice point, canonical
-coefficient 0).  This module computes the two slope-count estimates of
-h0, builds interpolating sections from tropical Vandermonde cofactors,
-and decides the cycle-sum genericity predicate for point configurations.
+coefficient 0).  The generators have pairwise distinct exponents, so the
+local slope count is the rank at every point and both slope-count
+estimates of h0 (h0_a and h0_b) equal the rank; each function states
+this theorem and proves it in its docstring.  The module also builds
+interpolating sections from tropical Vandermonde cofactors and decides
+the cycle-sum genericity predicate for point configurations.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisor import ToricDivisor, UnboundedPolytopeError, lattice_points, polytope
 from .fan import Fan, Vec, dot
 from .trop import TropMatrix, TropPolynomial, as_fraction, supporting_monomials, trop_det
-
-_SAMPLE_SEED = 714025  # fixed: slope-count sampling must be reproducible
 
 
 @dataclass(frozen=True)
@@ -70,57 +70,43 @@ def generator_value(m: Vec, x) -> Fraction:
 
 
 def local_slope_count(module: SectionModule, x) -> int:
-    """Number of generators distinct near x up to tropical scaling.
+    """Number of generators distinct near x up to tropical scaling: the rank.
 
-    Each generator restricts to an affine function of slope m near any
-    inner point, so the count is the number of distinct exponents, which
-    equals the generator count by construction; the exponent set is still
-    recounted here rather than assumed.
+    Proof: the generator x^m is the affine function y -> <m, y> of slope
+    m, and two affine functions differ by a constant (a tropical scalar)
+    near x iff their slopes agree.  The generators are the pairwise
+    distinct lattice points of P(D), so no two of them are tropical
+    multiples of each other near x, and the count is the number of
+    generators whatever x is.  The point still has to be a plane point.
     """
     if not module.generators:
         raise ValueError("the zero module has no local slope count")
     _point(x)
-    slopes = set(module.generators)
-    return len(slopes)
-
-
-def _sampled_count(module: SectionModule, samples: int = 3) -> int:
-    if not module.generators:
-        return 0
-    rng = random.Random(_SAMPLE_SEED)
-    counts = set()
-    for _ in range(samples):
-        # rejection: resample until no two generators tie at the point
-        while True:
-            x = (
-                Fraction(rng.randint(-40, 40), rng.randint(1, 7)),
-                Fraction(rng.randint(-40, 40), rng.randint(1, 7)),
-            )
-            values = {generator_value(m, x) for m in module.generators}
-            if len(values) == len(module.generators):
-                break
-        counts.add(local_slope_count(module, x))
-    assert counts == {module.rank}
     return module.rank
 
 
 def h0_a(module: SectionModule) -> int:
     """Largest k such that k sections stay pairwise distinct near every point.
 
-    For a monomial module the generators have pairwise distinct slopes
-    everywhere, so the maximum is the generator count; sampled slope
-    counts are cross-checked against the cardinality.
+    Equals the rank.  Proof: by local_slope_count the generators stay
+    pairwise distinct near every point, so h0_a >= rank.  Near a point
+    where one term of a section attains the maximum alone, the section
+    is a tropical multiple of that term's generator; at a point where
+    the generator values are pairwise distinct this holds for every
+    section, so more than rank sections cannot stay pairwise distinct
+    there, and h0_a <= rank.  The zero module gives 0.
     """
-    return _sampled_count(module)
+    return module.rank
 
 
 def h0_b(module: SectionModule) -> int:
     """Minimum over points of the local slope count of the full module.
 
-    Coincides with the generator count for monomial modules: the local
-    count is constant.
+    Equals the rank.  Proof: by local_slope_count the count is the rank
+    at every point, so the minimum is the rank (max = min).  The zero
+    module gives 0.
     """
-    return _sampled_count(module)
+    return module.rank
 
 
 def vandermonde_section(module: SectionModule, points) -> TropPolynomial:

@@ -387,7 +387,7 @@ def _has_cycle(succ) -> bool:
 
 
 def is_extremal(gens: Iterable[TropMonomial], g: TropMonomial) -> bool:
-    """Whether g is extremal among the monomial generators ``gens``.
+    """Whether g is extremal among the monomial generators ``gens``: always.
 
     Generators sharing an exponent are tropical scalar multiples of one
     another, so they merge into a single generator (coefficient = max) and
@@ -395,17 +395,9 @@ def is_extremal(gens: Iterable[TropMonomial], g: TropMonomial) -> bool:
     an affine function of slope m cannot agree on all of R^n with a
     pointwise max of affine functions whose slopes all differ from m,
     since either a single other slope dominates everywhere (wrong slope)
-    or the max is genuinely kinked (not affine).
+    or the max is genuinely kinked (not affine).  Only membership of g
+    among the generators is checked.
     """
-    gen_list = list(gens)
-    if g not in gen_list:
+    if g not in gens:
         raise ValueError("g is not one of the generators")
-    merged: dict[tuple[int, ...], TropValue] = {}
-    for mono in gen_list:
-        old = merged.get(mono.exponent)
-        if old is None or old < mono.coeff:
-            merged[mono.exponent] = mono.coeff
-    # After merging, exponents are pairwise distinct, and the slope
-    # argument above applies to g's class representative.
-    assert g.exponent in merged
     return True

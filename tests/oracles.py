@@ -5,8 +5,10 @@ oracle is a recursive Laplace expansion that counts the optimal
 permutations (production solves an assignment problem and reads ties off
 the optimal dual potentials), the lattice oracle projects with
 Fourier-Motzkin and filters a box (production intersects boundary
-lines), and the upper-hull oracle finds subdivision 2-cells from lifted
-planes (production dualizes tie lines).
+lines), the upper-hull oracle finds subdivision 2-cells from lifted
+planes (production dualizes tie lines), and the slope-count oracle
+evaluates the generators at random untied points (production returns
+the rank, which is the theorem the oracle samples).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 from troptoric.divisor import ToricDivisor
 from troptoric.fan import blow_up, projective_plane
+from troptoric.sections import generator_value
 from troptoric.trop import TropPolynomial
 
 
@@ -145,6 +148,29 @@ def upper_hull_cells2(g: TropPolynomial):
                 if below:
                     cells.add(frozenset(on_plane))
     return cells
+
+
+def sampled_slope_count(module, rng, samples=3, max_draws=1000):
+    """Number of distinct generator values at random untied points.
+
+    A drawn point is rejected when two generators take the same value
+    there, and the count is returned once ``samples`` points have been
+    accepted.  At an accepted point the generators are pairwise distinct
+    affine functions near it, so the count is the local slope count.
+    Raises RuntimeError after ``max_draws`` draws; that is what happens
+    when two generators coincide, since then every draw ties.
+    """
+    if not module.generators:
+        return 0
+    accepted = 0
+    for _ in range(max_draws):
+        x = (random_fraction(rng, -40, 40, 7), random_fraction(rng, -40, 40, 7))
+        values = {generator_value(m, x) for m in module.generators}
+        if len(values) == len(module.generators):
+            accepted += 1
+            if accepted == samples:
+                return len(values)
+    raise RuntimeError(f"fewer than {samples} untied points in {max_draws} draws")
 
 
 def random_fraction(rng, lo=-20, hi=20, max_den=6) -> Fraction:

@@ -7,7 +7,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import fm_lattice_points, laplace_det, random_trop_rows
+from oracles import fm_lattice_points, laplace_det, random_trop_rows, sampled_slope_count
 from troptoric.curve import corner_locus, degree_from_polygon, is_balanced
 from troptoric.divisor import (
     ToricDivisor,
@@ -67,12 +67,14 @@ def test_criterion_1_h0_closed_forms():
 def test_criterion_2_sandwich():
     t0 = time.time()
     fans = [projective_plane(), product_p1_p1(), hirzebruch(1), hirzebruch(2), hirzebruch(3)]
+    rng = random.Random(SEED)
     for f in fans:
         r = len(f.rays)
         for coeffs in itertools.product(range(-3, 4), repeat=r):
             d = ToricDivisor(f, coeffs)
             module = global_sections(f, d)
-            assert h0_a(module) == int(h0(f, d)) == h0_b(module)
+            assert set(module.generators) == fm_lattice_points(polytope(d).inequalities)
+            assert sampled_slope_count(module, rng) == h0_a(module) == int(h0(f, d)) == h0_b(module)
     _finish("2 (h0_a = h0 = h0_b sandwich)", 10, t0)
 
 

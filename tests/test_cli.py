@@ -68,6 +68,18 @@ def test_fan_validate_bool_rays_exit_1(capsys, tmp_path):
     assert run(capsys, "fan", "validate", path)[0] == 1
 
 
+@pytest.mark.parametrize(
+    "cones",
+    [
+        [[False, True], [True, 2], [2, False]],  # booleans as ray indices
+        ["01", "12", "20"],  # strings as cones
+    ],
+)
+def test_fan_validate_malformed_cones_exit_1(capsys, tmp_path, cones):
+    path = write(tmp_path, "fan.json", {"rays": P2["rays"], "max_cones": cones})
+    assert run(capsys, "fan", "validate", path)[0] == 1
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     path = write(tmp_path, "bad.json", "{nope")
     assert run(capsys, "fan", "validate", path)[0] == 1
@@ -85,6 +97,20 @@ def test_h0_command(capsys, tmp_path):
     code, out = run(capsys, "h0", fan_path, k_path)
     payload = json.loads(out)
     assert payload["h0"] == 0 and payload["lattice_points"] == []
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {"0": True, "1": 0, "2": 1},  # boolean coefficient
+        {"0": 1.5, "1": 0, "2": 1},  # float coefficient
+        [1, 0, 1],  # not an object
+    ],
+)
+def test_h0_malformed_coeffs_exit_1(capsys, tmp_path, coeffs):
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": coeffs})
+    assert run(capsys, "h0", fan_path, div_path)[0] == 1
 
 
 def test_h0_infinite(capsys, tmp_path):

@@ -222,6 +222,9 @@ def test_divisor_json_round_trip():
         divisor_from_dict(p2, {"coeffs": {"0": 1, "1": 0}})
     with pytest.raises(ValueError):
         divisor_from_dict(p2, {"coeffs": {"0": 1, "1": 0, "2": 0, "3": 9}})
+    for coeffs in ({"0": True, "1": 0, "2": 1}, {"0": 1.5, "1": 0, "2": 1}, [1, 0, 1]):
+        with pytest.raises(TypeError):
+            divisor_from_dict(p2, {"coeffs": coeffs})
 
 
 def test_h0value_semantics():

@@ -165,6 +165,13 @@ def test_fan_json_round_trip():
         fan_from_dict({"rays": [[1, 0]], "max_cones": [[0, 3]]})
 
 
+def test_malformed_cones_rejected():
+    rays = [[1, 0], [0, 1], [-1, -1]]
+    for cones in ([[False, True], [True, 2], [2, False]], ["01", "12", "20"], [[0, "1"], [1, 2], [2, 0]]):
+        with pytest.raises(TypeError):
+            fan_from_dict({"rays": rays, "max_cones": cones})
+
+
 def test_bool_coordinates_rejected():
     # JSON true/false decode to bool, an int subclass
     with pytest.raises(TypeError):

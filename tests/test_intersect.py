@@ -7,7 +7,6 @@ from oracles import random_blowup_fan, random_divisor
 from troptoric.divisor import canonical_divisor, principal_divisor, ray_divisor, zero_divisor
 from troptoric.fan import Cone, Fan, blow_up, hirzebruch, product_p1_p1, projective_plane
 from troptoric.intersect import (
-    euler_characteristic,
     intersection_matrix,
     pairing,
     ray_intersection,
@@ -106,12 +105,13 @@ def test_parity_of_pairing_term():
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(projective_plane()) == 1
-    assert euler_characteristic(hirzebruch(3)) == 1
     b = blow_up(projective_plane(), Cone(((1, 0), (0, 1))))
-    assert euler_characteristic(b) == 1
+    for f in (projective_plane(), hirzebruch(3), b):
+        assert rr_check(f, zero_divisor(f)).euler == 1
+        assert rr_check(f, canonical_divisor(f)).euler == 1
+    single = Fan((Cone(((1, 0), (0, 1))),))
     with pytest.raises(ValueError):
-        euler_characteristic(Fan((Cone(((1, 0), (0, 1))),)))
+        rr_check(single, zero_divisor(single))
 
 
 def test_rr_check_examples():

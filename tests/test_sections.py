@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_divisor
-from troptoric.divisor import canonical_divisor, h0, ray_divisor, zero_divisor
+from oracles import fm_lattice_points, random_divisor, sampled_slope_count
+from troptoric.divisor import canonical_divisor, h0, polytope, ray_divisor, zero_divisor
 from troptoric.fan import Cone, Fan, hirzebruch, product_p1_p1, projective_plane
 from troptoric.sections import (
     SectionModule,
@@ -47,6 +47,10 @@ def test_local_slope_count_examples():
     assert local_slope_count(m2, (Fraction(1, 7), Fraction(2, 5))) == 6
     with pytest.raises(ValueError):
         local_slope_count(SectionModule(m.fan, zero_divisor(m.fan), ()), (0, 0))
+    with pytest.raises(ValueError):
+        local_slope_count(m, (0, 0, 1))
+    with pytest.raises(TypeError):
+        local_slope_count(m, (0.5, 0))
 
 
 def test_h0_a_h0_b_examples():
@@ -62,11 +66,20 @@ def test_h0_a_h0_b_examples():
 
 def test_sandwich_on_small_sweep():
     rng = random.Random(61)
+    oracle_rng = random.Random(62)  # separate, so the divisors drawn stay the same
     for f in (projective_plane(), product_p1_p1(), hirzebruch(2)):
         for _ in range(40):
             d = random_divisor(rng, f, -2, 2)
             m = global_sections(f, d)
-            assert h0_a(m) == int(h0(f, d)) == h0_b(m)
+            assert set(m.generators) == fm_lattice_points(polytope(d).inequalities)
+            assert sampled_slope_count(m, oracle_rng) == h0_a(m) == int(h0(f, d)) == h0_b(m)
+
+
+def test_sampled_slope_count_gives_up_on_repeated_generators():
+    p2 = projective_plane()
+    m = SectionModule(p2, ray_divisor(p2, (-1, -1)), ((0, 0), (0, 0)))
+    with pytest.raises(RuntimeError):
+        sampled_slope_count(m, random.Random(7), max_draws=50)
 
 
 def test_generators_are_extremal():
