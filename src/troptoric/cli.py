@@ -19,9 +19,9 @@ import re
 import sys
 
 from .divisor import ToricDivisor, divisor_from_dict, h0, lattice_points, polytope
-from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_complete, is_smooth, product_p1_p1, projective_plane
+from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
 from .intersect import rr_check
-from .jsonutil import format_rational, parse_rational
+from .jsonutil import ParseError, format_rational, parse_rational
 from .sections import global_sections, h0_a, h0_b, passes_through, vandermonde_section
 
 DEFAULT_SEED = 314159
@@ -32,10 +32,6 @@ EXIT_VIOLATION = 3
 
 SWEEP_EXHAUSTIVE_LIMIT = 100_000
 SWEEP_SAMPLE_SIZE = 10_000
-
-
-class ParseError(Exception):
-    """Input that decodes as JSON but does not have the documented shape."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,8 +98,8 @@ def cmd_fan(args) -> tuple[list[str], int]:
                 break
         report = {
             "valid": True,
-            "smooth": f.is_smooth(),
-            "complete": is_complete(f),
+            "smooth": f.smooth,
+            "complete": f.complete,
             "offending_cone": offending,
         }
         return [json.dumps(report)], EXIT_OK

@@ -5,6 +5,14 @@ P(D) = {m : <m, e_ray> + a_ray >= 0} is handled in exact arithmetic: the
 H-representation keeps integer data, vertices come from pairwise line
 intersections in homogeneous integer coordinates, and boundedness is read
 off the recession cone by sign checks alone.
+
+Lattice points are walked row by row: the integer y-range comes from
+eliminating x pairwise (exact Fourier-Motzkin on integers), and each row's
+x-range from the inequalities at that height; one routine reads both
+ranges off their one-variable systems by floor divisions.  h0 sums the
+row lengths straight from the inequalities, so it builds no polytope,
+vertex or point; whether P(D) can be unbounded is a fact of the fan,
+computed once per fan.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fan import Fan, Vec, _as_vec, det2, dot
+from .fan import Fan, Vec, _as_vec, det2, dot, positively_spans
+from .jsonutil import ParseError
 from .trop import TropPolynomial
 
 # An inequality (ex, ey, a) means ex*x + ey*y + a >= 0.
@@ -44,7 +53,7 @@ class ToricDivisor:
         return self.coeffs[self.fan.ray_index(ray)]
 
     def _check_same_fan(self, other: "ToricDivisor"):
-        if self.fan != other.fan:
+        if self.fan is not other.fan and self.fan != other.fan:
             raise ValueError("divisors live on different fans")
 
     def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
@@ -70,7 +79,8 @@ class ToricDivisor:
 def divisor_from_dict(fan: Fan, d: dict) -> ToricDivisor:
     """Inverse of ToricDivisor.to_dict: TypeError for ``coeffs`` that is not
     an object or a coefficient that is not an int (JSON booleans and floats
-    included), ValueError for a missing or unknown ray index."""
+    included), ParseError (a ValueError) for a missing or unknown ray
+    index.  All of them are malformed input: the CLI exits 1."""
     raw = d["coeffs"]
     if not isinstance(raw, dict):
         raise TypeError(f"divisor coeffs must be an object keyed by ray index, got {raw!r}")
@@ -78,13 +88,13 @@ def divisor_from_dict(fan: Fan, d: dict) -> ToricDivisor:
     for i in range(len(fan.rays)):
         key = str(i)
         if key not in raw:
-            raise ValueError(f"missing coefficient for ray index {i}")
+            raise ParseError(f"missing coefficient for ray index {i}")
         c = raw[key]
         if isinstance(c, bool) or not isinstance(c, int):
             raise TypeError(f"divisor coefficients must be integers, got {c!r}")
         coeffs.append(c)
     if len(raw) != len(fan.rays):
-        raise ValueError("divisor has coefficients for unknown ray indices")
+        raise ParseError("divisor has coefficients for unknown ray indices")
     return ToricDivisor(fan, tuple(coeffs))
 
 
@@ -204,36 +214,35 @@ def _enumerate_vertices(ineqs) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(verts)
 
 
-def _is_bounded(ineqs) -> bool:
-    normals = [(ex, ey) for ex, ey, _ in ineqs]
-    if not normals:
-        return False
-    for ex, ey in normals:
-        for d in ((-ey, ex), (ey, -ex)):
-            if all(d[0] * fx + d[1] * fy >= 0 for fx, fy in normals):
-                return False
-    return True
+def _eliminate_x(ineqs) -> list[Inequality]:
+    """The exact projection onto y, as inequalities cy*y + c >= 0 written
+    (cy, 0, c).
+
+    Fourier-Motzkin: the inequalities without x, plus every pair with
+    opposite x-signs, scaled by positive integers so that x cancels.
+    """
+    out = [(ey, 0, a) for ex, ey, a in ineqs if ex == 0]
+    neg = [(ex, ey, a) for ex, ey, a in ineqs if ex < 0]
+    for px, py, pa in ineqs:
+        if px > 0:
+            for nx, ny, na in neg:
+                out.append((px * ny - nx * py, 0, px * na - nx * pa))
+    return out
 
 
 def _feasible(ineqs) -> bool:
-    """Exact Fourier-Motzkin feasibility for the 2-variable system."""
-    one_var = [(ex, Fraction(a)) for ex, ey, a in ineqs if ey == 0]
-    pos = [(ex, ey, a) for ex, ey, a in ineqs if ey > 0]
-    neg = [(ex, ey, a) for ex, ey, a in ineqs if ey < 0]
-    for e1x, p, a1 in pos:
-        for e2x, q, a2 in neg:
-            one_var.append((-q * e1x + p * e2x, Fraction(-q * a1 + p * a2)))
+    """Exact feasibility of the 2-variable system over the rationals."""
     lo = hi = None
-    for cx, c in one_var:
-        if cx == 0:
+    for cy, _, c in _eliminate_x(ineqs):
+        if cy == 0:
             if c < 0:
                 return False
-        elif cx > 0:
-            bound = -c / cx
+        elif cy > 0:
+            bound = Fraction(-c, cy)
             if lo is None or bound > lo:
                 lo = bound
         else:
-            bound = -c / cx
+            bound = Fraction(-c, cy)
             if hi is None or bound < hi:
                 hi = bound
     return lo is None or hi is None or lo <= hi
@@ -241,19 +250,22 @@ def _feasible(ineqs) -> bool:
 
 def polytope_from_inequalities(ineqs) -> DivisorPolytope:
     ineqs = tuple((int(ex), int(ey), int(a)) for ex, ey, a in ineqs)
-    return DivisorPolytope(ineqs, _enumerate_vertices(ineqs), _is_bounded(ineqs))
+    bounded = positively_spans((ex, ey) for ex, ey, _ in ineqs)
+    return DivisorPolytope(ineqs, _enumerate_vertices(ineqs), bounded)
+
+
+def _inequalities(d: ToricDivisor) -> tuple[Inequality, ...]:
+    return tuple((e[0], e[1], a) for e, a in zip(d.fan.rays, d.coeffs))
 
 
 def polytope(d: ToricDivisor) -> DivisorPolytope:
     """P(D): one inequality <m, e_ray> + a_ray >= 0 per ray."""
-    return polytope_from_inequalities(
-        (e[0], e[1], a) for e, a in zip(d.fan.rays, d.coeffs)
-    )
+    return polytope_from_inequalities(_inequalities(d))
 
 
 def _row_interval(ineqs, y: int) -> tuple[int, int] | None:
     # integer x-range of the slice at height y, None when the slice is empty;
-    # callers guarantee a bounded polytope, so both bounds always exist
+    # callers guarantee a bounded system, so both bounds always exist
     lo = hi = None
     for ex, ey, a in ineqs:
         c = ey * y + a
@@ -274,6 +286,20 @@ def _row_interval(ineqs, y: int) -> tuple[int, int] | None:
     return (lo, hi)
 
 
+def _rows(ineqs):
+    """(y, lo, hi) for every row of a bounded system with an integer point,
+    in increasing y: the integer points are lo <= x <= hi at height y."""
+    # the projection (cy, 0, c) is a system in y alone, so its integer
+    # range is the row interval of that system at any height
+    y_range = _row_interval(_eliminate_x(ineqs), 0)
+    if y_range is None:
+        return
+    for y in range(y_range[0], y_range[1] + 1):
+        x_range = _row_interval(ineqs, y)
+        if x_range is not None:
+            yield (y,) + x_range
+
+
 def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
     """All integer points of a bounded polytope, sorted by (y, x).
 
@@ -284,18 +310,9 @@ def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
         if p.vertices or _feasible(p.inequalities):
             raise UnboundedPolytopeError("polytope is unbounded")
         return ()
-    if not p.vertices:
-        return ()
-    y_min = math.ceil(min(v[1] for v in p.vertices))
-    y_max = math.floor(max(v[1] for v in p.vertices))
-    points: list[Vec] = []
-    for y in range(y_min, y_max + 1):
-        interval = _row_interval(p.inequalities, y)
-        if interval is None:
-            continue
-        lo, hi = interval
-        points.extend((x, y) for x in range(lo, hi + 1))
-    return tuple(points)
+    return tuple(
+        (x, y) for y, lo, hi in _rows(p.inequalities) for x in range(lo, hi + 1)
+    )
 
 
 class H0Value:
@@ -344,15 +361,19 @@ class H0Value:
 
 def h0(fan: Fan, d: ToricDivisor) -> H0Value:
     """h0(X, D) = |P(D) ∩ M| on a smooth fan, infinite when P(D) is
-    nonempty and unbounded."""
-    if d.fan != fan:
+    nonempty and unbounded.
+
+    Counted row by row from the inequalities; P(D) can only be unbounded
+    when the fan's rays do not positively span the plane.
+    """
+    if d.fan is not fan and d.fan != fan:
         raise ValueError("divisor does not live on the given fan")
-    if not fan.is_smooth():
+    if not fan.smooth:
         raise ValueError("h0 requires a smooth fan")
-    try:
-        return H0Value.finite(len(lattice_points(polytope(d))))
-    except UnboundedPolytopeError:
-        return H0Value.infinite()
+    ineqs = _inequalities(d)
+    if not fan.bounded:
+        return H0Value.infinite() if _feasible(ineqs) else H0Value.finite(0)
+    return H0Value.finite(sum(hi - lo + 1 for _, lo, hi in _rows(ineqs)))
 
 
 def degree_along_ray(g: TropPolynomial, ray) -> int:

@@ -4,6 +4,14 @@ Everything is integer arithmetic on primitive ray generators; angular
 order and completeness are decided by cross-product signs, never by
 floating point.  Fans are validated eagerly: pairwise intersections of
 maximal cones must be common faces.
+
+A fan's fixed facts are computed once, on first use, and cached on the
+instance outside its equality and hash: whether it is smooth, complete
+and bounded (its rays positively span the plane, so every P(D) is
+bounded), and its intersection numbers.  Two ray divisors meet once iff
+their rays span a cone; the self-intersection of a ray with primitive
+generator u and neighbours u1, u2 is the integer b solving
+u1 + u2 + b*u = 0, verified exactly by substitution.
 """
 
 from __future__ import annotations
@@ -24,11 +32,30 @@ def dot(a, b):
 
 
 def _as_vec(v) -> Vec:
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise TypeError(f"a lattice vector must be a pair [x, y], got {v!r}")
     x, y = v
     # bool is an int subclass, but JSON true/false is not a coordinate
     if any(not isinstance(c, int) or isinstance(c, bool) for c in (x, y)):
         raise TypeError("lattice vectors must have integer coordinates")
     return (x, y)
+
+
+def positively_spans(vectors) -> bool:
+    """True iff the vectors positively span the plane.
+
+    Equivalently no nonzero direction d has <d, v> >= 0 for every v: such
+    a cone of directions, when it is not the whole plane, has a boundary
+    ray perpendicular to one of the vectors, so only those are tried.
+    """
+    vectors = list(vectors)
+    if not vectors:
+        return False
+    for ex, ey in vectors:
+        for d in ((-ey, ex), (ey, -ex)):
+            if all(d[0] * fx + d[1] * fy >= 0 for fx, fy in vectors):
+                return False
+    return True
 
 
 def primitive(v) -> Vec:
@@ -174,8 +201,47 @@ class Fan:
         object.__setattr__(self, "max_cones", cones)
         object.__setattr__(self, "rays", rays)
 
-    def is_smooth(self) -> bool:
+    # Fixed facts, computed on first use.  cached_property stores them in
+    # the instance __dict__, outside the dataclass fields, so equality and
+    # hashing still see only max_cones and rays.
+
+    @functools.cached_property
+    def smooth(self) -> bool:
         return all(is_smooth(c) for c in self.max_cones)
+
+    @functools.cached_property
+    def complete(self) -> bool:
+        return is_complete(self)
+
+    @functools.cached_property
+    def bounded(self) -> bool:
+        """True iff the rays positively span the plane: then every P(D),
+        whose recession cone is {m : <m, e_ray> >= 0}, is bounded."""
+        return positively_spans(self.rays)
+
+    @functools.cached_property
+    def intersection_numbers(self) -> tuple[tuple[int, ...], ...]:
+        """D_i . D_j in ray order; ValueError unless smooth and complete."""
+        if not self.smooth:
+            raise ValueError("intersection theory requires a smooth fan")
+        if not self.complete:
+            raise ValueError("intersection theory requires a complete fan")
+        index = {r: i for i, r in enumerate(self.rays)}
+        n = len(self.rays)
+        rows = [[0] * n for _ in range(n)]
+        for c in self.max_cones:
+            i, j = index[c.rays[0]], index[c.rays[1]]
+            rows[i][j] = rows[j][i] = 1
+        # on a complete fan the counterclockwise neighbours are the
+        # adjacent rays
+        ordered = ccw_sorted_rays(self.rays)
+        for k, u in enumerate(ordered):
+            i = index[u]
+            rows[i][i] = _self_intersection(u, ordered[k - 1], ordered[(k + 1) % n])
+        return tuple(tuple(row) for row in rows)
+
+    def is_smooth(self) -> bool:
+        return self.smooth
 
     def ray_index(self, ray) -> int:
         ray = _as_vec(ray)
@@ -226,12 +292,26 @@ def is_complete(f: Fan) -> bool:
     return True
 
 
+def _self_intersection(u, u1, u2) -> int:
+    """The integer b with u1 + u2 + b*u = 0, for u between neighbours u1, u2.
+
+    Existence follows from smoothness and completeness; the solution is
+    verified by substitution rather than trusted from a division.
+    """
+    s = (u1[0] + u2[0], u1[1] + u2[1])
+    k = 0 if u[0] else 1
+    b, r = divmod(-s[k], u[k])
+    if r or s[0] + b * u[0] or s[1] + b * u[1]:
+        raise ValueError("no integer self-intersection: fan is not smooth/complete")
+    return b
+
+
 def adjacent_rays(f: Fan, ray) -> tuple[Vec, Vec]:
     """The two rays spanning a maximal cone together with ``ray``."""
     ray = _as_vec(ray)
     if ray not in f.rays:
         raise ValueError(f"{ray} is not a ray of the fan")
-    if not is_complete(f):
+    if not f.complete:
         raise ValueError("adjacent rays require a complete fan")
     others = [
         r for c in f.max_cones if ray in c.rays for r in c.rays if r != ray
@@ -307,9 +387,13 @@ def fan_to_dict(f: Fan) -> dict:
 
 
 def fan_from_dict(d: dict) -> Fan:
-    """Inverse of fan_to_dict: TypeError for a cone that is not a list or
-    an index that is not an int (JSON booleans included), ValueError for
-    an index outside the ray list."""
+    """Inverse of fan_to_dict: TypeError when ``rays`` or ``max_cones`` is
+    not a list, for a ray that is not a pair of ints, a cone that is not a
+    list or an index that is not an int (JSON booleans included),
+    ValueError for an index outside the ray list."""
+    for key in ("rays", "max_cones"):
+        if not isinstance(d[key], list):
+            raise TypeError(f"{key} must be a list, got {d[key]!r}")
     rays = [_as_vec(r) for r in d["rays"]]
     cones = []
     for idxs in d["max_cones"]:

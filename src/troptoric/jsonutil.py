@@ -9,6 +9,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+class ParseError(ValueError):
+    """Input that decodes as JSON but does not have the documented shape.
+
+    A ValueError, so library callers that catch ValueError still see it;
+    the CLI tests for it first and exits 1 (parse error), not 2.
+    """
+
+
 def format_rational(q):
     q = Fraction(q)
     if q.denominator == 1:

@@ -44,9 +44,9 @@ def global_sections(fan: Fan, d: ToricDivisor) -> SectionModule:
     Errors out when P(D) is unbounded: the module is not finitely
     generated and no generating set is produced.
     """
-    if d.fan != fan:
+    if d.fan is not fan and d.fan != fan:
         raise ValueError("divisor does not live on the given fan")
-    if not fan.is_smooth():
+    if not fan.smooth:
         raise ValueError("global sections require a smooth fan")
     try:
         gens = lattice_points(polytope(d))

@@ -73,10 +73,25 @@ def test_fan_validate_bool_rays_exit_1(capsys, tmp_path):
     [
         [[False, True], [True, 2], [2, False]],  # booleans as ray indices
         ["01", "12", "20"],  # strings as cones
+        {"0": [0, 1], "1": [1, 2], "2": [2, 0]},  # an object, not a list
     ],
 )
 def test_fan_validate_malformed_cones_exit_1(capsys, tmp_path, cones):
     path = write(tmp_path, "fan.json", {"rays": P2["rays"], "max_cones": cones})
+    assert run(capsys, "fan", "validate", path)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [
+        [[1, 0, 0], [0, 1], [-1, -1]],  # three coordinates
+        [[1], [0, 1], [-1, -1]],  # one coordinate
+        [10, [0, 1], [-1, -1]],  # a number, not a pair
+        {"a": 1},  # an object, not a list
+    ],
+)
+def test_fan_validate_malformed_rays_exit_1(capsys, tmp_path, rays):
+    path = write(tmp_path, "fan.json", {"rays": rays, "max_cones": P2["max_cones"]})
     assert run(capsys, "fan", "validate", path)[0] == 1
 
 
@@ -105,6 +120,8 @@ def test_h0_command(capsys, tmp_path):
         {"0": True, "1": 0, "2": 1},  # boolean coefficient
         {"0": 1.5, "1": 0, "2": 1},  # float coefficient
         [1, 0, 1],  # not an object
+        {"0": 1, "1": 0},  # missing ray index
+        {"0": 1, "1": 0, "2": 0, "3": 9},  # unknown ray index
     ],
 )
 def test_h0_malformed_coeffs_exit_1(capsys, tmp_path, coeffs):

@@ -142,11 +142,29 @@ def test_h0_matches_lattice_point_count():
         for _ in range(60):
             d = random_divisor(rng, f, -4, 4)
             assert int(h0(f, d)) == len(lattice_points(polytope(d)))
+    # coefficient scale 60 on blown-up fans; every fifth divisor is also
+    # checked against box enumeration, which shares no code with the rows
+    for _ in range(3):
+        f = random_blowup_fan(rng)
+        for k in range(20):
+            d = random_divisor(rng, f, -60, 60)
+            n = int(h0(f, d))
+            assert n == len(lattice_points(polytope(d)))
+            if k % 5 == 0:
+                assert n == len(fm_lattice_points(polytope(d).inequalities))
 
 
 def test_h0_infinite_and_errors():
     single = Fan((Cone(((1, 0),)),))
     assert not h0(single, zero_divisor(single)).is_finite
+    # bounded but not complete: three 1-cones whose rays span the plane
+    rays = ((1, 0), (0, 1), (-1, -1))
+    spread = Fan(tuple(Cone((r,)) for r in rays))
+    assert h0(spread, ToricDivisor(spread, (2, 0, 1))) == 10
+    # a line: P(D) is a vertical strip, empty or unbounded
+    line = Fan((Cone(((1, 0),)), Cone(((-1, 0),))))
+    assert h0(line, ToricDivisor(line, (-1, -1))) == 0
+    assert not h0(line, ToricDivisor(line, (0, 0))).is_finite
     nonsmooth = Fan((Cone(((1, 0), (1, 2))),))
     with pytest.raises(ValueError):
         h0(nonsmooth, zero_divisor(nonsmooth))

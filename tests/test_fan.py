@@ -76,6 +76,22 @@ def test_is_complete():
     assert not is_complete(ray_fan)
 
 
+def test_cached_facts_outside_equality():
+    f = hirzebruch(2)
+    facts = (f.smooth, f.complete, f.bounded, f.intersection_numbers)
+    fresh = hirzebruch(2)
+    assert "intersection_numbers" in vars(f) and "intersection_numbers" not in vars(fresh)
+    assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
+    assert facts == (fresh.smooth, fresh.complete, fresh.bounded, fresh.intersection_numbers)
+    assert facts[:3] == (True, True, True)
+    spread = Fan(tuple(Cone((r,)) for r in ((1, 0), (0, 1), (-1, -1))))
+    assert (spread.smooth, spread.complete, spread.bounded) == (True, False, True)
+    line = Fan((Cone(((1, 0),)), Cone(((-1, 0),))))
+    assert (line.smooth, line.complete, line.bounded) == (True, False, False)
+    with pytest.raises(ValueError):
+        line.intersection_numbers
+
+
 def test_adjacent_rays_examples():
     assert set(adjacent_rays(projective_plane(), (1, 0))) == {(0, 1), (-1, -1)}
     assert set(adjacent_rays(hirzebruch(1), (0, 1))) == {(1, 0), (-1, 1)}
@@ -178,3 +194,12 @@ def test_bool_coordinates_rejected():
         fan_from_dict({"rays": [[True, 0], [0, True], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]})
     with pytest.raises(TypeError):
         Cone(((1, 0), (0, False)))
+    # wrong arity, a non-pair ray, and non-list containers
+    cones = [[0, 1], [1, 2], [2, 0]]
+    for rays in ([[1, 0, 0], [0, 1], [-1, -1]], [[1], [0, 1], [-1, -1]], [7, [0, 1], [-1, -1]], {"a": 1}):
+        with pytest.raises(TypeError):
+            fan_from_dict({"rays": rays, "max_cones": cones})
+    with pytest.raises(TypeError):
+        fan_from_dict({"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": {"0": [0, 1]}})
+    with pytest.raises(TypeError):
+        Cone(((1, 0, 0),))

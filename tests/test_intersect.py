@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import random_blowup_fan, random_divisor
-from troptoric.divisor import canonical_divisor, principal_divisor, ray_divisor, zero_divisor
-from troptoric.fan import Cone, Fan, blow_up, hirzebruch, product_p1_p1, projective_plane
+from troptoric.divisor import ToricDivisor, canonical_divisor, h0, principal_divisor, ray_divisor, zero_divisor
+from troptoric.fan import Cone, Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
 from troptoric.intersect import (
     intersection_matrix,
     pairing,
@@ -132,6 +132,30 @@ def test_rr_defect_is_exact_rational():
     r = rr_check(projective_plane(), ray_divisor(projective_plane(), (1, 0)))
     assert isinstance(r.defect, Fraction)
     assert r.to_dict()["holds"] is True
+
+
+def test_equal_fans_are_interchangeable():
+    # facts cached on one Fan object must serve an equal but distinct one
+    rng = random.Random(97)
+    for f in (projective_plane(), hirzebruch(2), random_blowup_fan(rng)):
+        g = fan_from_dict(fan_to_dict(f))
+        assert g == f and g is not f
+        for _ in range(10):
+            d = random_divisor(rng, f)
+            e = ToricDivisor(g, d.coeffs)
+            assert rr_check(g, d) == rr_check(f, d) == rr_check(f, e)
+            assert h0(g, d) == h0(f, d) == h0(f, e)
+            assert pairing(g, d, e) == pairing(f, d, d) == pairing(f, e, d)
+        # same cones and rays in another order: a different fan
+        other = Fan(f.max_cones, tuple(reversed(f.rays)))
+        assert other != f
+        d_other = ToricDivisor(other, d.coeffs)
+        with pytest.raises(ValueError):
+            rr_check(f, d_other)
+        with pytest.raises(ValueError):
+            h0(f, d_other)
+        with pytest.raises(ValueError):
+            pairing(f, d, d_other)
 
 
 def test_rr_requires_complete_smooth():
