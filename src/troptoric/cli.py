@@ -154,12 +154,17 @@ def cmd_sections(args) -> tuple[list[str], int]:
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 
+def _coeff_range(text: str) -> tuple[int, int]:
+    # an argparse type: a malformed range is a usage error, exit 1
+    match = _RANGE_RE.match(text)
+    if not match:
+        raise argparse.ArgumentTypeError(f"range must look like '-3..3', got {text!r}")
+    return int(match.group(1)), int(match.group(2))
+
+
 def cmd_sweep(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
-    match = _RANGE_RE.match(args.range)
-    if not match:
-        raise ValueError(f"range must look like '-3..3', got {args.range!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
+    lo, hi = args.range
     r = len(f.rays)
     width = hi - lo + 1
     count = width**r if width > 0 else 0
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Riemann-Roch reports over a coefficient range", parents=[common])
     p_sweep.add_argument("fan")
-    p_sweep.add_argument("--range", required=True, help="coefficient range, e.g. -3..3")
+    p_sweep.add_argument("--range", required=True, type=_coeff_range, help="coefficient range, e.g. -3..3")
     return parser
 
 
@@ -286,7 +291,9 @@ def main(argv=None) -> int:
         )
     try:
         lines, code = _HANDLERS[args.command](args)
-    except (ParseError, json.JSONDecodeError, FileNotFoundError, KeyError, TypeError) as exc:
+    # OSError covers a missing, unreadable or directory input file;
+    # UnicodeDecodeError is a ValueError, named so that it exits 1, not 2
+    except (ParseError, json.JSONDecodeError, OSError, UnicodeDecodeError, KeyError, TypeError) as exc:
         print(f"troptoric: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

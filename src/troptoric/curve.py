@@ -7,7 +7,9 @@ which both attain the global maximum.  Each nondegenerate such part is a
 Newton polygon obtained by lifting exponent m to height c_m and taking
 upper faces.  A 1-cell's weight is the lattice length of its dual edge,
 which is exactly what makes the locus balanced (weighted primitive
-outgoing directions sum to zero at every vertex).
+outgoing directions sum to zero at every vertex).  An edge lies on the
+boundary of the Newton polygon iff its dual 1-cell is unbounded, so the
+subdivision reads its boundary flags off the tie cells.
 """
 
 from __future__ import annotations
@@ -231,31 +233,23 @@ def corner_locus(g: TropPolynomial) -> WeightedComplex:
     )
 
 
-def _on_one_side(terms, family, dual_dir: Vec) -> bool:
-    # normal of the family's line in exponent space
-    n = (-dual_dir[1], dual_dir[0])
-    base = next(iter(family))
-    level = dot(n, base)
-    signs = [dot(n, m) - level for m, _ in terms]
-    return all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
-
-
 def newton_subdivision(g: TropPolynomial) -> NewtonSubdivision:
     """The regular subdivision of the Newton polygon of g.
 
     Exponents are lifted to their coefficients; cells are the projections
-    of upper-hull faces.  Edges carry a boundary flag (supporting line of
-    the whole support), which is what makes their dual locus cells rays.
+    of upper-hull faces.  By duality (Maclagan and Sturmfels, Introduction
+    to Tropical Geometry, 3.1) an edge lies on the boundary of the Newton
+    polygon iff its dual tie cell is unbounded, a ray or a line, so the
+    boundary flag is read off the cell.
     """
     _require_bivariate(g)
-    terms = list(g.terms())
-    points = tuple((m, c) for m, c in terms)
-    if len(terms) == 1:
-        return NewtonSubdivision(points, (), (), (terms[0][0],))
+    points = tuple(g.terms())
+    if len(points) == 1:
+        return NewtonSubdivision(points, (), (), (points[0][0],))
     vertices, tie_cells = _analyze(g)
     cells2 = tuple(frozenset(supporting_monomials(g, v)) for v in vertices)
     edges = tuple(
-        SubdivisionEdge(c.family, _on_one_side(terms, c.family, c.dual_direction))
+        SubdivisionEdge(c.family, c.lo is None or c.hi is None)
         for c in tie_cells
     )
     corners: list[Vec] = []

@@ -1,27 +1,30 @@
 """Toric divisors, the polytope P(D), lattice-point enumeration, and h0.
 
 A toric divisor is an integer coefficient per ray of a fan.  Its polytope
-P(D) = {m : <m, e_ray> + a_ray >= 0} is handled in exact arithmetic: the
-H-representation keeps integer data, vertices come from pairwise line
-intersections in homogeneous integer coordinates, and boundedness is read
-off the recession cone by sign checks alone.
+P(D) = {m : <m, e_ray> + a_ray >= 0} is its inequalities, kept as
+integer data.  Whether it is bounded is a fact of the fan (its recession
+cone is trivial iff the rays positively span the plane), and its vertices,
+pairwise line intersections in homogeneous integer coordinates, are found
+only when they are read.
 
 Lattice points are walked row by row: the integer y-range comes from
 eliminating x pairwise (exact Fourier-Motzkin on integers), and each row's
 x-range from the inequalities at that height; one routine reads both
 ranges off their one-variable systems by floor divisions.  h0 sums the
 row lengths straight from the inequalities, so it builds no polytope,
-vertex or point; whether P(D) can be unbounded is a fact of the fan,
-computed once per fan.
+vertex or point.  Neither h0 nor lattice_points reads a vertex: an
+unbounded P(D) is nonempty iff its system is feasible, which the same
+elimination decides.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fan import Fan, Vec, _as_vec, det2, dot, positively_spans
+from .fan import Fan, Vec, _as_vec, det2, dot
 from .jsonutil import ParseError
 from .trop import TropPolynomial
 
@@ -173,17 +176,20 @@ def linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor) -> Vec | None:
 
 @dataclass(frozen=True)
 class DivisorPolytope:
-    """P(D) as inequalities <m, e_ray> + a_ray >= 0, with cached vertices.
+    """P(D) as inequalities <m, e_ray> + a_ray >= 0.
 
     ``bounded`` is True iff the recession cone {m : <m, e_ray> >= 0} is
-    trivial; vertices are the feasible pairwise intersections of the
-    boundary lines (so an empty vertex list on a bounded polytope means
-    the polytope is empty).
+    trivial.  ``vertices``, the feasible pairwise intersections of the
+    boundary lines (none on a bounded polytope means it is empty), are
+    found on first read and cached outside equality and hashing.
     """
 
     inequalities: tuple[Inequality, ...]
-    vertices: tuple[tuple[Fraction, Fraction], ...]
     bounded: bool
+
+    @functools.cached_property
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return _enumerate_vertices(self.inequalities)
 
 
 def _enumerate_vertices(ineqs) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -248,19 +254,13 @@ def _feasible(ineqs) -> bool:
     return lo is None or hi is None or lo <= hi
 
 
-def polytope_from_inequalities(ineqs) -> DivisorPolytope:
-    ineqs = tuple((int(ex), int(ey), int(a)) for ex, ey, a in ineqs)
-    bounded = positively_spans((ex, ey) for ex, ey, _ in ineqs)
-    return DivisorPolytope(ineqs, _enumerate_vertices(ineqs), bounded)
-
-
 def _inequalities(d: ToricDivisor) -> tuple[Inequality, ...]:
     return tuple((e[0], e[1], a) for e, a in zip(d.fan.rays, d.coeffs))
 
 
 def polytope(d: ToricDivisor) -> DivisorPolytope:
     """P(D): one inequality <m, e_ray> + a_ray >= 0 per ray."""
-    return polytope_from_inequalities(_inequalities(d))
+    return DivisorPolytope(_inequalities(d), d.fan.bounded)
 
 
 def _row_interval(ineqs, y: int) -> tuple[int, int] | None:
@@ -307,7 +307,7 @@ def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
     nonempty; an empty polytope (bounded or not) yields the empty tuple.
     """
     if not p.bounded:
-        if p.vertices or _feasible(p.inequalities):
+        if _feasible(p.inequalities):
             raise UnboundedPolytopeError("polytope is unbounded")
         return ()
     return tuple(

@@ -92,16 +92,6 @@ class Cone:
     def dim(self) -> int:
         return len(self.rays)
 
-    def contains(self, v) -> bool:
-        if self.dim == 0:
-            return v[0] == 0 and v[1] == 0
-        if self.dim == 1:
-            u = self.rays[0]
-            return det2(u, v) == 0 and dot(u, v) >= 0
-        u1, u2 = self.rays
-        d = det2(u1, u2)
-        return det2(v, u2) * d >= 0 and det2(u1, v) * d >= 0
-
     def interior_contains(self, v) -> bool:
         """Strict interior for 2-ray cones, open ray for 1-ray cones."""
         if self.dim == 0:

@@ -41,9 +41,6 @@ class IntersectionMatrix:
     fan: Fan
     entries: tuple[tuple[int, ...], ...]
 
-    def entry(self, ray1, ray2) -> int:
-        return self.entries[self.fan.ray_index(ray1)][self.fan.ray_index(ray2)]
-
 
 def intersection_matrix(fan: Fan) -> IntersectionMatrix:
     return IntersectionMatrix(fan, fan.intersection_numbers)

@@ -101,16 +101,6 @@ class TropMonomial:
         object.__setattr__(self, "exponent", exp)
         object.__setattr__(self, "coeff", trop(self.coeff))
 
-    def evaluate(self, x: Sequence) -> TropValue:
-        if len(x) != len(self.exponent):
-            raise ValueError("dimension mismatch")
-        if self.coeff.value is None:
-            return NEG_INF
-        acc = self.coeff.value
-        for e, c in zip(self.exponent, x):
-            acc += e * as_fraction(c)
-        return TropValue(acc)
-
 
 class TropPolynomial:
     """A tropical Laurent polynomial max_m (c_m + <m, x>) in n variables.
@@ -165,9 +155,6 @@ class TropPolynomial:
     def coeff(self, exponent) -> TropValue:
         c = self._coeffs.get(tuple(exponent))
         return NEG_INF if c is None else TropValue(c)
-
-    def monomials(self) -> tuple[TropMonomial, ...]:
-        return tuple(TropMonomial(e, TropValue(c)) for e, c in self.terms())
 
     def evaluate(self, x: Sequence) -> TropValue:
         return evaluate(self, x)

@@ -4,11 +4,13 @@ These deliberately avoid the code paths they check: the determinant
 oracle is a recursive Laplace expansion that counts the optimal
 permutations (production solves an assignment problem and reads ties off
 the optimal dual potentials), the lattice oracle projects with
-Fourier-Motzkin and filters a box (production intersects boundary
-lines), the upper-hull oracle finds subdivision 2-cells from lifted
-planes (production dualizes tie lines), and the slope-count oracle
-evaluates the generators at random untied points (production returns
-the rank, which is the theorem the oracle samples).
+Fourier-Motzkin and filters a box (production walks the integer rows
+of P(D)), the upper-hull oracle finds subdivision 2-cells from lifted
+planes (production dualizes tie lines), the boundary oracle checks that
+the whole support lies on one side of an edge's line (production reads
+the flag off the dual cell: unbounded iff on the boundary), and the
+slope-count oracle evaluates the generators at random untied points
+(production returns the rank, which is the theorem the oracle samples).
 """
 
 from __future__ import annotations
@@ -148,6 +150,20 @@ def upper_hull_cells2(g: TropPolynomial):
                 if below:
                     cells.add(frozenset(on_plane))
     return cells
+
+
+def on_newton_boundary(support, family) -> bool:
+    """Whether a subdivision edge lies on the boundary of the Newton polygon.
+
+    The edge's line passes through two distinct points of ``family``; it
+    is a boundary line iff every exponent of ``support`` lies weakly on
+    one side of it.
+    """
+    a, b = sorted(family)[:2]
+    n = (a[1] - b[1], b[0] - a[0])  # normal of the line through a and b
+    level = n[0] * a[0] + n[1] * a[1]
+    sides = [n[0] * m[0] + n[1] * m[1] - level for m in support]
+    return all(s >= 0 for s in sides) or all(s <= 0 for s in sides)
 
 
 def sampled_slope_count(module, rng, samples=3, max_draws=1000):

@@ -99,6 +99,14 @@ def test_parse_error_exit_code(capsys, tmp_path):
     path = write(tmp_path, "bad.json", "{nope")
     assert run(capsys, "fan", "validate", path)[0] == 1
     assert run(capsys, "h0", path, path)[0] == 1
+    # a directory given as an input file
+    assert run(capsys, "fan", "validate", str(tmp_path))[0] == 1
+    assert run(capsys, "h0", str(tmp_path), str(tmp_path))[0] == 1
+    # a file that is not valid UTF-8
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff\xfe{"rays": []}')
+    assert run(capsys, "fan", "validate", str(binary))[0] == 1
+    assert run(capsys, "h0", str(binary), str(binary))[0] == 1
 
 
 def test_h0_command(capsys, tmp_path):
@@ -277,4 +285,12 @@ def test_env_seed_override(capsys, tmp_path, monkeypatch):
 def test_usage_error_exit_1(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep"])  # missing required arguments
+    assert err.value.code == 1
+
+
+@pytest.mark.parametrize("bad_range", ["3", "a..b", "1..2..3"])
+def test_malformed_range_exit_1(capsys, tmp_path, bad_range):
+    fan_path = write(tmp_path, "fan.json", P2)
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", fan_path, "--range", bad_range])
     assert err.value.code == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_divisor, random_polynomial, upper_hull_cells2
+from oracles import on_newton_boundary, random_divisor, random_polynomial, upper_hull_cells2
 from troptoric.curve import (
     LineEdge,
     RayEdge,
@@ -115,6 +115,8 @@ def test_duality_counts():
         wc = corner_locus(g)
         assert len(wc.vertices) == len(sub.cells2)
         assert len(wc.segments) + len(wc.rays) + len(wc.lines) == len(sub.edges)
+        for e in sub.edges:
+            assert e.boundary == on_newton_boundary(g.support, e.points)
         if wc.lines:  # collinear support: no 2-cells at all
             assert sub.cells2 == ()
             assert len(wc.lines) == sum(e.boundary for e in sub.edges)
@@ -130,6 +132,8 @@ def test_rays_match_boundary_edges():
         wc = corner_locus(g)
         if wc.lines:
             continue  # collinear support: no 2-cells, handled in duality test
+        for e in sub.edges:
+            assert e.boundary == on_newton_boundary(g.support, e.points)
         assert len(wc.rays) == sum(1 for e in sub.edges if e.boundary)
         assert len(wc.segments) == sum(1 for e in sub.edges if not e.boundary)
 

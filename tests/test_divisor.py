@@ -117,11 +117,37 @@ def test_lattice_points_unbounded():
     with pytest.raises(UnboundedPolytopeError):
         lattice_points(polytope(zero_divisor(single)))
     # unbounded but empty: m1 >= 1 and m1 <= -1
-    from troptoric.divisor import polytope_from_inequalities
-
-    p = polytope_from_inequalities([(1, 0, -1), (-1, 0, -1)])
+    line = Fan((Cone(((1, 0),)), Cone(((-1, 0),))))
+    p = polytope(ToricDivisor(line, (-1, -1)))
+    assert p.inequalities == ((1, 0, -1), (-1, 0, -1))
     assert not p.bounded
     assert lattice_points(p) == ()
+
+
+def test_polytope_bounded_is_the_fan_fact():
+    # three 1-cones whose rays span the plane: bounded but not complete
+    spread = Fan(tuple(Cone((r,)) for r in ((1, 0), (0, 1), (-1, -1))))
+    line = Fan((Cone(((1, 0),)), Cone(((-1, 0),))))
+    single = Fan((Cone(((1, 0),)),))
+    rng = random.Random(53)
+    for f, bounded in (
+        (projective_plane(), True),
+        (hirzebruch(2), True),
+        (spread, True),
+        (line, False),
+        (single, False),
+    ):
+        assert f.bounded == bounded
+        for _ in range(5):
+            assert polytope(random_divisor(rng, f, -3, 3)).bounded == bounded
+
+
+def test_polytope_equality_ignores_read_vertices():
+    d = ToricDivisor(hirzebruch(2), (2, -1, 3, 1))
+    p, q = polytope(d), polytope(d)
+    assert p.vertices == ((Fraction(-2), Fraction(1)), (Fraction(5), Fraction(1)))
+    assert "vertices" in vars(p) and "vertices" not in vars(q)
+    assert p == q and hash(p) == hash(q)
 
 
 def test_h0_closed_forms():
