@@ -4,7 +4,7 @@ Subcommands: fan (builtin / validate / blowup), h0, rr, sections, sweep.
 Output is deterministic for identical inputs and --seed; rationals are
 emitted as 'p/q' strings, integers as JSON numbers.
 
-Exit codes: 0 success, 1 parse error, 2 precondition violation,
+Exit codes: 0 success, 1 parse or usage error, 2 precondition violation,
 3 Riemann-Roch inequality violation.
 """
 
@@ -18,7 +18,7 @@ import random
 import re
 import sys
 
-from .divisor import ToricDivisor, divisor_from_dict, h0, lattice_points, polytope
+from .divisor import H0Value, ToricDivisor, UnboundedPolytopeError, divisor_from_dict, polytope
 from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
 from .intersect import rr_check
 from .jsonutil import ParseError, format_rational, parse_rational
@@ -115,11 +115,15 @@ def cmd_fan(args) -> tuple[list[str], int]:
 def cmd_h0(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, _load_json(args.divisor))
-    value = h0(f, d)
     p = polytope(d)
+    # h0 is the rank of the section module: P(D) is counted once
+    try:
+        points = [list(m) for m in global_sections(f, d).generators]
+    except UnboundedPolytopeError:
+        points = None
     payload = {
-        "h0": value.to_json(),
-        "lattice_points": [list(m) for m in lattice_points(p)] if value.is_finite else None,
+        "h0": H0Value(None if points is None else len(points)).to_json(),
+        "lattice_points": points,
         "polytope_vertices": [_pt_json(v) for v in p.vertices],
     }
     return [json.dumps(payload)], EXIT_OK
@@ -169,9 +173,7 @@ def cmd_sweep(args) -> tuple[list[str], int]:
     width = hi - lo + 1
     count = width**r if width > 0 else 0
     lines = []
-    min_defect = None
-    violations = 0
-    emitted = 0
+    defects = []
     if 0 < count <= SWEEP_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         coeff_iter = itertools.product(range(lo, hi + 1), repeat=r)
@@ -185,22 +187,17 @@ def cmd_sweep(args) -> tuple[list[str], int]:
             tuple(rng.randint(lo, hi) for _ in range(r))
             for _ in range(SWEEP_SAMPLE_SIZE)
         )
-    for coeffs in coeff_iter:
+    for index, coeffs in enumerate(coeff_iter):
         report = rr_check(f, ToricDivisor(f, coeffs))
-        if min_defect is None or report.defect < min_defect:
-            min_defect = report.defect
-        if not report.holds:
-            violations += 1
-        lines.append(
-            json.dumps({"index": emitted, "coeffs": list(coeffs), "report": report.to_dict()})
-        )
-        emitted += 1
+        defects.append(report.defect)
+        lines.append(json.dumps({"index": index, "coeffs": list(coeffs), "report": report.to_dict()}))
+    violations = sum(x < 0 for x in defects)  # a report holds iff its defect is >= 0
     summary = {
         "summary": {
             "mode": mode,
             "seed": args.seed,
-            "count": emitted,
-            "min_defect": None if min_defect is None else format_rational(min_defect),
+            "count": len(defects),
+            "min_defect": min(defects, default=None),
             "violations": violations,
         }
     }
@@ -302,8 +299,12 @@ def main(argv=None) -> int:
     text = "\n".join(lines)
     print(text)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"troptoric: cannot write --json-out: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     return code
 
 

@@ -12,7 +12,8 @@ eliminating x pairwise (exact Fourier-Motzkin on integers), and each row's
 x-range from the inequalities at that height; one routine reads both
 ranges off their one-variable systems by floor divisions.  h0 sums the
 row lengths straight from the inequalities, so it builds no polytope,
-vertex or point.  Neither h0 nor lattice_points reads a vertex: an
+vertex or point; the Riemann-Roch verifier calls the same count on bare
+coefficient tuples.  Neither h0 nor lattice_points reads a vertex: an
 unbounded P(D) is nonempty iff its system is feasible, which the same
 elimination decides.
 """
@@ -55,16 +56,12 @@ class ToricDivisor:
     def coeff(self, ray) -> int:
         return self.coeffs[self.fan.ray_index(ray)]
 
-    def _check_same_fan(self, other: "ToricDivisor"):
-        if self.fan is not other.fan and self.fan != other.fan:
-            raise ValueError("divisors live on different fans")
-
     def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
-        self._check_same_fan(other)
+        _same_fan(self.fan, other)
         return ToricDivisor(self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "ToricDivisor") -> "ToricDivisor":
-        self._check_same_fan(other)
+        _same_fan(self.fan, other)
         return ToricDivisor(self.fan, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "ToricDivisor":
@@ -77,6 +74,13 @@ class ToricDivisor:
 
     def to_dict(self) -> dict:
         return {"coeffs": {str(i): c for i, c in enumerate(self.coeffs)}}
+
+
+def _same_fan(fan: Fan, *divisors: ToricDivisor) -> None:
+    # equal fans are interchangeable; `is` first, since comparing fans costs
+    for d in divisors:
+        if d.fan is not fan and d.fan != fan:
+            raise ValueError("divisor does not live on the given fan")
 
 
 def divisor_from_dict(fan: Fan, d: dict) -> ToricDivisor:
@@ -136,7 +140,7 @@ def linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor) -> Vec | None:
     the rational solution is unique when the rays span the plane, so a
     non-integral candidate means no solution at all.
     """
-    d1._check_same_fan(d2)
+    _same_fan(d1.fan, d2)
     rays = d1.fan.rays
     targets = tuple(a - b for a, b in zip(d1.coeffs, d2.coeffs))
     if not rays:
@@ -254,13 +258,13 @@ def _feasible(ineqs) -> bool:
     return lo is None or hi is None or lo <= hi
 
 
-def _inequalities(d: ToricDivisor) -> tuple[Inequality, ...]:
-    return tuple((e[0], e[1], a) for e, a in zip(d.fan.rays, d.coeffs))
+def _inequalities(rays, coeffs) -> tuple[Inequality, ...]:
+    return tuple((e[0], e[1], a) for e, a in zip(rays, coeffs))
 
 
 def polytope(d: ToricDivisor) -> DivisorPolytope:
     """P(D): one inequality <m, e_ray> + a_ray >= 0 per ray."""
-    return DivisorPolytope(_inequalities(d), d.fan.bounded)
+    return DivisorPolytope(_inequalities(d.fan.rays, d.coeffs), d.fan.bounded)
 
 
 def _row_interval(ineqs, y: int) -> tuple[int, int] | None:
@@ -308,11 +312,17 @@ def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
     """
     if not p.bounded:
         if _feasible(p.inequalities):
-            raise UnboundedPolytopeError("polytope is unbounded")
+            raise UnboundedPolytopeError("P(D) is unbounded and nonempty")
         return ()
     return tuple(
         (x, y) for y, lo, hi in _rows(p.inequalities) for x in range(lo, hi + 1)
     )
+
+
+def _lattice_count(rays, coeffs) -> int:
+    """|P(D) ∩ M| for the divisor with ``coeffs`` on ``rays``, which must
+    positively span the plane: the row lengths, summed."""
+    return sum(hi - lo + 1 for _, lo, hi in _rows(_inequalities(rays, coeffs)))
 
 
 class H0Value:
@@ -366,14 +376,12 @@ def h0(fan: Fan, d: ToricDivisor) -> H0Value:
     Counted row by row from the inequalities; P(D) can only be unbounded
     when the fan's rays do not positively span the plane.
     """
-    if d.fan is not fan and d.fan != fan:
-        raise ValueError("divisor does not live on the given fan")
+    _same_fan(fan, d)
     if not fan.smooth:
         raise ValueError("h0 requires a smooth fan")
-    ineqs = _inequalities(d)
     if not fan.bounded:
-        return H0Value.infinite() if _feasible(ineqs) else H0Value.finite(0)
-    return H0Value.finite(sum(hi - lo + 1 for _, lo, hi in _rows(ineqs)))
+        return H0Value.infinite() if _feasible(_inequalities(fan.rays, d.coeffs)) else H0Value.finite(0)
+    return H0Value.finite(_lattice_count(fan.rays, d.coeffs))
 
 
 def degree_along_ray(g: TropPolynomial, ray) -> int:

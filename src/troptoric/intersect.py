@@ -4,18 +4,20 @@ Riemann-Roch inequality verifier.
 The intersection numbers are a fact of the fan, computed once per fan and
 cached on it (`Fan.intersection_numbers`); the functions here check
 their arguments and read them.  The verifier compares h0(D) + h0(K-D)
-against chi(O_X) + D(D-K)/2 with chi(O_X) = 1 and reports the defect as
-an exact rational.
+against chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in integers.
+
+Theorem: on a smooth complete toric surface D(D-K) is even, since
+Riemann-Roch gives chi(O(D)) = 1 + D(D-K)/2 and chi(O(D)) = h0 - h1 + h2
+is an integer; and h0(D), h0(K-D) are finite, since the rays of a
+complete fan positively span the plane, so P(D) and P(K-D) are bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .divisor import H0Value, ToricDivisor, h0
+from .divisor import ToricDivisor, _lattice_count, _same_fan
 from .fan import Fan, _as_vec
-from .jsonutil import format_rational
 
 
 def ray_intersection(fan: Fan, ray1, ray2) -> int:
@@ -48,71 +50,61 @@ def intersection_matrix(fan: Fan) -> IntersectionMatrix:
 
 def pairing(fan: Fan, d1: ToricDivisor, d2: ToricDivisor) -> int:
     """The bilinear intersection pairing sum a_i b_j (D_i . D_j)."""
-    for d in (d1, d2):
-        if d.fan is not fan and d.fan != fan:
-            raise ValueError("divisors do not live on the given fan")
-    m = fan.intersection_numbers
+    _same_fan(fan, d1, d2)
+    return _pair(fan.intersection_numbers, d1.coeffs, d2.coeffs)
+
+
+def _pair(m, a, b) -> int:
     total = 0
-    for i, a in enumerate(d1.coeffs):
-        if a == 0:
+    for i, x in enumerate(a):
+        if x == 0:
             continue
         row = m[i]
-        for j, b in enumerate(d2.coeffs):
-            if b:
-                total += a * b * row[j]
+        for j, y in enumerate(b):
+            if y:
+                total += x * y * row[j]
     return total
 
 
 @dataclass(frozen=True)
 class RRReport:
-    """One Riemann-Roch inequality check: both h0 values, the pairing
-    term D(D-K)/2, chi, and the exact defect LHS - RHS."""
+    """One Riemann-Roch inequality check, all in integers: both h0 values,
+    chi, the pairing term D(D-K)/2, rhs = chi + D(D-K)/2 and the defect
+    h0(D) + h0(K-D) - rhs."""
 
-    h0_D: H0Value
-    h0_K_minus_D: H0Value
+    h0_D: int
+    h0_K_minus_D: int
     euler: int
-    pairing_term: Fraction
-    rhs: Fraction
-    defect: Fraction
+    pairing_term: int
+    rhs: int
+    defect: int
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "h0_D": self.h0_D.to_json(),
-            "h0_K_minus_D": self.h0_K_minus_D.to_json(),
-            "euler": self.euler,
-            "pairing_term": format_rational(self.pairing_term),
-            "rhs": format_rational(self.rhs),
-            "defect": format_rational(self.defect),
-            "holds": self.holds,
-        }
+        """The fields by name, in declaration order: JSON ints and a bool."""
+        return dict(vars(self))
 
 
 def rr_check(fan: Fan, d: ToricDivisor) -> RRReport:
     """Verify h0(D) + h0(K-D) >= chi + D(D-K)/2 for one divisor.
 
-    On a complete fan both h0 values are finite (P(D) is bounded), so the
-    defect is an exact rational and equality cases are detected bit-exactly.
+    Works on the coefficient tuple a of D: K = -(sum of the ray divisors),
+    so K - D has coefficients -1 - a and D - K has a + 1.  Every field is
+    an int by the integrality theorem above; an odd D(D-K) can only come
+    from wrong intersection numbers and raises ArithmeticError.
     """
-    fan.intersection_numbers  # ValueError unless smooth and complete
-    h0_d = h0(fan, d)
-    # K = -(sum of the ray divisors): K - D and D - K have coefficients
-    # -1 - a and a + 1
-    k_minus_d = ToricDivisor(fan, tuple(-1 - a for a in d.coeffs))
-    d_minus_k = ToricDivisor(fan, tuple(a + 1 for a in d.coeffs))
-    h0_k_minus_d = h0(fan, k_minus_d)
-    pairing_term = Fraction(pairing(fan, d, d_minus_k), 2)
+    m = fan.intersection_numbers  # ValueError unless smooth and complete
+    _same_fan(fan, d)
+    a = d.coeffs
+    twice = _pair(m, a, [c + 1 for c in a])
+    if twice % 2:
+        raise ArithmeticError(f"D(D-K) = {twice} is odd: the intersection numbers are wrong")
+    h0_d = _lattice_count(fan.rays, a)
+    h0_k_minus_d = _lattice_count(fan.rays, [-1 - c for c in a])
+    pairing_term = twice // 2
     # chi(O_X) = 1: the higher cohomology of O_X vanishes on a complete
     # toric variety (Cox, Little and Schenck, Toric Varieties, §9.2)
     euler = 1
     rhs = euler + pairing_term
-    defect = Fraction(int(h0_d) + int(h0_k_minus_d)) - rhs
-    return RRReport(
-        h0_D=h0_d,
-        h0_K_minus_D=h0_k_minus_d,
-        euler=euler,
-        pairing_term=pairing_term,
-        rhs=rhs,
-        defect=defect,
-        holds=defect >= 0,
-    )
+    defect = h0_d + h0_k_minus_d - rhs
+    return RRReport(h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, defect >= 0)

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .divisor import ToricDivisor, UnboundedPolytopeError, lattice_points, polytope
+from .divisor import ToricDivisor, _same_fan, lattice_points, polytope
 from .fan import Fan, Vec, dot
 from .trop import TropMatrix, TropPolynomial, as_fraction, supporting_monomials, trop_det
 
@@ -41,20 +41,13 @@ class SectionModule:
 def global_sections(fan: Fan, d: ToricDivisor) -> SectionModule:
     """The monomial generators of the sections of O(D).
 
-    Errors out when P(D) is unbounded: the module is not finitely
-    generated and no generating set is produced.
+    Raises UnboundedPolytopeError (a ValueError) when P(D) is unbounded
+    and nonempty: the module is not finitely generated.
     """
-    if d.fan is not fan and d.fan != fan:
-        raise ValueError("divisor does not live on the given fan")
+    _same_fan(fan, d)
     if not fan.smooth:
         raise ValueError("global sections require a smooth fan")
-    try:
-        gens = lattice_points(polytope(d))
-    except UnboundedPolytopeError:
-        raise ValueError(
-            "P(D) is unbounded: the section module is not finitely generated"
-        ) from None
-    return SectionModule(fan, d, gens)
+    return SectionModule(fan, d, lattice_points(polytope(d)))
 
 
 def _point(x) -> tuple[Fraction, Fraction]:

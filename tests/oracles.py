@@ -8,9 +8,12 @@ Fourier-Motzkin and filters a box (production walks the integer rows
 of P(D)), the upper-hull oracle finds subdivision 2-cells from lifted
 planes (production dualizes tie lines), the boundary oracle checks that
 the whole support lies on one side of an edge's line (production reads
-the flag off the dual cell: unbounded iff on the boundary), and the
+the flag off the dual cell: unbounded iff on the boundary), the
 slope-count oracle evaluates the generators at random untied points
-(production returns the rank, which is the theorem the oracle samples).
+(production returns the rank, which is the theorem the oracle samples),
+and the Riemann-Roch oracle builds K - D and D - K as divisors, halves
+the pairing as a Fraction and counts both h0 by box enumeration
+(production works in integers on the coefficient tuple and walks rows).
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from troptoric.divisor import ToricDivisor
+from troptoric.divisor import ToricDivisor, canonical_divisor
 from troptoric.fan import blow_up, projective_plane
+from troptoric.intersect import pairing
 from troptoric.sections import generator_value
 from troptoric.trop import TropPolynomial
 
@@ -107,6 +111,32 @@ def fm_lattice_points(ineqs):
             if all(ex * x + ey * y + a >= 0 for ex, ey, a in ineqs):
                 points.add((x, y))
     return points
+
+
+def rr_oracle(fan, d: ToricDivisor) -> dict:
+    """The fields of rr_check(fan, d), each computed apart: h0 by box
+    enumeration, K from canonical_divisor, D - K as a ToricDivisor, and
+    the pairing term D(D-K)/2 as a Fraction, never rounded."""
+
+    def count(divisor):
+        ineqs = [(e[0], e[1], a) for e, a in zip(fan.rays, divisor.coeffs)]
+        return len(fm_lattice_points(ineqs))
+
+    k = canonical_divisor(fan)
+    h0_d, h0_k_minus_d = count(d), count(k - d)
+    pairing_term = Fraction(pairing(fan, d, d - k), 2)
+    euler = 1
+    rhs = euler + pairing_term
+    defect = Fraction(h0_d + h0_k_minus_d) - rhs
+    return {
+        "h0_D": h0_d,
+        "h0_K_minus_D": h0_k_minus_d,
+        "euler": euler,
+        "pairing_term": pairing_term,
+        "rhs": rhs,
+        "defect": defect,
+        "holds": defect >= 0,
+    }
 
 
 def upper_hull_cells2(g: TropPolynomial):

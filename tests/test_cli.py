@@ -116,6 +116,7 @@ def test_h0_command(capsys, tmp_path):
     payload = json.loads(out)
     assert code == 0
     assert payload["h0"] == 6 and len(payload["lattice_points"]) == 6
+    assert payload["lattice_points"] == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [0, 2]]
     k_path = write(tmp_path, "k.json", {"coeffs": {"0": -1, "1": -1, "2": -1}})
     code, out = run(capsys, "h0", fan_path, k_path)
     payload = json.loads(out)
@@ -144,6 +145,25 @@ def test_h0_infinite(capsys, tmp_path):
     code, out = run(capsys, "h0", fan_path, div_path)
     payload = json.loads(out)
     assert code == 0 and payload["h0"] == "infinite" and payload["lattice_points"] is None
+    line_path = write(tmp_path, "line.json", {"rays": [[1, 0], [-1, 0]], "max_cones": [[0], [1]]})
+    div_path = write(tmp_path, "d0.json", {"coeffs": {"0": 0, "1": 0}})
+    code, out = run(capsys, "h0", line_path, div_path)
+    assert code == 0
+    assert out == '{"h0": "infinite", "lattice_points": null, "polytope_vertices": []}\n'
+    div_path = write(tmp_path, "d1.json", {"coeffs": {"0": -1, "1": -1}})
+    code, out = run(capsys, "h0", line_path, div_path)
+    assert code == 0
+    assert out == '{"h0": 0, "lattice_points": [], "polytope_vertices": []}\n'
+
+
+def test_h0_nonsmooth_exit_2(capsys, tmp_path):
+    fan = {"rays": [[1, 0], [1, 2], [-1, 0], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+    fan_path = write(tmp_path, "fan.json", fan)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 0, "3": 0}})
+    code = main(["h0", fan_path, div_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("troptoric: ") and "smooth" in captured.err
 
 
 def test_rr_command(capsys, tmp_path):
@@ -222,7 +242,7 @@ def test_sweep_exhaustive(capsys, tmp_path):
     assert len(lines) == 28  # 27 reports plus summary
     summary = json.loads(lines[-1])["summary"]
     assert summary["count"] == 27 and summary["violations"] == 0
-    assert summary["min_defect"] == 0
+    assert summary["min_defect"] == 0 and type(summary["min_defect"]) is int
     assert all(json.loads(l)["report"]["holds"] for l in lines[:-1])
 
 
@@ -234,6 +254,10 @@ def test_sweep_p1xp1_625_reports(capsys, tmp_path):
     assert code == 0 and len(lines) == 626
     summary = json.loads(lines[-1])["summary"]
     assert summary["count"] == 625 and summary["violations"] == 0
+    # h1(O(a, b)) > 0 for some of these, so the defects are not all 0
+    defects = [json.loads(l)["report"]["defect"] for l in lines[:-1]]
+    assert max(defects) > 0 and all(type(x) is int for x in defects)
+    assert summary["min_defect"] == min(defects) and type(summary["min_defect"]) is int
 
 
 def test_sweep_sampled_mode(capsys, tmp_path):
@@ -273,6 +297,18 @@ def test_json_out_flag(capsys, tmp_path):
     code, out = run(capsys, "--json-out", str(out_path), "fan", "validate", fan_path)
     assert code == 0
     assert out_path.read_text().strip() == out.strip()
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/result.json"])
+def test_json_out_unwritable_exit_1(capsys, tmp_path, target):
+    # a directory, or a file whose parent directory does not exist
+    (tmp_path / "dir").mkdir()
+    fan_path = write(tmp_path, "fan.json", P2)
+    code = main(["--json-out", str(tmp_path / target), "fan", "validate", fan_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["valid"] is True
+    assert captured.err.startswith("troptoric: ") and captured.err.count("\n") == 1
 
 
 def test_env_seed_override(capsys, tmp_path, monkeypatch):
