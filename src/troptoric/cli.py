@@ -89,6 +89,8 @@ def cmd_fan(args) -> tuple[list[str], int]:
         data = _load_json(args.fan)  # malformed JSON propagates as a parse error
         try:
             f = fan_from_dict(data)
+        except ParseError:
+            raise  # malformed input, exit 1, not an invalid fan
         except ValueError as exc:
             return [json.dumps({"valid": False, "error": str(exc)})], EXIT_PRECONDITION
         offending = None
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
         lines, code = _HANDLERS[args.command](args)
     # OSError covers a missing, unreadable or directory input file;
     # UnicodeDecodeError is a ValueError, named so that it exits 1, not 2
-    except (ParseError, json.JSONDecodeError, OSError, UnicodeDecodeError, KeyError, TypeError) as exc:
+    except (ParseError, json.JSONDecodeError, OSError, UnicodeDecodeError, TypeError) as exc:
         print(f"troptoric: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

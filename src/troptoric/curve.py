@@ -1,25 +1,27 @@
 """Corner loci of bivariate tropical polynomials as weighted plane curves.
 
-The corner locus (non-smooth set) of max_m(c_m + <m, x>) is computed by
-analyzing, for every pair of exponents, the part of their tie line on
-which both attain the global maximum.  Each nondegenerate such part is a
-1-cell of the locus, dual to an edge of the regular subdivision of the
-Newton polygon obtained by lifting exponent m to height c_m and taking
-upper faces.  A 1-cell's weight is the lattice length of its dual edge,
-which is exactly what makes the locus balanced (weighted primitive
-outgoing directions sum to zero at every vertex).  An edge lies on the
-boundary of the Newton polygon iff its dual 1-cell is unbounded, so the
-subdivision reads its boundary flags off the tie cells.
+Lift each exponent m of max_m(c_m + <m, x>) to height c_m.  The upper
+faces of the lift project to the regular subdivision of the Newton
+polygon, and the corner locus is its dual (Maclagan and Sturmfels, 3.1;
+De Loera, Rambau and Santos, Triangulations, ch. 2): a vertex per face,
+a segment per edge of two faces, a ray along the outward normal per
+boundary edge, and a line per edge of the lifted upper chain when the
+exponents are collinear.  A 1-cell's weight is the lattice length of its
+dual edge, which is exactly what makes the locus balanced.  The faces are
+found once, in integers: coefficients are scaled by the lcm of their
+denominators and the faces are gift-wrapped from a boundary edge, one
+scan of 3x3 orientation signs per edge, coplanar points in one cell.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fan import Vec, det2, dot, primitive
 from .jsonutil import format_rational
-from .trop import TropPolynomial, supporting_monomials
+from .trop import TropPolynomial
 
 Point = tuple[Fraction, Fraction]
 
@@ -99,17 +101,6 @@ class NewtonSubdivision:
     cells0: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class _TieCell:
-    family: frozenset
-    direction: Vec  # primitive direction of the tie line in the plane
-    lo: Point | None  # finite endpoint on the -direction side, None if unbounded
-    hi: Point | None
-    anchor: Point
-    weight: int
-    dual_direction: Vec  # primitive direction of the dual subdivision edge
-
-
 def _require_bivariate(g: TropPolynomial):
     if g.is_empty:
         raise ValueError("empty polynomial has no corner locus")
@@ -117,119 +108,126 @@ def _require_bivariate(g: TropPolynomial):
         raise ValueError("corner loci are implemented for two variables")
 
 
-def _family_weight(family, dual_dir: Vec) -> int:
-    base = next(iter(family))
-    ks = []
-    for m in family:
-        diff = (m[0] - base[0], m[1] - base[1])
-        if dual_dir[0] != 0:
-            ks.append(diff[0] // dual_dir[0])
-        else:
-            ks.append(diff[1] // dual_dir[1])
-    return max(ks) - min(ks)
+def _lifted(height, s, p):
+    """The lifted exponent s minus the lifted exponent p, in integers."""
+    return (s[0] - p[0], s[1] - p[1], height[s] - height[p])
 
 
-def _analyze(g: TropPolynomial):
-    """Locus vertices plus tie cells, shared by corner_locus and the subdivision."""
-    terms = list(g.terms())
-    cells: dict[frozenset, _TieCell] = {}
-    if len(terms) < 2:
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _upper_chain(height, a, b):
+    """(start, end, family) for each edge of the upper chain of the lifted
+    exponents on the line through a and b, in order from a toward b."""
+    d = (b[0] - a[0], b[1] - a[1])
+    line = {}  # (position along d, height) -> exponent
+    for m in height:
+        w = _lifted(height, m, a)
+        if det2(d, w) == 0:
+            line[(dot(w, d), w[2])] = m
+    ring = hull_vertices(line)  # ccw: lower chain to the far end, then back
+    chain = [ring[0]] + ring[:ring.index(max(ring)) - 1:-1]
+    # every lifted point is weakly below the chain, so a point on the line
+    # of a chain edge lies on that edge
+    return [
+        (line[s], line[e], frozenset(
+            m for p, m in line.items() if det2((e[0] - s[0], e[1] - s[1]), (p[0] - s[0], p[1] - s[1])) == 0
+        ))
+        for s, e in zip(chain, chain[1:])
+    ]
+
+
+def _lifted_hull(g: TropPolynomial):
+    """(cells, edges) of the upper hull of the exponents lifted to their
+    coefficients.  cells lists (dual vertex, exponents on the face), sorted
+    by vertex; edges lists (a, b, family, duals): the ends, the exponents on
+    the edge and the dual vertices of its faces, the face left of a -> b
+    first.  Collinear support has no faces; its edges are those of the
+    lifted upper chain, a before b."""
+    scale = math.lcm(*(c.denominator for _, c in g.terms()))
+    height = {m: c.numerator * (scale // c.denominator) for m, c in g.terms()}
+    if len(height) == 1:
         return [], []
-    for i in range(len(terms)):
-        a, ca = terms[i]
-        for j in range(i + 1, len(terms)):
-            b, cb = terms[j]
-            n = (a[0] - b[0], a[1] - b[1])
-            rhs = cb - ca  # tie line: <n, x> = rhs
-            nn = n[0] * n[0] + n[1] * n[1]
-            p0 = (Fraction(rhs * n[0], nn), Fraction(rhs * n[1], nn))
-            d = primitive((-n[1], n[0]))
-            lo = hi = None  # parameter bounds for x = p0 + t*d
-            feasible = True
-            for k in range(len(terms)):
-                if k == i or k == j:
-                    continue
-                m, cm = terms[k]
-                dm = (m[0] - a[0], m[1] - a[1])
-                s = dot(dm, d)
-                r = (ca - cm) - (dm[0] * p0[0] + dm[1] * p0[1])
-                # constraint: t*s <= r
-                if s == 0:
-                    if r < 0:
-                        feasible = False
-                        break
-                elif s > 0:
-                    bound = r / s
-                    if hi is None or bound < hi:
-                        hi = bound
-                else:
-                    bound = r / s
-                    if lo is None or bound > lo:
-                        lo = bound
-            if not feasible:
-                continue
-            if lo is not None and hi is not None and lo >= hi:
-                continue  # empty, or a single point (a locus vertex, found elsewhere)
-            if lo is None and hi is None:
-                t_mid = Fraction(0)
-            elif lo is None:
-                t_mid = hi - 1
-            elif hi is None:
-                t_mid = lo + 1
-            else:
-                t_mid = (lo + hi) / 2
-            x_mid = (p0[0] + t_mid * d[0], p0[1] + t_mid * d[1])
-            family = frozenset(supporting_monomials(g, x_mid))
-            if family in cells:
-                continue
-            lo_pt = (p0[0] + lo * d[0], p0[1] + lo * d[1]) if lo is not None else None
-            hi_pt = (p0[0] + hi * d[0], p0[1] + hi * d[1]) if hi is not None else None
-            dual_dir = primitive((b[0] - a[0], b[1] - a[1]))
-            cells[family] = _TieCell(
-                family=family,
-                direction=d,
-                lo=lo_pt,
-                hi=hi_pt,
-                anchor=p0,
-                weight=_family_weight(family, dual_dir),
-                dual_direction=dual_dir,
-            )
-    tie_cells = list(cells.values())
-    vert_set = set()
-    for c in tie_cells:
-        if c.lo is not None:
-            vert_set.add(c.lo)
-        if c.hi is not None:
-            vert_set.add(c.hi)
-    vertices = sorted(vert_set)
-    return vertices, tie_cells
+    corners = hull_vertices(height)
+    chain = _upper_chain(height, corners[0], corners[1])
+    if len(corners) == 2:
+        return [], [(a, b, family, ()) for a, b, family in chain]
+    cells = []
+    left = {}  # directed edge (a, b) of a face -> (family, dual vertex of the face)
+    todo = [chain[0][:2]]  # the Newton polygon lies left of its ccw boundary
+    while todo:
+        p, q = todo.pop()
+        if (p, q) in left:
+            continue
+        # the face left of p -> q lies on the plane through p, q and the
+        # left point that leaves no lifted point above it
+        u = _lifted(height, q, p)
+        normal = None
+        for s in height:
+            w = _lifted(height, s, p)
+            if det2(u, w) > 0 and (normal is None or _dot3(normal, w) > 0):
+                normal = (
+                    u[1] * w[2] - u[2] * w[1],
+                    u[2] * w[0] - u[0] * w[2],
+                    u[0] * w[1] - u[1] * w[0],
+                )
+        if normal is None:
+            continue  # p -> q is on the boundary of the Newton polygon
+        cell = frozenset(s for s in height if _dot3(normal, _lifted(height, s, p)) == 0)
+        # the plane is z = c - <v, m> (heights unscaled), so exactly the
+        # monomials of the cell attain the maximum at v
+        vertex = (Fraction(normal[0], normal[2] * scale), Fraction(normal[1], normal[2] * scale))
+        cells.append((vertex, cell))
+        ring = hull_vertices(cell)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            d = (b[0] - a[0], b[1] - a[1])
+            left[(a, b)] = (frozenset(s for s in cell if det2(d, (s[0] - a[0], s[1] - a[1])) == 0), vertex)
+            todo.append((b, a))
+    edges = []
+    for (a, b), (family, vertex) in left.items():
+        twin = left.get((b, a))
+        if twin is None or a < b:
+            edges.append((a, b, family, (vertex,) if twin is None else (vertex, twin[1])))
+    cells.sort(key=lambda c: c[0])
+    return cells, edges
 
 
 def corner_locus(g: TropPolynomial) -> WeightedComplex:
     """The corner locus of g as a weighted 1-complex.
 
-    One vertex per 2-cell of the dual subdivision, one segment/ray per
-    dual edge (a full line when all exponents are collinear), weights =
-    dual lattice lengths.  A single monomial has an empty locus.
+    One vertex per 2-cell of the dual subdivision, in increasing order; one
+    segment per edge of two cells, with its ends in increasing index order;
+    one ray per boundary edge of a cell, along the edge's outward normal;
+    one full line per edge of the lifted upper chain when all exponents
+    are collinear.  Weights are the lattice lengths of the dual edges.
+    Segments are sorted by ``ends``, rays by ``(vertex, direction)`` and
+    lines by ``(anchor, direction)``.  A single monomial has an empty locus.
     """
     _require_bivariate(g)
-    vertices, tie_cells = _analyze(g)
+    cells, edges = _lifted_hull(g)
+    vertices = tuple(v for v, _ in cells)
     index = {v: i for i, v in enumerate(vertices)}
     segments = []
     rays = []
     lines = []
-    for c in tie_cells:
-        if c.lo is not None and c.hi is not None:
-            segments.append(SegmentEdge((index[c.lo], index[c.hi]), c.weight))
-        elif c.lo is not None:
-            rays.append(RayEdge(index[c.lo], c.direction, c.weight))
-        elif c.hi is not None:
-            neg = (-c.direction[0], -c.direction[1])
-            rays.append(RayEdge(index[c.hi], neg, c.weight))
-        else:
-            lines.append(LineEdge(c.anchor, c.direction, c.weight))
+    for a, b, _, duals in edges:
+        weight = math.gcd(b[0] - a[0], b[1] - a[1])
+        normal = primitive((b[1] - a[1], a[0] - b[0]))  # right of a -> b
+        if len(duals) == 2:
+            segments.append(SegmentEdge(tuple(sorted(index[v] for v in duals)), weight))
+        elif duals:
+            rays.append(RayEdge(index[duals[0]], normal, weight))
+        else:  # anchored where a and b tie nearest the origin: <n, x> = rhs
+            n = (a[0] - b[0], a[1] - b[1])
+            rhs = g.coeff(b).value - g.coeff(a).value
+            anchor = (Fraction(rhs * n[0], dot(n, n)), Fraction(rhs * n[1], dot(n, n)))
+            lines.append(LineEdge(anchor, normal, weight))
     return WeightedComplex(
-        tuple(vertices), tuple(segments), tuple(rays), tuple(lines)
+        vertices,
+        tuple(sorted(segments, key=lambda s: s.ends)),
+        tuple(sorted(rays, key=lambda r: (r.vertex, r.direction))),
+        tuple(sorted(lines, key=lambda l: (l.anchor, l.direction))),
     )
 
 
@@ -237,36 +235,25 @@ def newton_subdivision(g: TropPolynomial) -> NewtonSubdivision:
     """The regular subdivision of the Newton polygon of g.
 
     Exponents are lifted to their coefficients; cells are the projections
-    of upper-hull faces.  By duality (Maclagan and Sturmfels, Introduction
-    to Tropical Geometry, 3.1) an edge lies on the boundary of the Newton
-    polygon iff its dual tie cell is unbounded, a ray or a line, so the
-    boundary flag is read off the cell.
+    of upper-hull faces, in the order of their dual locus vertices.  By
+    duality (Maclagan and Sturmfels, Introduction to Tropical Geometry,
+    3.1) an edge lies on the boundary of the Newton polygon iff its dual
+    cell of the locus is unbounded, that is iff fewer than two faces
+    contain it.  Edges come in lexicographic order of their sorted
+    exponents; ``cells0`` holds the corners of every cell, sorted.
     """
     _require_bivariate(g)
     points = tuple(g.terms())
     if len(points) == 1:
         return NewtonSubdivision(points, (), (), (points[0][0],))
-    vertices, tie_cells = _analyze(g)
-    cells2 = tuple(frozenset(supporting_monomials(g, v)) for v in vertices)
-    edges = tuple(
-        SubdivisionEdge(c.family, c.lo is None or c.hi is None)
-        for c in tie_cells
+    cells, edges = _lifted_hull(g)
+    cells2 = tuple(cell for _, cell in cells)
+    families = tuple(family for _, _, family, _ in edges)
+    flagged = (SubdivisionEdge(family, len(duals) < 2) for _, _, family, duals in edges)
+    corners = {m for cell in cells2 + families for m in hull_vertices(cell)}
+    return NewtonSubdivision(
+        points, cells2, tuple(sorted(flagged, key=lambda e: sorted(e.points))), tuple(sorted(corners))
     )
-    corners: list[Vec] = []
-    for cell in cells2:
-        for m in hull_vertices(cell):
-            if m not in corners:
-                corners.append(m)
-    for c in tie_cells:
-        for m in _family_extremes(c.family, c.dual_direction):
-            if m not in corners:
-                corners.append(m)
-    return NewtonSubdivision(points, cells2, edges, tuple(sorted(corners)))
-
-
-def _family_extremes(family, dual_dir: Vec):
-    ranked = sorted(family, key=lambda m: dot(m, dual_dir))
-    return (ranked[0], ranked[-1])
 
 
 def hull_vertices(points) -> list[Vec]:

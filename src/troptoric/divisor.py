@@ -86,8 +86,11 @@ def _same_fan(fan: Fan, *divisors: ToricDivisor) -> None:
 def divisor_from_dict(fan: Fan, d: dict) -> ToricDivisor:
     """Inverse of ToricDivisor.to_dict: TypeError for ``coeffs`` that is not
     an object or a coefficient that is not an int (JSON booleans and floats
-    included), ParseError (a ValueError) for a missing or unknown ray
-    index.  All of them are malformed input: the CLI exits 1."""
+    included), ParseError (a ValueError) for input that is not an object
+    with a ``coeffs`` key and for a missing or unknown ray index.  All of
+    them are malformed input: the CLI exits 1."""
+    if not isinstance(d, dict) or "coeffs" not in d:
+        raise ParseError("a divisor must be a JSON object with a 'coeffs' key")
     raw = d["coeffs"]
     if not isinstance(raw, dict):
         raise TypeError(f"divisor coeffs must be an object keyed by ray index, got {raw!r}")

@@ -20,6 +20,8 @@ import functools
 from dataclasses import dataclass
 from math import gcd
 
+from .jsonutil import ParseError
+
 Vec = tuple[int, int]
 
 
@@ -377,11 +379,14 @@ def fan_to_dict(f: Fan) -> dict:
 
 
 def fan_from_dict(d: dict) -> Fan:
-    """Inverse of fan_to_dict: TypeError when ``rays`` or ``max_cones`` is
-    not a list, for a ray that is not a pair of ints, a cone that is not a
-    list or an index that is not an int (JSON booleans included),
+    """Inverse of fan_to_dict: ParseError (a ValueError) for input that is
+    not an object or lacks ``rays`` or ``max_cones``, TypeError when either
+    is not a list, for a ray that is not a pair of ints, a cone that is not
+    a list or an index that is not an int (JSON booleans included),
     ValueError for an index outside the ray list."""
     for key in ("rays", "max_cones"):
+        if not isinstance(d, dict) or key not in d:
+            raise ParseError(f"a fan must be a JSON object with a {key!r} key")
         if not isinstance(d[key], list):
             raise TypeError(f"{key} must be a list, got {d[key]!r}")
     rays = [_as_vec(r) for r in d["rays"]]

@@ -5,10 +5,12 @@ oracle is a recursive Laplace expansion that counts the optimal
 permutations (production solves an assignment problem and reads ties off
 the optimal dual potentials), the lattice oracle projects with
 Fourier-Motzkin and filters a box (production walks the integer rows
-of P(D)), the upper-hull oracle finds subdivision 2-cells from lifted
-planes (production dualizes tie lines), the boundary oracle checks that
-the whole support lies on one side of an edge's line (production reads
-the flag off the dual cell: unbounded iff on the boundary), the
+of P(D)), the upper-hull oracle tries every triple of exponents for a
+lifted plane with no point above it and reads each 2-cell and its dual
+locus vertex off that plane (production gift-wraps the upper faces, one
+scan per edge), the boundary oracle checks that the whole support lies
+on one side of an edge's line (production counts the faces on the edge:
+fewer than two iff on the boundary), the
 slope-count oracle evaluates the generators at random untied points
 (production returns the rank, which is the theorem the oracle samples),
 and the Riemann-Roch oracle builds K - D and D - K as divisors, halves
@@ -139,16 +141,19 @@ def rr_oracle(fan, d: ToricDivisor) -> dict:
     }
 
 
-def upper_hull_cells2(g: TropPolynomial):
-    """2-cells of the Newton subdivision from lifted supporting planes.
+def upper_hull_dual(g: TropPolynomial) -> dict:
+    """Each 2-cell of the Newton subdivision, from lifted supporting planes,
+    mapped to its dual locus vertex.
 
     A triple of exponents with 2-dimensional span lies on an upper face
-    iff every lifted point is weakly below the plane through the lifted
-    triple; the cell is then the set of on-plane exponents.
+    iff every lifted point is weakly below the plane z = alpha*x + beta*y
+    + gamma through the lifted triple; the cell is then the set of
+    on-plane exponents, and its monomials all attain the maximum at
+    (-alpha, -beta).
     """
     terms = list(g.terms())
     n = len(terms)
-    cells = set()
+    cells = {}
     for i in range(n):
         mi, ci = terms[i]
         for j in range(i + 1, n):
@@ -160,7 +165,6 @@ def upper_hull_cells2(g: TropPolynomial):
                 )
                 if d == 0:
                     continue
-                # plane z = alpha*x + beta*y + gamma through the lifted triple
                 alpha = Fraction(
                     (cj - ci) * (mk[1] - mi[1]) - (ck - ci) * (mj[1] - mi[1]), d
                 )
@@ -178,8 +182,13 @@ def upper_hull_cells2(g: TropPolynomial):
                     if c == level:
                         on_plane.append(m)
                 if below:
-                    cells.add(frozenset(on_plane))
+                    cells[frozenset(on_plane)] = (-alpha, -beta)
     return cells
+
+
+def upper_hull_cells2(g: TropPolynomial):
+    """The set of 2-cells of the Newton subdivision (keys of upper_hull_dual)."""
+    return set(upper_hull_dual(g))
 
 
 def on_newton_boundary(support, family) -> bool:
@@ -251,7 +260,10 @@ def random_blowup_fan(rng, max_blowups=3):
     return f
 
 
-def random_polynomial(rng, max_terms=8, exp_range=4, max_den=4) -> TropPolynomial:
+def random_polynomial(rng, max_terms=8, exp_range=4, max_den=4, pool=None) -> TropPolynomial:
+    """Coefficients come from ``pool`` when given: a small pool such as
+    (-1, 0, 1) puts four or more lifted points on one plane often, so the
+    subdivision has polygonal cells."""
     n_terms = rng.randint(2, max_terms)
     exponents = set()
     while len(exponents) < n_terms:
@@ -259,7 +271,20 @@ def random_polynomial(rng, max_terms=8, exp_range=4, max_den=4) -> TropPolynomia
     return TropPolynomial(
         2,
         [
-            (m, Fraction(rng.randint(-30, 30), rng.randint(1, max_den)))
+            (m, Fraction(rng.randint(-30, 30), rng.randint(1, max_den)) if pool is None else rng.choice(pool))
             for m in exponents
+        ],
+    )
+
+
+def random_collinear_polynomial(rng, max_terms=6) -> TropPolynomial:
+    """Terms on one lattice line, exponents possibly negative: no 2-cells."""
+    step = rng.choice(((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -3)))
+    base = (rng.randint(-3, 3), rng.randint(-3, 3))
+    return TropPolynomial(
+        2,
+        [
+            ((base[0] + t * step[0], base[1] + t * step[1]), Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+            for t in rng.sample(range(-4, 5), rng.randint(2, max_terms))
         ],
     )

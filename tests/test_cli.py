@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from troptoric import cli
 from troptoric.cli import main
 
 
@@ -107,6 +108,39 @@ def test_parse_error_exit_code(capsys, tmp_path):
     binary.write_bytes(b'\xff\xfe{"rays": []}')
     assert run(capsys, "fan", "validate", str(binary))[0] == 1
     assert run(capsys, "h0", str(binary), str(binary))[0] == 1
+
+
+@pytest.mark.parametrize(
+    "fan, divisor, key",
+    [
+        ([[1, 0], [0, 1], [-1, -1]], None, "rays"),  # a list, not an object
+        ({"max_cones": P2["max_cones"]}, None, "rays"),
+        ({"rays": P2["rays"]}, None, "max_cones"),
+        (P2, [0, 0, 1], "coeffs"),
+        (P2, {"coefs": {"0": 0, "1": 0, "2": 1}}, "coeffs"),
+    ],
+)
+def test_missing_key_exit_1(capsys, tmp_path, fan, divisor, key):
+    fan_path = write(tmp_path, "fan.json", fan)
+    div_path = write(tmp_path, "d.json", divisor or {"coeffs": {"0": 0, "1": 0, "2": 1}})
+    runs = [["h0", fan_path, div_path]] + ([["fan", "validate", fan_path]] if divisor is None else [])
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("troptoric: parse error: ") and repr(key) in captured.err
+
+
+def test_internal_key_error_propagates(tmp_path, monkeypatch):
+    # a KeyError from inside the library is a bug, not malformed input
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setitem(cli._HANDLERS, "rr", broken)
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 1}})
+    with pytest.raises(KeyError):
+        main(["rr", fan_path, div_path])
 
 
 def test_h0_command(capsys, tmp_path):

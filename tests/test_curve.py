@@ -1,9 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import on_newton_boundary, random_divisor, random_polynomial, upper_hull_cells2
+from oracles import (
+    on_newton_boundary,
+    random_collinear_polynomial,
+    random_divisor,
+    random_polynomial,
+    upper_hull_cells2,
+    upper_hull_dual,
+)
 from troptoric.curve import (
     LineEdge,
     RayEdge,
@@ -22,6 +30,13 @@ from troptoric.trop import TropPolynomial
 
 def tropical_line():
     return TropPolynomial(2, [((0, 0), 0), ((1, 0), 0), ((0, 1), 0)])
+
+
+def tie_dense_and_collinear(seed, n=60):
+    """Coefficients in {-1, 0, 1} (polygonal cells), then collinear supports."""
+    rng = random.Random(seed)
+    polys = [random_polynomial(rng, max_terms=14, pool=(-1, 0, 1)) for _ in range(n)]
+    return polys + [random_collinear_polynomial(rng) for _ in range(n // 2)]
 
 
 def test_newton_subdivision_examples():
@@ -49,9 +64,21 @@ def test_newton_subdivision_split_square():
 
 def test_newton_subdivision_matches_upper_hull_oracle():
     rng = random.Random(101)
-    for _ in range(120):
-        g = random_polynomial(rng)
+    polys = [random_polynomial(rng) for _ in range(120)] + tie_dense_and_collinear(131)
+    polygonal = 0
+    for g in polys:
         assert set(newton_subdivision(g).cells2) == upper_hull_cells2(g)
+        dual = upper_hull_dual(g)
+        wc = corner_locus(g)
+        assert wc.vertices == tuple(sorted(dual.values()))
+        cell_at = {v: cell for cell, v in dual.items()}
+        for seg in wc.segments:
+            # the two cells share exactly the dual edge, whose extremes sort first and last
+            shared = sorted(cell_at[wc.vertices[seg.ends[0]]] & cell_at[wc.vertices[seg.ends[1]]])
+            a, b = shared[0], shared[-1]
+            assert seg.weight == math.gcd(b[0] - a[0], b[1] - a[1])
+        polygonal += sum(len(cell) >= 4 for cell in dual)
+    assert polygonal > 0
 
 
 def test_corner_locus_tropical_line():
@@ -102,15 +129,16 @@ def test_is_balanced_examples():
 
 def test_balancing_on_random_polynomials():
     rng = random.Random(103)
-    for _ in range(150):
-        wc = corner_locus(random_polynomial(rng))
+    polys = [random_polynomial(rng) for _ in range(150)] + tie_dense_and_collinear(137)
+    for g in polys:
+        wc = corner_locus(g)
         assert is_balanced(wc)
 
 
 def test_duality_counts():
     rng = random.Random(107)
-    for _ in range(120):
-        g = random_polynomial(rng)
+    polys = [random_polynomial(rng) for _ in range(120)] + tie_dense_and_collinear(139)
+    for g in polys:
         sub = newton_subdivision(g)
         wc = corner_locus(g)
         assert len(wc.vertices) == len(sub.cells2)
@@ -182,6 +210,35 @@ def test_segment_between_vertices():
     assert len(wc.segments) == 1 and wc.segments[0].weight == 1
     assert len(wc.rays) == 4
     assert is_balanced(wc)
+
+
+def test_corner_locus_order():
+    # segments by ends (each pair increasing), rays by (vertex, direction),
+    # lines by (anchor, direction)
+    g = TropPolynomial(2, [((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((1, 1), -1)])
+    assert corner_locus(g).to_dict() == {
+        "vertices": [[0, 0], [1, 1]],
+        "segments": [{"ends": [0, 1], "weight": 1}],
+        "rays": [
+            {"vertex": 0, "direction": [-1, 0], "weight": 1},
+            {"vertex": 0, "direction": [0, -1], "weight": 1},
+            {"vertex": 1, "direction": [0, 1], "weight": 1},
+            {"vertex": 1, "direction": [1, 0], "weight": 1},
+        ],
+        "lines": [],
+    }
+    parallel = corner_locus(TropPolynomial(2, [((0, 0), 0), ((1, 0), 0), ((2, 0), -10)]))
+    assert [(l.anchor, l.direction) for l in parallel.lines] == [
+        ((Fraction(0), Fraction(0)), (0, -1)),
+        ((Fraction(10), Fraction(0)), (0, -1)),
+    ]
+    rng = random.Random(149)
+    for g in [random_polynomial(rng) for _ in range(60)] + tie_dense_and_collinear(151, 20):
+        wc = corner_locus(g)
+        assert all(s.ends[0] < s.ends[1] for s in wc.segments)
+        assert [s.ends for s in wc.segments] == sorted(s.ends for s in wc.segments)
+        assert [(r.vertex, r.direction) for r in wc.rays] == sorted((r.vertex, r.direction) for r in wc.rays)
+        assert [(l.anchor, l.direction) for l in wc.lines] == sorted((l.anchor, l.direction) for l in wc.lines)
 
 
 def test_weighted_complex_to_dict():

@@ -21,6 +21,7 @@ from troptoric.divisor import (
     zero_divisor,
 )
 from troptoric.fan import Cone, Fan, hirzebruch, product_p1_p1, projective_plane
+from troptoric.jsonutil import ParseError
 from troptoric.trop import TropPolynomial
 
 
@@ -269,6 +270,9 @@ def test_divisor_json_round_trip():
     for coeffs in ({"0": True, "1": 0, "2": 1}, {"0": 1.5, "1": 0, "2": 1}, [1, 0, 1]):
         with pytest.raises(TypeError):
             divisor_from_dict(p2, {"coeffs": coeffs})
+    for data in ([2, 0, -1], {"coefs": {"0": 2, "1": 0, "2": -1}}):
+        with pytest.raises(ParseError, match="'coeffs'"):
+            divisor_from_dict(p2, data)
 
 
 def test_h0value_semantics():

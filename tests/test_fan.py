@@ -20,6 +20,7 @@ from troptoric.fan import (
     projective_plane,
 )
 from troptoric.fan import det2, dot
+from troptoric.jsonutil import ParseError
 
 
 def all_test_fans():
@@ -179,6 +180,9 @@ def test_fan_json_round_trip():
         assert fan_from_dict(json.loads(json.dumps(d))) == f
     with pytest.raises(ValueError):
         fan_from_dict({"rays": [[1, 0]], "max_cones": [[0, 3]]})
+    for data, key in (([[1, 0], [0, 1]], "rays"), ({"max_cones": []}, "rays"), ({"rays": []}, "max_cones")):
+        with pytest.raises(ParseError, match=repr(key)):
+            fan_from_dict(data)
 
 
 def test_malformed_cones_rejected():
