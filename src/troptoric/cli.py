@@ -5,12 +5,15 @@ Output is deterministic for identical inputs and --seed; rationals are
 emitted as 'p/q' strings, integers as JSON numbers.
 
 Exit codes: 0 success, 1 parse or usage error, 2 precondition violation,
-3 Riemann-Roch inequality violation.
+3 Riemann-Roch inequality violation.  Malformed input is a ParseError
+(exit 1); any other error inside the library propagates with its
+traceback, so a bug is never reported as a parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -21,7 +24,7 @@ import sys
 from .divisor import H0Value, ToricDivisor, UnboundedPolytopeError, divisor_from_dict, polytope
 from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
 from .intersect import rr_check
-from .jsonutil import ParseError, format_rational, parse_rational
+from .jsonutil import ParseError, format_rational, load_json, parse_rational
 from .sections import global_sections, h0_a, h0_b, passes_through, vandermonde_section
 
 DEFAULT_SEED = 314159
@@ -41,13 +44,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _load_fan(path: str) -> Fan:
-    return fan_from_dict(_load_json(path))
+    return fan_from_dict(load_json(path))
 
 
 def _builtin_fan(name: str, param):
@@ -74,10 +72,7 @@ def _parse_points(raw) -> list:
     for p in raw:
         if not isinstance(p, list) or len(p) != 2:
             raise ParseError(f"a point must be a pair [x, y], got {p!r}")
-        try:
-            points.append((parse_rational(p[0]), parse_rational(p[1])))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        points.append((parse_rational(p[0]), parse_rational(p[1])))
     return points
 
 
@@ -86,9 +81,8 @@ def cmd_fan(args) -> tuple[list[str], int]:
         f = _builtin_fan(args.name, args.param)
         return [json.dumps(fan_to_dict(f))], EXIT_OK
     if args.fan_cmd == "validate":
-        data = _load_json(args.fan)  # malformed JSON propagates as a parse error
         try:
-            f = fan_from_dict(data)
+            f = fan_from_dict(load_json(args.fan))
         except ParseError:
             raise  # malformed input, exit 1, not an invalid fan
         except ValueError as exc:
@@ -116,7 +110,7 @@ def cmd_fan(args) -> tuple[list[str], int]:
 
 def cmd_h0(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
-    d = divisor_from_dict(f, _load_json(args.divisor))
+    d = divisor_from_dict(f, load_json(args.divisor))
     p = polytope(d)
     # h0 is the rank of the section module: P(D) is counted once
     try:
@@ -133,14 +127,14 @@ def cmd_h0(args) -> tuple[list[str], int]:
 
 def cmd_rr(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
-    d = divisor_from_dict(f, _load_json(args.divisor))
+    d = divisor_from_dict(f, load_json(args.divisor))
     report = rr_check(f, d)
     return [json.dumps(report.to_dict())], EXIT_OK if report.holds else EXIT_VIOLATION
 
 
 def cmd_sections(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
-    d = divisor_from_dict(f, _load_json(args.divisor))
+    d = divisor_from_dict(f, load_json(args.divisor))
     module = global_sections(f, d)
     payload = {
         "generators": [list(m) for m in module.generators],
@@ -148,7 +142,7 @@ def cmd_sections(args) -> tuple[list[str], int]:
         "h0_b": h0_b(module),
     }
     if args.vandermonde is not None:
-        points = _parse_points(_load_json(args.vandermonde))
+        points = _parse_points(load_json(args.vandermonde))
         section = vandermonde_section(module, points)
         payload["coefficients"] = [
             format_rational(section.coeff(m).value) for m in module.generators
@@ -207,6 +201,7 @@ def cmd_sweep(args) -> tuple[list[str], int]:
     return lines, EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
+@functools.cache  # built once per process: it costs as much as a small command
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS defaults keep a subcommand's unparsed flags from clobbering
     # values already parsed before the subcommand name
@@ -290,9 +285,7 @@ def main(argv=None) -> int:
         )
     try:
         lines, code = _HANDLERS[args.command](args)
-    # OSError covers a missing, unreadable or directory input file;
-    # UnicodeDecodeError is a ValueError, named so that it exits 1, not 2
-    except (ParseError, json.JSONDecodeError, OSError, UnicodeDecodeError, TypeError) as exc:
+    except ParseError as exc:
         print(f"troptoric: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -84,16 +84,15 @@ def _same_fan(fan: Fan, *divisors: ToricDivisor) -> None:
 
 
 def divisor_from_dict(fan: Fan, d: dict) -> ToricDivisor:
-    """Inverse of ToricDivisor.to_dict: TypeError for ``coeffs`` that is not
-    an object or a coefficient that is not an int (JSON booleans and floats
-    included), ParseError (a ValueError) for input that is not an object
-    with a ``coeffs`` key and for a missing or unknown ray index.  All of
-    them are malformed input: the CLI exits 1."""
+    """Inverse of ToricDivisor.to_dict.  ParseError (a ValueError) for
+    malformed input: not an object with a ``coeffs`` key, ``coeffs`` that
+    is not an object, a missing or unknown ray index, or a coefficient
+    that is not an int (JSON booleans and floats included)."""
     if not isinstance(d, dict) or "coeffs" not in d:
         raise ParseError("a divisor must be a JSON object with a 'coeffs' key")
     raw = d["coeffs"]
     if not isinstance(raw, dict):
-        raise TypeError(f"divisor coeffs must be an object keyed by ray index, got {raw!r}")
+        raise ParseError(f"divisor coeffs must be an object keyed by ray index, got {raw!r}")
     coeffs = []
     for i in range(len(fan.rays)):
         key = str(i)
@@ -101,7 +100,7 @@ def divisor_from_dict(fan: Fan, d: dict) -> ToricDivisor:
             raise ParseError(f"missing coefficient for ray index {i}")
         c = raw[key]
         if isinstance(c, bool) or not isinstance(c, int):
-            raise TypeError(f"divisor coefficients must be integers, got {c!r}")
+            raise ParseError(f"divisor coefficients must be integers, got {c!r}")
         coeffs.append(c)
     if len(raw) != len(fan.rays):
         raise ParseError("divisor has coefficients for unknown ray indices")
@@ -244,21 +243,12 @@ def _eliminate_x(ineqs) -> list[Inequality]:
 
 
 def _feasible(ineqs) -> bool:
-    """Exact feasibility of the 2-variable system over the rationals."""
-    lo = hi = None
-    for cy, _, c in _eliminate_x(ineqs):
-        if cy == 0:
-            if c < 0:
-                return False
-        elif cy > 0:
-            bound = Fraction(-c, cy)
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            bound = Fraction(-c, cy)
-            if hi is None or bound < hi:
-                hi = bound
-    return lo is None or hi is None or lo <= hi
+    """Exact feasibility of the 2-variable system over the rationals.
+
+    The projection keeps its y-coefficient in the x slot, so a second
+    pass eliminates y (Fourier-Motzkin), leaving constants c >= 0.
+    """
+    return all(c >= 0 for _, _, c in _eliminate_x(_eliminate_x(ineqs)))
 
 
 def _inequalities(rays, coeffs) -> tuple[Inequality, ...]:

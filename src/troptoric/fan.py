@@ -380,24 +380,27 @@ def fan_to_dict(f: Fan) -> dict:
 
 def fan_from_dict(d: dict) -> Fan:
     """Inverse of fan_to_dict: ParseError (a ValueError) for input that is
-    not an object or lacks ``rays`` or ``max_cones``, TypeError when either
-    is not a list, for a ray that is not a pair of ints, a cone that is not
-    a list or an index that is not an int (JSON booleans included),
-    ValueError for an index outside the ray list."""
+    not an object, lacks ``rays`` or ``max_cones`` or has either not a list,
+    for a ray that is not a pair of ints, a cone that is not a list or an
+    index that is not an int (JSON booleans included); ValueError for an
+    index outside the ray list or cones that do not form a fan."""
     for key in ("rays", "max_cones"):
         if not isinstance(d, dict) or key not in d:
             raise ParseError(f"a fan must be a JSON object with a {key!r} key")
         if not isinstance(d[key], list):
-            raise TypeError(f"{key} must be a list, got {d[key]!r}")
-    rays = [_as_vec(r) for r in d["rays"]]
+            raise ParseError(f"{key} must be a list, got {d[key]!r}")
+    try:
+        rays = [_as_vec(r) for r in d["rays"]]
+    except TypeError as exc:
+        raise ParseError(str(exc)) from None
     cones = []
     for idxs in d["max_cones"]:
         if not isinstance(idxs, list):
-            raise TypeError(f"a cone must be a list of ray indices, got {idxs!r}")
+            raise ParseError(f"a cone must be a list of ray indices, got {idxs!r}")
         members = []
         for i in idxs:
             if isinstance(i, bool) or not isinstance(i, int):
-                raise TypeError(f"cone ray indices must be integers, got {i!r}")
+                raise ParseError(f"cone ray indices must be integers, got {i!r}")
             if not 0 <= i < len(rays):
                 raise ValueError(f"cone ray index {i} out of range")
             members.append(rays[i])

@@ -6,15 +6,26 @@ integers stay plain JSON numbers.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 
 class ParseError(ValueError):
-    """Input that decodes as JSON but does not have the documented shape.
+    """Malformed input: a file that is not UTF-8 JSON, or JSON without the
+    documented shape.  A ValueError, so library callers that catch
+    ValueError still see it; the CLI tests for it first and exits 1 (parse
+    error), not 2, and reports no other error as a parse error."""
 
-    A ValueError, so library callers that catch ValueError still see it;
-    the CLI tests for it first and exits 1 (parse error), not 2.
-    """
+
+def load_json(path: str):
+    """The JSON value in the file at ``path``; ParseError when the file
+    cannot be opened or read (missing, a directory, unreadable), is not
+    valid UTF-8 or is not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def format_rational(q):
@@ -25,13 +36,13 @@ def format_rational(q):
 
 
 def parse_rational(v) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
-        raise ValueError(f"expected an exact rational, got {v!r}")
-    if isinstance(v, int):
+    """An exact rational from a JSON int or a 'p/q' string; ParseError for
+    a bool, a float, a zero denominator or any other value."""
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         try:
             return Fraction(v)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {v!r}") from None
-    raise ValueError(f"expected an exact rational, got {v!r}")
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"expected an exact rational, got {v!r}")

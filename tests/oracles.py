@@ -13,13 +13,17 @@ on one side of an edge's line (production counts the faces on the edge:
 fewer than two iff on the boundary), the
 slope-count oracle evaluates the generators at random untied points
 (production returns the rank, which is the theorem the oracle samples),
-and the Riemann-Roch oracle builds K - D and D - K as divisors, halves
+the Riemann-Roch oracle builds K - D and D - K as divisors, halves
 the pairing as a Fraction and counts both h0 by box enumeration
-(production works in integers on the coefficient tuple and walks rows).
+(production works in integers on the coefficient tuple and walks rows),
+and the h1 oracle sums the toric cohomology formula over the lattice
+points of alternating four-ray polygons (production reads the defect of
+the Riemann-Roch inequality, which equals h1 by Serre duality).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -139,6 +143,35 @@ def rr_oracle(fan, d: ToricDivisor) -> dict:
         "defect": defect,
         "holds": defect >= 0,
     }
+
+
+def h1_oracle(fan, d: ToricDivisor) -> int:
+    """h1(D) on a smooth complete fan by the toric cohomology formula
+    (Cox, Little and Schenck, Toric Varieties, Thm 9.1.3): the sum over m
+    of c(m) - 1, where c(m) counts the cyclic arcs of rays with
+    <m, e> + a < 0, over the m with c(m) >= 2.
+
+    Those m are the lattice points of the polygons cut out by four rays
+    in cyclic order, alternately >= and <; a < is written as the integer
+    inequality (-e, -a - 1), and both phases are tried.  Each polygon is
+    bounded, since a linear form changes sign at most twice around the
+    circle, so fm_lattice_points counts it.
+    """
+    pairs = sorted(zip(fan.rays, d.coeffs), key=lambda p: math.atan2(p[0][1], p[0][0]))
+    witnesses = set()
+    for quad in itertools.combinations(pairs, 4):
+        for phase in (0, 1):
+            ineqs = [
+                (e[0], e[1], a) if (k + phase) % 2 == 0 else (-e[0], -e[1], -a - 1)
+                for k, (e, a) in enumerate(quad)
+            ]
+            witnesses |= fm_lattice_points(ineqs)
+
+    def arcs(m):
+        neg = [m[0] * e[0] + m[1] * e[1] + a < 0 for e, a in pairs]
+        return sum(neg[i] and not neg[i - 1] for i in range(len(neg)))
+
+    return sum(arcs(m) - 1 for m in witnesses)
 
 
 def upper_hull_dual(g: TropPolynomial) -> dict:

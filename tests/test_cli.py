@@ -132,15 +132,18 @@ def test_missing_key_exit_1(capsys, tmp_path, fan, divisor, key):
 
 
 def test_internal_key_error_propagates(tmp_path, monkeypatch):
-    # a KeyError from inside the library is a bug, not malformed input
-    def broken(args):
-        raise KeyError("internal")
-
-    monkeypatch.setitem(cli._HANDLERS, "rr", broken)
+    # a KeyError or TypeError from inside the library is a bug, not
+    # malformed input
     fan_path = write(tmp_path, "fan.json", P2)
     div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 1}})
-    with pytest.raises(KeyError):
-        main(["rr", fan_path, div_path])
+    for error in (KeyError, TypeError):
+
+        def broken(args, error=error):
+            raise error("internal")
+
+        monkeypatch.setitem(cli._HANDLERS, "rr", broken)
+        with pytest.raises(error):
+            main(["rr", fan_path, div_path])
 
 
 def test_h0_command(capsys, tmp_path):

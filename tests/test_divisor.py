@@ -268,7 +268,7 @@ def test_divisor_json_round_trip():
     with pytest.raises(ValueError):
         divisor_from_dict(p2, {"coeffs": {"0": 1, "1": 0, "2": 0, "3": 9}})
     for coeffs in ({"0": True, "1": 0, "2": 1}, {"0": 1.5, "1": 0, "2": 1}, [1, 0, 1]):
-        with pytest.raises(TypeError):
+        with pytest.raises(ParseError):
             divisor_from_dict(p2, {"coeffs": coeffs})
     for data in ([2, 0, -1], {"coefs": {"0": 2, "1": 0, "2": -1}}):
         with pytest.raises(ParseError, match="'coeffs'"):

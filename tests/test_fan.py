@@ -188,22 +188,22 @@ def test_fan_json_round_trip():
 def test_malformed_cones_rejected():
     rays = [[1, 0], [0, 1], [-1, -1]]
     for cones in ([[False, True], [True, 2], [2, False]], ["01", "12", "20"], [[0, "1"], [1, 2], [2, 0]]):
-        with pytest.raises(TypeError):
+        with pytest.raises(ParseError):
             fan_from_dict({"rays": rays, "max_cones": cones})
 
 
 def test_bool_coordinates_rejected():
     # JSON true/false decode to bool, an int subclass
-    with pytest.raises(TypeError):
+    with pytest.raises(ParseError):
         fan_from_dict({"rays": [[True, 0], [0, True], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]})
     with pytest.raises(TypeError):
         Cone(((1, 0), (0, False)))
     # wrong arity, a non-pair ray, and non-list containers
     cones = [[0, 1], [1, 2], [2, 0]]
     for rays in ([[1, 0, 0], [0, 1], [-1, -1]], [[1], [0, 1], [-1, -1]], [7, [0, 1], [-1, -1]], {"a": 1}):
-        with pytest.raises(TypeError):
+        with pytest.raises(ParseError):
             fan_from_dict({"rays": rays, "max_cones": cones})
-    with pytest.raises(TypeError):
+    with pytest.raises(ParseError):
         fan_from_dict({"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": {"0": [0, 1]}})
     with pytest.raises(TypeError):
         Cone(((1, 0, 0),))

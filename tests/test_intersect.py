@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
-from oracles import random_blowup_fan, random_divisor, rr_oracle
+from oracles import h1_oracle, random_blowup_fan, random_divisor, rr_oracle
 from troptoric.divisor import ToricDivisor, canonical_divisor, h0, principal_divisor, ray_divisor, zero_divisor
 from troptoric.fan import Cone, Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
 from troptoric.intersect import (
@@ -151,6 +151,32 @@ def test_rr_check_matches_oracle():
             assert list(report.to_dict().items()) == list(fields.items())
             positive += report.defect > 0
     assert positive >= 20  # the oracle is compared on nonzero defects too
+
+
+def test_rr_defect_is_h1():
+    # Serre duality makes h0(K-D) = h2(D), so the defect is h1(D)
+    rng = random.Random(103)
+    fans = (projective_plane(), hirzebruch(2), hirzebruch(3)) + tuple(random_blowup_fan(rng) for _ in range(4))
+    positive = 0
+    for f in fans:
+        for _ in range(60):
+            d = random_divisor(rng, f)
+            defect = rr_check(f, d).defect
+            assert defect == h1_oracle(f, d), d.coeffs
+            positive += defect > 0
+    assert positive >= 100  # most of the comparisons are on nonzero h1
+
+
+def test_rr_check_invariant_on_class():
+    # D and D + div(x^m) are linearly equivalent: same h0, same defect
+    rng = random.Random(107)
+    for _ in range(20):
+        f = random_blowup_fan(rng)
+        for _ in range(15):
+            d = random_divisor(rng, f)
+            m = (rng.randint(-6, 6), rng.randint(-6, 6))
+            # the whole report: h0(D), h0(K-D), the pairing term and the defect
+            assert rr_check(f, d + principal_divisor(m, f)) == rr_check(f, d), (d.coeffs, m)
 
 
 def test_rr_check_raises_on_odd_pairing():
