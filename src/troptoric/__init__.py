@@ -9,7 +9,6 @@ inequality verifier.
 from .curve import WeightedComplex, corner_locus, is_balanced, newton_subdivision
 from .divisor import (
     DivisorPolytope,
-    H0Value,
     ToricDivisor,
     UnboundedPolytopeError,
     canonical_divisor,
@@ -37,7 +36,6 @@ from .fan import (
     projective_plane,
 )
 from .intersect import (
-    IntersectionMatrix,
     RRReport,
     intersection_matrix,
     pairing,

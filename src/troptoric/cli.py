@@ -21,7 +21,7 @@ import random
 import re
 import sys
 
-from .divisor import H0Value, ToricDivisor, UnboundedPolytopeError, divisor_from_dict, polytope
+from .divisor import ToricDivisor, UnboundedPolytopeError, divisor_from_dict, polytope
 from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
 from .intersect import rr_check
 from .jsonutil import ParseError, format_rational, load_json, parse_rational
@@ -118,7 +118,7 @@ def cmd_h0(args) -> tuple[list[str], int]:
     except UnboundedPolytopeError:
         points = None
     payload = {
-        "h0": H0Value(None if points is None else len(points)).to_json(),
+        "h0": "infinite" if points is None else len(points),
         "lattice_points": points,
         "polytope_vertices": [_pt_json(v) for v in p.vertices],
     }

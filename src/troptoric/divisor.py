@@ -15,7 +15,7 @@ row lengths straight from the inequalities, so it builds no polytope,
 vertex or point; the Riemann-Roch verifier calls the same count on bare
 coefficient tuples.  Neither h0 nor lattice_points reads a vertex: an
 unbounded P(D) is nonempty iff its system is feasible, which the same
-elimination decides.
+elimination decides, and then both raise UnboundedPolytopeError.
 """
 
 from __future__ import annotations
@@ -297,15 +297,24 @@ def _rows(ineqs):
             yield (y,) + x_range
 
 
+def _walkable(ineqs, bounded: bool) -> bool:
+    """Whether the integer points of P(D) can be walked by rows: True when
+    P(D) is bounded, False when it is unbounded and empty (no points);
+    UnboundedPolytopeError when it is unbounded and nonempty."""
+    if bounded:
+        return True
+    if _feasible(ineqs):
+        raise UnboundedPolytopeError("P(D) is unbounded and nonempty")
+    return False
+
+
 def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
-    """All integer points of a bounded polytope, sorted by (y, x).
+    """All integer points of P(D), sorted by (y, x).
 
     Raises UnboundedPolytopeError when the polytope is unbounded and
     nonempty; an empty polytope (bounded or not) yields the empty tuple.
     """
-    if not p.bounded:
-        if _feasible(p.inequalities):
-            raise UnboundedPolytopeError("P(D) is unbounded and nonempty")
+    if not _walkable(p.inequalities, p.bounded):
         return ()
     return tuple(
         (x, y) for y, lo, hi in _rows(p.inequalities) for x in range(lo, hi + 1)
@@ -318,63 +327,19 @@ def _lattice_count(rays, coeffs) -> int:
     return sum(hi - lo + 1 for _, lo, hi in _rows(_inequalities(rays, coeffs)))
 
 
-class H0Value:
-    """h0 as an exact count, or infinity when P(D) is unbounded and nonempty."""
+def h0(fan: Fan, d: ToricDivisor) -> int:
+    """h0(X, D) = |P(D) ∩ M| on a smooth fan.
 
-    __slots__ = ("count",)
-
-    def __init__(self, count: int | None):
-        self.count = count
-
-    @classmethod
-    def finite(cls, n: int) -> "H0Value":
-        if n < 0:
-            raise ValueError("h0 counts are nonnegative")
-        return cls(int(n))
-
-    @classmethod
-    def infinite(cls) -> "H0Value":
-        return cls(None)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.count is not None
-
-    def __int__(self) -> int:
-        if self.count is None:
-            raise ValueError("h0 is infinite")
-        return self.count
-
-    def __eq__(self, other):
-        if isinstance(other, H0Value):
-            return self.count == other.count
-        if isinstance(other, int):
-            return self.count == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.count)
-
-    def __repr__(self):
-        return "H0Value(oo)" if self.count is None else f"H0Value({self.count})"
-
-    def to_json(self):
-        return "infinite" if self.count is None else self.count
-
-
-def h0(fan: Fan, d: ToricDivisor) -> H0Value:
-    """h0(X, D) = |P(D) ∩ M| on a smooth fan, infinite when P(D) is
-    nonempty and unbounded.
-
-    Counted row by row from the inequalities; P(D) can only be unbounded
-    when the fan's rays do not positively span the plane.
+    Counted row by row from the inequalities.  P(D) can only be unbounded
+    when the fan's rays do not positively span the plane: then h0 is 0 if
+    P(D) is empty, and UnboundedPolytopeError is raised if it is not.
     """
     _same_fan(fan, d)
     if not fan.smooth:
         raise ValueError("h0 requires a smooth fan")
-    if not fan.bounded:
-        return H0Value.infinite() if _feasible(_inequalities(fan.rays, d.coeffs)) else H0Value.finite(0)
-    return H0Value.finite(_lattice_count(fan.rays, d.coeffs))
+    if not _walkable(_inequalities(fan.rays, d.coeffs), fan.bounded):
+        return 0
+    return _lattice_count(fan.rays, d.coeffs)
 
 
 def degree_along_ray(g: TropPolynomial, ray) -> int:

@@ -10,8 +10,8 @@ instance outside its equality and hash: whether it is smooth, complete
 and bounded (its rays positively span the plane, so every P(D) is
 bounded), and its intersection numbers.  Two ray divisors meet once iff
 their rays span a cone; the self-intersection of a ray with primitive
-generator u and neighbours u1, u2 is the integer b solving
-u1 + u2 + b*u = 0, verified exactly by substitution.
+generator u and counterclockwise neighbours u1, u2 is the integer b with
+u1 + u2 + b*u = 0, which is -det(u1, u2).
 """
 
 from __future__ import annotations
@@ -224,12 +224,14 @@ class Fan:
         for c in self.max_cones:
             i, j = index[c.rays[0]], index[c.rays[1]]
             rows[i][j] = rows[j][i] = 1
-        # on a complete fan the counterclockwise neighbours are the
-        # adjacent rays
+        # On a complete fan the counterclockwise neighbours u1, u2 of u are
+        # its adjacent rays, and smoothness gives det(u1, u) = det(u, u2) = 1.
+        # Writing u2 in the basis (u1, u) then gives u1 + u2 = det(u1, u2)*u,
+        # so D_u . D_u = b with u1 + u2 + b*u = 0 is -det(u1, u2).
         ordered = ccw_sorted_rays(self.rays)
         for k, u in enumerate(ordered):
             i = index[u]
-            rows[i][i] = _self_intersection(u, ordered[k - 1], ordered[(k + 1) % n])
+            rows[i][i] = -det2(ordered[k - 1], ordered[(k + 1) % n])
         return tuple(tuple(row) for row in rows)
 
     def is_smooth(self) -> bool:
@@ -282,20 +284,6 @@ def is_complete(f: Fan) -> bool:
         if frozenset((u, v)) not in cone_sets:
             return False
     return True
-
-
-def _self_intersection(u, u1, u2) -> int:
-    """The integer b with u1 + u2 + b*u = 0, for u between neighbours u1, u2.
-
-    Existence follows from smoothness and completeness; the solution is
-    verified by substitution rather than trusted from a division.
-    """
-    s = (u1[0] + u2[0], u1[1] + u2[1])
-    k = 0 if u[0] else 1
-    b, r = divmod(-s[k], u[k])
-    if r or s[0] + b * u[0] or s[1] + b * u[1]:
-        raise ValueError("no integer self-intersection: fan is not smooth/complete")
-    return b
 
 
 def adjacent_rays(f: Fan, ray) -> tuple[Vec, Vec]:

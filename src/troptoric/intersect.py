@@ -36,16 +36,11 @@ def self_intersection(fan: Fan, ray) -> int:
     return fan.intersection_numbers[i][i]
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
-    """Symmetric matrix of ray-divisor intersection numbers, in ray order."""
-
-    fan: Fan
-    entries: tuple[tuple[int, ...], ...]
-
-
-def intersection_matrix(fan: Fan) -> IntersectionMatrix:
-    return IntersectionMatrix(fan, fan.intersection_numbers)
+def intersection_matrix(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """The symmetric matrix of D_i . D_j in ray order: the fan's cached
+    ``intersection_numbers`` tuple itself.  ValueError unless the fan is
+    smooth and complete."""
+    return fan.intersection_numbers
 
 
 def pairing(fan: Fan, d1: ToricDivisor, d2: ToricDivisor) -> int:

@@ -20,11 +20,13 @@ class ParseError(ValueError):
 def load_json(path: str):
     """The JSON value in the file at ``path``; ParseError when the file
     cannot be opened or read (missing, a directory, unreadable), is not
-    valid UTF-8 or is not JSON."""
+    valid UTF-8 or is not JSON, or holds an integer longer than Python's
+    digit limit or arrays and objects nested deeper than its recursion
+    limit.  UnicodeDecodeError and JSONDecodeError are ValueErrors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -41,8 +41,9 @@ class SectionModule:
 def global_sections(fan: Fan, d: ToricDivisor) -> SectionModule:
     """The monomial generators of the sections of O(D).
 
-    Raises UnboundedPolytopeError (a ValueError) when P(D) is unbounded
-    and nonempty: the module is not finitely generated.
+    Its rank is h0(D).  Raises UnboundedPolytopeError (a ValueError) when
+    P(D) is unbounded and nonempty, as h0 and lattice_points do: the
+    module is not finitely generated.
     """
     _same_fan(fan, d)
     if not fan.smooth:

@@ -102,7 +102,7 @@ def test_criterion_3_intersection_table():
                 if i == j:
                     continue
                 expected = 1 if frozenset((r1, r2)) in cone_sets else 0
-                assert ray_intersection(f, r1, r2) == expected == m.entries[i][j]
+                assert ray_intersection(f, r1, r2) == expected == m[i][j]
     _finish("3 (intersection table)", 1, t0)
 
 

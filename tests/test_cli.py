@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -108,6 +109,17 @@ def test_parse_error_exit_code(capsys, tmp_path):
     binary.write_bytes(b'\xff\xfe{"rays": []}')
     assert run(capsys, "fan", "validate", str(binary))[0] == 1
     assert run(capsys, "h0", str(binary), str(binary))[0] == 1
+    # an integer past the interpreter's digit limit, and nesting past its
+    # recursion limit: json.load raises ValueError and RecursionError
+    bad = ["[" * 100_000 + "]" * 100_000]
+    if hasattr(sys, "get_int_max_str_digits"):
+        bad.append('{"rays": [[1, 0], [0, ' + "7" * 5_000 + ']], "max_cones": [[0, 1]]}')
+    for text in bad:
+        path = write(tmp_path, "bad.json", text)
+        code = main(["fan", "validate", path])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("troptoric: parse error: ")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import fm_lattice_points, random_blowup_fan, random_divisor
 from troptoric.divisor import (
-    H0Value,
     ToricDivisor,
     UnboundedPolytopeError,
     canonical_divisor,
@@ -183,15 +182,19 @@ def test_h0_matches_lattice_point_count():
 
 def test_h0_infinite_and_errors():
     single = Fan((Cone(((1, 0),)),))
-    assert not h0(single, zero_divisor(single)).is_finite
+    with pytest.raises(UnboundedPolytopeError):
+        h0(single, zero_divisor(single))
     # bounded but not complete: three 1-cones whose rays span the plane
     rays = ((1, 0), (0, 1), (-1, -1))
     spread = Fan(tuple(Cone((r,)) for r in rays))
-    assert h0(spread, ToricDivisor(spread, (2, 0, 1))) == 10
+    n = h0(spread, ToricDivisor(spread, (2, 0, 1)))
+    assert type(n) is int and n == 10
     # a line: P(D) is a vertical strip, empty or unbounded
     line = Fan((Cone(((1, 0),)), Cone(((-1, 0),))))
-    assert h0(line, ToricDivisor(line, (-1, -1))) == 0
-    assert not h0(line, ToricDivisor(line, (0, 0))).is_finite
+    n = h0(line, ToricDivisor(line, (-1, -1)))
+    assert type(n) is int and n == 0
+    with pytest.raises(UnboundedPolytopeError):
+        h0(line, ToricDivisor(line, (0, 0)))
     nonsmooth = Fan((Cone(((1, 0), (1, 2))),))
     with pytest.raises(ValueError):
         h0(nonsmooth, zero_divisor(nonsmooth))
@@ -273,11 +276,3 @@ def test_divisor_json_round_trip():
     for data in ([2, 0, -1], {"coefs": {"0": 2, "1": 0, "2": -1}}):
         with pytest.raises(ParseError, match="'coeffs'"):
             divisor_from_dict(p2, data)
-
-
-def test_h0value_semantics():
-    assert H0Value.finite(3) == 3
-    assert H0Value.infinite() != 3
-    assert not H0Value.infinite().is_finite
-    with pytest.raises(ValueError):
-        int(H0Value.infinite())

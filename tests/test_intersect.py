@@ -5,7 +5,7 @@ import pytest
 
 from oracles import h1_oracle, random_blowup_fan, random_divisor, rr_oracle
 from troptoric.divisor import ToricDivisor, canonical_divisor, h0, principal_divisor, ray_divisor, zero_divisor
-from troptoric.fan import Cone, Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
+from troptoric.fan import Cone, Fan, adjacent_rays, blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
 from troptoric.intersect import (
     intersection_matrix,
     pairing,
@@ -42,19 +42,27 @@ def test_hirzebruch_self_intersection_pattern():
     for a in range(4):
         f = hirzebruch(a)
         assert [self_intersection(f, r) for r in f.rays] == [0, -a, 0, a]
+    # u1 + u2 + b*u = 0 with the neighbours read off the cones, not the
+    # counterclockwise sort that the cached diagonal comes from
+    rng = random.Random(67)
+    for _ in range(40):
+        f = random_blowup_fan(rng, 8)
+        for u in f.rays:
+            (u1, u2), b = adjacent_rays(f, u), self_intersection(f, u)
+            assert (u1[0] + u2[0] + b * u[0], u1[1] + u2[1] + b * u[1]) == (0, 0)
 
 
 def test_intersection_matrix_entries():
-    m = intersection_matrix(projective_plane())
-    assert m.entries == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
+    assert intersection_matrix(projective_plane()) == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
     rng = random.Random(71)
     for f in (hirzebruch(2), random_blowup_fan(rng)):
         im = intersection_matrix(f)
+        assert im is f.intersection_numbers
         for i, r1 in enumerate(f.rays):
             for j, r2 in enumerate(f.rays):
-                assert im.entries[i][j] == im.entries[j][i]
+                assert im[i][j] == im[j][i]
                 if i != j:
-                    assert im.entries[i][j] in (0, 1)
+                    assert im[i][j] in (0, 1)
 
 
 def test_pairing_examples():
@@ -85,14 +93,14 @@ def test_pairing_symmetric_bilinear_invariant():
 def test_row_sums_give_anticanonical_degree():
     p2 = projective_plane()
     im = intersection_matrix(p2)
-    for row in im.entries:
+    for row in im:
         assert sum(row) == 3
     rng = random.Random(83)
     for f in (hirzebruch(1), random_blowup_fan(rng)):
         im = intersection_matrix(f)
         k = canonical_divisor(f)
         for i, ray in enumerate(f.rays):
-            assert sum(im.entries[i]) == pairing(f, ray_divisor(f, ray), -1 * k)
+            assert sum(im[i]) == pairing(f, ray_divisor(f, ray), -1 * k)
 
 
 def test_parity_of_pairing_term():
