@@ -5,9 +5,10 @@ Output is deterministic for identical inputs and --seed; rationals are
 emitted as 'p/q' strings, integers as JSON numbers.
 
 Exit codes: 0 success, 1 parse or usage error, 2 precondition violation,
-3 Riemann-Roch inequality violation.  Malformed input is a ParseError
-(exit 1); any other error inside the library propagates with its
-traceback, so a bug is never reported as a parse error.
+3 Riemann-Roch inequality violation, 4 internal error.  Malformed input is
+a ParseError (exit 1); any other error inside the library propagates out
+of `main` with its traceback, and the console entry point `run` prints
+that traceback and exits 4, so a bug is never reported as a parse error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 
 from .divisor import ToricDivisor, UnboundedPolytopeError, divisor_from_dict, polytope
 from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
-from .intersect import rr_check
+from .intersect import RRReport, rr_check
 from .jsonutil import ParseError, format_rational, load_json, parse_rational
 from .sections import global_sections, h0_a, h0_b, passes_through, vandermonde_section
 
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_VIOLATION = 3
+EXIT_INTERNAL = 4
 
 SWEEP_EXHAUSTIVE_LIMIT = 100_000
 SWEEP_SAMPLE_SIZE = 10_000
@@ -162,6 +164,18 @@ def _coeff_range(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
+def _sweep_line(index: int, coeffs, r: RRReport) -> str:
+    """The JSON line json.dumps writes for {"index": index, "coeffs":
+    list(coeffs), "report": r.to_dict()}, as one f-string: an int's JSON
+    text is its str, and ``holds`` is true or false."""
+    return (
+        f'{{"index": {index}, "coeffs": {list(coeffs)}, "report": {{'
+        f'"h0_D": {r.h0_D}, "h0_K_minus_D": {r.h0_K_minus_D}, "euler": {r.euler}, '
+        f'"pairing_term": {r.pairing_term}, "rhs": {r.rhs}, "defect": {r.defect}, '
+        f'"holds": {"true" if r.holds else "false"}}}}}'
+    )
+
+
 def cmd_sweep(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
     lo, hi = args.range
@@ -178,15 +192,16 @@ def cmd_sweep(args) -> tuple[list[str], int]:
         coeff_iter = iter(())
     else:
         mode = "sampled"
-        rng = random.Random(args.seed)
+        # randint(lo, hi) is randrange(lo, hi + 1): the same stream
+        draw = random.Random(args.seed).randrange
         coeff_iter = (
-            tuple(rng.randint(lo, hi) for _ in range(r))
+            tuple([draw(lo, hi + 1) for _ in range(r)])
             for _ in range(SWEEP_SAMPLE_SIZE)
         )
     for index, coeffs in enumerate(coeff_iter):
         report = rr_check(f, ToricDivisor(f, coeffs))
         defects.append(report.defect)
-        lines.append(json.dumps({"index": index, "coeffs": list(coeffs), "report": report.to_dict()}))
+        lines.append(_sweep_line(index, coeffs, report))
     violations = sum(x < 0 for x in defects)  # a report holds iff its defect is >= 0
     summary = {
         "summary": {
@@ -303,5 +318,16 @@ def main(argv=None) -> int:
     return code
 
 
+def run(argv=None) -> int:
+    """The console entry point: ``main``, with any exception it lets
+    through (a bug, never malformed input) printed with its traceback and
+    reported as exit 4, apart from 1, the code for parse errors."""
+    try:
+        return main(argv)
+    except Exception as exc:
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        return EXIT_INTERNAL
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

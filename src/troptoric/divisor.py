@@ -7,15 +7,17 @@ cone is trivial iff the rays positively span the plane), and its vertices,
 pairwise line intersections in homogeneous integer coordinates, are found
 only when they are read.
 
-Lattice points are walked row by row: the integer y-range comes from
-eliminating x pairwise (exact Fourier-Motzkin on integers), and each row's
-x-range from the inequalities at that height; one routine reads both
-ranges off their one-variable systems by floor divisions.  h0 sums the
-row lengths straight from the inequalities, so it builds no polytope,
-vertex or point; the Riemann-Roch verifier calls the same count on bare
-coefficient tuples.  Neither h0 nor lattice_points reads a vertex: an
-unbounded P(D) is nonempty iff its system is feasible, which the same
-elimination decides, and then both raise UnboundedPolytopeError.
+Lattice points are walked row by row (`_rows`) with a row plan: the
+Fourier-Motzkin elimination of x, which depends only on the normals, so a
+fan computes it once (`Fan.row_plan`) and a bare `DivisorPolytope` builds
+it from its inequalities.  The integer y-range is read off the plan's
+y-bounds and each row's x-range off its rays with x > 0 and x < 0, all
+by floor divisions of integers in the coefficient tuple.  h0 sums the row
+lengths, so it builds no polytope, vertex or point; the Riemann-Roch
+verifier calls the same count on bare coefficient tuples.  Neither h0
+nor lattice_points reads a vertex: an unbounded P(D) is nonempty iff its
+system is feasible, which eliminating y from the same y-bounds decides,
+and then both raise UnboundedPolytopeError.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fan import Fan, Vec, _as_vec, det2, dot
+from .fan import Fan, RowPlan, Vec, _as_vec, det2, dot, row_plan
 from .jsonutil import ParseError
 from .trop import TropPolynomial
 
@@ -226,29 +228,20 @@ def _enumerate_vertices(ineqs) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(verts)
 
 
-def _eliminate_x(ineqs) -> list[Inequality]:
-    """The exact projection onto y, as inequalities cy*y + c >= 0 written
-    (cy, 0, c).
-
-    Fourier-Motzkin: the inequalities without x, plus every pair with
-    opposite x-signs, scaled by positive integers so that x cancels.
-    """
-    out = [(ey, 0, a) for ex, ey, a in ineqs if ex == 0]
-    neg = [(ex, ey, a) for ex, ey, a in ineqs if ex < 0]
-    for px, py, pa in ineqs:
-        if px > 0:
-            for nx, ny, na in neg:
-                out.append((px * ny - nx * py, 0, px * na - nx * pa))
-    return out
-
-
-def _feasible(ineqs) -> bool:
-    """Exact feasibility of the 2-variable system over the rationals.
-
-    The projection keeps its y-coefficient in the x slot, so a second
-    pass eliminates y (Fourier-Motzkin), leaving constants c >= 0.
-    """
-    return all(c >= 0 for _, _, c in _eliminate_x(_eliminate_x(ineqs)))
+def _feasible(plan: RowPlan, a) -> bool:
+    """Exact feasibility over the rationals of the system with row plan
+    ``plan`` and coefficients ``a``: its y-bounds, with y eliminated too
+    (Fourier-Motzkin), leave conditions on the coefficients alone."""
+    _, _, lower, upper, fixed = plan
+    if any(wi * a[i] + wj * a[j] < 0 for _, i, wi, j, wj in fixed):
+        return False
+    lows = [(cy, wi * a[i] + wj * a[j]) for cy, i, wi, j, wj in lower]
+    # cl*y + kl >= 0 (cl > 0) and cu*y + ku >= 0 (cu < 0) meet iff cl*ku - cu*kl >= 0
+    return all(
+        cl * (wi * a[i] + wj * a[j]) - cu * kl >= 0
+        for cu, i, wi, j, wj in upper
+        for cl, kl in lows
+    )
 
 
 def _inequalities(rays, coeffs) -> tuple[Inequality, ...]:
@@ -260,50 +253,40 @@ def polytope(d: ToricDivisor) -> DivisorPolytope:
     return DivisorPolytope(_inequalities(d.fan.rays, d.coeffs), d.fan.bounded)
 
 
-def _row_interval(ineqs, y: int) -> tuple[int, int] | None:
-    # integer x-range of the slice at height y, None when the slice is empty;
-    # callers guarantee a bounded system, so both bounds always exist
-    lo = hi = None
-    for ex, ey, a in ineqs:
-        c = ey * y + a
-        if ex == 0:
-            if c < 0:
-                return None
-        elif ex > 0:
-            bound = -(c // ex)  # ceil(-c/ex)
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            bound = c // (-ex)  # floor(-c/ex)
-            if hi is None or bound < hi:
-                hi = bound
-    assert lo is not None and hi is not None
-    if lo > hi:
-        return None
-    return (lo, hi)
+def _rows(plan: RowPlan, a):
+    """(y, lo, hi) for every row with an integer point of the bounded
+    system with row plan ``plan`` and coefficients ``a``, in increasing y:
+    the integer points are lo <= x <= hi at height y."""
+    pos, neg, lower, upper, fixed = plan
+    for _, i, wi, j, wj in fixed:
+        if wi * a[i] + wj * a[j] < 0:
+            return
+    # a bounded system has bounds on both sides in y, and in x on each row
+    y_lo = max([-((wi * a[i] + wj * a[j]) // cy) for cy, i, wi, j, wj in lower])
+    y_hi = min([(wi * a[i] + wj * a[j]) // -cy for cy, i, wi, j, wj in upper])
+    pos = [(ex, ey, a[i]) for i, ex, ey in pos]
+    neg = [(ex, ey, a[i]) for i, ex, ey in neg]
+    for y in range(y_lo, y_hi + 1):
+        lo = hi = None
+        for ex, ey, c in pos:
+            b = -((ey * y + c) // ex)
+            if lo is None or b > lo:
+                lo = b
+        for ex, ey, c in neg:
+            b = (ey * y + c) // ex
+            if hi is None or b < hi:
+                hi = b
+        if lo <= hi:
+            yield y, lo, hi
 
 
-def _rows(ineqs):
-    """(y, lo, hi) for every row of a bounded system with an integer point,
-    in increasing y: the integer points are lo <= x <= hi at height y."""
-    # the projection (cy, 0, c) is a system in y alone, so its integer
-    # range is the row interval of that system at any height
-    y_range = _row_interval(_eliminate_x(ineqs), 0)
-    if y_range is None:
-        return
-    for y in range(y_range[0], y_range[1] + 1):
-        x_range = _row_interval(ineqs, y)
-        if x_range is not None:
-            yield (y,) + x_range
-
-
-def _walkable(ineqs, bounded: bool) -> bool:
+def _walkable(plan: RowPlan, a, bounded: bool) -> bool:
     """Whether the integer points of P(D) can be walked by rows: True when
     P(D) is bounded, False when it is unbounded and empty (no points);
     UnboundedPolytopeError when it is unbounded and nonempty."""
     if bounded:
         return True
-    if _feasible(ineqs):
+    if _feasible(plan, a):
         raise UnboundedPolytopeError("P(D) is unbounded and nonempty")
     return False
 
@@ -314,32 +297,35 @@ def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
     Raises UnboundedPolytopeError when the polytope is unbounded and
     nonempty; an empty polytope (bounded or not) yields the empty tuple.
     """
-    if not _walkable(p.inequalities, p.bounded):
+    plan = row_plan([(ex, ey) for ex, ey, _ in p.inequalities])
+    a = [c for _, _, c in p.inequalities]
+    if not _walkable(plan, a, p.bounded):
         return ()
-    return tuple(
-        (x, y) for y, lo, hi in _rows(p.inequalities) for x in range(lo, hi + 1)
-    )
+    return tuple((x, y) for y, lo, hi in _rows(plan, a) for x in range(lo, hi + 1))
 
 
-def _lattice_count(rays, coeffs) -> int:
-    """|P(D) ∩ M| for the divisor with ``coeffs`` on ``rays``, which must
-    positively span the plane: the row lengths, summed."""
-    return sum(hi - lo + 1 for _, lo, hi in _rows(_inequalities(rays, coeffs)))
+def _lattice_count(plan: RowPlan, a) -> int:
+    """|P(D) ∩ M| for the divisor with coefficients ``a`` on a fan with
+    row plan ``plan``, whose rays must positively span the plane: the row
+    lengths, summed."""
+    return sum([hi - lo + 1 for _, lo, hi in _rows(plan, a)])
 
 
 def h0(fan: Fan, d: ToricDivisor) -> int:
     """h0(X, D) = |P(D) ∩ M| on a smooth fan.
 
-    Counted row by row from the inequalities.  P(D) can only be unbounded
-    when the fan's rays do not positively span the plane: then h0 is 0 if
-    P(D) is empty, and UnboundedPolytopeError is raised if it is not.
+    Counted row by row with the fan's row plan.  P(D) can only be
+    unbounded when the fan's rays do not positively span the plane: then
+    h0 is 0 if P(D) is empty, and UnboundedPolytopeError is raised if it
+    is not.
     """
     _same_fan(fan, d)
     if not fan.smooth:
         raise ValueError("h0 requires a smooth fan")
-    if not _walkable(_inequalities(fan.rays, d.coeffs), fan.bounded):
+    plan = fan.row_plan
+    if not _walkable(plan, d.coeffs, fan.bounded):
         return 0
-    return _lattice_count(fan.rays, d.coeffs)
+    return _lattice_count(plan, d.coeffs)
 
 
 def degree_along_ray(g: TropPolynomial, ray) -> int:

@@ -8,10 +8,19 @@ maximal cones must be common faces.
 A fan's fixed facts are computed once, on first use, and cached on the
 instance outside its equality and hash: whether it is smooth, complete
 and bounded (its rays positively span the plane, so every P(D) is
-bounded), and its intersection numbers.  Two ray divisors meet once iff
-their rays span a cone; the self-intersection of a ray with primitive
-generator u and counterclockwise neighbours u1, u2 is the integer b with
-u1 + u2 + b*u = 0, which is -det(u1, u2).
+bounded), its intersection numbers with their nonzero entries, and its
+row plan.  Two ray divisors meet once iff their rays span a cone; the
+self-intersection of a ray with primitive generator u and
+counterclockwise neighbours u1, u2 is the integer b with u1 + u2 + b*u = 0,
+which is -det(u1, u2).  On a smooth complete fan with n rays at most 3n
+of the n^2 entries are nonzero: two per cone and the diagonal.
+
+Every P(D) on a fan, {m : <m, e_i> + a_i >= 0}, has the same normals, so
+the Fourier-Motzkin elimination of x that walks its rows is a fact of the
+fan too.  The row plan (`row_plan`) keeps the rays with x > 0 and x < 0,
+which bound x on a row, and the y-bounds of the elimination as weights on
+the coefficients a; a divisor then only does integer arithmetic on its
+coefficient tuple.
 """
 
 from __future__ import annotations
@@ -19,10 +28,47 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .jsonutil import ParseError
 
 Vec = tuple[int, int]
+
+
+class RowPlan(NamedTuple):
+    """The coefficient-free part of walking {m : <m, e_i> + a_i >= 0} by rows.
+
+    ``pos`` and ``neg`` hold the rays with x > 0 and x < 0 as
+    (i, |ex|, ey): at height y they give x >= ceil(-(ey*y + a_i)/|ex|) and
+    x <= floor((ey*y + a_i)/|ex|).  The y-bounds (cy, i, wi, j, wj) read
+    cy*y + wi*a_i + wj*a_j >= 0: one per ray with x = 0 (weight 0 on its
+    second index) and one per pair of opposite x-signs, scaled so that x
+    cancels.  ``lower`` has cy > 0, ``upper`` cy < 0, and ``fixed`` cy = 0,
+    a condition on the coefficients alone (as for opposite rays).
+    """
+
+    pos: tuple[tuple[int, int, int], ...]
+    neg: tuple[tuple[int, int, int], ...]
+    lower: tuple[tuple[int, int, int, int, int], ...]
+    upper: tuple[tuple[int, int, int, int, int], ...]
+    fixed: tuple[tuple[int, int, int, int, int], ...]
+
+
+def row_plan(normals) -> RowPlan:
+    """The row plan of the systems <m, e_i> + a_i >= 0 with the given
+    integer normals e_i, for every coefficient tuple a."""
+    pos = tuple((i, ex, ey) for i, (ex, ey) in enumerate(normals) if ex > 0)
+    neg = tuple((i, -ex, ey) for i, (ex, ey) in enumerate(normals) if ex < 0)
+    # px*x + py*y + a_i >= 0 times nx, plus -nx*x + ny*y + a_j >= 0 times px
+    bounds = [(ey, i, 1, i, 0) for i, (ex, ey) in enumerate(normals) if ex == 0]
+    bounds += [(nx * py + px * ny, i, nx, j, px) for i, px, py in pos for j, nx, ny in neg]
+    return RowPlan(
+        pos,
+        neg,
+        tuple(b for b in bounds if b[0] > 0),
+        tuple(b for b in bounds if b[0] < 0),
+        tuple(b for b in bounds if b[0] == 0),
+    )
 
 
 def det2(u, v):
@@ -233,6 +279,23 @@ class Fan:
             i = index[u]
             rows[i][i] = -det2(ordered[k - 1], ordered[(k + 1) % n])
         return tuple(tuple(row) for row in rows)
+
+    @functools.cached_property
+    def intersection_terms(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, D_i . D_j) for the nonzero entries of
+        ``intersection_numbers``, in row order; ValueError unless smooth
+        and complete."""
+        return tuple(
+            (i, j, m)
+            for i, row in enumerate(self.intersection_numbers)
+            for j, m in enumerate(row)
+            if m
+        )
+
+    @functools.cached_property
+    def row_plan(self) -> RowPlan:
+        """The row plan of every P(D) on this fan."""
+        return row_plan(self.rays)
 
     def is_smooth(self) -> bool:
         return self.smooth

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 
 from troptoric import cli
 from troptoric.cli import main
+from troptoric.intersect import RRReport
 
 
 def run(capsys, *argv):
@@ -156,6 +158,26 @@ def test_internal_key_error_propagates(tmp_path, monkeypatch):
         monkeypatch.setitem(cli._HANDLERS, "rr", broken)
         with pytest.raises(error):
             main(["rr", fan_path, div_path])
+
+
+def test_run_exits_4_on_internal_error(capsys, tmp_path, monkeypatch):
+    # the console entry point: a bug exits 4 with its traceback, apart
+    # from exit 1 for malformed input, which run passes through
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 1}})
+    bad_path = write(tmp_path, "bad.json", "{nope")
+    assert cli.run(["rr", fan_path, div_path]) == 0
+    assert cli.run(["fan", "validate", bad_path]) == 1
+    capsys.readouterr()
+
+    def broken(args):
+        raise TypeError("internal")
+
+    monkeypatch.setitem(cli._HANDLERS, "rr", broken)
+    assert cli.run(["rr", fan_path, div_path]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "TypeError: internal" in captured.err
 
 
 def test_h0_command(capsys, tmp_path):
@@ -323,6 +345,47 @@ def test_sweep_sampled_mode(capsys, tmp_path):
     assert code == 0
     assert summary["mode"] == "sampled" and summary["count"] == 10_000
     assert summary["seed"] == 11 and summary["violations"] == 0
+
+
+P1XP1 = {"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+DENSE = {"rays": [[1, 0], [0, 1], [-1, -1], [1, 1], [-1, 0]], "max_cones": [[0, 3], [3, 1], [1, 4], [4, 2], [2, 0]]}
+WIDE = {
+    "rays": [[1, 0], [0, 1], [-1, 2], [0, -1], [1, 1], [1, 2]],
+    "max_cones": [[0, 4], [4, 5], [5, 1], [1, 2], [2, 3], [3, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "fan, argv, digest",
+    [
+        (DENSE, ["--range=-2..2"], "d3bfd19025dfd2809091a2a1b4b30bf88c25c0d848c9c63d57cd7f87958f5291"),
+        (WIDE, ["--range=-80..80", "--seed", "5"], "94271924038661f3be1996b0a2d0ac31f6352b24b555194b40b567bf896b9028"),
+        ("p1xp1", ["--range=-4..4"], "b40346e915e25c1823893ecac4578bf922b605ea9b414c3ea7902d77d40b1898"),
+    ],
+    ids=["dense", "wide-sampled", "p1xp1-builtin"],
+)
+def test_sweep_output_bytes_pinned(capsys, tmp_path, fan, argv, digest):
+    # the whole stdout of an exhaustive sweep, a sampled one and one
+    # through a builtin fan, each pinned by its sha256
+    if isinstance(fan, str):
+        code, out = run(capsys, "fan", "builtin", fan)
+        assert code == 0 and json.loads(out) == P1XP1
+        fan = out.strip()
+    fan_path = write(tmp_path, "fan.json", fan)
+    code, out = run(capsys, "sweep", fan_path, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for line in out.splitlines():
+        assert json.dumps(json.loads(line)) == line
+
+
+def test_sweep_line_writes_false():
+    # no sweep holds a violation, so the line of a failed report is
+    # checked on a constructed one
+    report = RRReport(h0_D=0, h0_K_minus_D=2, euler=1, pairing_term=5, rhs=6, defect=-4, holds=False)
+    line = cli._sweep_line(7, (-3, 0, 12), report)
+    assert line == json.dumps({"index": 7, "coeffs": [-3, 0, 12], "report": report.to_dict()})
+    assert json.loads(line)["report"]["holds"] is False
 
 
 def test_sweep_empty_range(capsys, tmp_path):

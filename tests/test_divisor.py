@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from troptoric.divisor import (
     ray_divisor,
     zero_divisor,
 )
-from troptoric.fan import Cone, Fan, hirzebruch, product_p1_p1, projective_plane
+from troptoric.fan import Cone, Fan, blow_up, hirzebruch, product_p1_p1, projective_plane
 from troptoric.jsonutil import ParseError
 from troptoric.trop import TropPolynomial
 
@@ -198,6 +199,62 @@ def test_h0_infinite_and_errors():
     nonsmooth = Fan((Cone(((1, 0), (1, 2))),))
     with pytest.raises(ValueError):
         h0(nonsmooth, zero_divisor(nonsmooth))
+
+
+def test_h0_row_plan_at_scale_80():
+    # the fan's row plan against box enumeration at coefficient scale 80:
+    # F2 blown up at cones 0 then 1, P1xP1, whose opposite rays give the
+    # plan a y-free bound a_0 + a_2 >= 0, and F3
+    wide = hirzebruch(2)
+    wide = blow_up(wide, wide.max_cones[0])
+    wide = blow_up(wide, wide.max_cones[1])
+    pp = product_p1_p1()
+    assert pp.row_plan.fixed == ((0, 0, 1, 2, 1),)
+    rng = random.Random(109)
+    cut_by_fixed = 0
+    for f in (wide, pp, hirzebruch(3)):
+        divisors = [random_divisor(rng, f, -80, 80) for _ in range(12)]
+        divisors += [ToricDivisor(f, tuple(rng.choice((-80, 80)) for _ in f.rays)) for _ in range(3)]
+        for d in divisors:
+            points = fm_lattice_points(polytope(d).inequalities)
+            assert h0(f, d) == len(points), d.coeffs
+            assert set(lattice_points(polytope(d))) == points
+            cut_by_fixed += f is pp and d.coeffs[0] + d.coeffs[2] < 0
+    assert cut_by_fixed >= 3  # P(D) found empty by the fixed bound alone
+
+
+def test_h0_on_fans_without_a_bounded_plan():
+    # unbounded P(D): 0 when the plan's bounds are infeasible over the
+    # rationals, UnboundedPolytopeError when they are not, as box
+    # enumeration decides; the x-line has a fixed bound, the y-line a
+    # lower and an upper one.  Three 1-cones spanning the plane are
+    # bounded and walked by rows.
+    unbounded = [
+        Fan((Cone(((1, 0),)),)),
+        Fan((Cone(((1, 0),)), Cone(((-1, 0),)))),
+        Fan((Cone(((0, 1),)), Cone(((0, -1),)))),
+        Fan((Cone(((1, 0), (0, 1))),)),
+        Fan((Cone(((1, 0), (0, 1))), Cone(((0, 1), (-1, 0))))),
+        Fan((Cone(((1, 1),)), Cone(((-1, -1),)), Cone(((0, 1),)))),
+    ]
+    for f in unbounded:
+        assert not f.bounded
+        for coeffs in itertools.product(range(-2, 3), repeat=len(f.rays)):
+            d = ToricDivisor(f, coeffs)
+            try:
+                points = fm_lattice_points(polytope(d).inequalities)
+            except ValueError:  # nonempty and unbounded
+                with pytest.raises(UnboundedPolytopeError):
+                    h0(f, d)
+                with pytest.raises(UnboundedPolytopeError):
+                    lattice_points(polytope(d))
+            else:
+                assert points == set()
+                assert h0(f, d) == 0 and lattice_points(polytope(d)) == ()
+    spread = Fan(tuple(Cone((r,)) for r in ((1, 0), (0, 1), (-1, -1))))
+    for coeffs in itertools.product(range(-2, 3), repeat=3):
+        d = ToricDivisor(spread, coeffs)
+        assert h0(spread, d) == len(fm_lattice_points(polytope(d).inequalities))
 
 
 def test_h0_translation_invariance():

@@ -78,6 +78,28 @@ def test_pairing_examples():
     assert pairing(p2, d, zero_divisor(p2)) == 0
 
 
+def test_intersection_terms_are_the_nonzero_entries():
+    # at most 3n of the n^2 entries are nonzero on a smooth complete fan:
+    # two per cone and the diagonal
+    rng = random.Random(127)
+    for f in (projective_plane(), product_p1_p1(), hirzebruch(3)) + tuple(random_blowup_fan(rng, 6) for _ in range(5)):
+        n = len(f.rays)
+        assert len(f.intersection_terms) <= 3 * n
+        dense = [[0] * n for _ in range(n)]
+        for i, j, m in f.intersection_terms:
+            assert m != 0
+            dense[i][j] = m
+        assert tuple(map(tuple, dense)) == f.intersection_numbers
+        for _ in range(10):
+            d1, d2 = random_divisor(rng, f), random_divisor(rng, f)
+            full = sum(
+                a * b * f.intersection_numbers[i][j]
+                for i, a in enumerate(d1.coeffs)
+                for j, b in enumerate(d2.coeffs)
+            )
+            assert pairing(f, d1, d2) == full
+
+
 def test_pairing_symmetric_bilinear_invariant():
     rng = random.Random(79)
     for f in (projective_plane(), product_p1_p1(), hirzebruch(3), random_blowup_fan(rng)):
@@ -159,6 +181,20 @@ def test_rr_check_matches_oracle():
             assert list(report.to_dict().items()) == list(fields.items())
             positive += report.defect > 0
     assert positive >= 20  # the oracle is compared on nonzero defects too
+
+
+def test_rr_check_matches_oracle_at_scale_80():
+    # F2 blown up at cones 0 then 1, P1xP1 (a y-free bound in its row
+    # plan) and F3, at coefficients up to 80, against box enumeration
+    wide = hirzebruch(2)
+    wide = blow_up(wide, wide.max_cones[0])
+    wide = blow_up(wide, wide.max_cones[1])
+    rng = random.Random(113)
+    for f in (wide, product_p1_p1(), hirzebruch(3)):
+        divisors = [random_divisor(rng, f, -80, 80) for _ in range(20)]
+        divisors += [ToricDivisor(f, tuple(rng.choice((-80, 80)) for _ in f.rays)) for _ in range(2)]
+        for d in divisors:
+            assert asdict(rr_check(f, d)) == rr_oracle(f, d), d.coeffs
 
 
 def test_rr_defect_is_h1():
