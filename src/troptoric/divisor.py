@@ -7,15 +7,20 @@ cone is trivial iff the rays positively span the plane), and its vertices,
 pairwise line intersections in homogeneous integer coordinates, are found
 only when they are read.
 
-Lattice points are walked row by row (`_rows`) with a row plan: the
-Fourier-Motzkin elimination of x, which depends only on the normals, so a
-fan computes it once (`Fan.row_plan`) and a bare `DivisorPolytope` builds
-it from its inequalities.  The integer y-range is read off the plan's
-y-bounds and each row's x-range off its rays with x > 0 and x < 0, all
-by floor divisions of integers in the coefficient tuple.  h0 sums the row
-lengths, so it builds no polytope, vertex or point; the Riemann-Roch
-verifier calls the same count on bare coefficient tuples.  Neither h0
-nor lattice_points reads a vertex: an unbounded P(D) is nonempty iff its
+Both the count and the listing read the row plan: the Fourier-Motzkin
+elimination of x, which depends only on the normals, so a fan computes
+it once (`Fan.row_plan`) and a bare `DivisorPolytope` builds it from its
+inequalities.  The integer y-range is read off the plan's y-bounds
+(`_y_range`), and row y runs from lo(y) to hi(y), where hi is the minimum
+over the rays with x < 0 and -lo the minimum over the rays with x > 0 of
+floor((ey*y + a_i)/|ex|).  h0 counts by floor sums: along each chain of
+the plan the minimum is one ray on each of at most n pieces, and a piece
+sums in O(log scale) steps by the Euclid-like reduction, so no polytope,
+vertex, row or point is built and the cost grows only with the log of
+the coefficients.  The Riemann-Roch verifier calls the same count on
+bare coefficient tuples.  lattice_points walks the rows (`_rows`) to
+list the points, and so cross-checks the count.  Neither h0 nor
+lattice_points reads a vertex: an unbounded P(D) is nonempty iff its
 system is feasible, which eliminating y from the same y-bounds decides,
 and then both raise UnboundedPolytopeError.
 """
@@ -253,19 +258,27 @@ def polytope(d: ToricDivisor) -> DivisorPolytope:
     return DivisorPolytope(_inequalities(d.fan.rays, d.coeffs), d.fan.bounded)
 
 
+def _y_range(plan: RowPlan, a) -> tuple[int, int]:
+    """(y_lo, y_hi), the integer heights of the bounded system with row
+    plan ``plan`` and coefficients ``a``: empty (y_lo > y_hi) when the
+    system is, and otherwise every row in it has real width >= 0."""
+    _, _, lower, upper, fixed = plan
+    for _, i, wi, j, wj in fixed:
+        if wi * a[i] + wj * a[j] < 0:
+            return 1, 0
+    # a bounded system has bounds on both sides in y, and in x on each row
+    y_lo = max([-((wi * a[i] + wj * a[j]) // cy) for cy, i, wi, j, wj in lower])
+    y_hi = min([(wi * a[i] + wj * a[j]) // -cy for cy, i, wi, j, wj in upper])
+    return y_lo, y_hi
+
+
 def _rows(plan: RowPlan, a):
     """(y, lo, hi) for every row with an integer point of the bounded
     system with row plan ``plan`` and coefficients ``a``, in increasing y:
     the integer points are lo <= x <= hi at height y."""
-    pos, neg, lower, upper, fixed = plan
-    for _, i, wi, j, wj in fixed:
-        if wi * a[i] + wj * a[j] < 0:
-            return
-    # a bounded system has bounds on both sides in y, and in x on each row
-    y_lo = max([-((wi * a[i] + wj * a[j]) // cy) for cy, i, wi, j, wj in lower])
-    y_hi = min([(wi * a[i] + wj * a[j]) // -cy for cy, i, wi, j, wj in upper])
-    pos = [(ex, ey, a[i]) for i, ex, ey in pos]
-    neg = [(ex, ey, a[i]) for i, ex, ey in neg]
+    y_lo, y_hi = _y_range(plan, a)
+    pos = [(ex, ey, a[i]) for i, ex, ey in plan.pos]
+    neg = [(ex, ey, a[i]) for i, ex, ey in plan.neg]
     for y in range(y_lo, y_hi + 1):
         lo = hi = None
         for ex, ey, c in pos:
@@ -304,17 +317,78 @@ def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
     return tuple((x, y) for y, lo, hi in _rows(plan, a) for x in range(lo, hi + 1))
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of (a*t + b) // m over 0 <= t < n, for n >= 0 and m >= 1.
+
+    Euclid-like reduction (Beck and Robins, *Computing the Continuous
+    Discretely*, ch. 1-2): with 0 <= a, b < m, the sum counts the lattice
+    points under a segment, and swapping the axes leaves the same kind of
+    sum with modulus a.  O(log m) steps; a single one when m = 1.
+    """
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        r, b = divmod(b, m)
+        total += q * (n * (n - 1) // 2) + r * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _chain_sum(chain, a, y_lo: int, y_hi: int) -> int:
+    """The sum over y_lo <= y <= y_hi of the minimum over the chain's rays
+    (i, |ex|, ey) of (ey*y + a_i) // |ex|, for y_lo <= y_hi.
+
+    The chain is in the order in which its rays take over the minimum
+    (`RowPlan`), with distinct slopes, as a fan's distinct primitive rays
+    have, so the lower envelope is one stack pass: a ray becomes the
+    minimum at the first integer y past its last tie with the ray before
+    it, and a ray that never leads inside the range is dropped.  Each
+    piece of the envelope is then one floor sum.
+    """
+    pieces = []  # (|ex|, ey, a_i, first y at which the ray is the minimum)
+    for i, ex, ey in chain:
+        c = a[i]
+        start = y_lo
+        while pieces:
+            px, py, pc, ps = pieces[-1]
+            # the last y with (py*y + pc)/px <= (ey*y + c)/ex; py*ex > ey*px
+            last = (c * px - pc * ex) // (py * ex - ey * px)
+            if last >= ps:
+                start = last + 1
+                break
+            pieces.pop()
+        if start <= y_hi:
+            pieces.append((ex, ey, c, start))
+    total = 0
+    end = y_hi
+    for ex, ey, c, start in reversed(pieces):
+        total += _floor_sum(end - start + 1, ex, ey, ey * start + c)
+        end = start - 1
+    return total
+
+
 def _lattice_count(plan: RowPlan, a) -> int:
     """|P(D) ∩ M| for the divisor with coefficients ``a`` on a fan with
-    row plan ``plan``, whose rays must positively span the plane: the row
-    lengths, summed."""
-    return sum([hi - lo + 1 for _, lo, hi in _rows(plan, a)])
+    row plan ``plan``, whose rays must positively span the plane.
+
+    Row y holds hi - lo + 1 points, with hi the minimum over ``neg`` and
+    -lo the minimum over ``pos`` of (ey*y + a_i) // |ex|; every row of the
+    y-range has real width >= 0, so hi - lo + 1 >= 0 there, and the count
+    is two chain sums plus the number of rows, unclamped.
+    """
+    y_lo, y_hi = _y_range(plan, a)
+    if y_lo > y_hi:
+        return 0
+    return _chain_sum(plan.pos, a, y_lo, y_hi) + _chain_sum(plan.neg, a, y_lo, y_hi) + y_hi - y_lo + 1
 
 
 def h0(fan: Fan, d: ToricDivisor) -> int:
     """h0(X, D) = |P(D) ∩ M| on a smooth fan.
 
-    Counted row by row with the fan's row plan.  P(D) can only be
+    Counted by floor sums with the fan's row plan.  P(D) can only be
     unbounded when the fan's rays do not positively span the plane: then
     h0 is 0 if P(D) is empty, and UnboundedPolytopeError is raised if it
     is not.

@@ -16,11 +16,12 @@ which is -det(u1, u2).  On a smooth complete fan with n rays at most 3n
 of the n^2 entries are nonzero: two per cone and the diagonal.
 
 Every P(D) on a fan, {m : <m, e_i> + a_i >= 0}, has the same normals, so
-the Fourier-Motzkin elimination of x that walks its rows is a fact of the
+the Fourier-Motzkin elimination of x that bounds its rows is a fact of the
 fan too.  The row plan (`row_plan`) keeps the rays with x > 0 and x < 0,
-which bound x on a row, and the y-bounds of the elimination as weights on
-the coefficients a; a divisor then only does integer arithmetic on its
-coefficient tuple.
+which bound x on a row, each side in the order in which its rays take
+over the bound as y grows, and the y-bounds of the elimination as weights
+on the coefficients a; a divisor then counts its points by floor sums
+along the two chains, with integer arithmetic on its coefficient tuple.
 """
 
 from __future__ import annotations
@@ -36,11 +37,14 @@ Vec = tuple[int, int]
 
 
 class RowPlan(NamedTuple):
-    """The coefficient-free part of walking {m : <m, e_i> + a_i >= 0} by rows.
+    """The coefficient-free part of {m : <m, e_i> + a_i >= 0}, cut into rows.
 
     ``pos`` and ``neg`` hold the rays with x > 0 and x < 0 as
     (i, |ex|, ey): at height y they give x >= ceil(-(ey*y + a_i)/|ex|) and
-    x <= floor((ey*y + a_i)/|ex|).  The y-bounds (cy, i, wi, j, wj) read
+    x <= floor((ey*y + a_i)/|ex|).  Each is a chain sorted by decreasing
+    slope ey/|ex| (ties keep ray order), the order in which its rays take
+    over the minimum of (ey*y + a_i)/|ex| as y grows, whatever the a_i.
+    The y-bounds (cy, i, wi, j, wj) read
     cy*y + wi*a_i + wj*a_j >= 0: one per ray with x = 0 (weight 0 on its
     second index) and one per pair of opposite x-signs, scaled so that x
     cancels.  ``lower`` has cy > 0, ``upper`` cy < 0, and ``fixed`` cy = 0,
@@ -57,8 +61,9 @@ class RowPlan(NamedTuple):
 def row_plan(normals) -> RowPlan:
     """The row plan of the systems <m, e_i> + a_i >= 0 with the given
     integer normals e_i, for every coefficient tuple a."""
-    pos = tuple((i, ex, ey) for i, (ex, ey) in enumerate(normals) if ex > 0)
-    neg = tuple((i, -ex, ey) for i, (ex, ey) in enumerate(normals) if ex < 0)
+    by_slope = functools.cmp_to_key(_slope_cmp)
+    pos = tuple(sorted(((i, ex, ey) for i, (ex, ey) in enumerate(normals) if ex > 0), key=by_slope))
+    neg = tuple(sorted(((i, -ex, ey) for i, (ex, ey) in enumerate(normals) if ex < 0), key=by_slope))
     # px*x + py*y + a_i >= 0 times nx, plus -nx*x + ny*y + a_j >= 0 times px
     bounds = [(ey, i, 1, i, 0) for i, (ex, ey) in enumerate(normals) if ex == 0]
     bounds += [(nx * py + px * ny, i, nx, j, px) for i, px, py in pos for j, nx, ny in neg]
@@ -69,6 +74,11 @@ def row_plan(normals) -> RowPlan:
         tuple(b for b in bounds if b[0] < 0),
         tuple(b for b in bounds if b[0] == 0),
     )
+
+
+def _slope_cmp(u, v) -> int:
+    # chain entries (i, |ex|, ey): negative when u's slope ey/|ex| is the larger
+    return v[2] * u[1] - u[2] * v[1]
 
 
 def det2(u, v):

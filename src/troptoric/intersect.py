@@ -6,9 +6,10 @@ cached on it (`Fan.intersection_numbers`, and its nonzero entries as
 `Fan.intersection_terms`); the functions here check their arguments and
 read them.  A pairing sums over the nonzero entries only, at most 3n of
 the n^2 on n rays.  The verifier compares h0(D) + h0(K-D) against
-chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in integers: both counts walk
-the rows of P(D) and P(K-D) with the fan's row plan (`Fan.row_plan`), so
-each divisor costs only integer arithmetic on its coefficient tuple.
+chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in integers: both counts are
+floor sums along the chains of the fan's row plan (`Fan.row_plan`), so
+each divisor costs only integer arithmetic on its coefficient tuple, in
+a number of steps that grows with the log of its coefficients.
 
 Theorem: on a smooth complete toric surface D(D-K) is even, since
 Riemann-Roch gives chi(O(D)) = 1 + D(D-K)/2 and chi(O(D)) = h0 - h1 + h2

@@ -220,3 +220,15 @@ def test_criterion_9_oracle_equivalence():
         p = polytope(d)
         assert set(lattice_points(p)) == fm_lattice_points(p.inequalities)
     _finish("9 (determinant and lattice-point oracles)", 30, t0)
+
+
+def test_criterion_10_h0_at_scale():
+    # h0 is a sum of floor sums, so its cost does not grow with the scale
+    t0 = time.time()
+    p2 = projective_plane()
+    s = 10**6
+    d = s * ray_divisor(p2, (-1, -1))
+    assert h0(p2, d) == (s + 1) * (s + 2) // 2
+    report = rr_check(p2, d)
+    assert report.h0_D == (s + 1) * (s + 2) // 2 and report.defect == 0
+    _finish("10 (h0 and the Riemann-Roch check of 10^6 H on P2)", 0.1, t0)

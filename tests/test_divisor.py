@@ -8,6 +8,8 @@ from oracles import fm_lattice_points, random_blowup_fan, random_divisor
 from troptoric.divisor import (
     ToricDivisor,
     UnboundedPolytopeError,
+    _floor_sum,
+    _rows,
     canonical_divisor,
     degree_along_ray,
     divisor_from_dict,
@@ -201,18 +203,40 @@ def test_h0_infinite_and_errors():
         h0(nonsmooth, zero_divisor(nonsmooth))
 
 
+def _wide_fan():
+    # the sampled sweep benchmark's fan: F2 blown up at cones 0 then 1
+    f = hirzebruch(2)
+    f = blow_up(f, f.max_cones[0])
+    return blow_up(f, f.max_cones[1])
+
+
+def _dense_fan():
+    # the exhaustive sweep benchmark's fan: P2 blown up at two torus-fixed points
+    f = projective_plane()
+    f = blow_up(f, f.max_cones[0])
+    return blow_up(f, next(c for c in f.max_cones if f.rays[-1] not in c.rays))
+
+
+def _steep_fan():
+    # a blow-up of P2 with rays (2, 1) and (-2, -1), whose chains need
+    # floor sums with modulus 2
+    f = projective_plane()
+    for k in (0, 0, 3, 4):
+        f = blow_up(f, f.max_cones[k])
+    return f
+
+
 def test_h0_row_plan_at_scale_80():
     # the fan's row plan against box enumeration at coefficient scale 80:
     # F2 blown up at cones 0 then 1, P1xP1, whose opposite rays give the
-    # plan a y-free bound a_0 + a_2 >= 0, and F3
-    wide = hirzebruch(2)
-    wide = blow_up(wide, wide.max_cones[0])
-    wide = blow_up(wide, wide.max_cones[1])
+    # plan a y-free bound a_0 + a_2 >= 0, F3, P2 blown up at two points
+    # and a blow-up of P2 with rays of |x| = 2
     pp = product_p1_p1()
     assert pp.row_plan.fixed == ((0, 0, 1, 2, 1),)
+    assert {(2, 1), (-2, -1)} <= set(_steep_fan().rays)
     rng = random.Random(109)
     cut_by_fixed = 0
-    for f in (wide, pp, hirzebruch(3)):
+    for f in (_wide_fan(), pp, hirzebruch(3), _dense_fan(), _steep_fan()):
         divisors = [random_divisor(rng, f, -80, 80) for _ in range(12)]
         divisors += [ToricDivisor(f, tuple(rng.choice((-80, 80)) for _ in f.rays)) for _ in range(3)]
         for d in divisors:
@@ -221,6 +245,66 @@ def test_h0_row_plan_at_scale_80():
             assert set(lattice_points(polytope(d))) == points
             cut_by_fixed += f is pp and d.coeffs[0] + d.coeffs[2] < 0
     assert cut_by_fixed >= 3  # P(D) found empty by the fixed bound alone
+
+
+def test_floor_sum_matches_direct_sum():
+    rng = random.Random(127)
+    big = 10**40
+    cases = [(0, 7, -3, 5), (0, 1, 0, 0), (5, 1, -4, -9), (6, 4, 0, -1)]
+    for _ in range(1500):
+        cases.append((rng.randrange(40), rng.randrange(1, 60), rng.randrange(-300, 300), rng.randrange(-300, 300)))
+    for _ in range(300):
+        cases.append((rng.randrange(40), rng.randrange(1, big), rng.randrange(-big, big), rng.randrange(-big, big)))
+        cases.append((rng.randrange(40), 1, rng.randrange(-big, big), rng.randrange(-big, big)))
+        cases.append((rng.randrange(40), rng.randrange(1, 9), rng.randrange(-big, big), rng.randrange(-big, big)))
+    assert sum(n == 0 for n, _, _, _ in cases) >= 10 and sum(m == 1 for _, m, _, _ in cases) >= 300
+    assert sum(a < 0 and b < 0 for _, _, a, b in cases) >= 300
+    for n, m, a, b in cases:
+        assert _floor_sum(n, m, a, b) == sum((a * t + b) // m for t in range(n)), (n, m, a, b)
+
+
+def test_h0_floor_sums_match_rows():
+    # the count (floor sums along the row plan's chains) against the rows
+    # that lattice_points walks: the points listed at scale 3 and 80, the
+    # row lengths summed at scale 10^4, where P(D) is too large to list
+    rng = random.Random(131)
+    fans = [projective_plane(), product_p1_p1(), hirzebruch(2), hirzebruch(3), _dense_fan(), _wide_fan(), _steep_fan()]
+    fans += [random_blowup_fan(rng, 4) for _ in range(6)]
+    assert any(abs(x) >= 2 for f in fans for x, _ in f.rays)
+    shapes = {"empty": 0, "one point": 0, "one row": 0}
+    for f in fans:
+        divisors = []
+        for s, n in ((3, 24), (80, 8), (10**4, 3)):
+            divisors += [(s, random_divisor(rng, f, -s, s)) for _ in range(n)]
+            # coefficients >= 0 put the origin in P(D), so it is not empty
+            divisors += [(s, random_divisor(rng, f, 0, s)) for _ in range(2)]
+        # one point, {m}, at scale 10^4: the zero divisor shifted by div(x^m)
+        m = (rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4))
+        divisors.append((10**4, principal_divisor(m, f)))
+        for s, d in divisors:
+            rows = list(_rows(f.row_plan, d.coeffs))
+            count = sum(hi - lo + 1 for _, lo, hi in rows)
+            if s < 10**4:
+                assert count == len(lattice_points(polytope(d)))
+            assert h0(f, d) == count, (f.rays, d.coeffs)
+            shapes["empty"] += count == 0
+            shapes["one point"] += count == 1
+            shapes["one row"] += len(rows) == 1 and count > 1
+    # one row of 2*10^4 + 1 points, away from the origin
+    pp = product_p1_p1()
+    d = ToricDivisor(pp, (10**4 - 7, 3, 10**4 + 7, -3))
+    assert h0(pp, d) == 2 * 10**4 + 1 == len(lattice_points(polytope(d)))
+    assert all(n > 0 for n in shapes.values()), shapes
+
+
+def test_h0_closed_forms_at_scale_10_18():
+    # exact big-int counts: h0(sH) on P2 and h0(a F1 + b F2) on P1xP1
+    s = 10**18
+    p2 = projective_plane()
+    assert h0(p2, s * ray_divisor(p2, (-1, -1))) == (s + 1) * (s + 2) // 2
+    pp = product_p1_p1()
+    d = s * ray_divisor(pp, (1, 0)) + (3 * s + 1) * ray_divisor(pp, (0, 1))
+    assert h0(pp, d) == (s + 1) * (3 * s + 2)
 
 
 def test_h0_on_fans_without_a_bounded_plan():
