@@ -7,10 +7,17 @@ De Loera, Rambau and Santos, Triangulations, ch. 2): a vertex per face,
 a segment per edge of two faces, a ray along the outward normal per
 boundary edge, and a line per edge of the lifted upper chain when the
 exponents are collinear.  A 1-cell's weight is the lattice length of its
-dual edge, which is exactly what makes the locus balanced.  The faces are
-found once, in integers: coefficients are scaled by the lcm of their
-denominators and the faces are gift-wrapped from a boundary edge, one
-scan of 3x3 orientation signs per edge, coplanar points in one cell.
+dual edge, which is exactly what makes the locus balanced.
+
+The faces are found in integers.  Coefficients are scaled by the lcm of
+their denominators and each exponent is lifted once to a flat tuple
+(x, y, h, m).  The faces are gift-wrapped from a boundary edge: one
+inline scan of the lifted points per directed edge finds the plane of the
+face on its left and collects its cell, coplanar points in one cell.  A
+face gets an integer id when it is found, and the ids are ranked once by
+the dual vertices, compared as integer pairs over a common denominator,
+so no Fraction is hashed or compared.  A triangle's ring is the edge it
+was found from and its one left point.
 """
 
 from __future__ import annotations
@@ -108,31 +115,23 @@ def _require_bivariate(g: TropPolynomial):
         raise ValueError("corner loci are implemented for two variables")
 
 
-def _lifted(height, s, p):
-    """The lifted exponent s minus the lifted exponent p, in integers."""
-    return (s[0] - p[0], s[1] - p[1], height[s] - height[p])
-
-
-def _dot3(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _upper_chain(height, a, b):
+def _upper_chain(lift, a, b):
     """(start, end, family) for each edge of the upper chain of the lifted
-    exponents on the line through a and b, in order from a toward b."""
-    d = (b[0] - a[0], b[1] - a[1])
-    line = {}  # (position along d, height) -> exponent
-    for m in height:
-        w = _lifted(height, m, a)
-        if det2(d, w) == 0:
-            line[(dot(w, d), w[2])] = m
+    points on the line through a and b, in order from a toward b: the
+    ends as lifted points, the family as the exponents on the edge."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    line = {}  # (position along b - a, height) -> lifted point
+    for t in lift:
+        wx, wy = t[0] - a[0], t[1] - a[1]
+        if dx * wy == dy * wx:
+            line[(dx * wx + dy * wy, t[2] - a[2])] = t
     ring = hull_vertices(line)  # ccw: lower chain to the far end, then back
     chain = [ring[0]] + ring[:ring.index(max(ring)) - 1:-1]
     # every lifted point is weakly below the chain, so a point on the line
     # of a chain edge lies on that edge
     return [
-        (line[s], line[e], frozenset(
-            m for p, m in line.items() if det2((e[0] - s[0], e[1] - s[1]), (p[0] - s[0], p[1] - s[1])) == 0
+        (line[s], line[e], tuple(
+            t[3] for p, t in line.items() if det2((e[0] - s[0], e[1] - s[1]), (p[0] - s[0], p[1] - s[1])) == 0
         ))
         for s, e in zip(chain, chain[1:])
     ]
@@ -140,57 +139,95 @@ def _upper_chain(height, a, b):
 
 def _lifted_hull(g: TropPolynomial):
     """(cells, edges) of the upper hull of the exponents lifted to their
-    coefficients.  cells lists (dual vertex, exponents on the face), sorted
-    by vertex; edges lists (a, b, family, duals): the ends, the exponents on
-    the edge and the dual vertices of its faces, the face left of a -> b
-    first.  Collinear support has no faces; its edges are those of the
-    lifted upper chain, a before b."""
+    coefficients.
+
+    Each exponent m is lifted once to the flat integer tuple (m[0], m[1],
+    h, m), h = c_m times the lcm of the coefficients' denominators.  Faces
+    get integer ids as the gift-wrap finds them and are ranked by their
+    dual vertex at the end.  cells lists (x, y, d, exponents on the face)
+    in rank order, the dual vertex being (x / d, y / d); edges lists (a, b,
+    family, ranks): the ends, the exponents on the edge and the ranks of
+    its faces, the face left of a -> b first.  Collinear support has no
+    faces; its edges are those of the lifted upper chain, a before b.
+    """
     scale = math.lcm(*(c.denominator for _, c in g.terms()))
-    height = {m: c.numerator * (scale // c.denominator) for m, c in g.terms()}
-    if len(height) == 1:
+    lift = [(m[0], m[1], c.numerator * (scale // c.denominator), m) for m, c in g.terms()]
+    if len(lift) == 1:
         return [], []
-    corners = hull_vertices(height)
-    chain = _upper_chain(height, corners[0], corners[1])
+    at = {t[3]: t for t in lift}  # exponent -> lifted point
+    corners = hull_vertices(at)
+    chain = _upper_chain(lift, at[corners[0]], at[corners[1]])
     if len(corners) == 2:
-        return [], [(a, b, family, ()) for a, b, family in chain]
-    cells = []
-    left = {}  # directed edge (a, b) of a face -> (family, dual vertex of the face)
+        return [], [(a[3], b[3], family, ()) for a, b, family in chain]
+    faces = []  # face id -> (x, y, d, exponents on the face), dual vertex (x / d, y / d)
+    left = {}  # directed edge (a, b) of a face, as exponents -> (family, face id)
     todo = [chain[0][:2]]  # the Newton polygon lies left of its ccw boundary
     while todo:
         p, q = todo.pop()
-        if (p, q) in left:
+        if (p[3], q[3]) in left:
             continue
-        # the face left of p -> q lies on the plane through p, q and the
-        # left point that leaves no lifted point above it
-        u = _lifted(height, q, p)
-        normal = None
-        for s in height:
-            w = _lifted(height, s, p)
-            if det2(u, w) > 0 and (normal is None or _dot3(normal, w) > 0):
-                normal = (
-                    u[1] * w[2] - u[2] * w[1],
-                    u[2] * w[0] - u[0] * w[2],
-                    u[0] * w[1] - u[1] * w[0],
-                )
-        if normal is None:
+        # The face left of p -> q lies on the plane n.x = level through p,
+        # q and the left point that leaves no lifted point above it.  Each
+        # update raises the plane, so a left point on the final plane sets
+        # it or comes after it is set: one scan collects the cell's left
+        # points.  No point right of p -> q is on it, as p -> q is an edge
+        # of the hull; the points on its line join the cell afterwards.
+        px, py, ph, _ = p
+        ux, uy, uh = q[0] - px, q[1] - py, q[2] - ph
+        side = ux * py - uy * px  # s is left of p -> q iff ux*y - uy*x > side
+        nx = ny = nz = 0
+        level = -1  # no plane yet: every left point is above it
+        cell = []
+        line = []
+        for s in lift:
+            x, y, h, _ = s
+            t = ux * y - uy * x
+            if t > side:
+                z = nx * x + ny * y + nz * h
+                if z > level:
+                    wx, wy, wh = x - px, y - py, h - ph
+                    nx, ny, nz = uy * wh - uh * wy, uh * wx - ux * wh, ux * wy - uy * wx
+                    level = nx * px + ny * py + nz * ph
+                    cell = [s]
+                elif z == level:
+                    cell.append(s)
+            elif t == side:
+                line.append(s)
+        if not nz:
             continue  # p -> q is on the boundary of the Newton polygon
-        cell = frozenset(s for s in height if _dot3(normal, _lifted(height, s, p)) == 0)
-        # the plane is z = c - <v, m> (heights unscaled), so exactly the
-        # monomials of the cell attain the maximum at v
-        vertex = (Fraction(normal[0], normal[2] * scale), Fraction(normal[1], normal[2] * scale))
-        cells.append((vertex, cell))
-        ring = hull_vertices(cell)
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            d = (b[0] - a[0], b[1] - a[1])
-            left[(a, b)] = (frozenset(s for s in cell if det2(d, (s[0] - a[0], s[1] - a[1])) == 0), vertex)
+        cell += [s for s in line if nx * s[0] + ny * s[1] + nz * s[2] == level]
+        # the plane is z = c - <v, m> (heights unscaled) for v = (nx, ny)
+        # / (nz * scale), so exactly the monomials of the cell attain the
+        # maximum at v
+        face = len(faces)
+        faces.append((nx, ny, nz * scale, tuple(s[3] for s in cell)))
+        if len(cell) == 3:  # the one left point closes a ccw triangle
+            r = cell[0]
+            ring = ((p, q, (p[3], q[3])), (q, r, (q[3], r[3])), (r, p, (r[3], p[3])))
+        else:
+            hull = [at[m] for m in hull_vertices(faces[face][3])]
+            ring = []
+            for a, b in zip(hull, hull[1:] + hull[:1]):
+                dx, dy = b[0] - a[0], b[1] - a[1]
+                ring.append((a, b, tuple(s[3] for s in cell if dx * (s[1] - a[1]) == dy * (s[0] - a[0]))))
+        for a, b, family in ring:
+            left[(a[3], b[3])] = (family, face)
             todo.append((b, a))
+    # the dual vertices (x / d, y / d) sort as the integer pairs (x * k, y * k), k = lcm / d
+    lcm = math.lcm(*(d for _, _, d, _ in faces))
+    keys = [(x * (lcm // d), y * (lcm // d)) for x, y, d, _ in faces]
+    order = sorted(range(len(faces)), key=keys.__getitem__)
+    rank = [0] * len(faces)
+    for r, face in enumerate(order):
+        rank[face] = r
     edges = []
-    for (a, b), (family, vertex) in left.items():
+    for (a, b), (family, face) in left.items():
         twin = left.get((b, a))
-        if twin is None or a < b:
-            edges.append((a, b, family, (vertex,) if twin is None else (vertex, twin[1])))
-    cells.sort(key=lambda c: c[0])
-    return cells, edges
+        if twin is None:
+            edges.append((a, b, family, (rank[face],)))
+        elif a < b:
+            edges.append((a, b, family, (rank[face], rank[twin[1]])))
+    return [faces[f] for f in order], edges
 
 
 def corner_locus(g: TropPolynomial) -> WeightedComplex:
@@ -206,25 +243,24 @@ def corner_locus(g: TropPolynomial) -> WeightedComplex:
     """
     _require_bivariate(g)
     cells, edges = _lifted_hull(g)
-    vertices = tuple(v for v, _ in cells)
-    index = {v: i for i, v in enumerate(vertices)}
     segments = []
     rays = []
     lines = []
-    for a, b, _, duals in edges:
+    for a, b, _, ranks in edges:
         weight = math.gcd(b[0] - a[0], b[1] - a[1])
         normal = primitive((b[1] - a[1], a[0] - b[0]))  # right of a -> b
-        if len(duals) == 2:
-            segments.append(SegmentEdge(tuple(sorted(index[v] for v in duals)), weight))
-        elif duals:
-            rays.append(RayEdge(index[duals[0]], normal, weight))
+        if len(ranks) == 2:
+            i, j = ranks
+            segments.append(SegmentEdge((i, j) if i < j else (j, i), weight))
+        elif ranks:
+            rays.append(RayEdge(ranks[0], normal, weight))
         else:  # anchored where a and b tie nearest the origin: <n, x> = rhs
             n = (a[0] - b[0], a[1] - b[1])
             rhs = g.coeff(b).value - g.coeff(a).value
             anchor = (Fraction(rhs * n[0], dot(n, n)), Fraction(rhs * n[1], dot(n, n)))
             lines.append(LineEdge(anchor, normal, weight))
     return WeightedComplex(
-        vertices,
+        tuple((Fraction(x, d), Fraction(y, d)) for x, y, d, _ in cells),
         tuple(sorted(segments, key=lambda s: s.ends)),
         tuple(sorted(rays, key=lambda r: (r.vertex, r.direction))),
         tuple(sorted(lines, key=lambda l: (l.anchor, l.direction))),
@@ -247,12 +283,14 @@ def newton_subdivision(g: TropPolynomial) -> NewtonSubdivision:
     if len(points) == 1:
         return NewtonSubdivision(points, (), (), (points[0][0],))
     cells, edges = _lifted_hull(g)
-    cells2 = tuple(cell for _, cell in cells)
-    families = tuple(family for _, _, family, _ in edges)
-    flagged = (SubdivisionEdge(family, len(duals) < 2) for _, _, family, duals in edges)
-    corners = {m for cell in cells2 + families for m in hull_vertices(cell)}
+    flagged = (SubdivisionEdge(frozenset(family), len(ranks) < 2) for _, _, family, ranks in edges)
+    # every corner of a cell or an edge is an end of an edge
+    corners = {m for a, b, _, _ in edges for m in (a, b)}
     return NewtonSubdivision(
-        points, cells2, tuple(sorted(flagged, key=lambda e: sorted(e.points))), tuple(sorted(corners))
+        points,
+        tuple(frozenset(cell) for _, _, _, cell in cells),
+        tuple(sorted(flagged, key=lambda e: sorted(e.points))),
+        tuple(sorted(corners)),
     )
 
 
@@ -296,27 +334,34 @@ def degree_from_polygon(g: TropPolynomial, ray: Vec) -> int:
     return min(dot(m, ray) for m in hull)
 
 
-def _primitive_rational_direction(dx: Fraction, dy: Fraction) -> Vec:
-    scale = dx.denominator * dy.denominator
-    return primitive((int(dx * scale), int(dy * scale)))
-
-
 def is_balanced(c: WeightedComplex) -> bool:
     """Whether the weighted outgoing primitive directions sum to zero at
     every vertex.  Vacuously true for the empty complex; lines have no
-    vertices and impose no condition."""
-    for v_idx, v in enumerate(c.vertices):
-        sx = sy = 0
-        for seg in c.segments:
-            if v_idx in seg.ends:
-                other = c.vertices[seg.ends[1] if seg.ends[0] == v_idx else seg.ends[0]]
-                d = _primitive_rational_direction(other[0] - v[0], other[1] - v[1])
-                sx += seg.weight * d[0]
-                sy += seg.weight * d[1]
-        for ray in c.rays:
-            if ray.vertex == v_idx:
-                sx += ray.weight * ray.direction[0]
-                sy += ray.weight * ray.direction[1]
-        if sx != 0 or sy != 0:
-            return False
-    return True
+    vertices and impose no condition.
+
+    One pass: a segment of weight w adds w times the primitive direction
+    from ends[0] to ends[1] at ends[0] and subtracts it at ends[1]; a ray
+    adds w times its direction at its vertex.  A vertex (x, y) is read as
+    (X, Y) / D with D = x.den * y.den, so the direction from vertex 0 to
+    vertex 1 is the integer vector (X1 * D0 - X0 * D1, Y1 * D0 - Y0 * D1)
+    up to a positive factor.
+    """
+    scaled = [
+        (x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
+        for x, y in c.vertices
+    ]
+    sx = [0] * len(scaled)
+    sy = [0] * len(scaled)
+    for seg in c.segments:
+        i, j = seg.ends
+        x0, y0, d0 = scaled[i]
+        x1, y1, d1 = scaled[j]
+        dx, dy = primitive((x1 * d0 - x0 * d1, y1 * d0 - y0 * d1))
+        sx[i] += seg.weight * dx
+        sy[i] += seg.weight * dy
+        sx[j] -= seg.weight * dx
+        sy[j] -= seg.weight * dy
+    for ray in c.rays:
+        sx[ray.vertex] += ray.weight * ray.direction[0]
+        sy[ray.vertex] += ray.weight * ray.direction[1]
+    return not any(sx) and not any(sy)

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -23,8 +26,16 @@ from troptoric.curve import (
     is_balanced,
     newton_subdivision,
 )
-from troptoric.divisor import degree_along_ray, divisor_of_section, lattice_points, polytope, principal_divisor
+from troptoric.divisor import (
+    ToricDivisor,
+    degree_along_ray,
+    divisor_of_section,
+    lattice_points,
+    polytope,
+    principal_divisor,
+)
 from troptoric.fan import hirzebruch, product_p1_p1, projective_plane
+from troptoric.sections import global_sections
 from troptoric.trop import TropPolynomial
 
 
@@ -37,6 +48,21 @@ def tie_dense_and_collinear(seed, n=60):
     rng = random.Random(seed)
     polys = [random_polynomial(rng, max_terms=14, pool=(-1, 0, 1)) for _ in range(n)]
     return polys + [random_collinear_polynomial(rng) for _ in range(n // 2)]
+
+
+def section_of_7h(rng, pool=None):
+    """A section of O(7H) on P^2, 36 terms: a concave lift perturbed by
+    thousandths (a triangulation, every exponent a corner), or coefficients
+    drawn from ``pool``."""
+    p2 = projective_plane()
+    terms = []
+    a, b, c = rng.randint(2, 6), rng.randint(2, 6), rng.randint(-1, 1)
+    for m in global_sections(p2, ToricDivisor(p2, (0, 0, 7))).generators:
+        if pool is None:
+            terms.append((m, -(a * m[0] ** 2 + b * m[1] ** 2 + c * m[0] * m[1]) + Fraction(rng.randint(-100, 100), 1000)))
+        else:
+            terms.append((m, rng.choice(pool)))
+    return TropPolynomial(2, terms)
 
 
 def test_newton_subdivision_examples():
@@ -79,6 +105,63 @@ def test_newton_subdivision_matches_upper_hull_oracle():
             assert seg.weight == math.gcd(b[0] - a[0], b[1] - a[1])
         polygonal += sum(len(cell) >= 4 for cell in dual)
     assert polygonal > 0
+
+
+@pytest.mark.parametrize("pool", [None, (-1, 0, 1)], ids=["concave", "tie-dense"])
+def test_36_terms_match_upper_hull_oracle(pool):
+    # the benchmark's largest sections; its own oracle stops at 21 terms
+    g = section_of_7h(random.Random(157), pool)
+    assert len(g) == 36
+    dual = upper_hull_dual(g)
+    sub = newton_subdivision(g)
+    wc = corner_locus(g)
+    assert dict(zip(sub.cells2, wc.vertices)) == dual
+    assert wc.vertices == tuple(sorted(dual.values()))
+    assert is_balanced(wc)
+    if pool is None:
+        assert len(sub.cells2) == 49 and len(sub.cells0) == 36  # 2 * 15 interior + 21 boundary - 2
+    else:
+        assert any(len(cell) >= 4 for cell in sub.cells2)
+
+
+def curve_bytes(g):
+    """The corner locus and the Newton subdivision of g, in their order,
+    as one JSON line; each cell's and each edge's points sorted."""
+    wc = corner_locus(g)
+    sub = newton_subdivision(g)
+    return json.dumps([
+        wc.to_dict(),
+        [sorted(cell) for cell in sub.cells2],
+        [[sorted(e.points), e.boundary] for e in sub.edges],
+        sub.cells0,
+    ])
+
+
+def pinned_inputs(kind):
+    rng = random.Random(163)
+    if kind == "random":
+        return [random_polynomial(rng, max_terms=12) for _ in range(150)]
+    if kind == "tie-dense":
+        return [random_polynomial(rng, max_terms=14, pool=(-1, 0, 1)) for _ in range(150)]
+    if kind == "collinear":
+        return [random_collinear_polynomial(rng) for _ in range(80)]
+    return [section_of_7h(rng, pool) for pool in (None, (-1, 0, 1), None, (-2, -1, 0, 1, 2))]
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("random", "604ed5c737d9681ee1aef0b1fd0fb88ab1719723f1b1cd688f16a2ebcbd582b6"),
+        ("tie-dense", "1ff1035d50d1883e43d34454f0338b22c76eb8a66c2f47fa8285648b6678c7a6"),
+        ("collinear", "c3571fa46f4617f062fcf75d88e32972f4350f4bc1b095b5ac181ac749957f5f"),
+        ("36-terms", "edbb32be5adfc53f2036cbd590f957559979e891dbbf93582c2dac882c6b87df"),
+    ],
+    ids=["random", "tie-dense", "collinear", "36-terms"],
+)
+def test_curve_output_bytes_pinned(kind, digest):
+    # order, ends orientation, flags and cells0 of every input, pinned by sha256
+    out = "\n".join(curve_bytes(g) for g in pinned_inputs(kind))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_corner_locus_tropical_line():
@@ -125,6 +208,21 @@ def test_is_balanced_examples():
     )
     assert not is_balanced(dangling)
     assert is_balanced(WeightedComplex(vertices=()))
+
+
+def test_is_balanced_rejects_broken_36_term_locus():
+    # one segment heavier, one ray reversed, one ray gone: each unbalances
+    # the locus, so the one-pass sum cannot be vacuously zero
+    wc = corner_locus(section_of_7h(random.Random(167)))
+    assert is_balanced(wc) and wc.segments and wc.rays
+    seg = wc.segments[len(wc.segments) // 2]
+    heavier = (dataclasses.replace(seg, weight=seg.weight + 1),)
+    i = wc.segments.index(seg)
+    assert not is_balanced(dataclasses.replace(wc, segments=wc.segments[:i] + heavier + wc.segments[i + 1:]))
+    ray = wc.rays[-1]
+    flipped = dataclasses.replace(ray, direction=(-ray.direction[0], -ray.direction[1]))
+    assert not is_balanced(dataclasses.replace(wc, rays=wc.rays[:-1] + (flipped,)))
+    assert not is_balanced(dataclasses.replace(wc, rays=wc.rays[1:]))
 
 
 def test_balancing_on_random_polynomials():
