@@ -53,18 +53,6 @@ from .sections import (
     passes_through,
     vandermonde_section,
 )
-from .trop import (
-    NEG_INF,
-    TropMatrix,
-    TropMonomial,
-    TropPolynomial,
-    TropValue,
-    evaluate,
-    is_extremal,
-    supporting_monomials,
-    trop_add,
-    trop_det,
-    trop_mul,
-)
+from .trop import TropPolynomial, evaluate, supporting_monomials, trop_det
 
 __version__ = "0.1.0"

@@ -147,7 +147,7 @@ def cmd_sections(args) -> tuple[list[str], int]:
         points = _parse_points(load_json(args.vandermonde))
         section = vandermonde_section(module, points)
         payload["coefficients"] = [
-            format_rational(section.coeff(m).value) for m in module.generators
+            format_rational(section.coeff(m)) for m in module.generators
         ]
         payload["pass_through"] = [bool(passes_through(section, p)) for p in points]
     return [json.dumps(payload)], EXIT_OK

@@ -162,10 +162,16 @@ def _lifted_hull(g: TropPolynomial):
     faces = []  # face id -> (x, y, d, exponents on the face), dual vertex (x / d, y / d)
     left = {}  # directed edge (a, b) of a face, as exponents -> (family, face id)
     todo = [chain[0][:2]]  # the Newton polygon lies left of its ccw boundary
+    # each scan records its directed edge in left, or finds it on the
+    # boundary, whose reverse is recorded once: one scan per directed pair
+    scans = len(lift) * (len(lift) - 1)
     while todo:
         p, q = todo.pop()
         if (p[3], q[3]) in left:
             continue
+        if not scans:
+            raise RuntimeError("the gift-wrap of the lifted hull did not close")
+        scans -= 1
         # The face left of p -> q lies on the plane n.x = level through p,
         # q and the left point that leaves no lifted point above it.  Each
         # update raises the plane, so a left point on the final plane sets
@@ -256,7 +262,7 @@ def corner_locus(g: TropPolynomial) -> WeightedComplex:
             rays.append(RayEdge(ranks[0], normal, weight))
         else:  # anchored where a and b tie nearest the origin: <n, x> = rhs
             n = (a[0] - b[0], a[1] - b[1])
-            rhs = g.coeff(b).value - g.coeff(a).value
+            rhs = g.coeff(b) - g.coeff(a)
             anchor = (Fraction(rhs * n[0], dot(n, n)), Fraction(rhs * n[1], dot(n, n)))
             lines.append(LineEdge(anchor, normal, weight))
     return WeightedComplex(

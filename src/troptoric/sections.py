@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .divisor import ToricDivisor, _same_fan, lattice_points, polytope
 from .fan import Fan, Vec, dot
-from .trop import TropMatrix, TropPolynomial, as_fraction, supporting_monomials, trop_det
+from .trop import TropPolynomial, as_fraction, supporting_monomials, trop_det
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,13 @@ class SectionModule:
 
     Generators are exactly the lattice points of P(D), in lattice-point
     order; they are pairwise distinct, hence each one is extremal.
+    Proof: the generator x^m is the affine function y -> <m, y> of slope
+    m.  It cannot agree on all of R^2 with a pointwise max of tropical
+    multiples of generators whose slopes all differ from m: either one
+    of them dominates everywhere, and then the max has the wrong slope,
+    or the max is kinked somewhere, and then it is not affine.  (Terms
+    sharing an exponent would be tropical multiples of one another and
+    merge into one generator; distinct exponents rule that out here.)
     """
 
     fan: Fan
@@ -121,10 +128,7 @@ def vandermonde_section(module: SectionModule, points) -> TropPolynomial:
     rows = [[generator_value(m, p) for m in gens] for p in pts]
     terms = []
     for i in range(l):
-        sub = tuple(
-            tuple(row[j] for j in range(l) if j != i) for row in rows
-        )
-        value, _ = trop_det(TropMatrix(sub))
+        value, _ = trop_det([row[:i] + row[i + 1:] for row in rows])
         terms.append((gens[i], value))
     return TropPolynomial(2, terms)
 

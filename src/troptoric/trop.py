@@ -1,18 +1,17 @@
-"""Exact max-plus arithmetic: tropical values, polynomials, determinants.
+"""Exact max-plus arithmetic: tropical polynomials and determinants.
 
 The tropical semifield is Q ∪ {-oo} with max as addition and ordinary +
-as multiplication.  Every finite value is a `fractions.Fraction`; floats
-are rejected outright, because the predicates built on top of this module
-(ties between monomials, pass-through tests) are meaningless under
-rounding.
+as multiplication.  Its elements are plain values: None is -oo and every
+finite value is a `fractions.Fraction` (ints are accepted as input).
+Floats are rejected outright, because the predicates built on top of
+this module (ties between monomials, pass-through tests) are meaningless
+under rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable, Sequence
 
 
@@ -28,110 +27,38 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@total_ordering
-@dataclass(frozen=True)
-class TropValue:
-    """An element of the tropical semifield: an exact rational, or -infinity.
-
-    ``value`` is None for -infinity, otherwise a Fraction.  The total order
-    puts -infinity at the bottom, so the tropical sum is max in this order.
-    """
-
-    value: Fraction | None = None
-
-    def __post_init__(self):
-        if self.value is not None:
-            object.__setattr__(self, "value", as_fraction(self.value))
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return self.value is None
-
-    def __lt__(self, other):
-        if not isinstance(other, TropValue):
-            return NotImplemented
-        if self.value is None:
-            return other.value is not None
-        if other.value is None:
-            return False
-        return self.value < other.value
-
-    def __repr__(self):
-        return "TropValue(-oo)" if self.value is None else f"TropValue({self.value})"
-
-
-NEG_INF = TropValue()
-
-
-def trop(x) -> TropValue:
-    """Coerce to TropValue; None means -infinity."""
-    if isinstance(x, TropValue):
-        return x
-    if x is None:
-        return NEG_INF
-    return TropValue(as_fraction(x))
-
-
-def trop_add(a, b) -> TropValue:
-    """Tropical sum: max(a, b), with -infinity as the neutral element."""
-    a, b = trop(a), trop(b)
-    return a if b < a else b
-
-
-def trop_mul(a, b) -> TropValue:
-    """Tropical product: a + b, with -infinity absorbing."""
-    a, b = trop(a), trop(b)
-    if a.value is None or b.value is None:
-        return NEG_INF
-    return TropValue(a.value + b.value)
-
-
-@dataclass(frozen=True)
-class TropMonomial:
-    """One tropical term c "·" x^m: the affine function c + <m, x>."""
-
-    exponent: tuple[int, ...]
-    coeff: TropValue
-
-    def __post_init__(self):
-        exp = tuple(self.exponent)
-        for e in exp:
-            if not isinstance(e, int):
-                raise TypeError("exponents must be integers")
-        object.__setattr__(self, "exponent", exp)
-        object.__setattr__(self, "coeff", trop(self.coeff))
-
-
 class TropPolynomial:
     """A tropical Laurent polynomial max_m (c_m + <m, x>) in n variables.
 
     Stored in canonical form: duplicate exponents are merged by taking the
     larger coefficient and -infinity coefficients are dropped, so two
     polynomials compare equal exactly when they keep the same terms.
-    The empty polynomial is the constant -infinity.
+    The empty polynomial is the constant -infinity.  ``terms`` are
+    (exponent, coefficient) pairs with integer exponents and a coefficient
+    that is None (-infinity) or anything `as_fraction` accepts.
     """
 
     __slots__ = ("_dim", "_coeffs")
 
     def __init__(self, dimension: int, terms: Iterable = ()):
-        dim = int(dimension)
-        if dim < 0:
+        if not isinstance(dimension, int) or isinstance(dimension, bool):
+            raise TypeError("dimension must be an int")
+        if dimension < 0:
             raise ValueError("dimension must be nonnegative")
         coeffs: dict[tuple[int, ...], Fraction] = {}
-        for term in terms:
-            if isinstance(term, TropMonomial):
-                mono = term
-            else:
-                exp, cv = term
-                mono = TropMonomial(tuple(exp), trop(cv))
-            if len(mono.exponent) != dim:
+        for exp, c in terms:
+            exp = tuple(exp)
+            if not all(isinstance(e, int) for e in exp):
+                raise TypeError("exponents must be integers")
+            if len(exp) != dimension:
                 raise ValueError("exponent dimension mismatch")
-            if mono.coeff.value is None:
+            if c is None:
                 continue
-            old = coeffs.get(mono.exponent)
-            if old is None or mono.coeff.value > old:
-                coeffs[mono.exponent] = mono.coeff.value
-        self._dim = dim
+            c = as_fraction(c)
+            old = coeffs.get(exp)
+            if old is None or c > old:
+                coeffs[exp] = c
+        self._dim = dimension
         self._coeffs = coeffs
 
     @property
@@ -152,11 +79,11 @@ class TropPolynomial:
         for exp in sorted(self._coeffs):
             yield exp, self._coeffs[exp]
 
-    def coeff(self, exponent) -> TropValue:
-        c = self._coeffs.get(tuple(exponent))
-        return NEG_INF if c is None else TropValue(c)
+    def coeff(self, exponent) -> Fraction | None:
+        """The coefficient of x^exponent, None (-infinity) when absent."""
+        return self._coeffs.get(tuple(exponent))
 
-    def evaluate(self, x: Sequence) -> TropValue:
+    def evaluate(self, x: Sequence) -> Fraction | None:
         return evaluate(self, x)
 
     def scaled(self, t) -> "TropPolynomial":
@@ -196,8 +123,8 @@ class TropPolynomial:
         return f"TropPolynomial({self._dim}, {{{body}}})"
 
 
-def evaluate(f: TropPolynomial, x: Sequence) -> TropValue:
-    """Value of f at x: max over monomials, -infinity for the empty polynomial."""
+def evaluate(f: TropPolynomial, x: Sequence) -> Fraction | None:
+    """Value of f at x: max over monomials, None (-infinity) for the empty polynomial."""
     if len(x) != f.dimension:
         raise ValueError("dimension mismatch")
     xs = tuple(as_fraction(c) for c in x)
@@ -208,7 +135,7 @@ def evaluate(f: TropPolynomial, x: Sequence) -> TropValue:
             v += e * xc
         if best is None or v > best:
             best = v
-    return NEG_INF if best is None else TropValue(best)
+    return best
 
 
 def supporting_monomials(f: TropPolynomial, x: Sequence) -> frozenset:
@@ -236,32 +163,16 @@ def supporting_monomials(f: TropPolynomial, x: Sequence) -> frozenset:
     return frozenset(winners)
 
 
-@dataclass(frozen=True)
-class TropMatrix:
-    """A square grid of tropical values."""
-
-    entries: tuple[tuple[TropValue, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(trop(v) for v in row) for row in self.entries)
-        if not rows:
-            raise ValueError("matrix must have size at least 1")
-        k = len(rows)
-        if any(len(row) != k for row in rows):
-            raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
-def trop_det(m: TropMatrix) -> tuple[TropValue, bool]:
+def trop_det(rows: Sequence[Sequence]) -> tuple[Fraction | None, bool]:
     """Max-plus determinant (tropical permanent) with exact tie detection.
 
-    Returns (value, tie) where value = max over permutations sigma of
-    sum_i t[sigma(i)][i] and tie is True when at least two permutations
-    attain the maximum, or when the maximum is -infinity.
+    ``rows`` is a square, nonempty matrix of entries that are None
+    (-infinity) or anything `as_fraction` accepts; an empty or non-square
+    matrix raises ValueError and a float entry TypeError.  Returns
+    (value, tie) where value = max over permutations sigma of
+    sum_i t[sigma(i)][i], None for -infinity, and tie is True when at
+    least two permutations attain the maximum, or when the maximum is
+    -infinity.
 
     The maximum is a max-weight assignment, solved in O(k^3) by shortest
     augmenting paths with dual potentials (Kuhn 1955; Butkovic,
@@ -274,13 +185,15 @@ def trop_det(m: TropMatrix) -> tuple[TropValue, bool]:
     every optimal permutation uses tight edges only, and any alternating
     cycle of tight edges turns the optimal permutation into another one.
     """
-    if not isinstance(m, TropMatrix):
-        m = TropMatrix(tuple(m))
-    k = m.size
-    vals = [[v.value for v in row] for row in m.entries]
+    vals = [[None if x is None else as_fraction(x) for x in row] for row in rows]
+    k = len(vals)
+    if not k:
+        raise ValueError("matrix must have size at least 1")
+    if any(len(row) != k for row in vals):
+        raise ValueError("matrix must be square")
     finite = [x for row in vals for x in row if x is not None]
     if not finite:
-        return NEG_INF, True
+        return None, True
     scale = math.lcm(*(x.denominator for x in finite))
     scaled = [
         [None if x is None else x.numerator * (scale // x.denominator) for x in row]
@@ -294,7 +207,7 @@ def trop_det(m: TropMatrix) -> tuple[TropValue, bool]:
     cost = [[forbidden if x is None else top - x for x in row] for row in scaled]
     owner, u, v = _min_cost_assignment(cost)
     if any(scaled[owner[j]][j] is None for j in range(k)):
-        return NEG_INF, True
+        return None, True
     value = Fraction(sum(scaled[owner[j]][j] for j in range(k)), scale)
     # tight (i, j) off the optimum lets row i take column j from owner[j]
     succ = [
@@ -305,7 +218,7 @@ def trop_det(m: TropMatrix) -> tuple[TropValue, bool]:
         ]
         for i in range(k)
     ]
-    return TropValue(value), _has_cycle(succ)
+    return value, _has_cycle(succ)
 
 
 def _min_cost_assignment(cost):
@@ -371,20 +284,3 @@ def _has_cycle(succ) -> bool:
             if indegree[t] == 0:
                 stack.append(t)
     return removed < len(succ)
-
-
-def is_extremal(gens: Iterable[TropMonomial], g: TropMonomial) -> bool:
-    """Whether g is extremal among the monomial generators ``gens``: always.
-
-    Generators sharing an exponent are tropical scalar multiples of one
-    another, so they merge into a single generator (coefficient = max) and
-    g stands for its merged class.  A merged generator is always extremal:
-    an affine function of slope m cannot agree on all of R^n with a
-    pointwise max of affine functions whose slopes all differ from m,
-    since either a single other slope dominates everywhere (wrong slope)
-    or the max is genuinely kinked (not affine).  Only membership of g
-    among the generators is checked.
-    """
-    if g not in gens:
-        raise ValueError("g is not one of the generators")
-    return True

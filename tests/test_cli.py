@@ -290,6 +290,34 @@ def test_sections_rational_points(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "coeffs, points, digest",
+    [
+        (
+            {"0": 0, "1": 0, "2": 3},
+            [[0, 0], [1, 3], [2, -1], [-1, 2], [3, 1], [-2, -3], [4, 5], [1, -4], [-3, 1]],
+            "a131e836a09ee6561e624db829b18cc949ca7a908362af1ac23b16b9b0d6b0e4",
+        ),
+        (
+            {"0": 0, "1": 0, "2": 2},
+            [["1/2", "1/3"], ["-5/7", 2], [3, "-1/4"], ["2/3", "5/2"], [-1, "-7/5"]],
+            "5198bd65fc9018da2a766a83df816875c6fbc729c4dd36228369106ed01eed5f",
+        ),
+    ],
+    ids=["p2-3H-9-points", "p2-2H-rational"],
+)
+def test_vandermonde_output_bytes_pinned(capsys, tmp_path, coeffs, points, digest):
+    # the whole stdout of an interpolation, with integer coefficients and
+    # with "p/q" ones, pinned by its sha256
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": coeffs})
+    pts_path = write(tmp_path, "pts.json", points)
+    code, out = run(capsys, "sections", fan_path, div_path, "--vandermonde", pts_path)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert json.loads(out)["pass_through"] == [True] * len(points)
+
+
+@pytest.mark.parametrize(
     "points",
     [
         [["1/0", 0], [1, 2]],  # zero denominator

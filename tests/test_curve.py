@@ -225,6 +225,29 @@ def test_is_balanced_rejects_broken_36_term_locus():
     assert not is_balanced(dataclasses.replace(wc, rays=wc.rays[1:]))
 
 
+def test_gift_wrap_with_reversed_cell_rings_raises(monkeypatch):
+    # a clockwise cell ring records the wrong side of each edge, so the
+    # same cell is found again and again; the wrap must stop after one
+    # scan per directed pair of exponents instead of spinning
+    p2 = projective_plane()
+    gens = global_sections(p2, ToricDivisor(p2, (0, 0, 2))).generators
+    g = TropPolynomial(2, [(m, 0) for m in gens])
+    assert len(g) == 6
+    rings = []
+
+    def reversed_cell_rings(points):
+        hull = hull_vertices(points)
+        if isinstance(points, tuple):  # a cell's exponents, not a dict of lifted points
+            rings.append(hull)
+            return hull[::-1]
+        return hull
+
+    monkeypatch.setattr("troptoric.curve.hull_vertices", reversed_cell_rings)
+    with pytest.raises(RuntimeError):
+        corner_locus(g)
+    assert 2 <= len(rings) <= 6 * 5
+
+
 def test_balancing_on_random_polynomials():
     rng = random.Random(103)
     polys = [random_polynomial(rng) for _ in range(150)] + tie_dense_and_collinear(137)
