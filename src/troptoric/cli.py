@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for sampled sweeps")
     common.add_argument("--json-out", metavar="PATH", default=argparse.SUPPRESS, help="also write the JSON output to PATH")
-    common.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS, help="print convention notes to stderr")
 
     parser = _Parser(prog="troptoric", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -291,13 +290,6 @@ def main(argv=None) -> int:
     if args.seed is None:
         args.seed = int(os.environ.get("TROPTORIC_SEED", DEFAULT_SEED))
     args.json_out = getattr(args, "json_out", None)
-    args.verbose = getattr(args, "verbose", False)
-    if args.verbose:
-        print(
-            "note: weighted complexes are balanced with the vector convention "
-            "sum_i w(F_i) v_i = 0 at every vertex",
-            file=sys.stderr,
-        )
     try:
         lines, code = _HANDLERS[args.command](args)
     except ParseError as exc:

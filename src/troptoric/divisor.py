@@ -3,9 +3,9 @@
 A toric divisor is an integer coefficient per ray of a fan.  Its polytope
 P(D) = {m : <m, e_ray> + a_ray >= 0} is its inequalities, kept as
 integer data.  Whether it is bounded is a fact of the fan (its recession
-cone is trivial iff the rays positively span the plane), and its vertices,
-pairwise line intersections in homogeneous integer coordinates, are found
-only when they are read.
+cone is trivial iff the rays positively span the plane, `Fan.bounded`),
+and its vertices, pairwise line intersections in homogeneous integer
+coordinates, are found only when they are read.
 
 Both the count and the listing read the row plan: the Fourier-Motzkin
 elimination of x, which depends only on the normals, so a fan computes
@@ -20,9 +20,9 @@ vertex, row or point is built and the cost grows only with the log of
 the coefficients.  The Riemann-Roch verifier calls the same count on
 bare coefficient tuples.  lattice_points walks the rows (`_rows`) to
 list the points, and so cross-checks the count.  Neither h0 nor
-lattice_points reads a vertex: an unbounded P(D) is nonempty iff its
-system is feasible, which eliminating y from the same y-bounds decides,
-and then both raise UnboundedPolytopeError.
+lattice_points reads a vertex: an unbounded P(D) is nonempty iff
+a_u + a_-u >= 0 for the one pair of opposite rays u, -u, if the fan has
+one (`_walkable` proves it), and then both raise UnboundedPolytopeError.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class ToricDivisor:
         if len(coeffs) != len(self.fan.rays):
             raise ValueError("one coefficient per fan ray is required")
         for c in coeffs:
-            if not isinstance(c, int):
+            # bool is an int subclass, but JSON true/false is not a coefficient
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError("divisor coefficients must be integers")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -75,7 +76,7 @@ class ToricDivisor:
         return ToricDivisor(self.fan, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, n: int) -> "ToricDivisor":
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             return NotImplemented
         return ToricDivisor(self.fan, tuple(n * a for a in self.coeffs))
 
@@ -233,22 +234,6 @@ def _enumerate_vertices(ineqs) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(verts)
 
 
-def _feasible(plan: RowPlan, a) -> bool:
-    """Exact feasibility over the rationals of the system with row plan
-    ``plan`` and coefficients ``a``: its y-bounds, with y eliminated too
-    (Fourier-Motzkin), leave conditions on the coefficients alone."""
-    _, _, lower, upper, fixed = plan
-    if any(wi * a[i] + wj * a[j] < 0 for _, i, wi, j, wj in fixed):
-        return False
-    lows = [(cy, wi * a[i] + wj * a[j]) for cy, i, wi, j, wj in lower]
-    # cl*y + kl >= 0 (cl > 0) and cu*y + ku >= 0 (cu < 0) meet iff cl*ku - cu*kl >= 0
-    return all(
-        cl * (wi * a[i] + wj * a[j]) - cu * kl >= 0
-        for cu, i, wi, j, wj in upper
-        for cl, kl in lows
-    )
-
-
 def _inequalities(rays, coeffs) -> tuple[Inequality, ...]:
     return tuple((e[0], e[1], a) for e, a in zip(rays, coeffs))
 
@@ -293,15 +278,34 @@ def _rows(plan: RowPlan, a):
             yield y, lo, hi
 
 
-def _walkable(plan: RowPlan, a, bounded: bool) -> bool:
-    """Whether the integer points of P(D) can be walked by rows: True when
-    P(D) is bounded, False when it is unbounded and empty (no points);
-    UnboundedPolytopeError when it is unbounded and nonempty."""
+def _walkable(normals, a, bounded: bool) -> bool:
+    """Whether the integer points of {m : <m, e_i> + a_i >= 0}, with
+    distinct primitive normals e_i (a fan's rays), can be walked by rows:
+    True when it is bounded, False when it is unbounded and empty;
+    UnboundedPolytopeError when it is unbounded and nonempty.
+
+    Theorem: when the normals do not positively span the plane, the set
+    is nonempty iff a_u + a_-u >= 0 for the opposite pair u, -u among
+    them, if there is one.  Proof: some closed half-plane
+    {e : <d, e> >= 0} holds the normals.  If some open one does, the set
+    contains a translate of the open cone {m : <m, e_i> > 0 for all i},
+    which holds integer points.  Otherwise the boundary line of the
+    closed one holds normals on both sides of 0 (tilting d toward normals
+    on one side only would open it), so it holds exactly one opposite
+    pair u, -u, and <d, e> > 0 for every other normal e.  Then
+    a_u + a_-u < 0 makes <m, u> >= -a_u and <m, u> <= a_-u contradict.
+    Otherwise take d primitive and integral (it is normal to u) and m0
+    integral with <m0, u> = -a_u, as u is primitive: m0 + k*d lies in
+    the set for every large k.
+    """
     if bounded:
         return True
-    if _feasible(plan, a):
-        raise UnboundedPolytopeError("P(D) is unbounded and nonempty")
-    return False
+    index = {e: i for i, e in enumerate(normals)}
+    for i, (ex, ey) in enumerate(normals):
+        j = index.get((-ex, -ey))
+        if j is not None and a[i] + a[j] < 0:
+            return False
+    raise UnboundedPolytopeError("P(D) is unbounded and nonempty")
 
 
 def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
@@ -310,10 +314,11 @@ def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
     Raises UnboundedPolytopeError when the polytope is unbounded and
     nonempty; an empty polytope (bounded or not) yields the empty tuple.
     """
-    plan = row_plan([(ex, ey) for ex, ey, _ in p.inequalities])
+    normals = [(ex, ey) for ex, ey, _ in p.inequalities]
     a = [c for _, _, c in p.inequalities]
-    if not _walkable(plan, a, p.bounded):
+    if not _walkable(normals, a, p.bounded):
         return ()
+    plan = row_plan(normals)
     return tuple((x, y) for y, lo, hi in _rows(plan, a) for x in range(lo, hi + 1))
 
 
@@ -396,10 +401,9 @@ def h0(fan: Fan, d: ToricDivisor) -> int:
     _same_fan(fan, d)
     if not fan.smooth:
         raise ValueError("h0 requires a smooth fan")
-    plan = fan.row_plan
-    if not _walkable(plan, d.coeffs, fan.bounded):
+    if not _walkable(fan.rays, d.coeffs, fan.bounded):
         return 0
-    return _lattice_count(plan, d.coeffs)
+    return _lattice_count(fan.row_plan, d.coeffs)
 
 
 def degree_along_ray(g: TropPolynomial, ray) -> int:

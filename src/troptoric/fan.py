@@ -1,9 +1,13 @@
 """Rank-2 lattices, smooth rational cones, complete fans, and blow-ups.
 
 Everything is integer arithmetic on primitive ray generators; angular
-order and completeness are decided by cross-product signs, never by
-floating point.  Fans are validated eagerly: pairwise intersections of
-maximal cones must be common faces.
+order is decided by cross-product signs, never by floating point.  Fans
+are validated eagerly: pairwise intersections of maximal cones must be
+common faces.  So no ray lies inside a 2-cone, each 2-cone spans a gap
+between counterclockwise-consecutive rays, and a fan is complete iff it
+has as many maximal cones as rays, all 2-dimensional (`is_complete`).
+Its rays positively span the plane iff every gap is less than pi
+(`Fan.bounded`).
 
 A fan's fixed facts are computed once, on first use, and cached on the
 instance outside its equality and hash: whether it is smooth, complete
@@ -97,23 +101,6 @@ def _as_vec(v) -> Vec:
     if any(not isinstance(c, int) or isinstance(c, bool) for c in (x, y)):
         raise TypeError("lattice vectors must have integer coordinates")
     return (x, y)
-
-
-def positively_spans(vectors) -> bool:
-    """True iff the vectors positively span the plane.
-
-    Equivalently no nonzero direction d has <d, v> >= 0 for every v: such
-    a cone of directions, when it is not the whole plane, has a boundary
-    ray perpendicular to one of the vectors, so only those are tried.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        return False
-    for ex, ey in vectors:
-        for d in ((-ey, ex), (ey, -ex)):
-            if all(d[0] * fx + d[1] * fy >= 0 for fx, fy in vectors):
-                return False
-    return True
 
 
 def primitive(v) -> Vec:
@@ -264,8 +251,19 @@ class Fan:
     @functools.cached_property
     def bounded(self) -> bool:
         """True iff the rays positively span the plane: then every P(D),
-        whose recession cone is {m : <m, e_ray> >= 0}, is bounded."""
-        return positively_spans(self.rays)
+        whose recession cone is {m : <m, e_ray> >= 0}, is bounded.
+
+        Theorem: that holds iff det(u, v) > 0 for every pair of
+        counterclockwise-consecutive rays u, v, that is iff every gap
+        between them is less than pi.  Proof: vectors positively span
+        the plane iff no closed half-plane holds them all.  A gap of pi
+        or more leaves all the rays in the closed half-plane on its other
+        side; conversely the open complement of a closed half-plane that
+        holds them all lies inside one gap.  A single ray has one gap,
+        the full turn, with det(u, u) = 0, and no rays span nothing.
+        """
+        rays = ccw_sorted_rays(self.rays)
+        return bool(rays) and all(det2(rays[k - 1], u) > 0 for k, u in enumerate(rays))
 
     @functools.cached_property
     def intersection_numbers(self) -> tuple[tuple[int, ...], ...]:
@@ -339,24 +337,17 @@ def ccw_sorted_rays(rays) -> list[Vec]:
 def is_complete(f: Fan) -> bool:
     """True iff the maximal cones cover the plane.
 
-    Checked combinatorially: every maximal cone is 2-dimensional, the
-    counterclockwise-consecutive ray pairs each span a maximal cone, and
-    the cone count matches the ray count (so nothing is left over).
+    Theorem: a fan with n > 0 rays is complete iff it has n maximal
+    cones, all 2-dimensional.  Proof: `Fan` rejects cones that do not
+    meet in common faces, so no ray lies strictly inside a 2-cone, and
+    each 2-cone spans the gap between two counterclockwise-consecutive
+    rays; distinct cones span distinct gaps, since equal gaps would be
+    duplicate cones.  n rays leave n gaps, so n 2-cones cover them all,
+    and fewer leave one uncovered.  A complete fan has no 1-cone, which
+    would be a face of the 2-cone over one of its gaps, and a fan with
+    no rays covers only the origin.
     """
-    rays = ccw_sorted_rays(f.rays)
-    n = len(rays)
-    if n < 3 or len(f.max_cones) != n:
-        return False
-    if any(c.dim != 2 for c in f.max_cones):
-        return False
-    cone_sets = {frozenset(c.rays) for c in f.max_cones}
-    for i in range(n):
-        u, v = rays[i], rays[(i + 1) % n]
-        if det2(u, v) <= 0:
-            return False
-        if frozenset((u, v)) not in cone_sets:
-            return False
-    return True
+    return len(f.max_cones) == len(f.rays) > 0 and all(c.dim == 2 for c in f.max_cones)
 
 
 def adjacent_rays(f: Fan, ray) -> tuple[Vec, Vec]:
@@ -412,7 +403,8 @@ def projective_plane() -> Fan:
 
 def hirzebruch(a: int) -> Fan:
     """The Hirzebruch surface fan: rays (1,0), (0,1), (-1,a), (0,-1)."""
-    a = int(a)
+    if not isinstance(a, int) or isinstance(a, bool):
+        raise TypeError(f"hirzebruch parameter must be an int, got {a!r}")
     if a < 0:
         raise ValueError("hirzebruch parameter must be nonnegative")
     r = ((1, 0), (0, 1), (-1, a), (0, -1))

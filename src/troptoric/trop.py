@@ -18,13 +18,25 @@ from typing import Iterable, Sequence
 def as_fraction(x) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to a Fraction.
 
-    Floats (including inf/nan) are rejected: the core is exact-only.
+    Floats (including inf/nan) and bools are rejected: the core is
+    exact-only, and True is not a number.
     """
-    if isinstance(x, float):
-        raise TypeError("floating-point input rejected; use int, Fraction, or 'p/q'")
+    if isinstance(x, (float, bool)):
+        raise TypeError("float or bool input rejected; use int, Fraction, or 'p/q'")
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _exponent(exp, dimension: int) -> tuple[int, ...]:
+    """exp as a tuple of ``dimension`` ints; TypeError for any other
+    entry (a bool or float included), ValueError for another length."""
+    exp = tuple(exp)
+    if any(not isinstance(e, int) or isinstance(e, bool) for e in exp):
+        raise TypeError("exponents must be integers")
+    if len(exp) != dimension:
+        raise ValueError("exponent dimension mismatch")
+    return exp
 
 
 class TropPolynomial:
@@ -47,11 +59,7 @@ class TropPolynomial:
             raise ValueError("dimension must be nonnegative")
         coeffs: dict[tuple[int, ...], Fraction] = {}
         for exp, c in terms:
-            exp = tuple(exp)
-            if not all(isinstance(e, int) for e in exp):
-                raise TypeError("exponents must be integers")
-            if len(exp) != dimension:
-                raise ValueError("exponent dimension mismatch")
+            exp = _exponent(exp, dimension)
             if c is None:
                 continue
             c = as_fraction(c)
@@ -93,9 +101,7 @@ class TropPolynomial:
 
     def times_monomial(self, m, t=0) -> "TropPolynomial":
         """Tropical product with t·x^m: shift exponents by m, coefficients by t."""
-        m = tuple(int(e) for e in m)
-        if len(m) != self._dim:
-            raise ValueError("exponent dimension mismatch")
+        m = _exponent(m, self._dim)
         t = as_fraction(t)
         return TropPolynomial(
             self._dim,

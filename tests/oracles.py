@@ -5,7 +5,8 @@ oracle is a recursive Laplace expansion that counts the optimal
 permutations (production solves an assignment problem and reads ties off
 the optimal dual potentials), the lattice oracle projects with
 Fourier-Motzkin and filters a box (production walks the integer rows
-of P(D)), the upper-hull oracle tries every triple of exponents for a
+of P(D), and decides whether an unbounded P(D) is empty from the fan's
+opposite pair of rays), the upper-hull oracle tries every triple of exponents for a
 lifted plane with no point above it and reads each 2-cell and its dual
 locus vertex off that plane (production gift-wraps the upper faces, one
 scan per edge), the boundary oracle checks that the whole support lies
@@ -13,8 +14,11 @@ on one side of an edge's line (production counts the faces on the edge:
 fewer than two iff on the boundary), the
 slope-count oracle evaluates the generators at random untied points
 (production returns the rank, which is the theorem the oracle samples),
-the Riemann-Roch oracle builds K - D and D - K as divisors, halves
-the pairing as a Fraction and counts both h0 by box enumeration
+the completeness oracle walks the rays in counterclockwise order
+(production counts the cones), the spanning oracle probes directions
+perpendicular to the rays (production checks each gap between
+consecutive rays), the Riemann-Roch oracle builds K - D and D - K as
+divisors, halves the pairing as a Fraction and counts both h0 by box enumeration
 (production works in integers on the coefficient tuple and walks rows),
 and the h1 oracle sums the toric cohomology formula over the lattice
 points of alternating four-ray polygons (production reads the defect of
@@ -28,7 +32,7 @@ import math
 from fractions import Fraction
 
 from troptoric.divisor import ToricDivisor, canonical_divisor
-from troptoric.fan import blow_up, projective_plane
+from troptoric.fan import Cone, Fan, blow_up, ccw_sorted_rays, det2, primitive, projective_plane
 from troptoric.intersect import pairing
 from troptoric.sections import generator_value
 from troptoric.trop import TropPolynomial
@@ -117,6 +121,76 @@ def fm_lattice_points(ineqs):
             if all(ex * x + ey * y + a >= 0 for ex, ey, a in ineqs):
                 points.add((x, y))
     return points
+
+
+def ccw_complete(f) -> bool:
+    """Whether the maximal cones cover the plane, by a walk around the
+    rays: at least three rays, as many cones as rays, all 2-dimensional,
+    and each counterclockwise-consecutive pair of rays turns by less than
+    pi and spans a maximal cone."""
+    rays = ccw_sorted_rays(f.rays)
+    n = len(rays)
+    if n < 3 or len(f.max_cones) != n:
+        return False
+    if any(c.dim != 2 for c in f.max_cones):
+        return False
+    cone_sets = {frozenset(c.rays) for c in f.max_cones}
+    for i in range(n):
+        u, v = rays[i], rays[(i + 1) % n]
+        if det2(u, v) <= 0:
+            return False
+        if frozenset((u, v)) not in cone_sets:
+            return False
+    return True
+
+
+def positively_spans(vectors) -> bool:
+    """Whether the vectors positively span the plane, by probing
+    directions: they do iff no nonzero d has <d, v> >= 0 for every v.
+    Such a cone of directions, when it is not the whole plane, has a
+    boundary ray perpendicular to one of the vectors, so only those are
+    tried."""
+    vectors = list(vectors)
+    if not vectors:
+        return False
+    for ex, ey in vectors:
+        for d in ((-ey, ex), (ey, -ex)):
+            if all(d[0] * fx + d[1] * fy >= 0 for fx, fy in vectors):
+                return False
+    return True
+
+
+def random_fan(rng, max_rays=6, scale=2) -> Fan:
+    """A valid fan on up to ``max_rays`` distinct primitive rays with
+    coordinates in [-scale, scale], its cones and rays listed in random
+    order.  A ray's opposite joins it with probability 1/4, so that
+    opposite pairs are common.  Half the draws put a 2-cone on each
+    counterclockwise gap of less than pi, on every one or on each with
+    probability 3/4, so that complete fans are common; the other half
+    propose 2-cones on random pairs of rays and redraw until `Fan`
+    accepts them.  Every ray left out of a 2-cone is a 1-cone."""
+    pool = sorted({primitive((x, y)) for x in range(-scale, scale + 1) for y in range(-scale, scale + 1) if x or y})
+    while True:
+        rays = rng.sample(pool, rng.randint(1, max_rays))
+        for u in rays[:]:
+            if (-u[0], -u[1]) not in rays and rng.random() < 0.25:
+                rays.append((-u[0], -u[1]))
+        if rng.random() < 0.5:
+            ordered = ccw_sorted_rays(rays)
+            keep = rng.choice((1, 0.75))
+            pairs = [(ordered[k - 1], u) for k, u in enumerate(ordered) if det2(ordered[k - 1], u) > 0]
+            pairs = [p for p in pairs if rng.random() < keep]
+        else:
+            pairs = [(u, v) for u, v in itertools.combinations(rays, 2) if det2(u, v) != 0]
+            pairs = rng.sample(pairs, rng.randint(0, len(pairs)))
+        covered = {u for p in pairs for u in p}
+        cones = [Cone(p) for p in pairs] + [Cone((u,)) for u in rays if u not in covered]
+        rng.shuffle(cones)
+        rng.shuffle(rays)
+        try:
+            return Fan(tuple(cones), tuple(rays))
+        except ValueError:
+            continue
 
 
 def rr_oracle(fan, d: ToricDivisor) -> dict:

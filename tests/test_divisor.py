@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fm_lattice_points, random_blowup_fan, random_divisor
+from oracles import fm_lattice_points, random_blowup_fan, random_divisor, random_fan
 from troptoric.divisor import (
     ToricDivisor,
     UnboundedPolytopeError,
@@ -308,11 +308,24 @@ def test_h0_closed_forms_at_scale_10_18():
 
 
 def test_h0_on_fans_without_a_bounded_plan():
-    # unbounded P(D): 0 when the plan's bounds are infeasible over the
-    # rationals, UnboundedPolytopeError when they are not, as box
-    # enumeration decides; the x-line has a fixed bound, the y-line a
-    # lower and an upper one.  Three 1-cones spanning the plane are
-    # bounded and walked by rows.
+    # unbounded P(D): 0 when it is empty over the rationals and
+    # UnboundedPolytopeError when it is not, as box enumeration decides;
+    # the theorem reads only the opposite pair of rays, if there is one.
+    # Three 1-cones spanning the plane are bounded and walked by rows.
+    def nonempty(f, d):
+        try:
+            points = fm_lattice_points(polytope(d).inequalities)
+        except ValueError:  # nonempty and unbounded
+            with pytest.raises(UnboundedPolytopeError):
+                lattice_points(polytope(d))
+            if f.smooth:
+                with pytest.raises(UnboundedPolytopeError):
+                    h0(f, d)
+            return True
+        assert points == set() and lattice_points(polytope(d)) == ()
+        assert not f.smooth or h0(f, d) == 0
+        return False
+
     unbounded = [
         Fan((Cone(((1, 0),)),)),
         Fan((Cone(((1, 0),)), Cone(((-1, 0),)))),
@@ -324,17 +337,21 @@ def test_h0_on_fans_without_a_bounded_plan():
     for f in unbounded:
         assert not f.bounded
         for coeffs in itertools.product(range(-2, 3), repeat=len(f.rays)):
-            d = ToricDivisor(f, coeffs)
-            try:
-                points = fm_lattice_points(polytope(d).inequalities)
-            except ValueError:  # nonempty and unbounded
-                with pytest.raises(UnboundedPolytopeError):
-                    h0(f, d)
-                with pytest.raises(UnboundedPolytopeError):
-                    lattice_points(polytope(d))
-            else:
-                assert points == set()
-                assert h0(f, d) == 0 and lattice_points(polytope(d)) == ()
+            nonempty(f, ToricDivisor(f, coeffs))
+    rng = random.Random(2021)
+    drawn = {"empty": 0, "nonempty": 0, "nonempty, opposite pair": 0, "on a smooth fan": 0}
+    for _ in range(2500):
+        f = random_fan(rng)
+        while f.bounded:
+            f = random_fan(rng)
+        drawn["on a smooth fan"] += f.smooth
+        opposite = any((-x, -y) in f.rays for x, y in f.rays)
+        if not nonempty(f, random_divisor(rng, f, -3, 3)):
+            assert opposite
+            drawn["empty"] += 1
+        else:
+            drawn["nonempty, opposite pair" if opposite else "nonempty"] += 1
+    assert drawn == {"empty": 458, "nonempty": 1491, "nonempty, opposite pair": 551, "on a smooth fan": 1748}
     spread = Fan(tuple(Cone((r,)) for r in ((1, 0), (0, 1), (-1, -1))))
     for coeffs in itertools.product(range(-2, 3), repeat=3):
         d = ToricDivisor(spread, coeffs)
@@ -407,6 +424,13 @@ def test_divisor_json_round_trip():
     p2 = projective_plane()
     d = ToricDivisor(p2, (2, 0, -1))
     assert divisor_from_dict(p2, d.to_dict()) == d
+    # what to_dict could write, divisor_from_dict reads: no bool or float
+    for coeffs in ((True, 0, 0), (1.0, 0, 0)):
+        with pytest.raises(TypeError):
+            ToricDivisor(p2, coeffs)
+    for n in (True, 2.0):
+        with pytest.raises(TypeError):
+            n * d
     with pytest.raises(ValueError):
         divisor_from_dict(p2, {"coeffs": {"0": 1, "1": 0}})
     with pytest.raises(ValueError):

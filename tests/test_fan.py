@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import ccw_complete, positively_spans, random_fan
 from troptoric.fan import (
     Cone,
     Fan,
@@ -75,6 +76,15 @@ def test_is_complete():
     assert is_complete(hirzebruch(2))
     ray_fan = Fan((Cone(((1, 0),)),))
     assert not is_complete(ray_fan)
+    assert not is_complete(Fan(())) and not is_complete(Fan((Cone(()),)))
+    # the cone count against a walk around the rays
+    rng = random.Random(2021)
+    complete = 0
+    for _ in range(5000):
+        f = random_fan(rng)
+        assert is_complete(f) == ccw_complete(f)
+        complete += is_complete(f)
+    assert complete == 1028
 
 
 def test_cached_facts_outside_equality():
@@ -91,6 +101,21 @@ def test_cached_facts_outside_equality():
     assert (line.smooth, line.complete, line.bounded) == (True, False, False)
     with pytest.raises(ValueError):
         line.intersection_numbers
+    assert not Fan(()).bounded
+    # the gap test against probing directions perpendicular to the rays
+    rng = random.Random(2021)
+    drawn = {"complete": 0, "bounded, incomplete": 0, "unbounded": 0, "unbounded, opposite pair": 0}
+    for _ in range(5000):
+        f = random_fan(rng)
+        assert f.bounded == positively_spans(f.rays)
+        assert f.bounded or not f.complete
+        if f.bounded:
+            drawn["complete" if f.complete else "bounded, incomplete"] += 1
+        elif any((-x, -y) in f.rays for x, y in f.rays):
+            drawn["unbounded, opposite pair"] += 1
+        else:
+            drawn["unbounded"] += 1
+    assert drawn == {"complete": 1028, "bounded, incomplete": 984, "unbounded": 1735, "unbounded, opposite pair": 1253}
 
 
 def test_adjacent_rays_examples():
@@ -207,3 +232,6 @@ def test_bool_coordinates_rejected():
         fan_from_dict({"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": {"0": [0, 1]}})
     with pytest.raises(TypeError):
         Cone(((1, 0, 0),))
+    for a in (2.5, True, "2"):
+        with pytest.raises(TypeError):
+            hirzebruch(a)

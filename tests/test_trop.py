@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import laplace_det, random_fraction, random_trop_rows
-from troptoric.trop import TropPolynomial, evaluate, supporting_monomials, trop_det
+from troptoric.sections import generator_value
+from troptoric.trop import TropPolynomial, as_fraction, evaluate, supporting_monomials, trop_det
 
 
 def tropical_line():
@@ -19,12 +20,25 @@ def test_floats_rejected():
         TropPolynomial(1, [((1,), 2.5)])
     with pytest.raises(TypeError):
         evaluate(tropical_line(), (0.5, 0))
+    # bool is an int subclass, but True is not a number
+    for x in (True, False):
+        with pytest.raises(TypeError):
+            as_fraction(x)
+    with pytest.raises(TypeError):
+        generator_value((1, 2), (True, False))
+    with pytest.raises(TypeError):
+        tropical_line().times_monomial((2.5, True))
 
 
 @pytest.mark.parametrize("dimension", [2.5, True, "2"])
 def test_dimension_must_be_an_int(dimension):
+    # the same rule for dimensions and exponents
     with pytest.raises(TypeError):
         TropPolynomial(dimension)
+    with pytest.raises(TypeError):
+        TropPolynomial(2, [((dimension, 0), 1)])
+    with pytest.raises(TypeError):
+        tropical_line().times_monomial((0, dimension))
 
 
 @pytest.mark.parametrize("rows", [[], [[0, 1]], [[0, 1], [2]], [[0], [1]]])
