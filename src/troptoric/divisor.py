@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fan import Fan, RowPlan, Vec, _as_vec, det2, dot, row_plan
+from .fan import Fan, RowPlan, Vec, _as_vec, det2, dot, row_plan, spans_plane
 from .jsonutil import ParseError
 from .trop import TropPolynomial
 
@@ -313,9 +313,20 @@ def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
 
     Raises UnboundedPolytopeError when the polytope is unbounded and
     nonempty; an empty polytope (bounded or not) yields the empty tuple.
+    A hand-built ``p`` is checked first: ValueError when ``bounded``
+    disagrees with its normals (`spans_plane`), or when it is unbounded
+    and its normals are not distinct and primitive, as `_walkable`'s
+    theorem needs (a fan's rays are).
     """
     normals = [(ex, ey) for ex, ey, _ in p.inequalities]
     a = [c for _, _, c in p.inequalities]
+    if p.bounded != spans_plane(normals):
+        span = "do not positively span" if p.bounded else "positively span"
+        raise ValueError(f"DivisorPolytope.bounded is {p.bounded}, but its normals {span} the plane")
+    if not p.bounded and (
+        len(set(normals)) < len(normals) or any(math.gcd(ex, ey) != 1 for ex, ey in normals)
+    ):
+        raise ValueError("an unbounded DivisorPolytope needs distinct primitive normals")
     if not _walkable(normals, a, p.bounded):
         return ()
     plan = row_plan(normals)

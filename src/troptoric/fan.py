@@ -7,7 +7,7 @@ common faces.  So no ray lies inside a 2-cone, each 2-cone spans a gap
 between counterclockwise-consecutive rays, and a fan is complete iff it
 has as many maximal cones as rays, all 2-dimensional (`is_complete`).
 Its rays positively span the plane iff every gap is less than pi
-(`Fan.bounded`).
+(`spans_plane`, read by `Fan.bounded`).
 
 A fan's fixed facts are computed once, on first use, and cached on the
 instance outside its equality and hash: whether it is smooth, complete
@@ -250,20 +250,10 @@ class Fan:
 
     @functools.cached_property
     def bounded(self) -> bool:
-        """True iff the rays positively span the plane: then every P(D),
-        whose recession cone is {m : <m, e_ray> >= 0}, is bounded.
-
-        Theorem: that holds iff det(u, v) > 0 for every pair of
-        counterclockwise-consecutive rays u, v, that is iff every gap
-        between them is less than pi.  Proof: vectors positively span
-        the plane iff no closed half-plane holds them all.  A gap of pi
-        or more leaves all the rays in the closed half-plane on its other
-        side; conversely the open complement of a closed half-plane that
-        holds them all lies inside one gap.  A single ray has one gap,
-        the full turn, with det(u, u) = 0, and no rays span nothing.
-        """
-        rays = ccw_sorted_rays(self.rays)
-        return bool(rays) and all(det2(rays[k - 1], u) > 0 for k, u in enumerate(rays))
+        """True iff the rays positively span the plane (`spans_plane`):
+        then every P(D), whose recession cone is {m : <m, e_ray> >= 0},
+        is bounded."""
+        return spans_plane(self.rays)
 
     @functools.cached_property
     def intersection_numbers(self) -> tuple[tuple[int, ...], ...]:
@@ -332,6 +322,24 @@ def _angle_cmp(u, v) -> int:
 def ccw_sorted_rays(rays) -> list[Vec]:
     """Rays sorted counterclockwise starting from angle 0, exactly."""
     return sorted(rays, key=functools.cmp_to_key(_angle_cmp))
+
+
+def spans_plane(vectors) -> bool:
+    """Whether the integer vectors positively span the plane.
+
+    Theorem: that holds iff det(u, v) > 0 for every pair of
+    counterclockwise-consecutive directions u, v of the nonzero vectors,
+    that is iff every gap between them is less than pi.  Proof: vectors
+    positively span the plane iff no closed half-plane holds them all.
+    A gap of pi or more leaves all the vectors in the closed half-plane
+    on its other side; conversely the open complement of a closed
+    half-plane that holds them all lies inside one gap.  A single
+    direction has one gap, the full turn, with det(u, u) = 0, and no
+    directions span nothing.  Zero vectors span nothing, and parallel
+    ones share a direction, so each direction is taken once, primitive.
+    """
+    dirs = ccw_sorted_rays({primitive(v) for v in vectors if v != (0, 0)})
+    return bool(dirs) and all(det2(dirs[k - 1], u) > 0 for k, u in enumerate(dirs))
 
 
 def is_complete(f: Fan) -> bool:

@@ -7,7 +7,10 @@ local slope count is the rank at every point and both slope-count
 estimates of h0 (h0_a and h0_b) equal the rank; each function states
 this theorem and proves it in its docstring.  The module also builds
 interpolating sections from tropical Vandermonde cofactors and decides
-the cycle-sum genericity predicate for point configurations.
+the cycle-sum genericity predicate for point configurations.  A
+Vandermonde section works on plain integers: the points are scaled by
+one common denominator, and all its cofactors, the maximal minors of
+the integer matrix, come from one assignment (`trop._maximal_minors`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 from .divisor import ToricDivisor, _same_fan, lattice_points, polytope
 from .fan import Fan, Vec, dot
-from .trop import TropPolynomial, as_fraction, supporting_monomials, trop_det
+from .trop import TropPolynomial, _common_scale, _maximal_minors, as_fraction, supporting_monomials
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,13 @@ def vandermonde_section(module: SectionModule, points) -> TropPolynomial:
     determinant of the (l-1)x(l-1) matrix (s_j(p_k)) over j != i, i.e.
     the cofactor of the i-th column of the Vandermonde matrix.  The
     divisor of the returned section passes through every input point.
+
+    The points are scaled once by s, the lcm of their coordinate
+    denominators, so the matrix rows[k][j] = <m_j, s*p_k> is all ints and
+    each cofactor is s times the one over the rationals.  All l cofactors
+    come from one assignment and one shortest-path pass
+    (`trop._maximal_minors`), so a section costs O(l^3), not l
+    determinants.
     """
     gens = module.generators
     l = len(gens)
@@ -125,12 +135,9 @@ def vandermonde_section(module: SectionModule, points) -> TropPolynomial:
     pts = [_point(p) for p in points]
     if len(pts) != l - 1:
         raise ValueError(f"expected {l - 1} points, got {len(pts)}")
-    rows = [[generator_value(m, p) for m in gens] for p in pts]
-    terms = []
-    for i in range(l):
-        value, _ = trop_det([row[:i] + row[i + 1:] for row in rows])
-        terms.append((gens[i], value))
-    return TropPolynomial(2, terms)
+    s, coords = _common_scale([c for p in pts for c in p])
+    rows = [[mx * px + my * py for mx, my in gens] for px, py in zip(coords[::2], coords[1::2])]
+    return TropPolynomial(2, zip(gens, (Fraction(m, s) for m in _maximal_minors(rows))))
 
 
 def passes_through(section: TropPolynomial, x) -> bool:

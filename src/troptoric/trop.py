@@ -11,6 +11,7 @@ under rounding.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -129,19 +130,31 @@ class TropPolynomial:
         return f"TropPolynomial({self._dim}, {{{body}}})"
 
 
-def evaluate(f: TropPolynomial, x: Sequence) -> Fraction | None:
-    """Value of f at x: max over monomials, None (-infinity) for the empty polynomial."""
+def _common_scale(values) -> tuple[int, list[int]]:
+    """(s, [s * x for x in values]): s is the lcm of the denominators of
+    the Fractions ``values`` (1 for none), so every s * x is an int, and
+    the ints keep the order and the ties of the values."""
+    s = math.lcm(*(x.denominator for x in values))
+    return s, [x.numerator * (s // x.denominator) for x in values]
+
+
+def _scaled_values(f: TropPolynomial, x: Sequence) -> tuple[int, list]:
+    """(s, [(exponent, s * (c + <exponent, x>)), ...]) over the terms of f,
+    as ints at one common scale s of the coefficients and of x."""
     if len(x) != f.dimension:
         raise ValueError("dimension mismatch")
-    xs = tuple(as_fraction(c) for c in x)
-    best: Fraction | None = None
-    for exp, c in f._coeffs.items():
-        v = c
-        for e, xc in zip(exp, xs):
-            v += e * xc
-        if best is None or v > best:
-            best = v
-    return best
+    coeffs = f._coeffs
+    s, ints = _common_scale([*coeffs.values(), *(as_fraction(c) for c in x)])
+    sx = ints[len(coeffs):]
+    return s, [(exp, c + sum(map(operator.mul, exp, sx))) for exp, c in zip(coeffs, ints)]
+
+
+def evaluate(f: TropPolynomial, x: Sequence) -> Fraction | None:
+    """Value of f at x: max over monomials, None (-infinity) for the empty polynomial."""
+    s, values = _scaled_values(f, x)
+    if not values:
+        return None
+    return Fraction(max(v for _, v in values), s)
 
 
 def supporting_monomials(f: TropPolynomial, x: Sequence) -> frozenset:
@@ -152,21 +165,9 @@ def supporting_monomials(f: TropPolynomial, x: Sequence) -> frozenset:
     """
     if f.is_empty:
         raise ValueError("empty polynomial has no supporting monomials")
-    if len(x) != f.dimension:
-        raise ValueError("dimension mismatch")
-    xs = tuple(as_fraction(c) for c in x)
-    best: Fraction | None = None
-    winners: list[tuple[int, ...]] = []
-    for exp, c in f._coeffs.items():
-        v = c
-        for e, xc in zip(exp, xs):
-            v += e * xc
-        if best is None or v > best:
-            best = v
-            winners = [exp]
-        elif v == best:
-            winners.append(exp)
-    return frozenset(winners)
+    _, values = _scaled_values(f, x)
+    best = max(v for _, v in values)
+    return frozenset(exp for exp, v in values if v == best)
 
 
 def trop_det(rows: Sequence[Sequence]) -> tuple[Fraction | None, bool]:
@@ -225,6 +226,56 @@ def trop_det(rows: Sequence[Sequence]) -> tuple[Fraction | None, bool]:
         for i in range(k)
     ]
     return value, _has_cycle(succ)
+
+
+def _maximal_minors(rows) -> list[int]:
+    """The k+1 maximal max-plus minors of a k x (k+1) integer matrix,
+    k >= 1: entry i is the max-plus determinant of ``rows`` without
+    column i.
+
+    One assignment and one shortest-path pass give all of them (Burkard,
+    Dell'Amico and Martello, *Assignment Problems*, 2009, ch. 4 and 6).
+    Append a zero row z: a perfect matching of the square matrix that
+    gives column i to z weighs as much as a permutation of the minor
+    without column i, so M_i is the heaviest such matching.  In the
+    minimisation form cost = top - w, take the optimum (cost opt, z on
+    column c) with potentials u, v and reduced costs
+    rc = cost - u - v >= 0, zero on matched edges; any perfect matching
+    costs opt plus the sum of its reduced costs.  Proof of the formula
+    below: the symmetric difference of a matching that puts z on column
+    i with the optimum is a set of alternating cycles.  The one through
+    z runs z -> i -> owner[i] -> j -> owner[j] -> ... -> c -> z, its
+    matched edges cost 0, and every other cycle adds only reduced costs
+    >= 0, so forcing z onto i costs exactly one alternating cycle:
+    rc[z][i] plus a shortest path from column i to column c whose steps
+    go from a column j to owner[j] and across an unmatched edge to a
+    column j', for rc[owner[j]][j'].  Nonnegative steps make a shortest
+    walk a simple path, so one O(k^2) Dijkstra toward c gives every
+    dist[i], with dist[c] = 0, and
+    M_i = (k+1)*top - (opt + rc[z][i] + dist[i]).
+    """
+    n = len(rows) + 1
+    top = max(0, max(max(row) for row in rows))
+    cost = [[top - x for x in row] for row in rows]
+    cost.append([top] * n)  # the zero row z
+    owner, u, v = _min_cost_assignment(cost)
+    opt = sum(cost[owner[j]][j] for j in range(n))
+    rc = [[x - ui - vj for x, vj in zip(row, v)] for row, ui in zip(cost, u)]
+    c = owner.index(n - 1)
+    # Dijkstra over the reversed steps j -> j', from c
+    dist = [rc[owner[j]][c] for j in range(n)]
+    dist[c] = 0
+    todo = [j for j in range(n) if j != c]
+    while todo:
+        j = min(todo, key=dist.__getitem__)
+        todo.remove(j)
+        dj = dist[j]
+        for j2 in todo:
+            d = rc[owner[j2]][j] + dj
+            if d < dist[j2]:
+                dist[j2] = d
+    total = n * top - opt
+    return [total - r - d for r, d in zip(rc[n - 1], dist)]
 
 
 def _min_cost_assignment(cost):

@@ -35,7 +35,7 @@ from troptoric.divisor import ToricDivisor, canonical_divisor
 from troptoric.fan import Cone, Fan, blow_up, ccw_sorted_rays, det2, primitive, projective_plane
 from troptoric.intersect import pairing
 from troptoric.sections import generator_value
-from troptoric.trop import TropPolynomial
+from troptoric.trop import TropPolynomial, trop_det
 
 
 def laplace_det(rows):
@@ -70,6 +70,24 @@ def laplace_det(rows):
     if best is None:
         return (None, math.factorial(k))
     return (best, count)
+
+
+def vandermonde_oracle(module, points) -> TropPolynomial:
+    """The Vandermonde section through the points: the coefficient of
+    generator i is trop_det of the Fraction matrix (s_j(p_k)) without
+    column i, one determinant per generator."""
+    gens = module.generators
+    rows = [[generator_value(m, p) for m in gens] for p in points]
+    return TropPolynomial(
+        2, [(m, trop_det([row[:i] + row[i + 1:] for row in rows])[0]) for i, m in enumerate(gens)]
+    )
+
+
+def fraction_support(f: TropPolynomial, x):
+    """(value, exponents attaining it) of f at x, by Fraction sums."""
+    values = {e: c + sum(ei * Fraction(xi) for ei, xi in zip(e, x)) for e, c in f.terms()}
+    best = max(values.values())
+    return best, frozenset(e for e, v in values.items() if v == best)
 
 
 def _fm_projection(ineqs, keep):

@@ -232,3 +232,23 @@ def test_criterion_10_h0_at_scale():
     report = rr_check(p2, d)
     assert report.h0_D == (s + 1) * (s + 2) // 2 and report.defect == 0
     _finish("10 (h0 and the Riemann-Roch check of 10^6 H on P2)", 0.1, t0)
+
+
+def test_criterion_11_vandermonde_at_rank_45():
+    # all cofactors of a section come from one assignment, O(l^3)
+    rng = random.Random(SEED)
+    p2 = projective_plane()
+    module = global_sections(p2, 8 * ray_divisor(p2, (-1, -1)))
+    assert module.rank == 45
+    batches = [
+        [
+            (Fraction(rng.randint(-40, 40), rng.randint(1, 4)), Fraction(rng.randint(-40, 40), rng.randint(1, 4)))
+            for _ in range(44)
+        ]
+        for _ in range(10)
+    ]
+    t0 = time.time()
+    for pts in batches:
+        section = vandermonde_section(module, pts)
+        assert all(passes_through(section, p) for p in pts)
+    _finish("11 (ten Vandermonde sections of O(8H) on P2, rank 45)", 1, t0)

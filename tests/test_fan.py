@@ -19,6 +19,7 @@ from troptoric.fan import (
     primitive,
     product_p1_p1,
     projective_plane,
+    spans_plane,
 )
 from troptoric.fan import det2, dot
 from troptoric.jsonutil import ParseError
@@ -117,6 +118,19 @@ def test_cached_facts_outside_equality():
             drawn["unbounded"] += 1
     assert drawn == {"complete": 1028, "bounded, incomplete": 984, "unbounded": 1735, "unbounded, opposite pair": 1253}
 
+
+
+def test_spans_plane_on_any_vectors():
+    # repeated, parallel and zero vectors, as a hand-built polytope may have
+    assert spans_plane([(1, 0), (2, 0), (0, 1), (-3, -3)])
+    assert spans_plane([(1, 0), (1, 0), (0, 1), (-1, -1), (0, 0)])
+    assert not spans_plane([(1, 0), (-2, 0)])
+    assert not spans_plane([(0, 0)])
+    rng = random.Random(2022)
+    for _ in range(3000):
+        vectors = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
+        vectors = [v for v in vectors if v != (0, 0)]
+        assert spans_plane(vectors) == positively_spans(vectors)
 
 def test_adjacent_rays_examples():
     assert set(adjacent_rays(projective_plane(), (1, 0))) == {(0, 1), (-1, -1)}

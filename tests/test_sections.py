@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fm_lattice_points, random_divisor, sampled_slope_count
+from oracles import fm_lattice_points, random_divisor, sampled_slope_count, vandermonde_oracle
 from troptoric.divisor import canonical_divisor, h0, polytope, ray_divisor, zero_divisor
 from troptoric.fan import Cone, Fan, hirzebruch, product_p1_p1, projective_plane
 from troptoric.sections import (
@@ -128,6 +128,27 @@ def test_vandermonde_pass_through_random():
             s = vandermonde_section(m, pts)
             assert all(passes_through(s, p) for p in pts)
 
+
+
+def test_vandermonde_matches_per_cofactor_oracle():
+    rng = random.Random(68)
+    # ranks 10, 21 and 45 (plane cubics, quintics and octics)
+    for d in (3, 5, 8):
+        m = hyperplane_sections(d)
+        pts = [
+            (Fraction(rng.randint(-40, 40), rng.randint(1, 4)), Fraction(rng.randint(-40, 40), rng.randint(1, 4)))
+            for _ in range(m.rank - 1)
+        ]
+        assert vandermonde_section(m, pts) == vandermonde_oracle(m, pts)
+    # small ranks on other fans, with coinciding points and integer ones
+    for f in (product_p1_p1(), hirzebruch(2)):
+        for _ in range(30):
+            m = global_sections(f, random_divisor(rng, f, 0, 2))
+            if m.rank < 2:
+                continue
+            pool = [(rng.randint(-3, 3), Fraction(rng.randint(-9, 9), rng.randint(1, 3))) for _ in range(3)]
+            pts = [rng.choice(pool) for _ in range(m.rank - 1)]
+            assert vandermonde_section(m, pts) == vandermonde_oracle(m, pts)
 
 def test_vandermonde_point_order_irrelevant():
     m = hyperplane_sections()

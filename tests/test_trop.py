@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import laplace_det, random_fraction, random_trop_rows
+from oracles import fraction_support, laplace_det, random_fraction, random_polynomial, random_trop_rows
 from troptoric.sections import generator_value
-from troptoric.trop import TropPolynomial, as_fraction, evaluate, supporting_monomials, trop_det
+from troptoric.trop import (
+    TropPolynomial,
+    _maximal_minors,
+    as_fraction,
+    evaluate,
+    supporting_monomials,
+    trop_det,
+)
 
 
 def tropical_line():
@@ -103,6 +110,65 @@ def test_trop_det_matches_laplace_oracle():
             finite_ties += oracle_value is not None and oracle_count >= 2
     assert finite_ties >= 50
 
+
+
+def _cofactors(rows, det):
+    return [det([row[:i] + row[i + 1:] for row in rows])[0] for i in range(len(rows[0]))]
+
+
+def _minor_rows(rng, k):
+    """A k x (k+1) integer matrix: tie-dense small entries or wide ones,
+    and some of its rows repeated, as coinciding points give."""
+    span = rng.choice((1, 3, 20, 10**6))
+    rows = [[rng.randint(-span, span) for _ in range(k + 1)] for _ in range(k)]
+    for _ in range(rng.randint(0, k - 1)):
+        rows[rng.randrange(k)] = list(rows[rng.randrange(k)])
+    return rows
+
+
+def test_maximal_minors_match_per_cofactor_trop_det():
+    rng = random.Random(15)
+    repeated = 0
+    for _ in range(2000):
+        k = rng.randint(1, 9)
+        rows = _minor_rows(rng, k)
+        assert _maximal_minors(rows) == _cofactors(rows, trop_det)
+        repeated += len({tuple(r) for r in rows}) < k
+    assert repeated >= 600
+
+
+def test_maximal_minors_match_laplace_oracle():
+    rng = random.Random(16)
+    for _ in range(200):
+        rows = _minor_rows(rng, rng.randint(1, 6))
+        assert _maximal_minors(rows) == _cofactors(rows, laplace_det)
+
+
+def test_maximal_minors_examples():
+    assert _maximal_minors([[3, -1]]) == [-1, 3]
+    assert _maximal_minors([[0, 0, 0], [0, 0, 0]]) == [0, 0, 0]
+    assert _maximal_minors([[1, 0, 0], [0, 1, 0]]) == [1, 1, 2]
+
+
+def test_evaluation_matches_fraction_sums():
+    # integer points on small-pool polynomials tie often; the rest are rational
+    rng = random.Random(17)
+    ties = 0
+    for _ in range(1500):
+        if rng.random() < 0.5:
+            f = random_polynomial(rng, max_terms=10, exp_range=3, pool=(-1, 0, 1))
+            x = (rng.randint(-2, 2), rng.randint(-2, 2))
+        else:
+            f = random_polynomial(rng, max_terms=10, exp_range=5, max_den=7)
+            x = (random_fraction(rng, max_den=9), random_fraction(rng, max_den=5))
+        value, support = fraction_support(f, x)
+        assert evaluate(f, x) == value and type(evaluate(f, x)) is Fraction
+        assert supporting_monomials(f, x) == support
+        ties += len(support) >= 2
+    assert ties >= 150
+    f = TropPolynomial(3, [((1, 0, 2), Fraction(1, 3)), ((0, 1, 0), Fraction(-1, 2))])
+    x = (Fraction(1, 6), "1/3", 0)
+    assert (evaluate(f, x), supporting_monomials(f, x)) == fraction_support(f, (Fraction(1, 6), Fraction(1, 3), 0))
 
 def test_evaluate_examples():
     f = tropical_line()
