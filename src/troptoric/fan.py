@@ -2,9 +2,9 @@
 
 Everything is integer arithmetic on primitive ray generators; angular
 order is decided by cross-product signs, never by floating point.  Fans
-are validated eagerly: pairwise intersections of maximal cones must be
-common faces.  So no ray lies inside a 2-cone, each 2-cone spans a gap
-between counterclockwise-consecutive rays, and a fan is complete iff it
+are validated eagerly, as a counterclockwise cycle: with the rays sorted
+once, each 2-cone must span the gap from one ray to the next, and no
+1-cone may lie on a 2-cone's ray (`Fan`).  So a fan is complete iff it
 has as many maximal cones as rays, all 2-dimensional (`is_complete`).
 Its rays positively span the plane iff every gap is less than pi
 (`spans_plane`, read by `Fan.bounded`).
@@ -137,17 +137,6 @@ class Cone:
     def dim(self) -> int:
         return len(self.rays)
 
-    def interior_contains(self, v) -> bool:
-        """Strict interior for 2-ray cones, open ray for 1-ray cones."""
-        if self.dim == 0:
-            return False
-        if self.dim == 1:
-            u = self.rays[0]
-            return det2(u, v) == 0 and dot(u, v) > 0
-        u1, u2 = self.rays
-        d = det2(u1, u2)
-        return det2(v, u2) * d > 0 and det2(u1, v) * d > 0
-
 
 def is_smooth(c: Cone) -> bool:
     """True iff the generators extend to a Z-basis (2D: |det| = 1)."""
@@ -169,26 +158,6 @@ def dual_frame(c: Cone) -> list[Vec]:
     return [m1, m2]
 
 
-def _face_compatible(a: Cone, b: Cone) -> bool:
-    # Assumes a and b have distinct ray sets.  Two salient plane cones
-    # intersect in a common face iff neither contains a generator of the
-    # other in its (relative) interior and neither is redundantly nested.
-    if a.dim < b.dim:
-        a, b = b, a
-    if a.dim == 2 and b.dim == 2:
-        return not any(a.interior_contains(r) for r in b.rays) and not any(
-            b.interior_contains(r) for r in a.rays
-        )
-    if a.dim == 2 and b.dim == 1:
-        ray = b.rays[0]
-        if a.interior_contains(ray):
-            return False
-        return ray not in a.rays  # a listed maximal ray must not be a face
-    if a.dim == 1 and b.dim == 1:
-        return True  # distinct primitive rays meet only at the origin
-    return False  # the origin cone is a face of everything: redundant
-
-
 @dataclass(frozen=True)
 class Fan:
     """A fan in the plane, stored by its maximal cones.
@@ -196,8 +165,27 @@ class Fan:
     ``rays`` is the deduplicated ray list; it is derived from the cones in
     first-appearance order unless an explicit order is supplied (it must
     then be a permutation of the derived set).  Validity is checked at
-    construction: no duplicate cones, pairwise intersections are common
-    faces, no redundant non-maximal cones.
+    construction with one counterclockwise sort of the rays and one pass
+    over the cones, by the theorem below; the sorted rays are kept, outside
+    equality, hash and repr, for `intersection_numbers`.
+
+    Theorem: distinct cones on primitive rays, each 2-cone with
+    det(u, v) != 0, form a fan iff the origin cone is the only cone when it
+    is listed, no ray of a 1-cone is a ray of another cone, and each 2-cone
+    {u, v}, ordered so that det(u, v) > 0, has v right after u in the
+    counterclockwise order of all the fan's rays.  Proof: two distinct
+    cones meet in a common face iff neither is the origin cone (a face of
+    every cone, so never maximal beside another), neither is a 1-cone on a
+    ray of the other (a face, not maximal), and neither holds a ray of the
+    other strictly inside.  With det(u, v) > 0 the 2-cone {u, v} is the
+    sector from u counterclockwise to v, narrower than pi.  If v is right
+    after u, no ray lies strictly inside it.  If not, the ray w right after
+    u comes before v, so it does, and w is a ray of some other cone, which
+    meets this one in no common face.  So each 2-cone spans one gap between
+    consecutive rays, and no two share a gap, since they would be one cone
+    listed twice.  A conflict names this 2-cone with the first cone listing
+    w, or a 1-cone with the first other cone listing its ray: a pair that
+    meets in no common face, so the only such pair when there is one.
     """
 
     max_cones: tuple[Cone, ...]
@@ -208,37 +196,39 @@ class Fan:
         for c in cones:
             if not isinstance(c, Cone):
                 raise TypeError("max_cones must contain Cone instances")
-        seen: set[frozenset] = set()
-        for c in cones:
-            key = frozenset(c.rays)
-            if key in seen:
-                raise ValueError("duplicate maximal cone")
-            seen.add(key)
+        if len({frozenset(c.rays) for c in cones}) < len(cones):
+            raise ValueError("duplicate maximal cone")
         if any(c.dim == 0 for c in cones) and len(cones) > 1:
             raise ValueError("the origin cone is redundant beside other cones")
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                if not _face_compatible(cones[i], cones[j]):
-                    raise ValueError(
-                        f"cones {i} and {j} do not intersect in a common face"
-                    )
-        derived: list[Vec] = []
-        for c in cones:
+        # the first cone listing each ray, in first-appearance order
+        first: dict[Vec, int] = {}
+        for j, c in enumerate(cones):
             for r in c.rays:
-                if r not in derived:
-                    derived.append(r)
+                i = first.setdefault(r, j)
+                if i != j and (c.dim == 1 or cones[i].dim == 1):
+                    raise _no_common_face(i, j)
+        ccw = ccw_sorted_rays(first)
+        after = dict(zip(ccw, ccw[1:] + ccw[:1]))
+        for j, c in enumerate(cones):
+            if c.dim == 2:
+                u, v = c.rays if det2(*c.rays) > 0 else c.rays[::-1]
+                if after[u] != v:  # after[u] lies strictly inside c
+                    i = first[after[u]]
+                    raise _no_common_face(min(i, j), max(i, j))
         rays = tuple(_as_vec(r) for r in self.rays)
         if rays:
-            if len(set(rays)) != len(rays) or set(rays) != set(derived):
+            if len(set(rays)) != len(rays) or set(rays) != first.keys():
                 raise ValueError("explicit ray list must enumerate the fan's rays")
         else:
-            rays = tuple(derived)
+            rays = tuple(first)
         object.__setattr__(self, "max_cones", cones)
         object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "_ccw", tuple(ccw))
 
     # Fixed facts, computed on first use.  cached_property stores them in
-    # the instance __dict__, outside the dataclass fields, so equality and
-    # hashing still see only max_cones and rays.
+    # the instance __dict__, outside the dataclass fields, as __post_init__
+    # stores _ccw, so equality, hashing and repr still see only max_cones
+    # and rays.
 
     @functools.cached_property
     def smooth(self) -> bool:
@@ -272,7 +262,7 @@ class Fan:
         # its adjacent rays, and smoothness gives det(u1, u) = det(u, u2) = 1.
         # Writing u2 in the basis (u1, u) then gives u1 + u2 = det(u1, u2)*u,
         # so D_u . D_u = b with u1 + u2 + b*u = 0 is -det(u1, u2).
-        ordered = ccw_sorted_rays(self.rays)
+        ordered = self._ccw
         for k, u in enumerate(ordered):
             i = index[u]
             rows[i][i] = -det2(ordered[k - 1], ordered[(k + 1) % n])
@@ -304,6 +294,10 @@ class Fan:
             return self.rays.index(ray)
         except ValueError:
             raise ValueError(f"{ray} is not a ray of the fan") from None
+
+
+def _no_common_face(i: int, j: int) -> ValueError:
+    return ValueError(f"cones {i} and {j} do not intersect in a common face")
 
 
 def _half(v) -> int:
@@ -346,11 +340,10 @@ def is_complete(f: Fan) -> bool:
     """True iff the maximal cones cover the plane.
 
     Theorem: a fan with n > 0 rays is complete iff it has n maximal
-    cones, all 2-dimensional.  Proof: `Fan` rejects cones that do not
-    meet in common faces, so no ray lies strictly inside a 2-cone, and
+    cones, all 2-dimensional.  Proof: by the theorem that `Fan` checks,
     each 2-cone spans the gap between two counterclockwise-consecutive
-    rays; distinct cones span distinct gaps, since equal gaps would be
-    duplicate cones.  n rays leave n gaps, so n 2-cones cover them all,
+    rays, and distinct cones span distinct gaps, since equal gaps would
+    be duplicate cones.  n rays leave n gaps, so n 2-cones cover them all,
     and fewer leave one uncovered.  A complete fan has no 1-cone, which
     would be a face of the 2-cone over one of its gaps, and a fan with
     no rays covers only the origin.

@@ -14,10 +14,12 @@ on one side of an edge's line (production counts the faces on the edge:
 fewer than two iff on the boundary), the
 slope-count oracle evaluates the generators at random untied points
 (production returns the rank, which is the theorem the oracle samples),
-the completeness oracle walks the rays in counterclockwise order
-(production counts the cones), the spanning oracle probes directions
-perpendicular to the rays (production checks each gap between
-consecutive rays), the Riemann-Roch oracle builds K - D and D - K as
+the fan-validity oracle tries every pair of cones for a common face
+(production sorts the rays once and checks that each 2-cone spans the
+gap from one ray to the next), the completeness oracle walks the rays in
+counterclockwise order (production counts the cones), the spanning
+oracle probes directions perpendicular to the rays (production checks
+each gap between consecutive rays), the Riemann-Roch oracle builds K - D and D - K as
 divisors, halves the pairing as a Fraction and counts both h0 by box enumeration
 (production works in integers on the coefficient tuple and walks rows),
 and the h1 oracle sums the toric cohomology formula over the lattice
@@ -27,12 +29,13 @@ the Riemann-Roch inequality, which equals h1 by Serre duality).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from troptoric.divisor import ToricDivisor, canonical_divisor
-from troptoric.fan import Cone, Fan, blow_up, ccw_sorted_rays, det2, primitive, projective_plane
+from troptoric.fan import Cone, Fan, blow_up, ccw_sorted_rays, det2, dot, primitive, projective_plane
 from troptoric.intersect import pairing
 from troptoric.sections import generator_value
 from troptoric.trop import TropPolynomial, trop_det
@@ -141,6 +144,56 @@ def fm_lattice_points(ineqs):
     return points
 
 
+def interior_contains(c: Cone, v) -> bool:
+    """Strict interior for 2-ray cones, open ray for 1-ray cones."""
+    if c.dim == 0:
+        return False
+    if c.dim == 1:
+        u = c.rays[0]
+        return det2(u, v) == 0 and dot(u, v) > 0
+    u1, u2 = c.rays
+    d = det2(u1, u2)
+    return det2(v, u2) * d > 0 and det2(u1, v) * d > 0
+
+
+def face_compatible(a: Cone, b: Cone) -> bool:
+    """Whether two cones with distinct ray sets meet in a common face of
+    both, neither being a face of the other: two salient plane cones do
+    iff neither holds a generator of the other in its relative interior
+    and neither is redundantly nested."""
+    if a.dim < b.dim:
+        a, b = b, a
+    if a.dim == 2 and b.dim == 2:
+        return not any(interior_contains(a, r) for r in b.rays) and not any(
+            interior_contains(b, r) for r in a.rays
+        )
+    if a.dim == 2 and b.dim == 1:
+        ray = b.rays[0]
+        if interior_contains(a, ray):
+            return False
+        return ray not in a.rays  # a listed maximal ray must not be a face
+    if a.dim == 1 and b.dim == 1:
+        return True  # distinct primitive rays meet only at the origin
+    return False  # the origin cone is a face of everything: redundant
+
+
+def rejected_pairs(cones) -> list[tuple[int, int]]:
+    """Every pair i < j of cones, all with distinct ray sets, that do not
+    meet in a common face."""
+    return [(i, j) for i, j in itertools.combinations(range(len(cones)), 2) if not face_compatible(cones[i], cones[j])]
+
+
+def pairwise_fan_error(cones) -> str | None:
+    """The ValueError text with which `Fan` rejects the cones, by trying
+    every pair for a common face, or None when they form a fan."""
+    if len({frozenset(c.rays) for c in cones}) < len(cones):
+        return "duplicate maximal cone"
+    if any(c.dim == 0 for c in cones) and len(cones) > 1:
+        return "the origin cone is redundant beside other cones"
+    pairs = rejected_pairs(cones)
+    return f"cones {pairs[0][0]} and {pairs[0][1]} do not intersect in a common face" if pairs else None
+
+
 def ccw_complete(f) -> bool:
     """Whether the maximal cones cover the plane, by a walk around the
     rays: at least three rays, as many cones as rays, all 2-dimensional,
@@ -178,6 +231,12 @@ def positively_spans(vectors) -> bool:
     return True
 
 
+@functools.cache
+def _primitive_pool(scale) -> tuple:
+    """The distinct primitive rays with coordinates in [-scale, scale], sorted."""
+    return tuple(sorted({primitive((x, y)) for x in range(-scale, scale + 1) for y in range(-scale, scale + 1) if x or y}))
+
+
 def random_fan(rng, max_rays=6, scale=2) -> Fan:
     """A valid fan on up to ``max_rays`` distinct primitive rays with
     coordinates in [-scale, scale], its cones and rays listed in random
@@ -187,7 +246,7 @@ def random_fan(rng, max_rays=6, scale=2) -> Fan:
     probability 3/4, so that complete fans are common; the other half
     propose 2-cones on random pairs of rays and redraw until `Fan`
     accepts them.  Every ray left out of a 2-cone is a 1-cone."""
-    pool = sorted({primitive((x, y)) for x in range(-scale, scale + 1) for y in range(-scale, scale + 1) if x or y})
+    pool = _primitive_pool(scale)
     while True:
         rays = rng.sample(pool, rng.randint(1, max_rays))
         for u in rays[:]:
@@ -209,6 +268,47 @@ def random_fan(rng, max_rays=6, scale=2) -> Fan:
             return Fan(tuple(cones), tuple(rays))
         except ValueError:
             continue
+
+
+def random_cone_set(rng, max_rays=6, scale=2) -> tuple[Cone, ...]:
+    """Cones on distinct primitive rays with coordinates in
+    [-scale, scale], built without `Fan`, about half of them a fan.  Each
+    draw starts from the 2-cones on some counterclockwise gaps of less than
+    pi and 1-cones on the rays they leave out, a fan.  Two draws in three
+    then break it in one of six ways: a 2-cone on two random rays
+    (overlapping or nesting others, or holding a ray strictly inside), a
+    2-cone spread over two gaps, a 1-cone on a 2-cone's ray, a 1-cone
+    strictly inside a 2-cone, a cone listed twice, or the origin cone
+    beside the others.  Cones and the rays of each cone come in random
+    order."""
+    pool = _primitive_pool(scale)
+    rays = rng.sample(pool, rng.randint(1, max_rays))
+    ordered = ccw_sorted_rays(rays)
+    two = [(ordered[k - 1], u) for k, u in enumerate(ordered) if det2(ordered[k - 1], u) > 0 and rng.random() < 0.75]
+    covered = {u for p in two for u in p}
+    cones = two + [(u,) for u in rays if u not in covered]
+    if rng.random() < 2 / 3:
+        way = rng.randrange(6)
+        if way == 0:
+            u, v = rng.sample(pool, 2)
+            while det2(u, v) == 0:
+                u, v = rng.sample(pool, 2)
+            cones.append((u, v))
+        elif way == 1 and len(ordered) >= 3:
+            k = rng.randrange(len(ordered))
+            if det2(ordered[k - 2], ordered[k]) > 0:
+                cones.append((ordered[k - 2], ordered[k]))
+        elif way == 2 and two:
+            cones.append((rng.choice(rng.choice(two)),))
+        elif way == 3 and two:
+            (x1, y1), (x2, y2) = rng.choice(two)
+            cones.append((primitive((x1 + x2, y1 + y2)),))
+        elif way == 4:
+            cones.append(rng.choice(cones))
+        elif way == 5:
+            cones.append(())
+    rng.shuffle(cones)
+    return tuple(Cone(tuple(rng.sample(c, len(c)))) for c in cones)
 
 
 def rr_oracle(fan, d: ToricDivisor) -> dict:

@@ -19,7 +19,7 @@ from troptoric.divisor import (
     principal_divisor,
     ray_divisor,
 )
-from troptoric.fan import blow_up, hirzebruch, product_p1_p1, projective_plane
+from troptoric.fan import blow_up, fan_from_dict, hirzebruch, product_p1_p1, projective_plane
 from troptoric.intersect import (
     intersection_matrix,
     pairing,
@@ -252,3 +252,23 @@ def test_criterion_11_vandermonde_at_rank_45():
         section = vandermonde_section(module, pts)
         assert all(passes_through(section, p) for p in pts)
     _finish("11 (ten Vandermonde sections of O(8H) on P2, rank 45)", 1, t0)
+
+
+def test_criterion_12_validation_of_a_long_chain():
+    # validation is one counterclockwise sort and one pass over the cones
+    rng = random.Random(SEED)
+    rays = [(1, k) for k in range(1001)] + [(0, 1), (-1, -1)]
+    n = len(rays)
+    cycle = [[i, (i + 1) % n] for i in range(n)]
+    order = rng.sample(range(n), n)
+    where = {i: k for k, i in enumerate(order)}
+    data = {
+        "rays": [list(rays[i]) for i in order],
+        "max_cones": [rng.sample([where[i], where[j]], 2) for i, j in rng.sample(cycle, n)],
+    }
+    t0 = time.time()
+    f = fan_from_dict(data)
+    assert f.complete and f.smooth
+    matrix = f.intersection_numbers
+    assert sum(matrix[i][i] for i in range(n)) == 12 - 3 * n == -2997
+    _finish("12 (a smooth complete fan on 1,003 shuffled rays)", 0.5, t0)

@@ -59,11 +59,18 @@ def test_fan_validate_nonsmooth(capsys, tmp_path):
 
 
 def test_fan_validate_invalid_structure(capsys, tmp_path):
-    fan = {"rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1], [0, 2]]}
-    path = write(tmp_path, "fan.json", fan)
-    code, out = run(capsys, "fan", "validate", path)
-    assert code == 2
-    assert json.loads(out)["valid"] is False
+    cases = [
+        # (1,1) lies strictly inside the first cone
+        ([[1, 0], [0, 1], [1, 1]], [[0, 1], [0, 2]], "cones 0 and 1 do not intersect in a common face"),
+        # a 1-cone on a 2-cone's ray
+        ([[1, 0], [0, 1]], [[0, 1], [0]], "cones 0 and 1 do not intersect in a common face"),
+        ([[1, 0]], [[0], []], "the origin cone is redundant beside other cones"),
+    ]
+    for rays, cones, error in cases:
+        path = write(tmp_path, "fan.json", {"rays": rays, "max_cones": cones})
+        code, out = run(capsys, "fan", "validate", path)
+        assert code == 2
+        assert out == json.dumps({"valid": False, "error": error}) + "\n"
 
 
 def test_fan_validate_bool_rays_exit_1(capsys, tmp_path):

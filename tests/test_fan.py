@@ -1,9 +1,20 @@
+import dataclasses
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
-from oracles import ccw_complete, positively_spans, random_fan
+from oracles import (
+    ccw_complete,
+    interior_contains,
+    pairwise_fan_error,
+    positively_spans,
+    random_cone_set,
+    random_fan,
+    rejected_pairs,
+)
 from troptoric.fan import (
     Cone,
     Fan,
@@ -84,6 +95,7 @@ def test_is_complete():
     for _ in range(5000):
         f = random_fan(rng)
         assert is_complete(f) == ccw_complete(f)
+        assert pairwise_fan_error(f.max_cones) is None
         complete += is_complete(f)
     assert complete == 1028
 
@@ -96,6 +108,11 @@ def test_cached_facts_outside_equality():
     assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
     assert facts == (fresh.smooth, fresh.complete, fresh.bounded, fresh.intersection_numbers)
     assert facts[:3] == (True, True, True)
+    # the counterclockwise order kept by validation is no field either
+    assert f._ccw == tuple(ccw_sorted_rays(f.rays)) and "_ccw" not in {x.name for x in dataclasses.fields(Fan)}
+    blank = hirzebruch(2)
+    object.__setattr__(blank, "_ccw", ())
+    assert f == blank and hash(f) == hash(blank) and repr(f) == repr(blank)
     spread = Fan(tuple(Cone((r,)) for r in ((1, 0), (0, 1), (-1, -1))))
     assert (spread.smooth, spread.complete, spread.bounded) == (True, False, True)
     line = Fan((Cone(((1, 0),)), Cone(((-1, 0),))))
@@ -211,6 +228,48 @@ def test_invalid_fans_rejected():
     # redundant ray listed as maximal
     with pytest.raises(ValueError):
         Fan((Cone(((1, 0), (0, 1))), Cone(((1, 0),))))
+
+
+def _conflict_kind(a, b) -> str:
+    if a.dim < b.dim:
+        a, b = b, a
+    if b.dim == 1:
+        return "ray inside a 2-cone" if interior_contains(a, b.rays[0]) else "1-cone on a 2-cone's ray"
+
+    def within(c, d):
+        return all(r in c.rays or interior_contains(c, r) for r in d.rays)
+
+    return "nested" if within(a, b) or within(b, a) else "overlap"
+
+
+def test_fan_validity_against_pairwise_oracle():
+    # the one-pass cycle check accepts exactly the cone sets in which every
+    # pair meets in a common face, and names a pair that does not
+    rng = random.Random(2023)
+    kinds = Counter()
+    for _ in range(20000):
+        cones = random_cone_set(rng)
+        expected = pairwise_fan_error(cones)
+        try:
+            Fan(cones)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert (got is None) == (expected is None), cones
+        named = re.fullmatch(r"cones (\d+) and (\d+) do not intersect in a common face", got or "")
+        if named:
+            pairs = rejected_pairs(cones)
+            assert (int(named[1]), int(named[2])) in pairs, cones
+            if len(pairs) == 1:
+                assert got == expected
+            kinds.update(_conflict_kind(cones[i], cones[j]) for i, j in pairs)
+        else:
+            assert got == expected
+        kinds[got] += 1
+    assert 0.4 < 1 - kinds[None] / 20000 < 0.6
+    for kind in ("overlap", "nested", "ray inside a 2-cone", "1-cone on a 2-cone's ray",
+                 "duplicate maximal cone", "the origin cone is redundant beside other cones"):
+        assert kinds[kind] >= 100, (kind, kinds)
 
 
 def test_fan_json_round_trip():
