@@ -17,7 +17,6 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import random
 import re
 import sys
@@ -89,11 +88,7 @@ def cmd_fan(args) -> tuple[list[str], int]:
             raise  # malformed input, exit 1, not an invalid fan
         except ValueError as exc:
             return [json.dumps({"valid": False, "error": str(exc)})], EXIT_PRECONDITION
-        offending = None
-        for i, c in enumerate(f.max_cones):
-            if not is_smooth(c):
-                offending = i
-                break
+        offending = next((i for i, c in enumerate(f.max_cones) if not is_smooth(c)), None)
         report = {
             "valid": True,
             "smooth": f.smooth,
@@ -286,9 +281,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(_join_range_flag(argv))
-    args.seed = getattr(args, "seed", None)
-    if args.seed is None:
-        args.seed = int(os.environ.get("TROPTORIC_SEED", DEFAULT_SEED))
+    args.seed = getattr(args, "seed", DEFAULT_SEED)
     args.json_out = getattr(args, "json_out", None)
     try:
         lines, code = _HANDLERS[args.command](args)

@@ -309,23 +309,21 @@ def hull_vertices(points) -> list[Vec]:
     pts = sorted(set(tuple(p) for p in points))
     if len(pts) <= 2:
         return pts
-    lower: list[Vec] = []
+    return _left_chain(pts)[:-1] + _left_chain(reversed(pts))[:-1]
+
+
+def _left_chain(pts) -> list[Vec]:
+    """The hull chain of points in sorted or reverse-sorted order: each
+    point pops the ones it leaves without a strict left turn."""
+    chain: list[Vec] = []
     for p in pts:
-        while len(lower) >= 2 and det2(
-            (lower[-1][0] - lower[-2][0], lower[-1][1] - lower[-2][1]),
-            (p[0] - lower[-2][0], p[1] - lower[-2][1]),
+        while len(chain) >= 2 and det2(
+            (chain[-1][0] - chain[-2][0], chain[-1][1] - chain[-2][1]),
+            (p[0] - chain[-2][0], p[1] - chain[-2][1]),
         ) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vec] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and det2(
-            (upper[-1][0] - upper[-2][0], upper[-1][1] - upper[-2][1]),
-            (p[0] - upper[-2][0], p[1] - upper[-2][1]),
-        ) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 def degree_from_polygon(g: TropPolynomial, ray: Vec) -> int:

@@ -144,47 +144,36 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor) -> Vec | None:
-    """m with d1 - d2 = div(x^m), or None when the integer system has no solution.
+    """m with d1 - d2 = div(x^m), or None when the integer system
+    <m, e_i> = t_i, t = d1 - d2, has no solution.
 
-    Solves two independent ray equations exactly and verifies the rest;
-    the rational solution is unique when the rays span the plane, so a
-    non-integral candidate means no solution at all.
+    Solved in one unimodular basis.  Proof: e = e_0 is primitive, so
+    `_ext_gcd` gives an integer p with <p, e> = 1; with f = (-e_y, e_x),
+    <f, e> = 0 and det(p, f) = <p, e> = 1, so (p, f) is a basis of Z^2 and
+    the integer m with <m, e> = t_0 are exactly m = t_0*p + k*f, k an
+    integer.  Then <m, e_i> = t_0*<p, e_i> + k*<f, e_i>.  The first ray
+    with <f, e_i> != 0 fixes k, and no integer solution exists unless k is
+    an integer; the floor of k fails that ray's equation when it is not.
+    If there is no such ray, every ray is +-e and k = 0 serves as well as
+    any.  Either way some m solves the system iff this one satisfies every
+    ray's equation.
     """
     _same_fan(d1.fan, d2)
     rays = d1.fan.rays
     targets = tuple(a - b for a, b in zip(d1.coeffs, d2.coeffs))
     if not rays:
         return (0, 0)
-    pair = None
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            if det2(rays[i], rays[j]) != 0:
-                pair = (i, j)
-                break
-        if pair:
+    (ex, ey), t0 = rays[0], targets[0]
+    _, px, py = _ext_gcd(ex, ey)
+    k = 0
+    for e, t in zip(rays, targets):
+        w = det2((ex, ey), e)  # <f, e_i>
+        if w:
+            k = (t - t0 * dot((px, py), e)) // w
             break
-    if pair is None:
-        # All rays parallel to one primitive direction e (each ray is +-e).
-        e = rays[0]
-        t = targets[0]
-        for ray, c in zip(rays, targets):
-            sign = 1 if ray == e else -1
-            if c != sign * t:
-                return None
-        g, px, py = _ext_gcd(e[0], e[1])
-        assert g == 1
-        return (t * px, t * py)
-    i, j = pair
-    ei, ej = rays[i], rays[j]
-    d = det2(ei, ej)
-    nx = targets[i] * ej[1] - targets[j] * ei[1]
-    ny = targets[j] * ei[0] - targets[i] * ej[0]
-    if nx % d or ny % d:
+    m = (t0 * px - k * ey, t0 * py + k * ex)
+    if any(dot(m, e) != t for e, t in zip(rays, targets)):
         return None
-    m = (nx // d, ny // d)
-    for ray, c in zip(rays, targets):
-        if dot(m, ray) != c:
-            return None
     return m
 
 

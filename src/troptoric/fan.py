@@ -13,11 +13,12 @@ A fan's fixed facts are computed once, on first use, and cached on the
 instance outside its equality and hash: whether it is smooth, complete
 and bounded (its rays positively span the plane, so every P(D) is
 bounded), its intersection numbers with their nonzero entries, and its
-row plan.  Two ray divisors meet once iff their rays span a cone; the
-self-intersection of a ray with primitive generator u and
-counterclockwise neighbours u1, u2 is the integer b with u1 + u2 + b*u = 0,
-which is -det(u1, u2).  On a smooth complete fan with n rays at most 3n
-of the n^2 entries are nonzero: two per cone and the diagonal.
+row plan.  Two ray divisors meet once iff their rays are neighbours in
+the counterclockwise cycle (on a complete fan, its 2-cones); the
+self-intersection of a ray with primitive generator u and cycle
+neighbours u1, u2 is the integer b with u1 + u2 + b*u = 0, which is
+-det(u1, u2).  On a smooth complete fan with n rays at most 3n of the n^2
+entries are nonzero: two per cone and the diagonal.
 
 Every P(D) on a fan, {m : <m, e_i> + a_i >= 0}, has the same normals, so
 the Fourier-Motzkin elimination of x that bounds its rows is a fact of the
@@ -166,8 +167,8 @@ class Fan:
     first-appearance order unless an explicit order is supplied (it must
     then be a permutation of the derived set).  Validity is checked at
     construction with one counterclockwise sort of the rays and one pass
-    over the cones, by the theorem below; the sorted rays are kept, outside
-    equality, hash and repr, for `intersection_numbers`.
+    over the cones, by the theorem below; the cycle is kept, as positions
+    in ``rays`` from angle 0, outside equality, hash and repr.
 
     Theorem: distinct cones on primitive rays, each 2-cone with
     det(u, v) != 0, form a fan iff the origin cone is the only cone when it
@@ -221,9 +222,10 @@ class Fan:
                 raise ValueError("explicit ray list must enumerate the fan's rays")
         else:
             rays = tuple(first)
+        index = {r: i for i, r in enumerate(rays)}
         object.__setattr__(self, "max_cones", cones)
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "_ccw", tuple(ccw))
+        object.__setattr__(self, "_ccw", tuple(index[r] for r in ccw))
 
     # Fixed facts, computed on first use.  cached_property stores them in
     # the instance __dict__, outside the dataclass fields, as __post_init__
@@ -252,20 +254,17 @@ class Fan:
             raise ValueError("intersection theory requires a smooth fan")
         if not self.complete:
             raise ValueError("intersection theory requires a complete fan")
-        index = {r: i for i, r in enumerate(self.rays)}
-        n = len(self.rays)
+        # The 2-cones of a complete fan are the n pairs of cycle neighbours
+        # (`is_complete`).  Smoothness gives det(u1, u) = det(u, u2) = 1 for
+        # the neighbours u1, u2 of u, so u1 + u2 = det(u1, u2)*u in the basis
+        # (u1, u), and D_u . D_u = b with u1 + u2 + b*u = 0 is -det(u1, u2).
+        rays, cycle = self.rays, self._ccw
+        n = len(rays)
         rows = [[0] * n for _ in range(n)]
-        for c in self.max_cones:
-            i, j = index[c.rays[0]], index[c.rays[1]]
+        for k, i in enumerate(cycle):
+            h, j = cycle[k - 1], cycle[(k + 1) % n]
             rows[i][j] = rows[j][i] = 1
-        # On a complete fan the counterclockwise neighbours u1, u2 of u are
-        # its adjacent rays, and smoothness gives det(u1, u) = det(u, u2) = 1.
-        # Writing u2 in the basis (u1, u) then gives u1 + u2 = det(u1, u2)*u,
-        # so D_u . D_u = b with u1 + u2 + b*u = 0 is -det(u1, u2).
-        ordered = self._ccw
-        for k, u in enumerate(ordered):
-            i = index[u]
-            rows[i][i] = -det2(ordered[k - 1], ordered[(k + 1) % n])
+            rows[i][i] = -det2(rays[h], rays[j])
         return tuple(tuple(row) for row in rows)
 
     @functools.cached_property
@@ -352,17 +351,15 @@ def is_complete(f: Fan) -> bool:
 
 
 def adjacent_rays(f: Fan, ray) -> tuple[Vec, Vec]:
-    """The two rays spanning a maximal cone together with ``ray``."""
-    ray = _as_vec(ray)
-    if ray not in f.rays:
-        raise ValueError(f"{ray} is not a ray of the fan")
+    """The two rays spanning a maximal cone together with ``ray`` on a
+    complete fan: its neighbours (u1, u2) in the counterclockwise cycle,
+    the clockwise one first, so det(u1, ray) > 0 and det(ray, u2) > 0."""
+    i = f.ray_index(ray)
     if not f.complete:
         raise ValueError("adjacent rays require a complete fan")
-    others = [
-        r for c in f.max_cones if ray in c.rays for r in c.rays if r != ray
-    ]
-    assert len(others) == 2
-    return (others[0], others[1])
+    cycle = f._ccw
+    k = cycle.index(i)
+    return f.rays[cycle[k - 1]], f.rays[cycle[(k + 1) % len(cycle)]]
 
 
 def blow_up(f: Fan, cone: Cone) -> Fan:

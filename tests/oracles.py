@@ -17,7 +17,12 @@ slope-count oracle evaluates the generators at random untied points
 the fan-validity oracle tries every pair of cones for a common face
 (production sorts the rays once and checks that each 2-cone spans the
 gap from one ray to the next), the completeness oracle walks the rays in
-counterclockwise order (production counts the cones), the spanning
+counterclockwise order (production counts the cones), the neighbour
+oracle scans the cones for the ones holding a ray (production reads the
+cycle of rays sorted once at validation), the equivalence oracle solves
+<m, e> = t on the first pair of independent rays by Cramer's rule, with a
+branch for fans whose rays are all parallel (production solves in one
+unimodular basis built from the first ray), the spanning
 oracle probes directions perpendicular to the rays (production checks
 each gap between consecutive rays), the Riemann-Roch oracle builds K - D and D - K as
 divisors, halves the pairing as a Fraction and counts both h0 by box enumeration
@@ -34,7 +39,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from troptoric.divisor import ToricDivisor, canonical_divisor
+from troptoric.divisor import ToricDivisor, _ext_gcd, canonical_divisor
 from troptoric.fan import Cone, Fan, blow_up, ccw_sorted_rays, det2, dot, primitive, projective_plane
 from troptoric.intersect import pairing
 from troptoric.sections import generator_value
@@ -213,6 +218,41 @@ def ccw_complete(f) -> bool:
         if frozenset((u, v)) not in cone_sets:
             return False
     return True
+
+
+def cone_neighbours(f, ray) -> tuple:
+    """The rays sharing a maximal cone with ``ray``, by scanning the
+    cones, in the order of ``max_cones``."""
+    return tuple(r for c in f.max_cones if ray in c.rays for r in c.rays if r != ray)
+
+
+def pair_search_equivalence(d1: ToricDivisor, d2: ToricDivisor):
+    """m with d1 - d2 = div(x^m), or None: Cramer's rule on the first pair
+    of linearly independent rays, checked on every ray; when all rays are
+    parallel to the first one e, t*p with <p, e> = 1 if the targets agree."""
+    rays = d1.fan.rays
+    targets = tuple(a - b for a, b in zip(d1.coeffs, d2.coeffs))
+    if not rays:
+        return (0, 0)
+    pair = next(((i, j) for i, j in itertools.combinations(range(len(rays)), 2) if det2(rays[i], rays[j])), None)
+    if pair is None:
+        e, t = rays[0], targets[0]
+        if any(c != (t if ray == e else -t) for ray, c in zip(rays, targets)):
+            return None
+        g, px, py = _ext_gcd(e[0], e[1])
+        assert g == 1
+        return (t * px, t * py)
+    i, j = pair
+    ei, ej = rays[i], rays[j]
+    d = det2(ei, ej)
+    nx = targets[i] * ej[1] - targets[j] * ei[1]
+    ny = targets[j] * ei[0] - targets[i] * ej[0]
+    if nx % d or ny % d:
+        return None
+    m = (nx // d, ny // d)
+    if any(dot(m, ray) != c for ray, c in zip(rays, targets)):
+        return None
+    return m
 
 
 def positively_spans(vectors) -> bool:

@@ -458,11 +458,15 @@ def test_json_out_unwritable_exit_1(capsys, tmp_path, target):
     assert captured.err.startswith("troptoric: ") and captured.err.count("\n") == 1
 
 
-def test_env_seed_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("TROPTORIC_SEED", "99")
+def test_seed_ignores_environment(capsys, tmp_path, monkeypatch):
+    # --seed is the only way to set the seed; no environment variable is read
     fan_path = write(tmp_path, "fan.json", P2)
-    _, out = run(capsys, "sweep", fan_path, "--range", "0..0")
-    assert json.loads(out.strip().splitlines()[-1])["summary"]["seed"] == 99
+    for value in ("99", "abc"):
+        monkeypatch.setenv("TROPTORIC_SEED", value)
+        code, out = run(capsys, "fan", "builtin", "p2")
+        assert code == 0 and json.loads(out) == P2
+        _, out = run(capsys, "sweep", fan_path, "--range", "0..0")
+        assert json.loads(out.strip().splitlines()[-1])["summary"]["seed"] == cli.DEFAULT_SEED
 
 
 def test_usage_error_exit_1(capsys):

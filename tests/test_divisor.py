@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from oracles import fm_lattice_points, random_blowup_fan, random_divisor, random_fan
+from oracles import _primitive_pool, fm_lattice_points, pair_search_equivalence, random_blowup_fan, random_divisor, random_fan
 from troptoric.divisor import (
     DivisorPolytope,
     ToricDivisor,
@@ -74,6 +75,45 @@ def test_linearly_equivalent_respects_principal_shifts():
             d = random_divisor(rng, f, -4, 4)
             m = (rng.randint(-3, 3), rng.randint(-3, 3))
             assert linearly_equivalent(d + principal_divisor(m, f), d) == m
+
+
+def test_linearly_equivalent_against_pair_search():
+    # random_fan fans, and fans of 1-cones on one ray, on a line (all rays
+    # parallel) or on a line and one more ray; d2 is d1 shifted by a
+    # principal divisor, that shifted and then nudged, or drawn afresh
+    rng = random.Random(2024)
+    pool = _primitive_pool(3)
+    drawn = Counter()
+    for trial in range(5000):
+        if trial % 5:
+            f = random_fan(rng, scale=3)
+        else:
+            e = rng.choice(pool)
+            rays = [e, (-e[0], -e[1]), rng.choice(pool)][: rng.randint(1, 3)]
+            rng.shuffle(rays)
+            f = Fan(tuple(Cone((r,)) for r in dict.fromkeys(rays)))
+        for _ in range(5):
+            d1 = random_divisor(rng, f)
+            how = rng.choice(("shifted", "nudged", "fresh"))
+            if how == "fresh":
+                d2 = random_divisor(rng, f)
+            else:
+                d2 = d1 - principal_divisor((rng.randint(-4, 4), rng.randint(-4, 4)), f)
+                if how == "nudged":
+                    k = rng.randrange(len(f.rays))
+                    d2 = ToricDivisor(f, tuple(c + (i == k) for i, c in enumerate(d2.coeffs)))
+            m = linearly_equivalent(d1, d2)
+            assert m == pair_search_equivalence(d1, d2)
+            if m is not None:
+                assert d1 - d2 == principal_divisor(m, f)
+            drawn[how, m is not None] += 1
+    assert drawn == {
+        ("shifted", True): 8233,
+        ("nudged", True): 1961,
+        ("nudged", False): 6478,
+        ("fresh", True): 2056,
+        ("fresh", False): 6272,
+    }
 
 
 def test_polytope_examples():

@@ -8,10 +8,12 @@ import pytest
 
 from oracles import (
     ccw_complete,
+    cone_neighbours,
     interior_contains,
     pairwise_fan_error,
     positively_spans,
     random_cone_set,
+    random_blowup_fan,
     random_fan,
     rejected_pairs,
 )
@@ -109,7 +111,8 @@ def test_cached_facts_outside_equality():
     assert facts == (fresh.smooth, fresh.complete, fresh.bounded, fresh.intersection_numbers)
     assert facts[:3] == (True, True, True)
     # the counterclockwise order kept by validation is no field either
-    assert f._ccw == tuple(ccw_sorted_rays(f.rays)) and "_ccw" not in {x.name for x in dataclasses.fields(Fan)}
+    assert tuple(f.rays[i] for i in f._ccw) == tuple(ccw_sorted_rays(f.rays))
+    assert "_ccw" not in {x.name for x in dataclasses.fields(Fan)}
     blank = hirzebruch(2)
     object.__setattr__(blank, "_ccw", ())
     assert f == blank and hash(f) == hash(blank) and repr(f) == repr(blank)
@@ -150,17 +153,48 @@ def test_spans_plane_on_any_vectors():
         assert spans_plane(vectors) == positively_spans(vectors)
 
 def test_adjacent_rays_examples():
-    assert set(adjacent_rays(projective_plane(), (1, 0))) == {(0, 1), (-1, -1)}
-    assert set(adjacent_rays(hirzebruch(1), (0, 1))) == {(1, 0), (-1, 1)}
-    assert set(adjacent_rays(product_p1_p1(), (1, 0))) == {(0, 1), (0, -1)}
+    # (clockwise neighbour, counterclockwise neighbour)
+    assert adjacent_rays(projective_plane(), (1, 0)) == ((-1, -1), (0, 1))
+    assert adjacent_rays(hirzebruch(1), (0, 1)) == ((1, 0), (-1, 1))
+    assert adjacent_rays(product_p1_p1(), (1, 0)) == ((0, -1), (0, 1))
+    assert adjacent_rays(product_p1_p1(), [0, -1]) == ((-1, 0), (1, 0))
 
 
 def test_adjacent_rays_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a ray of the fan"):
         adjacent_rays(projective_plane(), (5, 1))
+    with pytest.raises(TypeError):
+        adjacent_rays(projective_plane(), (1.0, 0))
     incomplete = Fan((Cone(((1, 0), (0, 1))),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is not a ray of the fan"):
+        adjacent_rays(incomplete, (-1, -1))
+    with pytest.raises(ValueError, match="adjacent rays require a complete fan"):
         adjacent_rays(incomplete, (1, 0))
+
+
+def test_adjacency_against_cone_scan():
+    # smooth complete fans from random_fan and blow-ups of P^2; the
+    # neighbours and the intersection numbers against the cone scan
+    rng = random.Random(2017)
+    fans = [f for f in (random_fan(rng) for _ in range(5000)) if f.smooth and f.complete]
+    fans += [random_blowup_fan(rng, 12) for _ in range(200)]
+    assert len(fans) == 291
+    for f in fans:
+        index = {r: i for i, r in enumerate(f.rays)}
+        rows = [[0] * len(f.rays) for _ in f.rays]
+        for c in f.max_cones:
+            i, j = index[c.rays[0]], index[c.rays[1]]
+            rows[i][j] = rows[j][i] = 1
+        for i, u in enumerate(f.rays):
+            u1, u2 = adjacent_rays(f, u)
+            assert {u1, u2} == set(cone_neighbours(f, u))
+            assert det2(u1, u) > 0 and det2(u, u2) > 0
+            # the b with u1 + u2 + b*u = 0, by division
+            s = (u1[0] + u2[0], u1[1] + u2[1])
+            b = -(dot(s, u) // dot(u, u))
+            assert (s[0] + b * u[0], s[1] + b * u[1]) == (0, 0)
+            rows[i][i] = b
+        assert f.intersection_numbers == tuple(map(tuple, rows))
 
 
 def test_blow_up_examples():

@@ -3,9 +3,9 @@ from dataclasses import asdict
 
 import pytest
 
-from oracles import h1_oracle, random_blowup_fan, random_divisor, rr_oracle
+from oracles import cone_neighbours, h1_oracle, random_blowup_fan, random_divisor, rr_oracle
 from troptoric.divisor import ToricDivisor, canonical_divisor, h0, principal_divisor, ray_divisor, zero_divisor
-from troptoric.fan import Cone, Fan, adjacent_rays, blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
+from troptoric.fan import Cone, Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
 from troptoric.intersect import (
     intersection_matrix,
     pairing,
@@ -43,12 +43,12 @@ def test_hirzebruch_self_intersection_pattern():
         f = hirzebruch(a)
         assert [self_intersection(f, r) for r in f.rays] == [0, -a, 0, a]
     # u1 + u2 + b*u = 0 with the neighbours read off the cones, not the
-    # counterclockwise sort that the cached diagonal comes from
+    # counterclockwise cycle that the cached diagonal comes from
     rng = random.Random(67)
     for _ in range(40):
         f = random_blowup_fan(rng, 8)
         for u in f.rays:
-            (u1, u2), b = adjacent_rays(f, u), self_intersection(f, u)
+            (u1, u2), b = cone_neighbours(f, u), self_intersection(f, u)
             assert (u1[0] + u2[0] + b * u[0], u1[1] + u2[1] + b * u[1]) == (0, 0)
 
 
