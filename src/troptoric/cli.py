@@ -173,6 +173,7 @@ def _sweep_line(index: int, coeffs, r: RRReport) -> str:
 
 def cmd_sweep(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
+    f.intersection_terms  # ValueError unless smooth and complete, even over an empty range
     lo, hi = args.range
     r = len(f.rays)
     width = hi - lo + 1

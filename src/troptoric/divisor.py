@@ -1,16 +1,16 @@
 """Toric divisors, the polytope P(D), lattice-point enumeration, and h0.
 
 A toric divisor is an integer coefficient per ray of a fan.  Its polytope
-P(D) = {m : <m, e_ray> + a_ray >= 0} is its inequalities, kept as
-integer data.  Whether it is bounded is a fact of the fan (its recession
-cone is trivial iff the rays positively span the plane, `Fan.bounded`),
-and its vertices, pairwise line intersections in homogeneous integer
-coordinates, are found only when they are read.
+P(D) = {m : <m, e_ray> + a_ray >= 0} belongs to it: a `DivisorPolytope`
+holds the divisor alone, and reads its inequalities off the divisor and
+whether it is bounded off the fan (its recession cone is trivial iff the
+rays positively span the plane, `Fan.bounded`).  Its vertices, pairwise
+line intersections in homogeneous integer coordinates, are found only
+when they are read.
 
 Both the count and the listing read the row plan: the Fourier-Motzkin
-elimination of x, which depends only on the normals, so a fan computes
-it once (`Fan.row_plan`) and a bare `DivisorPolytope` builds it from its
-inequalities.  The integer y-range is read off the plan's y-bounds
+elimination of x, which depends only on the rays, so a fan computes it
+once (`Fan.row_plan`).  The integer y-range is read off the plan's y-bounds
 (`_y_range`), and row y runs from lo(y) to hi(y), where hi is the minimum
 over the rays with x < 0 and -lo the minimum over the rays with x > 0 of
 floor((ey*y + a_i)/|ex|).  h0 counts by floor sums: along each chain of
@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fan import Fan, RowPlan, Vec, _as_vec, det2, dot, row_plan, spans_plane
+from .fan import Fan, RowPlan, Vec, _as_vec, det2, dot
 from .jsonutil import ParseError
 from .trop import TropPolynomial
 
@@ -179,16 +179,24 @@ def linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor) -> Vec | None:
 
 @dataclass(frozen=True)
 class DivisorPolytope:
-    """P(D) as inequalities <m, e_ray> + a_ray >= 0.
+    """P(D): the inequalities <m, e_ray> + a_ray >= 0 of a divisor.
 
-    ``bounded`` is True iff the recession cone {m : <m, e_ray> >= 0} is
-    trivial.  ``vertices``, the feasible pairwise intersections of the
-    boundary lines (none on a bounded polytope means it is empty), are
-    found on first read and cached outside equality and hashing.
+    ``bounded`` is the fan's fact: True iff the recession cone
+    {m : <m, e_ray> >= 0} is trivial.  ``vertices``, the feasible pairwise
+    intersections of the boundary lines (none on a bounded polytope means
+    it is empty), are found on first read and cached outside equality and
+    hashing.
     """
 
-    inequalities: tuple[Inequality, ...]
-    bounded: bool
+    divisor: ToricDivisor
+
+    @property
+    def inequalities(self) -> tuple[Inequality, ...]:
+        return tuple((e[0], e[1], a) for e, a in zip(self.divisor.fan.rays, self.divisor.coeffs))
+
+    @property
+    def bounded(self) -> bool:
+        return self.divisor.fan.bounded
 
     @functools.cached_property
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -223,13 +231,9 @@ def _enumerate_vertices(ineqs) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(verts)
 
 
-def _inequalities(rays, coeffs) -> tuple[Inequality, ...]:
-    return tuple((e[0], e[1], a) for e, a in zip(rays, coeffs))
-
-
 def polytope(d: ToricDivisor) -> DivisorPolytope:
     """P(D): one inequality <m, e_ray> + a_ray >= 0 per ray."""
-    return DivisorPolytope(_inequalities(d.fan.rays, d.coeffs), d.fan.bounded)
+    return DivisorPolytope(d)
 
 
 def _y_range(plan: RowPlan, a) -> tuple[int, int]:
@@ -267,10 +271,10 @@ def _rows(plan: RowPlan, a):
             yield y, lo, hi
 
 
-def _walkable(normals, a, bounded: bool) -> bool:
+def _walkable(fan: Fan, a) -> bool:
     """Whether the integer points of {m : <m, e_i> + a_i >= 0}, with
-    distinct primitive normals e_i (a fan's rays), can be walked by rows:
-    True when it is bounded, False when it is unbounded and empty;
+    normals e_i the fan's rays (distinct and primitive), can be walked by
+    rows: True when it is bounded, False when it is unbounded and empty;
     UnboundedPolytopeError when it is unbounded and nonempty.
 
     Theorem: when the normals do not positively span the plane, the set
@@ -287,10 +291,10 @@ def _walkable(normals, a, bounded: bool) -> bool:
     integral with <m0, u> = -a_u, as u is primitive: m0 + k*d lies in
     the set for every large k.
     """
-    if bounded:
+    if fan.bounded:
         return True
-    index = {e: i for i, e in enumerate(normals)}
-    for i, (ex, ey) in enumerate(normals):
+    index = {e: i for i, e in enumerate(fan.rays)}
+    for i, (ex, ey) in enumerate(fan.rays):
         j = index.get((-ex, -ey))
         if j is not None and a[i] + a[j] < 0:
             return False
@@ -302,24 +306,12 @@ def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
 
     Raises UnboundedPolytopeError when the polytope is unbounded and
     nonempty; an empty polytope (bounded or not) yields the empty tuple.
-    A hand-built ``p`` is checked first: ValueError when ``bounded``
-    disagrees with its normals (`spans_plane`), or when it is unbounded
-    and its normals are not distinct and primitive, as `_walkable`'s
-    theorem needs (a fan's rays are).
+    The rows come from the fan's row plan.
     """
-    normals = [(ex, ey) for ex, ey, _ in p.inequalities]
-    a = [c for _, _, c in p.inequalities]
-    if p.bounded != spans_plane(normals):
-        span = "do not positively span" if p.bounded else "positively span"
-        raise ValueError(f"DivisorPolytope.bounded is {p.bounded}, but its normals {span} the plane")
-    if not p.bounded and (
-        len(set(normals)) < len(normals) or any(math.gcd(ex, ey) != 1 for ex, ey in normals)
-    ):
-        raise ValueError("an unbounded DivisorPolytope needs distinct primitive normals")
-    if not _walkable(normals, a, p.bounded):
+    fan, a = p.divisor.fan, p.divisor.coeffs
+    if not _walkable(fan, a):
         return ()
-    plan = row_plan(normals)
-    return tuple((x, y) for y, lo, hi in _rows(plan, a) for x in range(lo, hi + 1))
+    return tuple((x, y) for y, lo, hi in _rows(fan.row_plan, a) for x in range(lo, hi + 1))
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -401,7 +393,7 @@ def h0(fan: Fan, d: ToricDivisor) -> int:
     _same_fan(fan, d)
     if not fan.smooth:
         raise ValueError("h0 requires a smooth fan")
-    if not _walkable(fan.rays, d.coeffs, fan.bounded):
+    if not _walkable(fan, d.coeffs):
         return 0
     return _lattice_count(fan.row_plan, d.coeffs)
 

@@ -6,8 +6,8 @@ are validated eagerly, as a counterclockwise cycle: with the rays sorted
 once, each 2-cone must span the gap from one ray to the next, and no
 1-cone may lie on a 2-cone's ray (`Fan`).  So a fan is complete iff it
 has as many maximal cones as rays, all 2-dimensional (`is_complete`).
-Its rays positively span the plane iff every gap is less than pi
-(`spans_plane`, read by `Fan.bounded`).
+Its rays positively span the plane iff every gap is less than pi, which
+`Fan.bounded` reads off the kept cycle, so a fan sorts its rays once.
 
 A fan's fixed facts are computed once, on first use, and cached on the
 instance outside its equality and hash: whether it is smooth, complete
@@ -22,7 +22,7 @@ entries are nonzero: two per cone and the diagonal.
 
 Every P(D) on a fan, {m : <m, e_i> + a_i >= 0}, has the same normals, so
 the Fourier-Motzkin elimination of x that bounds its rows is a fact of the
-fan too.  The row plan (`row_plan`) keeps the rays with x > 0 and x < 0,
+fan too.  The row plan (`Fan.row_plan`) keeps the rays with x > 0 and x < 0,
 which bound x on a row, each side in the order in which its rays take
 over the bound as y grows, and the y-bounds of the elimination as weights
 on the coefficients a; a divisor then counts its points by floor sums
@@ -47,8 +47,8 @@ class RowPlan(NamedTuple):
     ``pos`` and ``neg`` hold the rays with x > 0 and x < 0 as
     (i, |ex|, ey): at height y they give x >= ceil(-(ey*y + a_i)/|ex|) and
     x <= floor((ey*y + a_i)/|ex|).  Each is a chain sorted by decreasing
-    slope ey/|ex| (ties keep ray order), the order in which its rays take
-    over the minimum of (ey*y + a_i)/|ex| as y grows, whatever the a_i.
+    slope ey/|ex|, the order in which its rays take over the minimum of
+    (ey*y + a_i)/|ex| as y grows, whatever the a_i.
     The y-bounds (cy, i, wi, j, wj) read
     cy*y + wi*a_i + wj*a_j >= 0: one per ray with x = 0 (weight 0 on its
     second index) and one per pair of opposite x-signs, scaled so that x
@@ -61,24 +61,6 @@ class RowPlan(NamedTuple):
     lower: tuple[tuple[int, int, int, int, int], ...]
     upper: tuple[tuple[int, int, int, int, int], ...]
     fixed: tuple[tuple[int, int, int, int, int], ...]
-
-
-def row_plan(normals) -> RowPlan:
-    """The row plan of the systems <m, e_i> + a_i >= 0 with the given
-    integer normals e_i, for every coefficient tuple a."""
-    by_slope = functools.cmp_to_key(_slope_cmp)
-    pos = tuple(sorted(((i, ex, ey) for i, (ex, ey) in enumerate(normals) if ex > 0), key=by_slope))
-    neg = tuple(sorted(((i, -ex, ey) for i, (ex, ey) in enumerate(normals) if ex < 0), key=by_slope))
-    # px*x + py*y + a_i >= 0 times nx, plus -nx*x + ny*y + a_j >= 0 times px
-    bounds = [(ey, i, 1, i, 0) for i, (ex, ey) in enumerate(normals) if ex == 0]
-    bounds += [(nx * py + px * ny, i, nx, j, px) for i, px, py in pos for j, nx, ny in neg]
-    return RowPlan(
-        pos,
-        neg,
-        tuple(b for b in bounds if b[0] > 0),
-        tuple(b for b in bounds if b[0] < 0),
-        tuple(b for b in bounds if b[0] == 0),
-    )
 
 
 def _slope_cmp(u, v) -> int:
@@ -242,10 +224,21 @@ class Fan:
 
     @functools.cached_property
     def bounded(self) -> bool:
-        """True iff the rays positively span the plane (`spans_plane`):
-        then every P(D), whose recession cone is {m : <m, e_ray> >= 0},
-        is bounded."""
-        return spans_plane(self.rays)
+        """True iff the rays positively span the plane: then every P(D),
+        whose recession cone is {m : <m, e_ray> >= 0}, is bounded.
+
+        Theorem: that holds iff det(u, v) > 0 for every pair of
+        counterclockwise-consecutive rays u, v, that is iff every gap
+        between them is less than pi.  Proof: vectors positively span the
+        plane iff no closed half-plane holds them all.  A gap of pi or more
+        leaves all the rays in the closed half-plane on its other side;
+        conversely the open complement of a closed half-plane that holds
+        them all lies inside one gap.  A single ray has one gap, the full
+        turn, with det(u, u) = 0, and no rays span nothing.  So the cycle
+        kept by validation decides it.
+        """
+        rays, cycle = self.rays, self._ccw
+        return bool(cycle) and all(det2(rays[cycle[k - 1]], rays[i]) > 0 for k, i in enumerate(cycle))
 
     @functools.cached_property
     def intersection_numbers(self) -> tuple[tuple[int, ...], ...]:
@@ -281,8 +274,22 @@ class Fan:
 
     @functools.cached_property
     def row_plan(self) -> RowPlan:
-        """The row plan of every P(D) on this fan."""
-        return row_plan(self.rays)
+        """The row plan of every P(D) on this fan: of the systems
+        <m, e_i> + a_i >= 0 on its rays e_i, for every coefficient tuple a."""
+        rays = self.rays
+        by_slope = functools.cmp_to_key(_slope_cmp)
+        pos = tuple(sorted(((i, ex, ey) for i, (ex, ey) in enumerate(rays) if ex > 0), key=by_slope))
+        neg = tuple(sorted(((i, -ex, ey) for i, (ex, ey) in enumerate(rays) if ex < 0), key=by_slope))
+        # px*x + py*y + a_i >= 0 times nx, plus -nx*x + ny*y + a_j >= 0 times px
+        bounds = [(ey, i, 1, i, 0) for i, (ex, ey) in enumerate(rays) if ex == 0]
+        bounds += [(nx * py + px * ny, i, nx, j, px) for i, px, py in pos for j, nx, ny in neg]
+        return RowPlan(
+            pos,
+            neg,
+            tuple(b for b in bounds if b[0] > 0),
+            tuple(b for b in bounds if b[0] < 0),
+            tuple(b for b in bounds if b[0] == 0),
+        )
 
     def is_smooth(self) -> bool:
         return self.smooth
@@ -315,24 +322,6 @@ def _angle_cmp(u, v) -> int:
 def ccw_sorted_rays(rays) -> list[Vec]:
     """Rays sorted counterclockwise starting from angle 0, exactly."""
     return sorted(rays, key=functools.cmp_to_key(_angle_cmp))
-
-
-def spans_plane(vectors) -> bool:
-    """Whether the integer vectors positively span the plane.
-
-    Theorem: that holds iff det(u, v) > 0 for every pair of
-    counterclockwise-consecutive directions u, v of the nonzero vectors,
-    that is iff every gap between them is less than pi.  Proof: vectors
-    positively span the plane iff no closed half-plane holds them all.
-    A gap of pi or more leaves all the vectors in the closed half-plane
-    on its other side; conversely the open complement of a closed
-    half-plane that holds them all lies inside one gap.  A single
-    direction has one gap, the full turn, with det(u, u) = 0, and no
-    directions span nothing.  Zero vectors span nothing, and parallel
-    ones share a direction, so each direction is taken once, primitive.
-    """
-    dirs = ccw_sorted_rays({primitive(v) for v in vectors if v != (0, 0)})
-    return bool(dirs) and all(det2(dirs[k - 1], u) > 0 for k, u in enumerate(dirs))
 
 
 def is_complete(f: Fan) -> bool:

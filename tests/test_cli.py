@@ -234,6 +234,32 @@ def test_h0_infinite(capsys, tmp_path):
     assert out == '{"h0": 0, "lattice_points": [], "polytope_vertices": []}\n'
 
 
+B2 = {"rays": [[1, 0], [0, 1], [-1, -1], [1, 1], [1, 2]], "max_cones": [[0, 3], [3, 4], [4, 1], [1, 2], [2, 0]]}
+F2 = {"rays": [[1, 0], [0, 1], [-1, 2], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+
+
+@pytest.mark.parametrize(
+    "fan, coeffs, expected",
+    [
+        (P2, [0, 0, 3], '{"h0": 10, "lattice_points": [[0, 0], [1, 0], [2, 0], [3, 0], [0, 1], [1, 1], [2, 1], '
+         '[0, 2], [1, 2], [0, 3]], "polytope_vertices": [[0, 0], [0, 3], [3, 0]]}'),
+        (F2, [2, -1, 3, 1], '{"h0": 8, "lattice_points": [[-2, 1], [-1, 1], [0, 1], [1, 1], [2, 1], [3, 1], '
+         '[4, 1], [5, 1]], "polytope_vertices": [[-2, 1], [5, 1]]}'),
+        # P^2 blown up at cone 0, then at cone 1 of the result
+        (B2, [2, -1, 3, 0, 1], '{"h0": 14, "lattice_points": [[-1, 1], [0, 1], [1, 1], [2, 1], [-2, 2], [-1, 2], '
+         '[0, 2], [1, 2], [-2, 3], [-1, 3], [0, 3], [-2, 4], [-1, 4], [-2, 5]], '
+         '"polytope_vertices": [[-2, 2], [-2, 5], [-1, 1], [2, 1]]}'),
+        # one 2-cone: P(D) is a quadrant with one vertex
+        ({"rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}, [2, -1],
+         '{"h0": "infinite", "lattice_points": null, "polytope_vertices": [[-2, 1]]}'),
+    ],
+)
+def test_h0_output_bytes_pinned(capsys, tmp_path, fan, coeffs, expected):
+    fan_path = write(tmp_path, "fan.json", fan)
+    div_path = write(tmp_path, "d.json", {"coeffs": {str(i): c for i, c in enumerate(coeffs)}})
+    assert run(capsys, "h0", fan_path, div_path) == (0, expected + "\n")
+
+
 def test_h0_nonsmooth_exit_2(capsys, tmp_path):
     fan = {"rays": [[1, 0], [1, 2], [-1, 0], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
     fan_path = write(tmp_path, "fan.json", fan)
@@ -429,6 +455,26 @@ def test_sweep_empty_range(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert code == 0 and len(lines) == 1
     assert json.loads(lines[0])["summary"]["count"] == 0
+
+
+@pytest.mark.parametrize(
+    "fan",
+    [
+        {"rays": [[1, 0], [-1, 0]], "max_cones": [[0], [1]]},  # incomplete
+        {"rays": [[1, 0], [0, 1], [-1, -2]], "max_cones": [[0, 1], [1, 2], [2, 0]]},  # complete, not smooth
+    ],
+)
+def test_sweep_empty_range_checks_the_fan(capsys, tmp_path, fan):
+    # the fan must carry intersection theory even when no divisor is drawn
+    fan_path = write(tmp_path, "fan.json", fan)
+    outcomes = []
+    for bounds in ("0..0", "1..0"):
+        code = main(["sweep", fan_path, f"--range={bounds}"])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0][0] == 2 and outcomes[0][1] == ""
+    assert outcomes[0][2].startswith("troptoric: intersection theory requires")
+    assert outcomes[1] == outcomes[0]
 
 
 def test_sweep_deterministic(capsys, tmp_path):

@@ -168,25 +168,6 @@ def test_lattice_points_unbounded():
     assert lattice_points(p) == ()
 
 
-
-def test_lattice_points_checks_a_hand_built_polytope():
-    # the bounded flag is checked against the normals, not trusted
-    with pytest.raises(ValueError, match="do not positively span"):
-        lattice_points(DivisorPolytope(((1, 0, 0),), True))
-    no_x_positive = DivisorPolytope(((-1, 0, 3), (0, 1, 0), (0, -1, 2), (-1, -1, 4)), True)
-    with pytest.raises(ValueError, match="do not positively span"):
-        lattice_points(no_x_positive)
-    with pytest.raises(ValueError, match="is False, but its normals positively span"):
-        lattice_points(DivisorPolytope(((1, 0, 0), (0, 1, 0), (-1, -1, 1)), False))
-    # 2x + 1 >= 0 and -2x - 1 >= 0 hold no integer point, but a_u + a_-u = 0
-    with pytest.raises(ValueError, match="distinct primitive"):
-        lattice_points(DivisorPolytope(((2, 0, 1), (-2, 0, -1)), False))
-    with pytest.raises(ValueError, match="distinct primitive"):
-        lattice_points(DivisorPolytope(((1, 0, 0), (1, 0, 1)), False))
-    # a correct hand-built one reads as the fan's: parallel normals are fine
-    p = DivisorPolytope(((1, 0, 0), (0, 1, 0), (-1, -1, 1), (2, 0, 1)), True)
-    assert lattice_points(p) == ((0, 0), (1, 0), (0, 1))
-
 def test_polytope_bounded_is_the_fan_fact():
     # three 1-cones whose rays span the plane: bounded but not complete
     spread = Fan(tuple(Cone((r,)) for r in ((1, 0), (0, 1), (-1, -1))))
@@ -202,7 +183,11 @@ def test_polytope_bounded_is_the_fan_fact():
     ):
         assert f.bounded == bounded
         for _ in range(5):
-            assert polytope(random_divisor(rng, f, -3, 3)).bounded == bounded
+            d = random_divisor(rng, f, -3, 3)
+            p = polytope(d)
+            assert p == DivisorPolytope(d) and p.divisor is d
+            assert p.bounded == bounded
+            assert p.inequalities == tuple((ex, ey, a) for (ex, ey), a in zip(f.rays, d.coeffs))
 
 
 def test_polytope_equality_ignores_read_vertices():

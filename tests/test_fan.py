@@ -17,6 +17,8 @@ from oracles import (
     random_fan,
     rejected_pairs,
 )
+from troptoric import fan as fan_module
+from troptoric.divisor import ToricDivisor, h0, lattice_points, polytope
 from troptoric.fan import (
     Cone,
     Fan,
@@ -32,7 +34,6 @@ from troptoric.fan import (
     primitive,
     product_p1_p1,
     projective_plane,
-    spans_plane,
 )
 from troptoric.fan import det2, dot
 from troptoric.jsonutil import ParseError
@@ -139,18 +140,27 @@ def test_cached_facts_outside_equality():
     assert drawn == {"complete": 1028, "bounded, incomplete": 984, "unbounded": 1735, "unbounded, opposite pair": 1253}
 
 
+def test_one_sort_per_fan(monkeypatch):
+    # validation sorts the rays once; every later fact reads the kept cycle
+    f = projective_plane()
+    for c in (0, 2, 4):
+        f = blow_up(f, f.max_cones[c])
+    data = fan_to_dict(f)
+    calls = []
+    sort = fan_module.ccw_sorted_rays
+    monkeypatch.setattr(fan_module, "ccw_sorted_rays", lambda rays: calls.append(rays) or sort(rays))
+    f = fan_from_dict(data)
+    d = ToricDivisor(f, (2, -1, 3, 0, 1, 2))
+    assert (f.smooth, f.complete, f.bounded) == (True, True, True)
+    assert len(f.intersection_numbers) == len(f.rays) == 6
+    assert len(lattice_points(polytope(d))) == h0(f, d) > 0
+    assert len(calls) == 1
+    # the points of P(D) are walked along the fan's own row plan
+    fresh = fan_from_dict(data)
+    assert "row_plan" not in vars(fresh)
+    lattice_points(polytope(ToricDivisor(fresh, d.coeffs)))
+    assert "row_plan" in vars(fresh)
 
-def test_spans_plane_on_any_vectors():
-    # repeated, parallel and zero vectors, as a hand-built polytope may have
-    assert spans_plane([(1, 0), (2, 0), (0, 1), (-3, -3)])
-    assert spans_plane([(1, 0), (1, 0), (0, 1), (-1, -1), (0, 0)])
-    assert not spans_plane([(1, 0), (-2, 0)])
-    assert not spans_plane([(0, 0)])
-    rng = random.Random(2022)
-    for _ in range(3000):
-        vectors = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 5))]
-        vectors = [v for v in vectors if v != (0, 0)]
-        assert spans_plane(vectors) == positively_spans(vectors)
 
 def test_adjacent_rays_examples():
     # (clockwise neighbour, counterclockwise neighbour)
