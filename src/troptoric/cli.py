@@ -21,11 +21,10 @@ import random
 import re
 import sys
 
-from .divisor import ToricDivisor, UnboundedPolytopeError, divisor_from_dict, polytope
+from .divisor import UnboundedPolytopeError, divisor_from_dict, polytope
 from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
-from .intersect import RRReport, rr_check
+from .intersect import _rr_kernel, rr_check
 from .jsonutil import ParseError, format_rational, load_json, parse_rational
-from .sections import global_sections, h0_a, h0_b, passes_through, vandermonde_section
 
 DEFAULT_SEED = 314159
 EXIT_OK = 0
@@ -106,6 +105,8 @@ def cmd_fan(args) -> tuple[list[str], int]:
 
 
 def cmd_h0(args) -> tuple[list[str], int]:
+    from .sections import global_sections
+
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
     p = polytope(d)
@@ -130,6 +131,8 @@ def cmd_rr(args) -> tuple[list[str], int]:
 
 
 def cmd_sections(args) -> tuple[list[str], int]:
+    from .sections import global_sections, h0_a, h0_b, passes_through, vandermonde_section
+
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
     module = global_sections(f, d)
@@ -159,27 +162,29 @@ def _coeff_range(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-def _sweep_line(index: int, coeffs, r: RRReport) -> str:
+def _sweep_line(index: int, coeffs, fields) -> str:
     """The JSON line json.dumps writes for {"index": index, "coeffs":
-    list(coeffs), "report": r.to_dict()}, as one f-string: an int's JSON
-    text is its str, and ``holds`` is true or false."""
+    list(coeffs), "report": RRReport(*fields).to_dict()}, as one f-string:
+    an int's JSON text is its str, and ``holds`` is true or false."""
+    h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, holds = fields
     return (
         f'{{"index": {index}, "coeffs": {list(coeffs)}, "report": {{'
-        f'"h0_D": {r.h0_D}, "h0_K_minus_D": {r.h0_K_minus_D}, "euler": {r.euler}, '
-        f'"pairing_term": {r.pairing_term}, "rhs": {r.rhs}, "defect": {r.defect}, '
-        f'"holds": {"true" if r.holds else "false"}}}}}'
+        f'"h0_D": {h0_d}, "h0_K_minus_D": {h0_k_minus_d}, "euler": {euler}, '
+        f'"pairing_term": {pairing_term}, "rhs": {rhs}, "defect": {defect}, '
+        f'"holds": {"true" if holds else "false"}}}}}'
     )
 
 
 def cmd_sweep(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
-    f.intersection_terms  # ValueError unless smooth and complete, even over an empty range
+    kernel = _rr_kernel(f)  # ValueError unless smooth and complete, even over an empty range
     lo, hi = args.range
     r = len(f.rays)
     width = hi - lo + 1
     count = width**r if width > 0 else 0
     lines = []
-    defects = []
+    min_defect = None
+    violations = 0
     if 0 < count <= SWEEP_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         coeff_iter = itertools.product(range(lo, hi + 1), repeat=r)
@@ -194,17 +199,22 @@ def cmd_sweep(args) -> tuple[list[str], int]:
             tuple([draw(lo, hi + 1) for _ in range(r)])
             for _ in range(SWEEP_SAMPLE_SIZE)
         )
+    # the tuples are ints of the fan's length by construction, so they go
+    # to the kernel as they are, with no ToricDivisor built around them
     for index, coeffs in enumerate(coeff_iter):
-        report = rr_check(f, ToricDivisor(f, coeffs))
-        defects.append(report.defect)
-        lines.append(_sweep_line(index, coeffs, report))
-    violations = sum(x < 0 for x in defects)  # a report holds iff its defect is >= 0
+        fields = kernel(coeffs)
+        defect = fields[5]
+        if min_defect is None or defect < min_defect:
+            min_defect = defect
+        if defect < 0:  # a report holds iff its defect is >= 0
+            violations += 1
+        lines.append(_sweep_line(index, coeffs, fields))
     summary = {
         "summary": {
             "mode": mode,
             "seed": args.seed,
-            "count": len(defects),
-            "min_defect": min(defects, default=None),
+            "count": len(lines),
+            "min_defect": min_defect,
             "violations": violations,
         }
     }

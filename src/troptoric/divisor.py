@@ -31,10 +31,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .fan import Fan, RowPlan, Vec, _as_vec, det2, dot
 from .jsonutil import ParseError
-from .trop import TropPolynomial
+
+if TYPE_CHECKING:  # annotations only: a sweep never loads trop
+    from .trop import TropPolynomial
 
 # An inequality (ex, ey, a) means ex*x + ey*y + a >= 0.
 Inequality = tuple[int, int, int]

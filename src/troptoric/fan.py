@@ -12,8 +12,9 @@ Its rays positively span the plane iff every gap is less than pi, which
 A fan's fixed facts are computed once, on first use, and cached on the
 instance outside its equality and hash: whether it is smooth, complete
 and bounded (its rays positively span the plane, so every P(D) is
-bounded), its intersection numbers with their nonzero entries, and its
-row plan.  Two ray divisors meet once iff their rays are neighbours in
+bounded), its intersection numbers with their nonzero entries and the
+per-ray terms of the cycle form of D(D-K) (`intersect`), and its row
+plan.  Two ray divisors meet once iff their rays are neighbours in
 the counterclockwise cycle (on a complete fan, its 2-cones); the
 self-intersection of a ray with primitive generator u and cycle
 neighbours u1, u2 is the integer b with u1 + u2 + b*u = 0, which is
@@ -77,6 +78,9 @@ def dot(a, b):
 
 
 def _as_vec(v) -> Vec:
+    # a fan's own rays are already int pairs: one exact-type test (no bool)
+    if type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+        return v
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise TypeError(f"a lattice vector must be a pair [x, y], got {v!r}")
     x, y = v
@@ -271,6 +275,16 @@ class Fan:
             for j, m in enumerate(row)
             if m
         )
+
+    @functools.cached_property
+    def cycle_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(i, j, D_i . D_i, D_i . -K) for each ray i in counterclockwise
+        order, with j the ray after i: the terms of the cycle form of
+        D(D-K) (`intersect`).  D_i . -K is the row sum of
+        ``intersection_numbers``; ValueError unless smooth and complete."""
+        m, cycle = self.intersection_numbers, self._ccw
+        n = len(cycle)
+        return tuple((i, cycle[(k + 1) % n], m[i][i], sum(m[i])) for k, i in enumerate(cycle))
 
     @functools.cached_property
     def row_plan(self) -> RowPlan:

@@ -6,15 +6,29 @@ cached on it (`Fan.intersection_numbers`, and its nonzero entries as
 `Fan.intersection_terms`); the functions here check their arguments and
 read them.  A pairing sums over the nonzero entries only, at most 3n of
 the n^2 on n rays.  The verifier compares h0(D) + h0(K-D) against
-chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in integers: both counts are
-floor sums along the chains of the fan's row plan (`Fan.row_plan`), so
-each divisor costs only integer arithmetic on its coefficient tuple, in
-a number of steps that grows with the log of its coefficients.
+chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in integers, in one kernel per
+fan (`_rr_kernel`) that `rr_check` and `troptoric sweep` share: D(D-K) is
+the cycle form below, and both counts are floor sums along the chains of
+the fan's row plan (`Fan.row_plan`), so each divisor costs only integer
+arithmetic on its coefficient tuple, in a number of steps that grows
+with the log of its coefficients.
 
 Theorem: on a smooth complete toric surface D(D-K) is even, since
 Riemann-Roch gives chi(O(D)) = 1 + D(D-K)/2 and chi(O(D)) = h0 - h1 + h2
 is an integer; and h0(D), h0(K-D) are finite, since the rays of a
 complete fan positively span the plane, so P(D) and P(K-D) are bounded.
+
+Theorem (the cycle form): on a smooth complete fan with n rays, D(D-K)
+is the sum over the rays i of a_i*(b_i*a_i + 2*a_next(i) + b_i + 2), where
+b_i = D_i.D_i and next(i) is the ray after i in the counterclockwise
+cycle.  Proof: -K is the sum of the ray divisors, so D(D-K) = D.D +
+sum_i a_i*(D_i.(-K)).  Row i of the intersection matrix has b_i on the
+diagonal, 1 for each of its two cycle neighbours, which are distinct
+since n >= 3 (rays that positively span the plane are at least three),
+and 0 elsewhere; so D_i.(-K), the row sum, is b_i + 2, and
+D.D = sum_i b_i*a_i^2 + 2*sum_i a_i*a_next(i), each neighbour pair
+counted once, from the ray before it.  So one divisor costs n products,
+not a pass over the 3n nonzero entries (`_rr_kernel`).
 """
 
 from __future__ import annotations
@@ -81,27 +95,52 @@ class RRReport:
         return dict(vars(self))
 
 
-def rr_check(fan: Fan, d: ToricDivisor) -> RRReport:
-    """Verify h0(D) + h0(K-D) >= chi + D(D-K)/2 for one divisor.
+def _rr_kernel(fan: Fan):
+    """The fan's Riemann-Roch kernel: a function from a coefficient tuple
+    a to the fields of its `RRReport`, in declaration order, all in
+    integers.  ValueError unless the fan is smooth and complete.
 
-    Works on the coefficient tuple a of D: K = -(sum of the ray divisors),
-    so K - D has coefficients -1 - a and D - K has a + 1.  Every field is
-    an int by the integrality theorem above; an odd D(D-K) can only come
-    from wrong intersection numbers and raises ArithmeticError.
+    D(D-K) is read off the counterclockwise cycle by the cycle form above,
+    with b_i the diagonal entry of the intersection matrix M and b_i + 2
+    its row sum s_i, both read off M once per fan (`Fan.cycle_terms`).
+    Wrong (symmetric) numbers can then make the form odd, which raises
+    ArithmeticError, and it is odd for exactly the a for which the dense
+    pairing a.M.(a + 1) is: mod 2 both are sum_i a_i*(b_i + s_i), since
+    a_i^2 = a_i and the off-diagonal terms of a.M.a pair up.  K - D has
+    coefficients -1 - a, and both h0 are floor sums along the fan's row
+    plan.
     """
-    terms = fan.intersection_terms  # ValueError unless smooth and complete
-    _same_fan(fan, d)
-    a = d.coeffs
-    twice = _pair(terms, a, [c + 1 for c in a])
-    if twice % 2:
-        raise ArithmeticError(f"D(D-K) = {twice} is odd: the intersection numbers are wrong")
+    steps = fan.cycle_terms  # ValueError unless smooth and complete
     plan = fan.row_plan
-    h0_d = _lattice_count(plan, a)
-    h0_k_minus_d = _lattice_count(plan, [-1 - c for c in a])
-    pairing_term = twice // 2
-    # chi(O_X) = 1: the higher cohomology of O_X vanishes on a complete
-    # toric variety (Cox, Little and Schenck, Toric Varieties, §9.2)
-    euler = 1
-    rhs = euler + pairing_term
-    defect = h0_d + h0_k_minus_d - rhs
-    return RRReport(h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, defect >= 0)
+
+    def fields(a):
+        twice = 0
+        for i, j, b, s in steps:
+            c = a[i]
+            twice += c * (b * c + 2 * a[j] + s)
+        if twice % 2:
+            raise ArithmeticError(f"D(D-K) = {twice} is odd: the intersection numbers are wrong")
+        h0_d = _lattice_count(plan, a)
+        h0_k_minus_d = _lattice_count(plan, [-1 - c for c in a])
+        pairing_term = twice // 2
+        # chi(O_X) = 1: the higher cohomology of O_X vanishes on a complete
+        # toric variety (Cox, Little and Schenck, Toric Varieties, §9.2)
+        euler = 1
+        rhs = euler + pairing_term
+        defect = h0_d + h0_k_minus_d - rhs
+        return h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, defect >= 0
+
+    return fields
+
+
+def rr_check(fan: Fan, d: ToricDivisor) -> RRReport:
+    """Verify h0(D) + h0(K-D) >= chi + D(D-K)/2 for one divisor: the fan's
+    kernel (`_rr_kernel`) on the coefficient tuple of D.
+
+    Every field is an int by the integrality theorem above; an odd D(D-K)
+    can only come from wrong intersection numbers and raises
+    ArithmeticError.
+    """
+    kernel = _rr_kernel(fan)  # ValueError unless smooth and complete
+    _same_fan(fan, d)
+    return RRReport(*kernel(d.coeffs))

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import random
 import sys
 
 import pytest
 
+from oracles import random_blowup_fan, rr_oracle
 from troptoric import cli
 from troptoric.cli import main
-from troptoric.intersect import RRReport
+from troptoric.divisor import ToricDivisor
+from troptoric.fan import fan_from_dict, fan_to_dict
+from troptoric.intersect import RRReport, rr_check
 
 
 def run(capsys, *argv):
@@ -442,11 +446,73 @@ def test_sweep_output_bytes_pinned(capsys, tmp_path, fan, argv, digest):
 
 def test_sweep_line_writes_false():
     # no sweep holds a violation, so the line of a failed report is
-    # checked on a constructed one
+    # checked on constructed fields, in RRReport's order
+    fields = (0, 2, 1, 5, 6, -4, False)
+    line = cli._sweep_line(7, (-3, 0, 12), fields)
     report = RRReport(h0_D=0, h0_K_minus_D=2, euler=1, pairing_term=5, rhs=6, defect=-4, holds=False)
-    line = cli._sweep_line(7, (-3, 0, 12), report)
     assert line == json.dumps({"index": 7, "coeffs": [-3, 0, 12], "report": report.to_dict()})
     assert json.loads(line)["report"]["holds"] is False
+
+
+@pytest.mark.parametrize(
+    "seed, bounds, mode",
+    [(1, "-2..2", "exhaustive"), (2, "-1..2", "exhaustive"), (3, "-80..80", "sampled"), (4, "-80..80", "sampled")],
+)
+def test_sweep_fields_are_rr_check_and_the_oracle(capsys, tmp_path, seed, bounds, mode):
+    # every line of a sweep on a seeded blow-up of P2 is rr_check's report,
+    # and a seeded sample of them is the box-enumeration oracle's
+    rng = random.Random(seed)
+    f = random_blowup_fan(rng)
+    fan_path = write(tmp_path, "fan.json", fan_to_dict(f))
+    code, out = run(capsys, "sweep", fan_path, f"--range={bounds}", "--seed", str(seed))
+    lines = out.splitlines()
+    summary = json.loads(lines[-1])["summary"]
+    assert code == 0 and summary["mode"] == mode and summary["count"] == len(lines) - 1
+    records = [json.loads(line) for line in lines[:-1]]
+    for rec in records:
+        assert rec["report"] == rr_check(f, ToricDivisor(f, tuple(rec["coeffs"]))).to_dict()
+    assert summary["min_defect"] == min(rec["report"]["defect"] for rec in records)
+    for rec in rng.sample(records, 15):
+        assert rec["report"] == rr_oracle(f, ToricDivisor(f, tuple(rec["coeffs"]))), rec["coeffs"]
+
+
+def test_sweep_counts_planted_violations(capsys, tmp_path, monkeypatch):
+    # no true report fails, so a planted kernel with defect a_0 checks the
+    # running minimum, the violation count, the holds flags and exit 3
+    def kernel(fan):
+        def fields(a):
+            return (0, 0, 1, -1 - a[0], -a[0], a[0], a[0] >= 0)
+
+        return fields
+
+    monkeypatch.setattr(cli, "_rr_kernel", kernel)
+    fan_path = write(tmp_path, "fan.json", P2)
+    code, out = run(capsys, "sweep", fan_path, "--range=-1..1")
+    lines = out.splitlines()
+    assert code == cli.EXIT_VIOLATION == 3
+    assert json.loads(lines[-1]) == {
+        "summary": {"mode": "exhaustive", "seed": cli.DEFAULT_SEED, "count": 27, "min_defect": -1, "violations": 9}
+    }
+    for line in lines[:-1]:
+        rec = json.loads(line)
+        assert rec["report"]["defect"] == rec["coeffs"][0]
+        assert rec["report"]["holds"] is (rec["coeffs"][0] >= 0)
+    code, out = run(capsys, "sweep", fan_path, "--range=1..1")
+    assert code == 0 and json.loads(out.splitlines()[-1])["summary"]["min_defect"] == 1
+
+
+def test_sweep_raises_on_planted_odd_pairing(capsys, tmp_path, monkeypatch):
+    # D(D-K) is even on every smooth complete surface, so an odd one means
+    # wrong intersection numbers: a bug, exit 4 from the console entry point
+    fan_path = write(tmp_path, "fan.json", P2)
+    planted = fan_from_dict(P2)
+    planted.__dict__["intersection_numbers"] = ((1, 1, 0), (1, 1, 1), (0, 1, 1))
+    monkeypatch.setattr(cli, "_load_fan", lambda path: planted)
+    with pytest.raises(ArithmeticError):
+        main(["sweep", fan_path, "--range=0..1"])
+    assert cli.run(["sweep", fan_path, "--range=0..1"]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ArithmeticError" in captured.err
 
 
 def test_sweep_empty_range(capsys, tmp_path):

@@ -2,7 +2,7 @@ import dataclasses
 import json
 import random
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -35,7 +35,7 @@ from troptoric.fan import (
     product_p1_p1,
     projective_plane,
 )
-from troptoric.fan import det2, dot
+from troptoric.fan import _as_vec, det2, dot
 from troptoric.jsonutil import ParseError
 
 
@@ -332,6 +332,27 @@ def test_malformed_cones_rejected():
     for cones in ([[False, True], [True, 2], [2, False]], ["01", "12", "20"], [[0, "1"], [1, 2], [2, 0]]):
         with pytest.raises(ParseError):
             fan_from_dict({"rays": rays, "max_cones": cones})
+
+
+def test_as_vec_fast_path_keeps_the_checks():
+    # a tuple of two exact ints passes as it is; everything else meets the
+    # full check, with the same results and the same error texts
+    v = (3, -4)
+    assert _as_vec(v) is v
+    for other in ([3, -4], namedtuple("Pair", "x y")(3, -4)):
+        w = _as_vec(other)
+        assert w == v and type(w) is tuple
+    for bad, text in [
+        ((1, True), "lattice vectors must have integer coordinates"),
+        ((1.0, 0), "lattice vectors must have integer coordinates"),
+        ([1, False], "lattice vectors must have integer coordinates"),
+        ((1, 2, 3), "a lattice vector must be a pair [x, y], got (1, 2, 3)"),
+        ((1,), "a lattice vector must be a pair [x, y], got (1,)"),
+        ("ab", "a lattice vector must be a pair [x, y], got 'ab'"),
+    ]:
+        with pytest.raises(TypeError) as err:
+            _as_vec(bad)
+        assert str(err.value) == text
 
 
 def test_bool_coordinates_rejected():

@@ -5,8 +5,20 @@ import pytest
 
 from oracles import cone_neighbours, h1_oracle, random_blowup_fan, random_divisor, rr_oracle
 from troptoric.divisor import ToricDivisor, canonical_divisor, h0, principal_divisor, ray_divisor, zero_divisor
-from troptoric.fan import Cone, Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
+from troptoric.fan import (
+    Cone,
+    Fan,
+    adjacent_rays,
+    blow_up,
+    fan_from_dict,
+    fan_to_dict,
+    hirzebruch,
+    product_p1_p1,
+    projective_plane,
+)
 from troptoric.intersect import (
+    _pair,
+    _rr_kernel,
     intersection_matrix,
     pairing,
     ray_intersection,
@@ -230,6 +242,50 @@ def test_rr_check_raises_on_odd_pairing():
     f.__dict__["intersection_numbers"] = ((1, 1, 0), (1, 1, 1), (0, 1, 1))
     with pytest.raises(ArithmeticError):
         rr_check(f, ray_divisor(f, (1, 0)))
+
+
+def test_cycle_form_is_the_dense_pairing():
+    # sum a_i (b_i a_i + 2 a_next(i) + b_i + 2), with next(i) the
+    # counterclockwise neighbour, against the dense a.M.(a + 1) over the
+    # nonzero entries, and the kernel's pairing term is half of it
+    rng = random.Random(131)
+    fans = (projective_plane(), product_p1_p1(), hirzebruch(3)) + tuple(random_blowup_fan(rng) for _ in range(6))
+    for f in fans:
+        kernel = _rr_kernel(f)
+        after = [f.ray_index(adjacent_rays(f, u)[1]) for u in f.rays]
+        b = [self_intersection(f, u) for u in f.rays]
+        for _ in range(300):
+            a = tuple(rng.randint(-80, 80) for _ in f.rays)
+            cycle_form = sum(c * (b[i] * c + 2 * a[after[i]] + b[i] + 2) for i, c in enumerate(a))
+            assert cycle_form == _pair(f.intersection_terms, a, [c + 1 for c in a])
+            assert 2 * kernel(a)[3] == cycle_form
+
+
+def test_kernel_odd_exactly_where_the_dense_pairing_is():
+    # planted symmetric numbers: the kernel raises for exactly the
+    # coefficient tuples whose dense a.M.(a + 1) is odd
+    rng = random.Random(137)
+    raised = 0
+    for _ in range(40):
+        f = fan_from_dict(fan_to_dict(random_blowup_fan(rng)))
+        n = len(f.rays)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        f.__dict__["intersection_numbers"] = tuple(tuple(r) for r in rows)
+        terms = [(i, j, m) for i, r in enumerate(rows) for j, m in enumerate(r) if m]
+        kernel = _rr_kernel(f)
+        for _ in range(20):
+            a = tuple(rng.randint(-5, 5) for _ in range(n))
+            odd = _pair(terms, a, [c + 1 for c in a]) % 2 == 1
+            if odd:
+                with pytest.raises(ArithmeticError):
+                    kernel(a)
+                raised += 1
+            else:
+                kernel(a)
+    assert 200 <= raised <= 600  # both outcomes are exercised
 
 
 def test_equal_fans_are_interchangeable():
