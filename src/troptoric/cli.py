@@ -175,6 +175,26 @@ def _sweep_line(index: int, coeffs, fields) -> str:
     )
 
 
+def _uniform_draws(seed: int, lo: int, hi: int):
+    """An endless stream of integers drawn uniformly from lo..hi, lo <= hi:
+    the values of random.Random(seed).randrange(lo, hi + 1), call after
+    call, for the same random bits.
+
+    randrange(lo, hi + 1) is lo + _randbelow(width) with width = hi - lo
+    + 1, and _randbelow draws getrandbits(k), k = width.bit_length(),
+    until the draw is below width.  This is that rejection loop, without
+    randrange's argument checks on every call.
+    """
+    bits = random.Random(seed).getrandbits
+    width = hi - lo + 1
+    k = width.bit_length()
+    while True:
+        x = bits(k)
+        while x >= width:
+            x = bits(k)
+        yield lo + x
+
+
 def cmd_sweep(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
     kernel = _rr_kernel(f)  # ValueError unless smooth and complete, even over an empty range
@@ -193,12 +213,10 @@ def cmd_sweep(args) -> tuple[list[str], int]:
         coeff_iter = iter(())
     else:
         mode = "sampled"
-        # randint(lo, hi) is randrange(lo, hi + 1): the same stream
-        draw = random.Random(args.seed).randrange
-        coeff_iter = (
-            tuple([draw(lo, hi + 1) for _ in range(r)])
-            for _ in range(SWEEP_SAMPLE_SIZE)
-        )
+        # zip takes r values in turn from the one stream: each tuple holds
+        # the next r draws, in order
+        values = _uniform_draws(args.seed, lo, hi)
+        coeff_iter = itertools.islice(zip(*[values] * r), SWEEP_SAMPLE_SIZE)
     # the tuples are ints of the fan's length by construction, so they go
     # to the kernel as they are, with no ToricDivisor built around them
     for index, coeffs in enumerate(coeff_iter):

@@ -11,14 +11,16 @@ when they are read.
 Both the count and the listing read the row plan: the Fourier-Motzkin
 elimination of x, which depends only on the rays, so a fan computes it
 once (`Fan.row_plan`).  The integer y-range is read off the plan's y-bounds
-(`_y_range`), and row y runs from lo(y) to hi(y), where hi is the minimum
+(`_y_ranges`), and row y runs from lo(y) to hi(y), where hi is the minimum
 over the rays with x < 0 and -lo the minimum over the rays with x > 0 of
 floor((ey*y + a_i)/|ex|).  h0 counts by floor sums: along each chain of
 the plan the minimum is one ray on each of at most n pieces, and a piece
 sums in O(log scale) steps by the Euclid-like reduction, so no polytope,
 vertex, row or point is built and the cost grows only with the log of
-the coefficients.  The Riemann-Roch verifier calls the same count on
-bare coefficient tuples.  lattice_points walks the rows (`_rows`) to
+the coefficients.  The Riemann-Roch verifier counts D and K - D together
+on bare coefficient tuples (`_lattice_count_pair`): one pass over the
+y-bounds gives both y-ranges, and at most one of them holds rows, so it
+sums one pair of chains at most.  lattice_points walks the rows (`_rows`) to
 list the points, and so cross-checks the count.  Neither h0 nor
 lattice_points reads a vertex: an unbounded P(D) is nonempty iff
 a_u + a_-u >= 0 for the one pair of opposite rays u, -u, if the fan has
@@ -239,25 +241,47 @@ def polytope(d: ToricDivisor) -> DivisorPolytope:
     return DivisorPolytope(d)
 
 
-def _y_range(plan: RowPlan, a) -> tuple[int, int]:
-    """(y_lo, y_hi), the integer heights of the bounded system with row
-    plan ``plan`` and coefficients ``a``: empty (y_lo > y_hi) when the
-    system is, and otherwise every row in it has real width >= 0."""
+def _y_ranges(plan: RowPlan, a) -> tuple[int, int, int, int]:
+    """(y_lo, y_hi, k_lo, k_hi): the integer heights of the bounded
+    systems with row plan ``plan`` and coefficients ``a`` and -1 - a, the
+    coefficients of D and of K - D.  Each is empty (lo > hi) when its
+    system is, and otherwise every row in it has real width >= 0.
+
+    A y-bound (cy, i, wi, j, wj) reads cy*y + L >= 0 with the form
+    L = wi*a_i + wj*a_j, and on -1 - a its form is -(wi + wj) - L; so each
+    form is computed once and gives both bounds.
+    """
     _, _, lower, upper, fixed = plan
-    for _, i, wi, j, wj in fixed:
-        if wi * a[i] + wj * a[j] < 0:
-            return 1, 0
     # a bounded system has bounds on both sides in y, and in x on each row
-    y_lo = max([-((wi * a[i] + wj * a[j]) // cy) for cy, i, wi, j, wj in lower])
-    y_hi = min([(wi * a[i] + wj * a[j]) // -cy for cy, i, wi, j, wj in upper])
-    return y_lo, y_hi
+    y_lo = k_lo = y_hi = k_hi = None
+    for cy, i, wi, j, wj in lower:
+        form = wi * a[i] + wj * a[j]
+        y, k = -(form // cy), -((-wi - wj - form) // cy)
+        if y_lo is None or y > y_lo:
+            y_lo = y
+        if k_lo is None or k > k_lo:
+            k_lo = k
+    for cy, i, wi, j, wj in upper:
+        form = wi * a[i] + wj * a[j]
+        y, k = form // -cy, (-wi - wj - form) // -cy
+        if y_hi is None or y < y_hi:
+            y_hi = y
+        if k_hi is None or k < k_hi:
+            k_hi = k
+    for _, i, wi, j, wj in fixed:
+        form = wi * a[i] + wj * a[j]
+        if form < 0:
+            y_lo, y_hi = 1, 0
+        if -wi - wj - form < 0:
+            k_lo, k_hi = 1, 0
+    return y_lo, y_hi, k_lo, k_hi
 
 
 def _rows(plan: RowPlan, a):
     """(y, lo, hi) for every row with an integer point of the bounded
     system with row plan ``plan`` and coefficients ``a``, in increasing y:
     the integer points are lo <= x <= hi at height y."""
-    y_lo, y_hi = _y_range(plan, a)
+    y_lo, y_hi, _, _ = _y_ranges(plan, a)
     pos = [(ex, ey, a[i]) for i, ex, ey in plan.pos]
     neg = [(ex, ey, a[i]) for i, ex, ey in plan.neg]
     for y in range(y_lo, y_hi + 1):
@@ -370,19 +394,43 @@ def _chain_sum(chain, a, y_lo: int, y_hi: int) -> int:
     return total
 
 
-def _lattice_count(plan: RowPlan, a) -> int:
-    """|P(D) ∩ M| for the divisor with coefficients ``a`` on a fan with
-    row plan ``plan``, whose rays must positively span the plane.
+def _count_rows(plan: RowPlan, a, y_lo: int, y_hi: int) -> int:
+    """The integer points of rows y_lo to y_hi, a nonempty y-range of the
+    bounded system with row plan ``plan`` and coefficients ``a``.
 
     Row y holds hi - lo + 1 points, with hi the minimum over ``neg`` and
     -lo the minimum over ``pos`` of (ey*y + a_i) // |ex|; every row of the
     y-range has real width >= 0, so hi - lo + 1 >= 0 there, and the count
     is two chain sums plus the number of rows, unclamped.
     """
-    y_lo, y_hi = _y_range(plan, a)
-    if y_lo > y_hi:
-        return 0
     return _chain_sum(plan.pos, a, y_lo, y_hi) + _chain_sum(plan.neg, a, y_lo, y_hi) + y_hi - y_lo + 1
+
+
+def _lattice_count(plan: RowPlan, a) -> int:
+    """|P(D) ∩ M| for the divisor with coefficients ``a`` on a fan with
+    row plan ``plan``, whose rays must positively span the plane."""
+    y_lo, y_hi, _, _ = _y_ranges(plan, a)
+    return _count_rows(plan, a, y_lo, y_hi) if y_lo <= y_hi else 0
+
+
+def _lattice_count_pair(plan: RowPlan, a) -> tuple[int, int]:
+    """(|P(D) ∩ M|, |P(K-D) ∩ M|) for the divisor D with coefficients
+    ``a`` on a fan with row plan ``plan``, whose rays must positively span
+    the plane: one pass over the y-bounds (`_y_ranges`) and at most one
+    pair of chain sums.
+
+    P(D) and P(K-D) are never both nonempty, even as real polygons (the
+    vanishing theorem, proved in `intersect`), and a nonempty integer
+    y-range holds a row of real width >= 0, a real point.  So at most one
+    of the two y-ranges is nonempty, and the list -1 - a is built only
+    when it is K - D's.
+    """
+    y_lo, y_hi, k_lo, k_hi = _y_ranges(plan, a)
+    if y_lo <= y_hi:
+        return _count_rows(plan, a, y_lo, y_hi), 0
+    if k_lo <= k_hi:
+        return 0, _count_rows(plan, [-1 - c for c in a], k_lo, k_hi)
+    return 0, 0
 
 
 def h0(fan: Fan, d: ToricDivisor) -> int:

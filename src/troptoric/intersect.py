@@ -8,10 +8,11 @@ read them.  A pairing sums over the nonzero entries only, at most 3n of
 the n^2 on n rays.  The verifier compares h0(D) + h0(K-D) against
 chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in integers, in one kernel per
 fan (`_rr_kernel`) that `rr_check` and `troptoric sweep` share: D(D-K) is
-the cycle form below, and both counts are floor sums along the chains of
-the fan's row plan (`Fan.row_plan`), so each divisor costs only integer
-arithmetic on its coefficient tuple, in a number of steps that grows
-with the log of its coefficients.
+the cycle form below, and the two counts take one pass over the y-bounds
+of the fan's row plan (`Fan.row_plan`) and, by the vanishing theorem
+below, at most one pair of floor sums along its chains, so each divisor
+costs only integer arithmetic on its coefficient tuple, in a number of
+steps that grows with the log of its coefficients.
 
 Theorem: on a smooth complete toric surface D(D-K) is even, since
 Riemann-Roch gives chi(O(D)) = 1 + D(D-K)/2 and chi(O(D)) = h0 - h1 + h2
@@ -29,13 +30,23 @@ and 0 elsewhere; so D_i.(-K), the row sum, is b_i + 2, and
 D.D = sum_i b_i*a_i^2 + 2*sum_i a_i*a_next(i), each neighbour pair
 counted once, from the ray before it.  So one divisor costs n products,
 not a pass over the 3n nonzero entries (`_rr_kernel`).
+
+Theorem (vanishing): when the rays u_i of a fan positively span the
+plane, P(D) and P(K-D) are never both nonempty, even as real polygons;
+so h0(D) > 0 implies h0(K-D) = 0, the toric shadow of h0(K) = 0 on a
+rational surface (Cox, Little and Schenck, Toric Varieties, §9.1).
+Proof: positive spanning gives sum_i l_i*u_i = 0 with every l_i > 0.
+K - D has coefficients -1 - a_i, so m in P(D) and m' in P(K-D) give
+<m, u_i> >= -a_i and <m', u_i> >= 1 + a_i, hence <m + m', u_i> >= 1 for
+every i, and 0 = sum_i l_i*<m + m', u_i> > 0, a contradiction.  So at
+most one of the two counts has rows to sum (`divisor._lattice_count_pair`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .divisor import ToricDivisor, _lattice_count, _same_fan
+from .divisor import ToricDivisor, _lattice_count_pair, _same_fan
 from .fan import Fan, _as_vec
 
 
@@ -106,9 +117,14 @@ def _rr_kernel(fan: Fan):
     Wrong (symmetric) numbers can then make the form odd, which raises
     ArithmeticError, and it is odd for exactly the a for which the dense
     pairing a.M.(a + 1) is: mod 2 both are sum_i a_i*(b_i + s_i), since
-    a_i^2 = a_i and the off-diagonal terms of a.M.a pair up.  K - D has
-    coefficients -1 - a, and both h0 are floor sums along the fan's row
-    plan.
+    a_i^2 = a_i and the off-diagonal terms of a.M.a pair up.
+
+    K - D has coefficients -1 - a, so on each y-bound of the row plan its
+    form is -(wi + wj) minus D's: one pass over the bounds gives both
+    y-ranges (`divisor._y_ranges`), and by the vanishing theorem at most
+    one of them is nonempty, so a report costs at most one pair of chain
+    sums, and the tuple -1 - a is built only when K - D has rows
+    (`divisor._lattice_count_pair`).
     """
     steps = fan.cycle_terms  # ValueError unless smooth and complete
     plan = fan.row_plan
@@ -120,8 +136,7 @@ def _rr_kernel(fan: Fan):
             twice += c * (b * c + 2 * a[j] + s)
         if twice % 2:
             raise ArithmeticError(f"D(D-K) = {twice} is odd: the intersection numbers are wrong")
-        h0_d = _lattice_count(plan, a)
-        h0_k_minus_d = _lattice_count(plan, [-1 - c for c in a])
+        h0_d, h0_k_minus_d = _lattice_count_pair(plan, a)
         pairing_term = twice // 2
         # chi(O_X) = 1: the higher cohomology of O_X vanishes on a complete
         # toric variety (Cox, Little and Schenck, Toric Varieties, §9.2)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -541,6 +542,18 @@ def test_sweep_empty_range_checks_the_fan(capsys, tmp_path, fan):
     assert outcomes[0][0] == 2 and outcomes[0][1] == ""
     assert outcomes[0][2].startswith("troptoric: intersection theory requires")
     assert outcomes[1] == outcomes[0]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 161, 256, 257, 2**20 + 1])
+@pytest.mark.parametrize("seed", [5, 11, 314159])
+def test_uniform_draws_are_randrange(width, seed):
+    # a sampled sweep's coefficients come from getrandbits by randrange's
+    # own rejection loop, so its stream must be randrange's, bit for bit:
+    # widths at and around powers of 2, where the loop redraws most often
+    lo = -(width // 2)
+    rng = random.Random(seed)
+    expected = [rng.randrange(lo, lo + width) for _ in range(2000)]
+    assert list(itertools.islice(cli._uniform_draws(seed, lo, lo + width - 1), 2000)) == expected
 
 
 def test_sweep_deterministic(capsys, tmp_path):

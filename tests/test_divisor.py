@@ -11,6 +11,8 @@ from troptoric.divisor import (
     ToricDivisor,
     UnboundedPolytopeError,
     _floor_sum,
+    _lattice_count,
+    _lattice_count_pair,
     _rows,
     canonical_divisor,
     degree_along_ray,
@@ -340,6 +342,40 @@ def test_h0_floor_sums_match_rows():
     d = ToricDivisor(pp, (10**4 - 7, 3, 10**4 + 7, -3))
     assert h0(pp, d) == 2 * 10**4 + 1 == len(lattice_points(polytope(d)))
     assert all(n > 0 for n in shapes.values()), shapes
+
+
+def test_lattice_count_pair_is_two_counts():
+    # (h0(D), h0(K-D)) from one pass over the y-bounds and at most one
+    # pair of chain sums, against two counts, each with its own y-range:
+    # 20,250 tuples at scales 3, 80 and 10^6 on P1xP1, F0 to F3, the dense
+    # fan, whose plan has two y-free bounds, and seeded blow-ups of P2;
+    # a seeded sample of them against box enumeration
+    rng = random.Random(151)
+    fans = [product_p1_p1()] + [hirzebruch(k) for k in range(4)] + [_dense_fan()]
+    fans += [random_blowup_fan(rng, 4) for _ in range(12)]
+    assert len(_dense_fan().row_plan.fixed) == 2
+    shapes = Counter()
+    sample = []
+    for f in fans:
+        plan = f.row_plan
+        for s in (3, 80, 10**6):
+            for _ in range(375):
+                a = tuple(rng.randint(-s, s) for _ in f.rays)
+                b = tuple(-1 - c for c in a)
+                pair = _lattice_count_pair(plan, a)
+                assert pair == (_lattice_count(plan, a), _lattice_count(plan, b)), (f.rays, a)
+                shapes["D", pair[0] > 0] += 1
+                shapes["K-D", pair[1] > 0] += 1
+                # K - D's y-free bounds alone decide that it is empty
+                shapes["fixed"] += any(wi * b[i] + wj * b[j] < 0 for _, i, wi, j, wj in plan.fixed)
+                if s < 10**6 and rng.random() < 0.01:
+                    sample.append((f, a, b, pair))
+    assert shapes["D", True] + shapes["D", False] == 20_250 and min(shapes.values()) >= 1000, shapes
+    assert len(sample) >= 100
+    for f, a, b, pair in sample:
+        d = [(ex, ey, c) for (ex, ey), c in zip(f.rays, a)]
+        k = [(ex, ey, c) for (ex, ey), c in zip(f.rays, b)]
+        assert pair == (len(fm_lattice_points(d)), len(fm_lattice_points(k))), (f.rays, a)
 
 
 def test_h0_closed_forms_at_scale_10_18():

@@ -1,9 +1,19 @@
 import random
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
-from oracles import cone_neighbours, h1_oracle, random_blowup_fan, random_divisor, rr_oracle
+from oracles import (
+    _fm_projection,
+    cone_neighbours,
+    fm_lattice_points,
+    h1_oracle,
+    random_blowup_fan,
+    random_divisor,
+    random_fan,
+    rr_oracle,
+)
 from troptoric.divisor import ToricDivisor, canonical_divisor, h0, principal_divisor, ray_divisor, zero_divisor
 from troptoric.fan import (
     Cone,
@@ -286,6 +296,31 @@ def test_kernel_odd_exactly_where_the_dense_pairing_is():
             else:
                 kernel(a)
     assert 200 <= raised <= 600  # both outcomes are exercised
+
+
+def test_vanishing_theorem():
+    # on fans whose rays positively span the plane, complete or not, P(D)
+    # and P(K-D) never both hold an integer point, nor a real one, as box
+    # enumeration and the Fourier-Motzkin projection decide
+    rng = random.Random(139)
+    shapes = Counter()
+    fans = 0
+    while fans < 80:
+        f = random_fan(rng)
+        if not f.bounded:
+            continue
+        fans += 1
+        for _ in range(25):
+            a = [rng.randint(-4, 4) for _ in f.rays]
+            d = [(ex, ey, c) for (ex, ey), c in zip(f.rays, a)]
+            k = [(ex, ey, -1 - c) for (ex, ey), c in zip(f.rays, a)]
+            points = bool(fm_lattice_points(d)), bool(fm_lattice_points(k))
+            real = _fm_projection(d, 0)[0], _fm_projection(k, 0)[0]
+            assert points != (True, True) and real != (True, True), (f.rays, a)
+            shapes[points, real] += 1
+    # both sides, and real polygons without an integer point, are exercised
+    assert {((True, False), (True, False)), ((False, True), (False, True))} <= shapes.keys(), shapes
+    assert any(p != r for p, r in shapes), shapes
 
 
 def test_equal_fans_are_interchangeable():
