@@ -110,7 +110,8 @@ def cmd_h0(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
     p = polytope(d)
-    # h0 is the rank of the section module: P(D) is counted once
+    # P(D) is listed once, as the generators of the section module, and
+    # h0 is the length of that list
     try:
         points = [list(m) for m in global_sections(f, d).generators]
     except UnboundedPolytopeError:

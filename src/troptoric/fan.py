@@ -12,14 +12,12 @@ Its rays positively span the plane iff every gap is less than pi, which
 A fan's fixed facts are computed once, on first use, and cached on the
 instance outside its equality and hash: whether it is smooth, complete
 and bounded (its rays positively span the plane, so every P(D) is
-bounded), its intersection numbers with their nonzero entries and the
-per-ray terms of the cycle form of D(D-K) (`intersect`), and its row
-plan.  Two ray divisors meet once iff their rays are neighbours in
-the counterclockwise cycle (on a complete fan, its 2-cones); the
-self-intersection of a ray with primitive generator u and cycle
-neighbours u1, u2 is the integer b with u1 + u2 + b*u = 0, which is
--det(u1, u2).  On a smooth complete fan with n rays at most 3n of the n^2
-entries are nonzero: two per cone and the diagonal.
+bounded), its intersection numbers, and its row plan.  The intersection
+numbers are the counterclockwise cycle (`Fan.cycle_terms`): two ray
+divisors meet once iff their rays are cycle neighbours (on a complete
+fan, its 2-cones), and a ray with cycle neighbours u1, u2 has
+self-intersection -det(u1, u2).  So at most 3n of the n^2 entries are
+nonzero on n rays, and the dense matrix is built only when it is read.
 
 Every P(D) on a fan, {m : <m, e_i> + a_i >= 0}, has the same normals, so
 the Fourier-Motzkin elimination of x that bounds its rows is a fact of the
@@ -245,46 +243,44 @@ class Fan:
         return bool(cycle) and all(det2(rays[cycle[k - 1]], rays[i]) > 0 for k, i in enumerate(cycle))
 
     @functools.cached_property
-    def intersection_numbers(self) -> tuple[tuple[int, ...], ...]:
-        """D_i . D_j in ray order; ValueError unless smooth and complete."""
+    def cycle_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(i, j, b_i, b_i + 2) for each ray i in counterclockwise order,
+        with j the ray after i, b_i = D_i . D_i and b_i + 2 = D_i . -K: the
+        terms of the cycle form of D(D-K) (`intersect`); ValueError unless
+        smooth and complete.
+
+        Theorem: D_i . D_j is 1 for cycle neighbours and 0 for other
+        i != j, b_i = -det(u_prev, u_next), and D_i . -K = b_i + 2.
+        Proof: the 2-cones of a complete fan are the n pairs of cycle
+        neighbours (`is_complete`), and two ray divisors meet, once, iff
+        their rays span a cone.  Smoothness gives det(u1, u) = det(u, u2)
+        = 1 for the neighbours u1, u2 of u, so u1 + u2 = det(u1, u2)*u in
+        the basis (u1, u), and D_u . D_u = b with u1 + u2 + b*u = 0 is
+        -det(u1, u2) (Cox, Little and Schenck, Toric Varieties, ch. 10).
+        -K is the sum of the ray divisors, n >= 3 of them (rays that
+        positively span the plane), so each ray has two distinct
+        neighbours and D_i . -K = b_i + 2.
+        """
         if not self.smooth:
             raise ValueError("intersection theory requires a smooth fan")
         if not self.complete:
             raise ValueError("intersection theory requires a complete fan")
-        # The 2-cones of a complete fan are the n pairs of cycle neighbours
-        # (`is_complete`).  Smoothness gives det(u1, u) = det(u, u2) = 1 for
-        # the neighbours u1, u2 of u, so u1 + u2 = det(u1, u2)*u in the basis
-        # (u1, u), and D_u . D_u = b with u1 + u2 + b*u = 0 is -det(u1, u2).
         rays, cycle = self.rays, self._ccw
-        n = len(rays)
+        after = cycle[1:] + cycle[:1]
+        b = [-det2(rays[h], rays[j]) for h, j in zip(cycle[-1:] + cycle[:-1], after)]
+        return tuple((i, j, b_i, b_i + 2) for i, j, b_i in zip(cycle, after, b))
+
+    @functools.cached_property
+    def intersection_numbers(self) -> tuple[tuple[int, ...], ...]:
+        """D_i . D_j in ray order, the dense view of ``cycle_terms``;
+        ValueError unless smooth and complete."""
+        terms = self.cycle_terms
+        n = len(terms)
         rows = [[0] * n for _ in range(n)]
-        for k, i in enumerate(cycle):
-            h, j = cycle[k - 1], cycle[(k + 1) % n]
+        for i, j, b, _ in terms:
             rows[i][j] = rows[j][i] = 1
-            rows[i][i] = -det2(rays[h], rays[j])
+            rows[i][i] = b
         return tuple(tuple(row) for row in rows)
-
-    @functools.cached_property
-    def intersection_terms(self) -> tuple[tuple[int, int, int], ...]:
-        """(i, j, D_i . D_j) for the nonzero entries of
-        ``intersection_numbers``, in row order; ValueError unless smooth
-        and complete."""
-        return tuple(
-            (i, j, m)
-            for i, row in enumerate(self.intersection_numbers)
-            for j, m in enumerate(row)
-            if m
-        )
-
-    @functools.cached_property
-    def cycle_terms(self) -> tuple[tuple[int, int, int, int], ...]:
-        """(i, j, D_i . D_i, D_i . -K) for each ray i in counterclockwise
-        order, with j the ray after i: the terms of the cycle form of
-        D(D-K) (`intersect`).  D_i . -K is the row sum of
-        ``intersection_numbers``; ValueError unless smooth and complete."""
-        m, cycle = self.intersection_numbers, self._ccw
-        n = len(cycle)
-        return tuple((i, cycle[(k + 1) % n], m[i][i], sum(m[i])) for k, i in enumerate(cycle))
 
     @functools.cached_property
     def row_plan(self) -> RowPlan:

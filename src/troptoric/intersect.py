@@ -1,18 +1,19 @@
 """Intersection numbers on smooth complete toric surfaces and the
 Riemann-Roch inequality verifier.
 
-The intersection numbers are a fact of the fan, computed once per fan and
-cached on it (`Fan.intersection_numbers`, and its nonzero entries as
-`Fan.intersection_terms`); the functions here check their arguments and
-read them.  A pairing sums over the nonzero entries only, at most 3n of
-the n^2 on n rays.  The verifier compares h0(D) + h0(K-D) against
-chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in integers, in one kernel per
-fan (`_rr_kernel`) that `rr_check` and `troptoric sweep` share: D(D-K) is
-the cycle form below, and the two counts take one pass over the y-bounds
-of the fan's row plan (`Fan.row_plan`) and, by the vanishing theorem
-below, at most one pair of floor sums along its chains, so each divisor
-costs only integer arithmetic on its coefficient tuple, in a number of
-steps that grows with the log of its coefficients.
+The intersection numbers are a fact of the fan, read off its
+counterclockwise cycle once and cached on it (`Fan.cycle_terms`, which
+proves them); the functions here check their arguments and read them,
+and only those that return matrix entries build the dense
+`Fan.intersection_numbers`.  The verifier compares
+h0(D) + h0(K-D) against chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in
+integers, in one kernel per fan (`_rr_kernel`) that `rr_check` and
+`troptoric sweep` share: D(D-K) is the cycle form below, and the two
+counts take one pass over the y-bounds of the fan's row plan
+(`Fan.row_plan`) and, by the vanishing theorem below, at most one pair
+of floor sums along its chains, so each divisor costs only integer
+arithmetic on its coefficient tuple, in a number of steps that grows
+with the log of its coefficients.
 
 Theorem: on a smooth complete toric surface D(D-K) is even, since
 Riemann-Roch gives chi(O(D)) = 1 + D(D-K)/2 and chi(O(D)) = h0 - h1 + h2
@@ -23,13 +24,12 @@ Theorem (the cycle form): on a smooth complete fan with n rays, D(D-K)
 is the sum over the rays i of a_i*(b_i*a_i + 2*a_next(i) + b_i + 2), where
 b_i = D_i.D_i and next(i) is the ray after i in the counterclockwise
 cycle.  Proof: -K is the sum of the ray divisors, so D(D-K) = D.D +
-sum_i a_i*(D_i.(-K)).  Row i of the intersection matrix has b_i on the
-diagonal, 1 for each of its two cycle neighbours, which are distinct
-since n >= 3 (rays that positively span the plane are at least three),
-and 0 elsewhere; so D_i.(-K), the row sum, is b_i + 2, and
-D.D = sum_i b_i*a_i^2 + 2*sum_i a_i*a_next(i), each neighbour pair
-counted once, from the ray before it.  So one divisor costs n products,
-not a pass over the 3n nonzero entries (`_rr_kernel`).
+sum_i a_i*(D_i.(-K)), and D_i.(-K) = b_i + 2 (`Fan.cycle_terms`).  Two
+distinct ray divisors meet once iff they are cycle neighbours, so for
+any D' with coefficients c, D.D' is the sum over the rays i of
+a_i*(b_i*c_i + c_next(i)) + a_next(i)*c_i, each neighbour pair counted
+once, from the ray before it (`pairing`), and D.D is the sum of
+b_i*a_i^2 + 2*a_i*a_next(i).  So one divisor costs n products.
 
 Theorem (vanishing): when the rays u_i of a fan positively span the
 plane, P(D) and P(K-D) are never both nonempty, even as real polygons;
@@ -74,16 +74,14 @@ def intersection_matrix(fan: Fan) -> tuple[tuple[int, ...], ...]:
 
 
 def pairing(fan: Fan, d1: ToricDivisor, d2: ToricDivisor) -> int:
-    """The bilinear intersection pairing sum a_i b_j (D_i . D_j)."""
+    """The bilinear intersection pairing sum a_i c_j (D_i . D_j), summed
+    over the counterclockwise cycle by the cycle form above."""
     _same_fan(fan, d1, d2)
-    return _pair(fan.intersection_terms, d1.coeffs, d2.coeffs)
-
-
-def _pair(terms, a, b) -> int:
-    # sum a_i b_j (D_i . D_j) over the nonzero entries (i, j, D_i . D_j)
+    terms = fan.cycle_terms  # ValueError unless smooth and complete
+    a, c = d1.coeffs, d2.coeffs
     total = 0
-    for i, j, m in terms:
-        total += m * a[i] * b[j]
+    for i, j, b, _ in terms:
+        total += a[i] * (b * c[i] + c[j]) + a[j] * c[i]
     return total
 
 
@@ -112,12 +110,11 @@ def _rr_kernel(fan: Fan):
     integers.  ValueError unless the fan is smooth and complete.
 
     D(D-K) is read off the counterclockwise cycle by the cycle form above,
-    with b_i the diagonal entry of the intersection matrix M and b_i + 2
-    its row sum s_i, both read off M once per fan (`Fan.cycle_terms`).
-    Wrong (symmetric) numbers can then make the form odd, which raises
-    ArithmeticError, and it is odd for exactly the a for which the dense
-    pairing a.M.(a + 1) is: mod 2 both are sum_i a_i*(b_i + s_i), since
-    a_i^2 = a_i and the off-diagonal terms of a.M.a pair up.
+    with b_i and s_i = b_i + 2 from the fan's ``cycle_terms``
+    (i, next(i), b_i, s_i).  Wrong terms planted there can make it odd,
+    which raises ArithmeticError: mod 2 it is sum_i a_i*(b_i + s_i), since
+    a_i^2 = a_i, and so is the dense a.M.(a + 1) when b_i and s_i are the
+    diagonal and row sums of a symmetric M.
 
     K - D has coefficients -1 - a, so on each y-bound of the row plan its
     form is -(wi + wj) minus D's: one pass over the bounds gives both

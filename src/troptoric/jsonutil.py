@@ -7,6 +7,7 @@ integers stay plain JSON numbers.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 
@@ -38,13 +39,16 @@ def format_rational(q):
 
 
 def parse_rational(v) -> Fraction:
-    """An exact rational from a JSON int or a 'p/q' string; ParseError for
-    a bool, a float, a zero denominator or any other value."""
+    """An exact rational from a JSON int or a 'p' or 'p/q' string: an
+    optional sign, ASCII digits, and optionally '/' and ASCII digits.
+    ParseError for anything else ('1e5', '1.5', '1_000', a bool, a float),
+    a zero denominator or digits past Python's digit limit."""
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", v):
+        p, _, q = v.partition("/")
         try:
-            return Fraction(v)
+            return Fraction(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError):
             pass
     raise ParseError(f"expected an exact rational, got {v!r}")

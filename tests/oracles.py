@@ -27,6 +27,8 @@ oracle probes directions perpendicular to the rays (production checks
 each gap between consecutive rays), the Riemann-Roch oracle builds K - D and D - K as
 divisors, halves the pairing as a Fraction and counts both h0 by box enumeration
 (production works in integers on the coefficient tuple and walks rows),
+the pairing oracle sums all n^2 entries of the dense intersection matrix
+(production sums the cycle form, n terms over the counterclockwise cycle),
 and the h1 oracle sums the toric cohomology formula over the lattice
 points of alternating four-ray polygons (production reads the defect of
 the Riemann-Roch inequality, which equals h1 by Serre duality).
@@ -375,6 +377,11 @@ def rr_oracle(fan, d: ToricDivisor) -> dict:
         "defect": defect,
         "holds": defect >= 0,
     }
+
+
+def dense_pairing(matrix, a, b) -> int:
+    """sum a_i b_j M_ij over all n^2 entries of the matrix M."""
+    return sum(x * y * m for x, row in zip(a, matrix) for y, m in zip(b, row))
 
 
 def h1_oracle(fan, d: ToricDivisor) -> int:

@@ -362,6 +362,8 @@ def test_vandermonde_output_bytes_pinned(capsys, tmp_path, coeffs, points, diges
         [["abc", 0], [1, 2]],  # not a rational
         [[0, 0, 99], [1, 2]],  # three coordinates
         [5, [1, 2]],  # not a list
+        [["1e5000", 0], [1, 2]],  # an exponent: 5,001 digits past the limit
+        [["1.5", 0], [1, 2]],  # a decimal point
     ],
 )
 def test_sections_malformed_points_exit_1(capsys, tmp_path, points):
@@ -507,7 +509,8 @@ def test_sweep_raises_on_planted_odd_pairing(capsys, tmp_path, monkeypatch):
     # wrong intersection numbers: a bug, exit 4 from the console entry point
     fan_path = write(tmp_path, "fan.json", P2)
     planted = fan_from_dict(P2)
-    planted.__dict__["intersection_numbers"] = ((1, 1, 0), (1, 1, 1), (0, 1, 1))
+    # (i, next(i), D_i.D_i, D_i.-K), the true terms but for s_0 = 2, not 3
+    planted.__dict__["cycle_terms"] = ((0, 1, 1, 2), (1, 2, 1, 3), (2, 0, 1, 2))
     monkeypatch.setattr(cli, "_load_fan", lambda path: planted)
     with pytest.raises(ArithmeticError):
         main(["sweep", fan_path, "--range=0..1"])

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     _fm_projection,
     cone_neighbours,
+    dense_pairing,
     fm_lattice_points,
     h1_oracle,
     random_blowup_fan,
@@ -14,6 +15,7 @@ from oracles import (
     random_fan,
     rr_oracle,
 )
+from troptoric import cli
 from troptoric.divisor import ToricDivisor, canonical_divisor, h0, principal_divisor, ray_divisor, zero_divisor
 from troptoric.fan import (
     Cone,
@@ -27,7 +29,6 @@ from troptoric.fan import (
     projective_plane,
 )
 from troptoric.intersect import (
-    _pair,
     _rr_kernel,
     intersection_matrix,
     pairing,
@@ -102,24 +103,53 @@ def test_pairing_examples():
 
 def test_intersection_terms_are_the_nonzero_entries():
     # at most 3n of the n^2 entries are nonzero on a smooth complete fan:
-    # two per cone and the diagonal
+    # two per cone and the diagonal, all of them in the cycle terms
     rng = random.Random(127)
     for f in (projective_plane(), product_p1_p1(), hirzebruch(3)) + tuple(random_blowup_fan(rng, 6) for _ in range(5)):
         n = len(f.rays)
-        assert len(f.intersection_terms) <= 3 * n
-        dense = [[0] * n for _ in range(n)]
-        for i, j, m in f.intersection_terms:
-            assert m != 0
-            dense[i][j] = m
-        assert tuple(map(tuple, dense)) == f.intersection_numbers
+        nonzero = {(i, j): m for i, row in enumerate(f.intersection_numbers) for j, m in enumerate(row) if m}
+        assert len(nonzero) <= 3 * n
+        terms = {}
+        for i, j, b, _ in f.cycle_terms:
+            terms[i, j] = terms[j, i] = 1
+            if b:
+                terms[i, i] = b
+        assert nonzero == terms
         for _ in range(10):
             d1, d2 = random_divisor(rng, f), random_divisor(rng, f)
-            full = sum(
-                a * b * f.intersection_numbers[i][j]
-                for i, a in enumerate(d1.coeffs)
-                for j, b in enumerate(d2.coeffs)
-            )
-            assert pairing(f, d1, d2) == full
+            assert pairing(f, d1, d2) == dense_pairing(f.intersection_numbers, d1.coeffs, d2.coeffs)
+
+
+def test_cycle_terms_are_the_only_intersection_data(capsys, monkeypatch):
+    # the kernel, rr_check, pairing and a sweep read the cycle terms; the
+    # dense matrix is built only when something reads it
+    rng = random.Random(149)
+    for f in (projective_plane(), hirzebruch(3), random_blowup_fan(rng, 6)):
+        d = random_divisor(rng, f)
+        _rr_kernel(f)(d.coeffs)
+        rr_check(f, d)
+        pairing(f, d, d)
+        monkeypatch.setattr(cli, "_load_fan", lambda path: f)
+        assert cli.main(["sweep", "fan.json", "--range=-1..1"]) in (cli.EXIT_OK, cli.EXIT_VIOLATION)
+        assert "cycle_terms" in vars(f) and "intersection_numbers" not in vars(f)
+    capsys.readouterr()
+    # the shuffled 1,003-ray chain of acceptance criterion 12: the terms
+    # are the dense matrix's diagonal and row sums
+    rays = [(1, k) for k in range(1001)] + [(0, 1), (-1, -1)]
+    n = len(rays)
+    order = rng.sample(range(n), n)
+    where = {i: k for k, i in enumerate(order)}
+    data = {
+        "rays": [list(rays[i]) for i in order],
+        "max_cones": [[where[i], where[(i + 1) % n]] for i in rng.sample(range(n), n)],
+    }
+    f = fan_from_dict(data)
+    terms = f.cycle_terms
+    assert "intersection_numbers" not in vars(f)
+    m = f.intersection_numbers
+    assert [(i, m[i][i], sum(m[i])) for i, _, _, _ in terms] == [(i, b, s) for i, _, b, s in terms]
+    assert sorted(i for i, _, _, _ in terms) == list(range(n))
+    assert sum(b for _, _, b, _ in terms) == 12 - 3 * n
 
 
 def test_pairing_symmetric_bilinear_invariant():
@@ -249,15 +279,16 @@ def test_rr_check_raises_on_odd_pairing():
     # D(D-K) is even on every smooth complete surface, so only wrong
     # intersection numbers can make it odd: planted here, they must raise
     f = fan_from_dict(fan_to_dict(projective_plane()))
-    f.__dict__["intersection_numbers"] = ((1, 1, 0), (1, 1, 1), (0, 1, 1))
+    # (i, next(i), D_i.D_i, D_i.-K), the true terms but for s_0 = 2, not 3
+    f.__dict__["cycle_terms"] = ((0, 1, 1, 2), (1, 2, 1, 3), (2, 0, 1, 2))
     with pytest.raises(ArithmeticError):
         rr_check(f, ray_divisor(f, (1, 0)))
 
 
 def test_cycle_form_is_the_dense_pairing():
     # sum a_i (b_i a_i + 2 a_next(i) + b_i + 2), with next(i) the
-    # counterclockwise neighbour, against the dense a.M.(a + 1) over the
-    # nonzero entries, and the kernel's pairing term is half of it
+    # counterclockwise neighbour, against the dense a.M.(a + 1) over all
+    # n^2 entries, and the kernel's pairing term is half of it
     rng = random.Random(131)
     fans = (projective_plane(), product_p1_p1(), hirzebruch(3)) + tuple(random_blowup_fan(rng) for _ in range(6))
     for f in fans:
@@ -267,13 +298,14 @@ def test_cycle_form_is_the_dense_pairing():
         for _ in range(300):
             a = tuple(rng.randint(-80, 80) for _ in f.rays)
             cycle_form = sum(c * (b[i] * c + 2 * a[after[i]] + b[i] + 2) for i, c in enumerate(a))
-            assert cycle_form == _pair(f.intersection_terms, a, [c + 1 for c in a])
+            assert cycle_form == dense_pairing(f.intersection_numbers, a, [c + 1 for c in a])
             assert 2 * kernel(a)[3] == cycle_form
 
 
 def test_kernel_odd_exactly_where_the_dense_pairing_is():
-    # planted symmetric numbers: the kernel raises for exactly the
-    # coefficient tuples whose dense a.M.(a + 1) is odd
+    # planted cycle terms, the diagonal and row sums of a random symmetric
+    # matrix M: the kernel raises for exactly the coefficient tuples whose
+    # cycle form is odd, and so is the dense a.M.(a + 1)
     rng = random.Random(137)
     raised = 0
     for _ in range(40):
@@ -283,12 +315,13 @@ def test_kernel_odd_exactly_where_the_dense_pairing_is():
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.randint(-3, 3)
-        f.__dict__["intersection_numbers"] = tuple(tuple(r) for r in rows)
-        terms = [(i, j, m) for i, r in enumerate(rows) for j, m in enumerate(r) if m]
+        terms = tuple((i, j, rows[i][i], sum(rows[i])) for i, j, _, _ in f.cycle_terms)
+        f.__dict__["cycle_terms"] = terms
         kernel = _rr_kernel(f)
         for _ in range(20):
             a = tuple(rng.randint(-5, 5) for _ in range(n))
-            odd = _pair(terms, a, [c + 1 for c in a]) % 2 == 1
+            odd = sum(a[i] * (b * a[i] + 2 * a[j] + s) for i, j, b, s in terms) % 2 == 1
+            assert odd == (dense_pairing(rows, a, [c + 1 for c in a]) % 2 == 1)
             if odd:
                 with pytest.raises(ArithmeticError):
                     kernel(a)
