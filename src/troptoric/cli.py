@@ -21,7 +21,7 @@ import random
 import re
 import sys
 
-from .divisor import UnboundedPolytopeError, divisor_from_dict, polytope
+from .divisor import UnboundedPolytopeError, divisor_from_dict, h0, lattice_points, polytope
 from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
 from .intersect import _rr_kernel, rr_check
 from .jsonutil import ParseError, format_rational, load_json, parse_rational
@@ -35,6 +35,8 @@ EXIT_INTERNAL = 4
 
 SWEEP_EXHAUSTIVE_LIMIT = 100_000
 SWEEP_SAMPLE_SIZE = 10_000
+# h0 and sections list P(D) up to this many points, about 0.2 GB, else exit 2
+MAX_LISTED_POINTS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,21 +106,25 @@ def cmd_fan(args) -> tuple[list[str], int]:
     raise AssertionError
 
 
-def cmd_h0(args) -> tuple[list[str], int]:
-    from .sections import global_sections
+def _listable_h0(f: Fan, d) -> int:
+    """h0(D), scale-free; ValueError (exit 2) above MAX_LISTED_POINTS."""
+    count = h0(f, d)
+    if count > MAX_LISTED_POINTS:
+        raise ValueError(f"h0 = {count}: P(D) has more lattice points than the {MAX_LISTED_POINTS} that are listed")
+    return count
 
+
+def cmd_h0(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
     p = polytope(d)
-    # P(D) is listed once, as the generators of the section module, and
-    # h0 is the length of that list
     try:
-        points = [list(m) for m in global_sections(f, d).generators]
+        count = _listable_h0(f, d)
     except UnboundedPolytopeError:
-        points = None
+        count = None
     payload = {
-        "h0": "infinite" if points is None else len(points),
-        "lattice_points": points,
+        "h0": "infinite" if count is None else count,
+        "lattice_points": None if count is None else [list(m) for m in lattice_points(p)],
         "polytope_vertices": [_pt_json(v) for v in p.vertices],
     }
     return [json.dumps(payload)], EXIT_OK
@@ -136,6 +142,7 @@ def cmd_sections(args) -> tuple[list[str], int]:
 
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
+    _listable_h0(f, d)
     module = global_sections(f, d)
     payload = {
         "generators": [list(m) for m in module.generators],
@@ -201,17 +208,12 @@ def cmd_sweep(args) -> tuple[list[str], int]:
     kernel = _rr_kernel(f)  # ValueError unless smooth and complete, even over an empty range
     lo, hi = args.range
     r = len(f.rays)
-    width = hi - lo + 1
-    count = width**r if width > 0 else 0
     lines = []
     min_defect = None
     violations = 0
-    if 0 < count <= SWEEP_EXHAUSTIVE_LIMIT:
-        mode = "exhaustive"
+    if max(hi - lo + 1, 0) ** r <= SWEEP_EXHAUSTIVE_LIMIT:
+        mode = "exhaustive"  # an empty range gives no tuples, as r >= 3
         coeff_iter = itertools.product(range(lo, hi + 1), repeat=r)
-    elif count == 0:
-        mode = "exhaustive"
-        coeff_iter = iter(())
     else:
         mode = "sampled"
         # zip takes r values in turn from the one stream: each tuple holds

@@ -17,12 +17,12 @@ floor((ey*y + a_i)/|ex|).  h0 counts by floor sums: along each chain of
 the plan the minimum is one ray on each of at most n pieces, and a piece
 sums in O(log scale) steps by the Euclid-like reduction, so no polytope,
 vertex, row or point is built and the cost grows only with the log of
-the coefficients.  The Riemann-Roch verifier counts D and K - D together
-on bare coefficient tuples (`_lattice_count_pair`): one pass over the
-y-bounds gives both y-ranges, and at most one of them holds rows, so it
-sums one pair of chains at most.  lattice_points walks the rows (`_rows`) to
-list the points, and so cross-checks the count.  Neither h0 nor
-lattice_points reads a vertex: an unbounded P(D) is nonempty iff
+the coefficients.  There is one count, `_lattice_count_pair`, on bare
+coefficient tuples, for h0 and the Riemann-Roch verifier: one pass over
+the y-bounds gives D's and K - D's y-ranges, and at most one holds rows,
+so it sums one pair of chains at most.  lattice_points walks the rows
+(`_rows`) to list the points, and so cross-checks the count.  Neither h0
+nor lattice_points reads a vertex: an unbounded P(D) is nonempty iff
 a_u + a_-u >= 0 for the one pair of opposite rays u, -u, if the fan has
 one (`_walkable` proves it), and then both raise UnboundedPolytopeError.
 """
@@ -406,13 +406,6 @@ def _count_rows(plan: RowPlan, a, y_lo: int, y_hi: int) -> int:
     return _chain_sum(plan.pos, a, y_lo, y_hi) + _chain_sum(plan.neg, a, y_lo, y_hi) + y_hi - y_lo + 1
 
 
-def _lattice_count(plan: RowPlan, a) -> int:
-    """|P(D) ∩ M| for the divisor with coefficients ``a`` on a fan with
-    row plan ``plan``, whose rays must positively span the plane."""
-    y_lo, y_hi, _, _ = _y_ranges(plan, a)
-    return _count_rows(plan, a, y_lo, y_hi) if y_lo <= y_hi else 0
-
-
 def _lattice_count_pair(plan: RowPlan, a) -> tuple[int, int]:
     """(|P(D) ∩ M|, |P(K-D) ∩ M|) for the divisor D with coefficients
     ``a`` on a fan with row plan ``plan``, whose rays must positively span
@@ -436,17 +429,17 @@ def _lattice_count_pair(plan: RowPlan, a) -> tuple[int, int]:
 def h0(fan: Fan, d: ToricDivisor) -> int:
     """h0(X, D) = |P(D) ∩ M| on a smooth fan.
 
-    Counted by floor sums with the fan's row plan.  P(D) can only be
-    unbounded when the fan's rays do not positively span the plane: then
-    h0 is 0 if P(D) is empty, and UnboundedPolytopeError is raised if it
-    is not.
+    Counted by floor sums, the first of `_lattice_count_pair`.  P(D) can
+    only be unbounded when the fan's rays do not positively span the
+    plane: then h0 is 0 if P(D) is empty, and UnboundedPolytopeError is
+    raised if it is not (`_walkable`), so the pair's precondition holds.
     """
     _same_fan(fan, d)
     if not fan.smooth:
         raise ValueError("h0 requires a smooth fan")
     if not _walkable(fan, d.coeffs):
         return 0
-    return _lattice_count(fan.row_plan, d.coeffs)
+    return _lattice_count_pair(fan.row_plan, d.coeffs)[0]
 
 
 def degree_along_ray(g: TropPolynomial, ray) -> int:

@@ -7,7 +7,8 @@ once, each 2-cone must span the gap from one ray to the next, and no
 1-cone may lie on a 2-cone's ray (`Fan`).  So a fan is complete iff it
 has as many maximal cones as rays, all 2-dimensional (`is_complete`).
 Its rays positively span the plane iff every gap is less than pi, which
-`Fan.bounded` reads off the kept cycle, so a fan sorts its rays once.
+`Fan.bounded` reads off the kept cycle, as the row plan reads its chains
+(arcs of the cycle), so a fan sorts its rays once.
 
 A fan's fixed facts are computed once, on first use, and cached on the
 instance outside its equality and hash: whether it is smooth, complete
@@ -45,9 +46,9 @@ class RowPlan(NamedTuple):
 
     ``pos`` and ``neg`` hold the rays with x > 0 and x < 0 as
     (i, |ex|, ey): at height y they give x >= ceil(-(ey*y + a_i)/|ex|) and
-    x <= floor((ey*y + a_i)/|ex|).  Each is a chain sorted by decreasing
-    slope ey/|ex|, the order in which its rays take over the minimum of
-    (ey*y + a_i)/|ex| as y grows, whatever the a_i.
+    x <= floor((ey*y + a_i)/|ex|).  Each is a chain, an arc of the fan's
+    cycle, in decreasing slope ey/|ex|: the order in which its rays take
+    over the minimum of (ey*y + a_i)/|ex| as y grows, whatever the a_i.
     The y-bounds (cy, i, wi, j, wj) read
     cy*y + wi*a_i + wj*a_j >= 0: one per ray with x = 0 (weight 0 on its
     second index) and one per pair of opposite x-signs, scaled so that x
@@ -60,11 +61,6 @@ class RowPlan(NamedTuple):
     lower: tuple[tuple[int, int, int, int, int], ...]
     upper: tuple[tuple[int, int, int, int, int], ...]
     fixed: tuple[tuple[int, int, int, int, int], ...]
-
-
-def _slope_cmp(u, v) -> int:
-    # chain entries (i, |ex|, ey): negative when u's slope ey/|ex| is the larger
-    return v[2] * u[1] - u[2] * v[1]
 
 
 def det2(u, v):
@@ -285,11 +281,19 @@ class Fan:
     @functools.cached_property
     def row_plan(self) -> RowPlan:
         """The row plan of every P(D) on this fan: of the systems
-        <m, e_i> + a_i >= 0 on its rays e_i, for every coefficient tuple a."""
+        <m, e_i> + a_i >= 0 on its rays e_i, for every coefficient tuple a.
+        Its chains are arcs of the kept cycle, which runs counterclockwise
+        from angle 0: ``neg`` in cycle order, ``pos`` clockwise from pi/2
+        to -pi/2 (the y >= 0 part reversed, then the y < 0 part reversed).
+        Proof that each falls in slope ey/|ex|: at angle t a ray with x < 0
+        has slope -tan(t), falling as t runs over (pi/2, 3*pi/2), and one
+        with x > 0 has slope tan(t), falling as t turns clockwise to -pi/2.
+        """
         rays = self.rays
-        by_slope = functools.cmp_to_key(_slope_cmp)
-        pos = tuple(sorted(((i, ex, ey) for i, (ex, ey) in enumerate(rays) if ex > 0), key=by_slope))
-        neg = tuple(sorted(((i, -ex, ey) for i, (ex, ey) in enumerate(rays) if ex < 0), key=by_slope))
+        cycle = [(i, *rays[i]) for i in self._ccw]
+        neg = tuple((i, -ex, ey) for i, ex, ey in cycle if ex < 0)
+        right = [(i, ex, ey) for i, ex, ey in reversed(cycle) if ex > 0]
+        pos = tuple([r for r in right if r[2] >= 0] + [r for r in right if r[2] < 0])
         # px*x + py*y + a_i >= 0 times nx, plus -nx*x + ny*y + a_j >= 0 times px
         bounds = [(ey, i, 1, i, 0) for i, (ex, ey) in enumerate(rays) if ex == 0]
         bounds += [(nx * py + px * ny, i, nx, j, px) for i, px, py in pos for j, nx, ny in neg]

@@ -27,6 +27,8 @@ oracle probes directions perpendicular to the rays (production checks
 each gap between consecutive rays), the Riemann-Roch oracle builds K - D and D - K as
 divisors, halves the pairing as a Fraction and counts both h0 by box enumeration
 (production works in integers on the coefficient tuple and walks rows),
+the single count takes one y-range at a time (production counts D and
+K - D from one pass over the y-bounds),
 the pairing oracle sums all n^2 entries of the dense intersection matrix
 (production sums the cycle form, n terms over the counterclockwise cycle),
 and the h1 oracle sums the toric cohomology formula over the lattice
@@ -41,7 +43,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from troptoric.divisor import ToricDivisor, _ext_gcd, canonical_divisor
+from troptoric.divisor import ToricDivisor, _count_rows, _ext_gcd, _y_ranges, canonical_divisor
 from troptoric.fan import Cone, Fan, blow_up, ccw_sorted_rays, det2, dot, primitive, projective_plane
 from troptoric.intersect import pairing
 from troptoric.sections import generator_value
@@ -149,6 +151,16 @@ def fm_lattice_points(ineqs):
             if all(ex * x + ey * y + a >= 0 for ex, ey, a in ineqs):
                 points.add((x, y))
     return points
+
+
+def lattice_count(plan, a) -> int:
+    """|P(D) ∩ M| for the coefficients ``a`` on a fan with row plan
+    ``plan``, whose rays positively span the plane: its own y-range, then
+    the floor sums along its rows.  A reference for the pair count, which
+    takes D's and K - D's y-ranges from one pass, at scales where no row
+    walk can go."""
+    y_lo, y_hi, _, _ = _y_ranges(plan, a)
+    return _count_rows(plan, a, y_lo, y_hi) if y_lo <= y_hi else 0
 
 
 def interior_contains(c: Cone, v) -> bool:

@@ -3,11 +3,13 @@ import itertools
 import json
 import random
 import sys
+import time
 
 import pytest
 
 from oracles import random_blowup_fan, rr_oracle
 from troptoric import cli
+from troptoric import divisor as divisor_module
 from troptoric.cli import main
 from troptoric.divisor import ToricDivisor
 from troptoric.fan import fan_from_dict, fan_to_dict
@@ -273,6 +275,41 @@ def test_h0_nonsmooth_exit_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("troptoric: ") and "smooth" in captured.err
+    # sections counts P(D) before it lists it, so it gives h0's message
+    assert main(["sections", fan_path, div_path]) == 2
+    assert capsys.readouterr() == captured
+
+
+@pytest.mark.parametrize("command", ["h0", "sections"])
+def test_h0_above_the_listing_limit_exit_2(capsys, tmp_path, monkeypatch, command):
+    # 10^5*H on P^2: h0 = (10^5 + 1)(10^5 + 2)/2 by floor sums, with no
+    # point listed; a row walk fails the test at once instead of listing
+    # 5*10^9 points until the host runs out of memory
+    monkeypatch.setattr(divisor_module, "_rows", lambda plan, a: pytest.fail("P(D) was walked"))
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 10**5}})
+    start = time.perf_counter()
+    code = main([command, fan_path, div_path])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured
+    assert "5000150001" in captured.err and str(cli.MAX_LISTED_POINTS) in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", ["h0", "sections"])
+def test_listing_limit_is_inclusive(capsys, tmp_path, monkeypatch, command):
+    # 3H has 10 points, listed at a limit of 10; 4H has 15, above it
+    monkeypatch.setattr(cli, "MAX_LISTED_POINTS", 10)
+    fan_path = write(tmp_path, "fan.json", P2)
+    three = write(tmp_path, "3h.json", {"coeffs": {"0": 0, "1": 0, "2": 3}})
+    four = write(tmp_path, "4h.json", {"coeffs": {"0": 0, "1": 0, "2": 4}})
+    code, out = run(capsys, command, fan_path, three)
+    listed = json.loads(out)["lattice_points" if command == "h0" else "generators"]
+    assert code == 0 and len(listed) == 10
+    assert main([command, fan_path, four]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "15" in captured.err and "10" in captured.err
 
 
 def test_rr_command(capsys, tmp_path):

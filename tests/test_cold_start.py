@@ -76,6 +76,23 @@ def test_cli_import_loads_only_the_sweep_modules():
     assert json.loads(done.stdout) == sweep
 
 
+def test_h0_command_loads_no_sections_or_trop(tmp_path):
+    # h0 counts by floor sums and lists P(D) itself: no section module
+    fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+    (tmp_path / "p2.json").write_text(json.dumps(fan))
+    (tmp_path / "3h.json").write_text(json.dumps({"coeffs": {"0": 0, "1": 0, "2": 3}}))
+    code = (
+        "import json, sys, troptoric.cli; "
+        "code = troptoric.cli.main(['h0', 'p2.json', '3h.json']); "
+        "print(json.dumps([code, sorted({'troptoric.sections', 'troptoric.trop'} & set(sys.modules))]))"
+    )
+    done = python("-X", "dev", "-W", "error", "-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    report, loaded = done.stdout.splitlines()
+    assert json.loads(report)["h0"] == 10
+    assert json.loads(loaded) == [0, []]
+
+
 def test_submodules_load_on_first_access():
     code = (
         "import sys, troptoric; "

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import _primitive_pool, fm_lattice_points, pair_search_equivalence, random_blowup_fan, random_divisor, random_fan
+from oracles import _primitive_pool, fm_lattice_points, lattice_count, pair_search_equivalence, random_blowup_fan, random_divisor, random_fan
 from troptoric.divisor import (
     DivisorPolytope,
     ToricDivisor,
     UnboundedPolytopeError,
     _floor_sum,
-    _lattice_count,
     _lattice_count_pair,
     _rows,
     canonical_divisor,
@@ -363,7 +362,7 @@ def test_lattice_count_pair_is_two_counts():
                 a = tuple(rng.randint(-s, s) for _ in f.rays)
                 b = tuple(-1 - c for c in a)
                 pair = _lattice_count_pair(plan, a)
-                assert pair == (_lattice_count(plan, a), _lattice_count(plan, b)), (f.rays, a)
+                assert pair == (lattice_count(plan, a), lattice_count(plan, b)), (f.rays, a)
                 shapes["D", pair[0] > 0] += 1
                 shapes["K-D", pair[1] > 0] += 1
                 # K - D's y-free bounds alone decide that it is empty

@@ -141,25 +141,47 @@ def test_cached_facts_outside_equality():
 
 
 def test_one_sort_per_fan(monkeypatch):
-    # validation sorts the rays once; every later fact reads the kept cycle
+    # validation sorts the rays once; every later fact, the row plan's
+    # chains included, reads the kept cycle
     f = projective_plane()
     for c in (0, 2, 4):
         f = blow_up(f, f.max_cones[c])
     data = fan_to_dict(f)
-    calls = []
+    calls, sorts = [], []
     sort = fan_module.ccw_sorted_rays
     monkeypatch.setattr(fan_module, "ccw_sorted_rays", lambda rays: calls.append(rays) or sort(rays))
+    monkeypatch.setattr(fan_module, "sorted", lambda *args, **kw: sorts.append(args) or sorted(*args, **kw), raising=False)
     f = fan_from_dict(data)
+    assert f.row_plan and f.cycle_terms and f.bounded
+    assert len(sorts) == 1
     d = ToricDivisor(f, (2, -1, 3, 0, 1, 2))
     assert (f.smooth, f.complete, f.bounded) == (True, True, True)
     assert len(f.intersection_numbers) == len(f.rays) == 6
     assert len(lattice_points(polytope(d))) == h0(f, d) > 0
-    assert len(calls) == 1
+    assert len(calls) == len(sorts) == 1
     # the points of P(D) are walked along the fan's own row plan
     fresh = fan_from_dict(data)
     assert "row_plan" not in vars(fresh)
     lattice_points(polytope(ToricDivisor(fresh, d.coeffs)))
     assert "row_plan" in vars(fresh)
+
+
+def test_row_plan_chains_fall_in_slope():
+    # the chains read off the cycle against the order the floor sums need:
+    # consecutive entries (i, |ex|, ey) strictly fall in slope ey/|ex|
+    rng = random.Random(2029)
+    fans = [random_fan(rng, 8, 3) for _ in range(3000)]
+    fans += [random_blowup_fan(rng, 12) for _ in range(200)]
+    sides = Counter()
+    for f in fans:
+        plan = f.row_plan
+        assert sorted(i for i, _, _ in plan.pos) == [i for i, (ex, _) in enumerate(f.rays) if ex > 0]
+        assert sorted(i for i, _, _ in plan.neg) == [i for i, (ex, _) in enumerate(f.rays) if ex < 0]
+        for side, chain in (("pos", plan.pos), ("neg", plan.neg)):
+            for (_, ux, uy), (_, vx, vy) in zip(chain, chain[1:]):
+                assert uy * vx > vy * ux, (f.rays, side, chain)
+            sides[side] += len(chain) >= 3
+    assert min(sides.values()) >= 500, sides
 
 
 def test_adjacent_rays_examples():
