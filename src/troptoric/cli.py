@@ -21,10 +21,10 @@ import random
 import re
 import sys
 
-from .divisor import UnboundedPolytopeError, divisor_from_dict, h0, lattice_points, polytope
-from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
-from .intersect import _rr_kernel, rr_check
-from .jsonutil import ParseError, format_rational, load_json, parse_rational
+from .divisor import UnboundedPolytopeError, _lattice_count_pair, divisor_from_dict, h0, lattice_points, polytope
+from .fan import Fan, blow_up, dot, dual_frame, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
+from .intersect import _cycle_form, _report_fields, _rr_kernel, rr_check
+from .jsonutil import ParseError, format_rational, full_int_text, load_json, parse_rational
 
 DEFAULT_SEED = 314159
 EXIT_OK = 0
@@ -102,7 +102,8 @@ def cmd_fan(args) -> tuple[list[str], int]:
         if not 0 <= args.cone < len(f.max_cones):
             raise ValueError(f"cone index {args.cone} out of range")
         g = blow_up(f, f.max_cones[args.cone])
-        return [json.dumps(fan_to_dict(g))], EXIT_OK
+        with full_int_text():  # u1 + u2 can be one digit longer than u1 and u2
+            return [json.dumps(fan_to_dict(g))], EXIT_OK
     raise AssertionError
 
 
@@ -110,7 +111,8 @@ def _listable_h0(f: Fan, d) -> int:
     """h0(D), scale-free; ValueError (exit 2) above MAX_LISTED_POINTS."""
     count = h0(f, d)
     if count > MAX_LISTED_POINTS:
-        raise ValueError(f"h0 = {count}: P(D) has more lattice points than the {MAX_LISTED_POINTS} that are listed")
+        with full_int_text():
+            raise ValueError(f"h0 = {count}: P(D) has more lattice points than the {MAX_LISTED_POINTS} that are listed")
     return count
 
 
@@ -122,19 +124,21 @@ def cmd_h0(args) -> tuple[list[str], int]:
         count = _listable_h0(f, d)
     except UnboundedPolytopeError:
         count = None
-    payload = {
-        "h0": "infinite" if count is None else count,
-        "lattice_points": None if count is None else [list(m) for m in lattice_points(p)],
-        "polytope_vertices": [_pt_json(v) for v in p.vertices],
-    }
-    return [json.dumps(payload)], EXIT_OK
+    with full_int_text():
+        payload = {
+            "h0": "infinite" if count is None else count,
+            "lattice_points": None if count is None else [list(m) for m in lattice_points(p)],
+            "polytope_vertices": [_pt_json(v) for v in p.vertices],
+        }
+        return [json.dumps(payload)], EXIT_OK
 
 
 def cmd_rr(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
     report = rr_check(f, d)
-    return [json.dumps(report.to_dict())], EXIT_OK if report.holds else EXIT_VIOLATION
+    with full_int_text():  # the pairing term is quadratic in the coefficients
+        return [json.dumps(report.to_dict())], EXIT_OK if report.holds else EXIT_VIOLATION
 
 
 def cmd_sections(args) -> tuple[list[str], int]:
@@ -144,19 +148,20 @@ def cmd_sections(args) -> tuple[list[str], int]:
     d = divisor_from_dict(f, load_json(args.divisor))
     _listable_h0(f, d)
     module = global_sections(f, d)
-    payload = {
-        "generators": [list(m) for m in module.generators],
-        "h0_a": h0_a(module),
-        "h0_b": h0_b(module),
-    }
+    section = None
     if args.vandermonde is not None:
         points = _parse_points(load_json(args.vandermonde))
         section = vandermonde_section(module, points)
-        payload["coefficients"] = [
-            format_rational(section.coeff(m)) for m in module.generators
-        ]
-        payload["pass_through"] = [bool(passes_through(section, p)) for p in points]
-    return [json.dumps(payload)], EXIT_OK
+    with full_int_text():
+        payload = {
+            "generators": [list(m) for m in module.generators],
+            "h0_a": h0_a(module),
+            "h0_b": h0_b(module),
+        }
+        if section is not None:
+            payload["coefficients"] = [format_rational(section.coeff(m)) for m in module.generators]
+            payload["pass_through"] = [bool(passes_through(section, p)) for p in points]
+        return [json.dumps(payload)], EXIT_OK
 
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -170,17 +175,22 @@ def _coeff_range(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-def _sweep_line(index: int, coeffs, fields) -> str:
-    """The JSON line json.dumps writes for {"index": index, "coeffs":
-    list(coeffs), "report": RRReport(*fields).to_dict()}, as one f-string:
-    an int's JSON text is its str, and ``holds`` is true or false."""
+def _report_text(fields) -> str:
+    """The JSON text json.dumps writes for RRReport(*fields).to_dict(), as
+    one f-string: an int's JSON text is its str, and ``holds`` is true or
+    false."""
     h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, holds = fields
     return (
-        f'{{"index": {index}, "coeffs": {list(coeffs)}, "report": {{'
-        f'"h0_D": {h0_d}, "h0_K_minus_D": {h0_k_minus_d}, "euler": {euler}, '
+        f'{{"h0_D": {h0_d}, "h0_K_minus_D": {h0_k_minus_d}, "euler": {euler}, '
         f'"pairing_term": {pairing_term}, "rhs": {rhs}, "defect": {defect}, '
-        f'"holds": {"true" if holds else "false"}}}}}'
+        f'"holds": {"true" if holds else "false"}}}'
     )
+
+
+def _sweep_line(index: int, coeffs, fields) -> str:
+    """The JSON line json.dumps writes for {"index": index, "coeffs":
+    list(coeffs), "report": RRReport(*fields).to_dict()}."""
+    return f'{{"index": {index}, "coeffs": {list(coeffs)}, "report": {_report_text(fields)}}}'
 
 
 def _uniform_draws(seed: int, lo: int, hi: int):
@@ -203,23 +213,76 @@ def _uniform_draws(seed: int, lo: int, hi: int):
         yield lo + x
 
 
-def cmd_sweep(args) -> tuple[list[str], int]:
-    f = _load_fan(args.fan)
-    kernel = _rr_kernel(f)  # ValueError unless smooth and complete, even over an empty range
-    lo, hi = args.range
-    r = len(f.rays)
+def _sweep_box(f: Fan, values: range):
+    """(lines, min_defect, violations) for every tuple of values^r on the
+    smooth complete fan f, in itertools.product order: the lines
+    `_sweep_line` writes for the kernel's fields, with each Picard class
+    counted once.
+
+    The box is walked as an odometer: the first r - 1 coefficients are a
+    prefix, and the last ray's coefficient c runs over ``values`` inside
+    it.  Each prefix computes, once: D(D-K) at c = 0 by the cycle form, to
+    which each c adds c*(b_L*c + 2*(a_prev + a_next) + s_L) for the last
+    ray L and its cycle neighbours; the class key of the class theorem in
+    `intersect`, on a cone that avoids L, which is the prefix's key with
+    c plus a constant last; and the text of the prefix's coefficients.
+    The counts are kept per class key and each report's text per class
+    key and D(D-K), so the lines are the kernel's even when planted terms
+    make D(D-K) no class invariant; and every tuple's D(D-K) is checked
+    even, as `intersect._report_fields` checks each value before it is
+    kept.  Both memos hold at most one entry per tuple.
+    """
+    steps, plan, rays = f.cycle_terms, f.row_plan, f.rays
+    last = len(rays) - 1
+    # cycle_terms runs over the cycle, so L is once an i and once a j
+    ((_, following, b_last, s_last),) = [t for t in steps if t[0] == last]
+    (preceding,) = [t[0] for t in steps if t[1] == last]
+    cone = next(c for c in f.max_cones if rays[last] not in c.rays)
+    p, q = map(rays.index, cone.rays)
+    m_p, m_q = dual_frame(cone)
+    w_p, w_q = [dot(m_p, u) for u in rays], [dot(m_q, u) for u in rays]
+    counts = {}  # class key -> (h0(D), h0(K-D))
+    tails = {}  # (class key, D(D-K)) -> (defect, the line's text after c)
+    lines = []
+    violations = 0
+    index = 0
+    for prefix in itertools.product(values, repeat=last):
+        a_p, a_q = prefix[p], prefix[q]
+        key = tuple(a - a_p * w_p[i] - a_q * w_q[i] for i, a in enumerate(prefix))
+        shift = -a_p * w_p[last] - a_q * w_q[last]
+        twice0 = _cycle_form(steps, prefix + (0,))
+        slope = 2 * (prefix[preceding] + prefix[following]) + s_last
+        head = f"{list(prefix)}"[:-1]
+        for c in values:
+            twice = twice0 + c * (b_last * c + slope)
+            cls = key, c + shift
+            tail = tails.get((cls, twice))
+            if tail is None:
+                pair = counts.get(cls)
+                if pair is None:
+                    pair = counts[cls] = _lattice_count_pair(plan, prefix + (c,))
+                fields = _report_fields(twice, *pair)
+                tail = tails[cls, twice] = fields[5], f'], "report": {_report_text(fields)}}}'
+            if tail[0] < 0:  # a report holds iff its defect is >= 0
+                violations += 1
+            lines.append(f'{{"index": {index}, "coeffs": {head}, {c}{tail[1]}')
+            index += 1
+    min_defect = min((defect for defect, _ in tails.values()), default=None)
+    return lines, min_defect, violations
+
+
+def _sweep_sample(f: Fan, seed: int, lo: int, hi: int):
+    """(lines, min_defect, violations) for SWEEP_SAMPLE_SIZE tuples drawn
+    uniformly from lo..hi: each line is `_sweep_line` of the kernel's
+    fields."""
+    kernel = _rr_kernel(f)
+    # zip takes r values in turn from the one stream: each tuple holds
+    # the next r draws, in order
+    values = _uniform_draws(seed, lo, hi)
+    coeff_iter = itertools.islice(zip(*[values] * len(f.rays)), SWEEP_SAMPLE_SIZE)
     lines = []
     min_defect = None
     violations = 0
-    if max(hi - lo + 1, 0) ** r <= SWEEP_EXHAUSTIVE_LIMIT:
-        mode = "exhaustive"  # an empty range gives no tuples, as r >= 3
-        coeff_iter = itertools.product(range(lo, hi + 1), repeat=r)
-    else:
-        mode = "sampled"
-        # zip takes r values in turn from the one stream: each tuple holds
-        # the next r draws, in order
-        values = _uniform_draws(args.seed, lo, hi)
-        coeff_iter = itertools.islice(zip(*[values] * r), SWEEP_SAMPLE_SIZE)
     # the tuples are ints of the fan's length by construction, so they go
     # to the kernel as they are, with no ToricDivisor built around them
     for index, coeffs in enumerate(coeff_iter):
@@ -230,16 +293,31 @@ def cmd_sweep(args) -> tuple[list[str], int]:
         if defect < 0:  # a report holds iff its defect is >= 0
             violations += 1
         lines.append(_sweep_line(index, coeffs, fields))
-    summary = {
-        "summary": {
-            "mode": mode,
-            "seed": args.seed,
-            "count": len(lines),
-            "min_defect": min_defect,
-            "violations": violations,
+    return lines, min_defect, violations
+
+
+def cmd_sweep(args) -> tuple[list[str], int]:
+    f = _load_fan(args.fan)
+    lo, hi = args.range
+    with full_int_text():
+        # both branches read the fan's cycle terms first: ValueError unless
+        # smooth and complete, even over an empty range
+        if max(hi - lo + 1, 0) ** len(f.rays) <= SWEEP_EXHAUSTIVE_LIMIT:
+            mode = "exhaustive"
+            lines, min_defect, violations = _sweep_box(f, range(lo, hi + 1))
+        else:
+            mode = "sampled"
+            lines, min_defect, violations = _sweep_sample(f, args.seed, lo, hi)
+        summary = {
+            "summary": {
+                "mode": mode,
+                "seed": args.seed,
+                "count": len(lines),
+                "min_defect": min_defect,
+                "violations": violations,
+            }
         }
-    }
-    lines.append(json.dumps(summary))
+        lines.append(json.dumps(summary))
     return lines, EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 

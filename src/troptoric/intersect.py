@@ -7,13 +7,15 @@ proves them); the functions here check their arguments and read them,
 and only those that return matrix entries build the dense
 `Fan.intersection_numbers`.  The verifier compares
 h0(D) + h0(K-D) against chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in
-integers, in one kernel per fan (`_rr_kernel`) that `rr_check` and
-`troptoric sweep` share: D(D-K) is the cycle form below, and the two
-counts take one pass over the y-bounds of the fan's row plan
-(`Fan.row_plan`) and, by the vanishing theorem below, at most one pair
-of floor sums along its chains, so each divisor costs only integer
-arithmetic on its coefficient tuple, in a number of steps that grows
-with the log of its coefficients.
+integers, in one kernel per fan (`_rr_kernel`) that `rr_check` and a
+sampled `troptoric sweep` share: D(D-K) is the cycle form below
+(`_cycle_form`), and the two counts take one pass over the y-bounds of
+the fan's row plan (`Fan.row_plan`) and, by the vanishing theorem below,
+at most one pair of floor sums along its chains, so each divisor costs
+only integer arithmetic on its coefficient tuple, in a number of steps
+that grows with the log of its coefficients.  An exhaustive sweep uses
+the same parts, but counts each Picard class once, by the class theorem
+below.
 
 Theorem: on a smooth complete toric surface D(D-K) is even, since
 Riemann-Roch gives chi(O(D)) = 1 + D(D-K)/2 and chi(O(D)) = h0 - h1 + h2
@@ -40,6 +42,24 @@ K - D has coefficients -1 - a_i, so m in P(D) and m' in P(K-D) give
 <m, u_i> >= -a_i and <m', u_i> >= 1 + a_i, hence <m + m', u_i> >= 1 for
 every i, and 0 = sum_i l_i*<m + m', u_i> > 0, a contradiction.  So at
 most one of the two counts has rows to sum (`divisor._lattice_count_pair`).
+
+Theorem (classes): h0(D) and h0(K-D) depend only on the Picard class of
+D, and the class of D is decided by its key: D minus the principal
+divisor that zeroes the coefficients of the two rays u_p, u_q of one
+smooth cone, that is the tuple a_i - a_p*<m_p, u_i> - a_q*<m_q, u_i>,
+with m_p, m_q its dual frame (`fan.dual_frame`).  Proof: div(m) has
+coefficients <m, u_i>, so P(D + div(m)) = {x : <x + m, u_i> + a_i >= 0}
+= P(D) - m, a lattice translate with as many lattice points, and K - D
+moves by -div(m) the same way.  The key is D + div(m) for m = -a_p*m_p -
+a_q*m_q, so it is linearly equivalent to D; and two keys that differ by
+some div(m) are zero at p and q, so <m, u_p> = <m, u_q> = 0 and m = 0, as
+u_p, u_q is a basis.  The proof uses only the rays: the counts of a class
+do not depend on the intersection numbers, so wrong planted ones change
+only D(D-K), which the cycle form gives tuple by tuple.  The key is
+affine in the coefficients, and zero at p and q; a box swept with the
+last ray's coefficient c innermost, by a cone that avoids that ray, has
+keys that are the key of the other coefficients followed by c plus a
+constant (`cli._sweep_box`).
 """
 
 from __future__ import annotations
@@ -104,17 +124,42 @@ class RRReport:
         return dict(vars(self))
 
 
+def _cycle_form(steps, a) -> int:
+    """D(D-K) for the coefficients ``a``: the cycle form above, summed
+    over ``steps``, a fan's ``cycle_terms`` (i, next(i), b_i, s_i)."""
+    twice = 0
+    for i, j, b, s in steps:
+        c = a[i]
+        twice += c * (b * c + 2 * a[j] + s)
+    return twice
+
+
+def _report_fields(twice: int, h0_d: int, h0_k_minus_d: int) -> tuple:
+    """The fields of an `RRReport`, in declaration order, from D(D-K) and
+    the two counts; ArithmeticError when D(D-K) is odd."""
+    if twice % 2:
+        raise ArithmeticError(f"D(D-K) = {twice} is odd: the intersection numbers are wrong")
+    pairing_term = twice // 2
+    # chi(O_X) = 1: the higher cohomology of O_X vanishes on a complete
+    # toric variety (Cox, Little and Schenck, Toric Varieties, §9.2)
+    euler = 1
+    rhs = euler + pairing_term
+    defect = h0_d + h0_k_minus_d - rhs
+    return h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, defect >= 0
+
+
 def _rr_kernel(fan: Fan):
     """The fan's Riemann-Roch kernel: a function from a coefficient tuple
     a to the fields of its `RRReport`, in declaration order, all in
     integers.  ValueError unless the fan is smooth and complete.
 
-    D(D-K) is read off the counterclockwise cycle by the cycle form above,
-    with b_i and s_i = b_i + 2 from the fan's ``cycle_terms``
-    (i, next(i), b_i, s_i).  Wrong terms planted there can make it odd,
-    which raises ArithmeticError: mod 2 it is sum_i a_i*(b_i + s_i), since
-    a_i^2 = a_i, and so is the dense a.M.(a + 1) when b_i and s_i are the
-    diagonal and row sums of a symmetric M.
+    D(D-K) is read off the counterclockwise cycle by the cycle form above
+    (`_cycle_form`), with b_i and s_i = b_i + 2 from the fan's
+    ``cycle_terms`` (i, next(i), b_i, s_i).  Wrong terms planted there can
+    make it odd, which raises ArithmeticError: mod 2 it is
+    sum_i a_i*(b_i + s_i), since a_i^2 = a_i, and so is the dense
+    a.M.(a + 1) when b_i and s_i are the diagonal and row sums of a
+    symmetric M.
 
     K - D has coefficients -1 - a, so on each y-bound of the row plan its
     form is -(wi + wj) minus D's: one pass over the bounds gives both
@@ -127,20 +172,7 @@ def _rr_kernel(fan: Fan):
     plan = fan.row_plan
 
     def fields(a):
-        twice = 0
-        for i, j, b, s in steps:
-            c = a[i]
-            twice += c * (b * c + 2 * a[j] + s)
-        if twice % 2:
-            raise ArithmeticError(f"D(D-K) = {twice} is odd: the intersection numbers are wrong")
-        h0_d, h0_k_minus_d = _lattice_count_pair(plan, a)
-        pairing_term = twice // 2
-        # chi(O_X) = 1: the higher cohomology of O_X vanishes on a complete
-        # toric variety (Cox, Little and Schenck, Toric Varieties, §9.2)
-        euler = 1
-        rhs = euler + pairing_term
-        defect = h0_d + h0_k_minus_d - rhs
-        return h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, defect >= 0
+        return _report_fields(_cycle_form(steps, a), *_lattice_count_pair(plan, a))
 
     return fields
 

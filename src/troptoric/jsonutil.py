@@ -6,8 +6,10 @@ integers stay plain JSON numbers.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
+import sys
 from fractions import Fraction
 
 
@@ -29,6 +31,29 @@ def load_json(path: str):
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+@contextlib.contextmanager
+def full_int_text():
+    """A context in which an int of any length converts to decimal text.
+
+    Python limits that conversion to 4300 digits by default, both ways.
+    The limit guards the parsing of input (`load_json`, `parse_rational`),
+    which keeps it; output written from input within it can be longer, as
+    a pairing term and an h0 are quadratic in the coefficients.  So the
+    CLI writes its output here: the limit is lifted for the body and put
+    back after it.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # an interpreter without the limit
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def format_rational(q):

@@ -13,7 +13,8 @@ from troptoric import divisor as divisor_module
 from troptoric.cli import main
 from troptoric.divisor import ToricDivisor
 from troptoric.fan import fan_from_dict, fan_to_dict
-from troptoric.intersect import RRReport, rr_check
+from troptoric.intersect import RRReport, _rr_kernel, rr_check
+from troptoric.jsonutil import full_int_text
 
 
 def run(capsys, *argv):
@@ -312,6 +313,45 @@ def test_listing_limit_is_inclusive(capsys, tmp_path, monkeypatch, command):
     assert captured.out == "" and "15" in captured.err and "10" in captured.err
 
 
+# a 3,001-digit coefficient parses within the interpreter's digit limit,
+# but the pairing term and h0 of N*H on P^2 have about 6,000 digits
+HUGE = int("1" * 3001)
+
+
+def test_rr_writes_ints_past_the_digit_limit(capsys, tmp_path):
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", f'{{"coeffs": {{"0": 0, "1": 0, "2": {HUGE}}}}}')
+    code = main(["rr", fan_path, div_path])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    with full_int_text():
+        report = json.loads(captured.out)
+    pairing_term = HUGE * (HUGE + 3) // 2  # (N*H).(N*H - K) = N^2 + 3N
+    assert report == {
+        "h0_D": (HUGE + 1) * (HUGE + 2) // 2,
+        "h0_K_minus_D": 0,
+        "euler": 1,
+        "pairing_term": pairing_term,
+        "rhs": pairing_term + 1,
+        "defect": 0,
+        "holds": True,
+    }
+    if hasattr(sys, "get_int_max_str_digits"):  # the limit is back once the report is written
+        with pytest.raises(ValueError):
+            str(pairing_term)
+
+
+@pytest.mark.parametrize("command", ["h0", "sections"])
+def test_listing_limit_message_writes_h0_past_the_digit_limit(capsys, tmp_path, command):
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", f'{{"coeffs": {{"0": 0, "1": 0, "2": {HUGE}}}}}')
+    code = main([command, fan_path, div_path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    with full_int_text():
+        assert captured.err.startswith(f"troptoric: h0 = {(HUGE + 1) * (HUGE + 2) // 2}: P(D) has more")
+
+
 def test_rr_command(capsys, tmp_path):
     fan_path = write(tmp_path, "fan.json", P2)
     div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 1}})
@@ -517,16 +557,15 @@ def test_sweep_fields_are_rr_check_and_the_oracle(capsys, tmp_path, seed, bounds
 
 
 def test_sweep_counts_planted_violations(capsys, tmp_path, monkeypatch):
-    # no true report fails, so a planted kernel with defect a_0 checks the
-    # running minimum, the violation count, the holds flags and exit 3
-    def kernel(fan):
-        def fields(a):
-            return (0, 0, 1, -1 - a[0], -a[0], a[0], a[0] >= 0)
-
-        return fields
-
-    monkeypatch.setattr(cli, "_rr_kernel", kernel)
+    # no true report fails, so planted cycle terms with defect a_0 check the
+    # running minimum, the violation count, the holds flags and exit 3 of
+    # an exhaustive sweep: s_0 = 1, not 3, lowers D(D-K) by 2*a_0, and on
+    # P2, where h1 = 0, the defect h0(D) + h0(K-D) - 1 - D(D-K)/2 is then a_0;
+    # b_0 + s_0 stays even, so D(D-K) does
     fan_path = write(tmp_path, "fan.json", P2)
+    planted = fan_from_dict(P2)
+    planted.__dict__["cycle_terms"] = ((0, 1, 1, 1), (1, 2, 1, 3), (2, 0, 1, 3))
+    monkeypatch.setattr(cli, "_load_fan", lambda path: planted)
     code, out = run(capsys, "sweep", fan_path, "--range=-1..1")
     lines = out.splitlines()
     assert code == cli.EXIT_VIOLATION == 3
@@ -539,6 +578,38 @@ def test_sweep_counts_planted_violations(capsys, tmp_path, monkeypatch):
         assert rec["report"]["holds"] is (rec["coeffs"][0] >= 0)
     code, out = run(capsys, "sweep", fan_path, "--range=1..1")
     assert code == 0 and json.loads(out.splitlines()[-1])["summary"]["min_defect"] == 1
+
+
+def test_sweep_counts_planted_violations_sampled(capsys, tmp_path, monkeypatch):
+    # a sampled sweep calls the kernel on every tuple: a planted kernel with
+    # defect a_0 checks the same bookkeeping on 10,000 draws
+    def kernel(fan):
+        def fields(a):
+            return (0, 0, 1, -1 - a[0], -a[0], a[0], a[0] >= 0)
+
+        return fields
+
+    monkeypatch.setattr(cli, "_rr_kernel", kernel)
+    fan_path = write(tmp_path, "fan.json", P2)
+    code, out = run(capsys, "sweep", fan_path, "--range=-23..23")  # 47^3 tuples
+    lines = out.splitlines()
+    firsts = [json.loads(line)["coeffs"][0] for line in lines[:-1]]
+    assert code == cli.EXIT_VIOLATION == 3
+    assert json.loads(lines[-1]) == {
+        "summary": {
+            "mode": "sampled",
+            "seed": cli.DEFAULT_SEED,
+            "count": 10_000,
+            "min_defect": -23,
+            "violations": sum(a < 0 for a in firsts),
+        }
+    }
+    for line in lines[:-1]:
+        rec = json.loads(line)
+        assert rec["report"]["defect"] == rec["coeffs"][0]
+        assert rec["report"]["holds"] is (rec["coeffs"][0] >= 0)
+    code, out = run(capsys, "sweep", fan_path, "--range=20..80")
+    assert code == 0 and json.loads(out.splitlines()[-1])["summary"]["min_defect"] == 20
 
 
 def test_sweep_raises_on_planted_odd_pairing(capsys, tmp_path, monkeypatch):
@@ -554,6 +625,81 @@ def test_sweep_raises_on_planted_odd_pairing(capsys, tmp_path, monkeypatch):
     assert cli.run(["sweep", fan_path, "--range=0..1"]) == cli.EXIT_INTERNAL == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "ArithmeticError" in captured.err
+
+
+def kernel_box_lines(f, lo, hi):
+    # the plain route: the kernel on every tuple of the box, in order
+    kernel = _rr_kernel(f)
+    box = itertools.product(range(lo, hi + 1), repeat=len(f.rays))
+    return [cli._sweep_line(index, a, kernel(a)) for index, a in enumerate(box)]
+
+
+def check_box(f, lo, hi):
+    lines, min_defect, violations = cli._sweep_box(f, range(lo, hi + 1))
+    expected = kernel_box_lines(f, lo, hi)
+    assert lines == expected
+    defects = [json.loads(line)["report"]["defect"] for line in expected]
+    assert min_defect == min(defects) and violations == sum(x < 0 for x in defects)
+
+
+@pytest.mark.parametrize("fan, lo, hi", [(DENSE, -3, 3), (P2, -20, 20)], ids=["dense", "p2"])
+def test_sweep_box_is_the_kernel_on_every_tuple(fan, lo, hi):
+    # the class path, one count and one report text per Picard class,
+    # against the kernel on each of 16,807 and 68,921 tuples
+    check_box(fan_from_dict(fan), lo, hi)
+
+
+def shuffled(rng, f):
+    # the same fan with its rays listed in a random order, so that any ray
+    # can be the last one, whose coefficient the box runs innermost
+    d = fan_to_dict(f)
+    order = rng.sample(range(len(d["rays"])), len(d["rays"]))
+    where = {old: new for new, old in enumerate(order)}
+    rays = [d["rays"][old] for old in order]
+    return fan_from_dict({"rays": rays, "max_cones": [[where[i] for i in c] for c in d["max_cones"]]})
+
+
+def test_sweep_box_is_the_kernel_on_blowup_fans():
+    rng = random.Random(23)
+    for k in range(20):
+        f = random_blowup_fan(rng)
+        if k % 2:
+            f = shuffled(rng, f)
+        width = max(w for w in range(2, 8) if w ** len(f.rays) <= 2500)
+        lo = rng.randint(-4, 1)
+        check_box(f, lo, lo + width - 1)
+
+
+def test_sweep_box_is_the_kernel_on_planted_terms():
+    # the class key reads only the rays, so planted cycle terms, wrong but
+    # with every b_i + s_i even, change D(D-K) tuple by tuple but the lines
+    # must still be the kernel's, reading the same terms
+    rng = random.Random(29)
+    fans = [fan_from_dict(DENSE), fan_from_dict(P2)] + [shuffled(rng, random_blowup_fan(rng)) for _ in range(6)]
+    for f in fans:
+        terms = []
+        for i, j, _, _ in f.cycle_terms:
+            b = rng.randint(-3, 3)
+            terms.append((i, j, b, b + 2 * rng.randint(-2, 2)))
+        f.__dict__["cycle_terms"] = tuple(terms)
+        width = max(w for w in range(2, 8) if w ** len(f.rays) <= 2500)
+        check_box(f, -width // 2, -width // 2 + width - 1)
+
+
+def test_sweep_box_raises_on_any_odd_tuple():
+    # s_k one off its true value makes D(D-K) odd exactly when a_k is
+    # odd, whichever ray k is: the box raises at its first such tuple
+    # and passes a box of even a_k
+    for k in range(5):
+        f = fan_from_dict(DENSE)
+        f.__dict__["cycle_terms"] = tuple(
+            (i, j, b, s + (i == k)) for i, j, b, s in fan_from_dict(DENSE).cycle_terms
+        )
+        with pytest.raises(ArithmeticError):
+            cli._sweep_box(f, range(0, 2))
+        with pytest.raises(ArithmeticError):
+            _rr_kernel(f)(tuple(int(i == k) for i in range(5)))
+        assert len(cli._sweep_box(f, range(2, 3))[0]) == 1
 
 
 def test_sweep_empty_range(capsys, tmp_path):
