@@ -23,7 +23,7 @@ import sys
 
 from .divisor import UnboundedPolytopeError, _lattice_count_pair, divisor_from_dict, h0, lattice_points, polytope
 from .fan import Fan, blow_up, dot, dual_frame, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
-from .intersect import _cycle_form, _report_fields, _rr_kernel, rr_check
+from .intersect import _cycle_form, _report_fields, _report_text, rr_check
 from .jsonutil import ParseError, format_rational, full_int_text, load_json, parse_rational
 
 DEFAULT_SEED = 314159
@@ -52,15 +52,19 @@ def _load_fan(path: str) -> Fan:
 
 def _builtin_fan(name: str, param):
     key = name.lower()
-    if key in ("p2", "projective_plane"):
-        return projective_plane()
-    if key in ("p1xp1", "product_p1_p1"):
-        return product_p1_p1()
     if key == "hirzebruch":
         if param is None:
             raise ValueError("hirzebruch needs a parameter, e.g. 'fan builtin hirzebruch 2'")
         return hirzebruch(param)
-    raise ValueError(f"unknown builtin fan {name!r}")
+    if key in ("p2", "projective_plane"):
+        make = projective_plane
+    elif key in ("p1xp1", "product_p1_p1"):
+        make = product_p1_p1
+    else:
+        raise ValueError(f"unknown builtin fan {name!r}")
+    if param is not None:
+        raise ValueError(f"builtin fan {name!r} takes no parameter, got {param}")
+    return make()
 
 
 def _pt_json(p):
@@ -138,7 +142,7 @@ def cmd_rr(args) -> tuple[list[str], int]:
     d = divisor_from_dict(f, load_json(args.divisor))
     report = rr_check(f, d)
     with full_int_text():  # the pairing term is quadratic in the coefficients
-        return [json.dumps(report.to_dict())], EXIT_OK if report.holds else EXIT_VIOLATION
+        return [_report_text(report)], EXIT_OK if report.holds else EXIT_VIOLATION
 
 
 def cmd_sections(args) -> tuple[list[str], int]:
@@ -175,18 +179,6 @@ def _coeff_range(text: str) -> tuple[int, int]:
     return int(match.group(1)), int(match.group(2))
 
 
-def _report_text(fields) -> str:
-    """The JSON text json.dumps writes for RRReport(*fields).to_dict(), as
-    one f-string: an int's JSON text is its str, and ``holds`` is true or
-    false."""
-    h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, holds = fields
-    return (
-        f'{{"h0_D": {h0_d}, "h0_K_minus_D": {h0_k_minus_d}, "euler": {euler}, '
-        f'"pairing_term": {pairing_term}, "rhs": {rhs}, "defect": {defect}, '
-        f'"holds": {"true" if holds else "false"}}}'
-    )
-
-
 def _sweep_line(index: int, coeffs, fields) -> str:
     """The JSON line json.dumps writes for {"index": index, "coeffs":
     list(coeffs), "report": RRReport(*fields).to_dict()}."""
@@ -216,7 +208,7 @@ def _uniform_draws(seed: int, lo: int, hi: int):
 def _sweep_box(f: Fan, values: range):
     """(lines, min_defect, violations) for every tuple of values^r on the
     smooth complete fan f, in itertools.product order: the lines
-    `_sweep_line` writes for the kernel's fields, with each Picard class
+    `_sweep_line` writes for `rr_check`'s fields, with each Picard class
     counted once.
 
     The box is walked as an odometer: the first r - 1 coefficients are a
@@ -226,11 +218,13 @@ def _sweep_box(f: Fan, values: range):
     ray L and its cycle neighbours; the class key of the class theorem in
     `intersect`, on a cone that avoids L, which is the prefix's key with
     c plus a constant last; and the text of the prefix's coefficients.
-    The counts are kept per class key and each report's text per class
-    key and D(D-K), so the lines are the kernel's even when planted terms
-    make D(D-K) no class invariant; and every tuple's D(D-K) is checked
-    even, as `intersect._report_fields` checks each value before it is
-    kept.  Both memos hold at most one entry per tuple.
+    Each report's text is kept per class key and D(D-K), and the counts
+    are taken once per entry.  On a true fan D(D-K) is a class invariant,
+    so that is once per class; planted terms can make it vary within a
+    class, and then the class is counted again, so the lines are still
+    `rr_check`'s.  Every tuple's D(D-K) is checked even, as
+    `intersect._report_fields` checks each value before it is kept.  The
+    memo holds at most one entry per tuple.
     """
     steps, plan, rays = f.cycle_terms, f.row_plan, f.rays
     last = len(rays) - 1
@@ -241,7 +235,6 @@ def _sweep_box(f: Fan, values: range):
     p, q = map(rays.index, cone.rays)
     m_p, m_q = dual_frame(cone)
     w_p, w_q = [dot(m_p, u) for u in rays], [dot(m_q, u) for u in rays]
-    counts = {}  # class key -> (h0(D), h0(K-D))
     tails = {}  # (class key, D(D-K)) -> (defect, the line's text after c)
     lines = []
     violations = 0
@@ -258,10 +251,7 @@ def _sweep_box(f: Fan, values: range):
             cls = key, c + shift
             tail = tails.get((cls, twice))
             if tail is None:
-                pair = counts.get(cls)
-                if pair is None:
-                    pair = counts[cls] = _lattice_count_pair(plan, prefix + (c,))
-                fields = _report_fields(twice, *pair)
+                fields = _report_fields(twice, *_lattice_count_pair(plan, prefix + (c,)))
                 tail = tails[cls, twice] = fields[5], f'], "report": {_report_text(fields)}}}'
             if tail[0] < 0:  # a report holds iff its defect is >= 0
                 violations += 1
@@ -273,9 +263,9 @@ def _sweep_box(f: Fan, values: range):
 
 def _sweep_sample(f: Fan, seed: int, lo: int, hi: int):
     """(lines, min_defect, violations) for SWEEP_SAMPLE_SIZE tuples drawn
-    uniformly from lo..hi: each line is `_sweep_line` of the kernel's
+    uniformly from lo..hi: each line is `_sweep_line` of `rr_check`'s
     fields."""
-    kernel = _rr_kernel(f)
+    steps, plan = f.cycle_terms, f.row_plan
     # zip takes r values in turn from the one stream: each tuple holds
     # the next r draws, in order
     values = _uniform_draws(seed, lo, hi)
@@ -284,9 +274,9 @@ def _sweep_sample(f: Fan, seed: int, lo: int, hi: int):
     min_defect = None
     violations = 0
     # the tuples are ints of the fan's length by construction, so they go
-    # to the kernel as they are, with no ToricDivisor built around them
+    # to rr_check's parts as they are, with no ToricDivisor built around them
     for index, coeffs in enumerate(coeff_iter):
-        fields = kernel(coeffs)
+        fields = _report_fields(_cycle_form(steps, coeffs), *_lattice_count_pair(plan, coeffs))
         defect = fields[5]
         if min_defect is None or defect < min_defect:
             min_defect = defect

@@ -409,8 +409,9 @@ def _count_rows(plan: RowPlan, a, y_lo: int, y_hi: int) -> int:
 def _lattice_count_pair(plan: RowPlan, a) -> tuple[int, int]:
     """(|P(D) ∩ M|, |P(K-D) ∩ M|) for the divisor D with coefficients
     ``a`` on a fan with row plan ``plan``, whose rays must positively span
-    the plane: one pass over the y-bounds (`_y_ranges`) and at most one
-    pair of chain sums.
+    the plane: one pass over the y-bounds (`_y_ranges`), since K - D has
+    coefficients -1 - a and so each bound's form for D gives K - D's, and
+    at most one pair of chain sums.
 
     P(D) and P(K-D) are never both nonempty, even as real polygons (the
     vanishing theorem, proved in `intersect`), and a nonempty integer

@@ -7,15 +7,17 @@ proves them); the functions here check their arguments and read them,
 and only those that return matrix entries build the dense
 `Fan.intersection_numbers`.  The verifier compares
 h0(D) + h0(K-D) against chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in
-integers, in one kernel per fan (`_rr_kernel`) that `rr_check` and a
-sampled `troptoric sweep` share: D(D-K) is the cycle form below
-(`_cycle_form`), and the two counts take one pass over the y-bounds of
-the fan's row plan (`Fan.row_plan`) and, by the vanishing theorem below,
-at most one pair of floor sums along its chains, so each divisor costs
-only integer arithmetic on its coefficient tuple, in a number of steps
-that grows with the log of its coefficients.  An exhaustive sweep uses
-the same parts, but counts each Picard class once, by the class theorem
-below.
+integers, from three parts that `rr_check` and `troptoric sweep` call on
+a coefficient tuple: D(D-K) is the cycle form below (`_cycle_form`), the
+two counts take one pass over the y-bounds of the fan's row plan
+(`Fan.row_plan`) and, by the vanishing theorem below, at most one pair
+of floor sums along its chains (`divisor._lattice_count_pair`), and
+`_report_fields` checks D(D-K) even and gives the report's fields.  So
+each divisor costs only integer arithmetic on its coefficient tuple, in
+a number of steps that grows with the log of its coefficients.  An
+exhaustive sweep counts each Picard class once, by the class theorem
+below.  Every report, from `rr` and from both kinds of sweep, is written
+as JSON by `_report_text`.
 
 Theorem: on a smooth complete toric surface D(D-K) is even, since
 Riemann-Roch gives chi(O(D)) = 1 + D(D-K)/2 and chi(O(D)) = h0 - h1 + h2
@@ -64,7 +66,7 @@ constant (`cli._sweep_box`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .divisor import ToricDivisor, _lattice_count_pair, _same_fan
 from .fan import Fan, _as_vec
@@ -105,8 +107,7 @@ def pairing(fan: Fan, d1: ToricDivisor, d2: ToricDivisor) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RRReport:
+class RRReport(NamedTuple):
     """One Riemann-Roch inequality check, all in integers: both h0 values,
     chi, the pairing term D(D-K)/2, rhs = chi + D(D-K)/2 and the defect
     h0(D) + h0(K-D) - rhs."""
@@ -121,12 +122,26 @@ class RRReport:
 
     def to_dict(self) -> dict:
         """The fields by name, in declaration order: JSON ints and a bool."""
-        return dict(vars(self))
+        return self._asdict()
+
+
+def _report_text(fields) -> str:
+    """The JSON text json.dumps writes for RRReport(*fields).to_dict(), as
+    one f-string: an int's JSON text is its str, and ``holds`` is true or
+    false.  The only writer of a report, for `rr` and both kinds of sweep;
+    ints past the interpreter's digit limit need `jsonutil.full_int_text`."""
+    h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, holds = fields
+    return (
+        f'{{"h0_D": {h0_d}, "h0_K_minus_D": {h0_k_minus_d}, "euler": {euler}, '
+        f'"pairing_term": {pairing_term}, "rhs": {rhs}, "defect": {defect}, '
+        f'"holds": {"true" if holds else "false"}}}'
+    )
 
 
 def _cycle_form(steps, a) -> int:
     """D(D-K) for the coefficients ``a``: the cycle form above, summed
-    over ``steps``, a fan's ``cycle_terms`` (i, next(i), b_i, s_i)."""
+    over ``steps``, a fan's ``cycle_terms`` (i, next(i), b_i, s_i), with
+    s_i = b_i + 2."""
     twice = 0
     for i, j, b, s in steps:
         c = a[i]
@@ -136,7 +151,14 @@ def _cycle_form(steps, a) -> int:
 
 def _report_fields(twice: int, h0_d: int, h0_k_minus_d: int) -> tuple:
     """The fields of an `RRReport`, in declaration order, from D(D-K) and
-    the two counts; ArithmeticError when D(D-K) is odd."""
+    the two counts; ArithmeticError when D(D-K) is odd.
+
+    D(D-K) is even on a smooth complete surface, so only wrong terms
+    planted in ``cycle_terms`` can make it odd: mod 2 the cycle form is
+    sum_i a_i*(b_i + s_i), since a_i^2 = a_i, and so is the dense
+    a.M.(a + 1) when b_i and s_i are the diagonal and row sums of a
+    symmetric M.
+    """
     if twice % 2:
         raise ArithmeticError(f"D(D-K) = {twice} is odd: the intersection numbers are wrong")
     pairing_term = twice // 2
@@ -148,43 +170,17 @@ def _report_fields(twice: int, h0_d: int, h0_k_minus_d: int) -> tuple:
     return h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, defect >= 0
 
 
-def _rr_kernel(fan: Fan):
-    """The fan's Riemann-Roch kernel: a function from a coefficient tuple
-    a to the fields of its `RRReport`, in declaration order, all in
-    integers.  ValueError unless the fan is smooth and complete.
-
-    D(D-K) is read off the counterclockwise cycle by the cycle form above
-    (`_cycle_form`), with b_i and s_i = b_i + 2 from the fan's
-    ``cycle_terms`` (i, next(i), b_i, s_i).  Wrong terms planted there can
-    make it odd, which raises ArithmeticError: mod 2 it is
-    sum_i a_i*(b_i + s_i), since a_i^2 = a_i, and so is the dense
-    a.M.(a + 1) when b_i and s_i are the diagonal and row sums of a
-    symmetric M.
-
-    K - D has coefficients -1 - a, so on each y-bound of the row plan its
-    form is -(wi + wj) minus D's: one pass over the bounds gives both
-    y-ranges (`divisor._y_ranges`), and by the vanishing theorem at most
-    one of them is nonempty, so a report costs at most one pair of chain
-    sums, and the tuple -1 - a is built only when K - D has rows
-    (`divisor._lattice_count_pair`).
-    """
-    steps = fan.cycle_terms  # ValueError unless smooth and complete
-    plan = fan.row_plan
-
-    def fields(a):
-        return _report_fields(_cycle_form(steps, a), *_lattice_count_pair(plan, a))
-
-    return fields
-
-
 def rr_check(fan: Fan, d: ToricDivisor) -> RRReport:
-    """Verify h0(D) + h0(K-D) >= chi + D(D-K)/2 for one divisor: the fan's
-    kernel (`_rr_kernel`) on the coefficient tuple of D.
+    """Verify h0(D) + h0(K-D) >= chi + D(D-K)/2 for one divisor: the cycle
+    form (`_cycle_form`) and the two counts (`divisor._lattice_count_pair`)
+    on the coefficient tuple of D.  ValueError unless the fan is smooth
+    and complete.
 
     Every field is an int by the integrality theorem above; an odd D(D-K)
     can only come from wrong intersection numbers and raises
     ArithmeticError.
     """
-    kernel = _rr_kernel(fan)  # ValueError unless smooth and complete
+    steps = fan.cycle_terms  # ValueError unless smooth and complete
     _same_fan(fan, d)
-    return RRReport(*kernel(d.coeffs))
+    a = d.coeffs
+    return RRReport._make(_report_fields(_cycle_form(steps, a), *_lattice_count_pair(fan.row_plan, a)))

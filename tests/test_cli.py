@@ -13,7 +13,7 @@ from troptoric import divisor as divisor_module
 from troptoric.cli import main
 from troptoric.divisor import ToricDivisor
 from troptoric.fan import fan_from_dict, fan_to_dict
-from troptoric.intersect import RRReport, _rr_kernel, rr_check
+from troptoric.intersect import RRReport, rr_check
 from troptoric.jsonutil import full_int_text
 
 
@@ -39,6 +39,11 @@ def test_fan_builtin(capsys):
     code, out = run(capsys, "fan", "builtin", "hirzebruch", "2")
     assert code == 0
     assert json.loads(out)["rays"] == [[1, 0], [0, 1], [-1, 2], [0, -1]]
+    # a fan that takes no parameter refuses one, as hirzebruch refuses none
+    for argv in (["p2", "5"], ["p1xp1", "7"], ["projective_plane", "0"], ["hirzebruch"]):
+        assert main(["fan", "builtin", *argv]) == cli.EXIT_PRECONDITION == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("troptoric: ")
 
 
 def test_fan_round_trip(capsys, tmp_path):
@@ -362,6 +367,16 @@ def test_rr_command(capsys, tmp_path):
     assert report["rhs"] == 3 and report["defect"] == 0 and report["holds"] is True
 
 
+def test_rr_and_sweep_write_the_same_report(capsys, tmp_path):
+    # rr and an exhaustive sweep write a report through the same writer
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 3, "1": 3, "2": 3}})
+    code, report = run(capsys, "rr", fan_path, div_path)
+    assert code == 0 and json.loads(report)["h0_D"] == 55 and json.loads(report)["pairing_term"] == 54
+    code, out = run(capsys, "sweep", fan_path, "--range=3..3")
+    assert code == 0 and out.splitlines()[0] == f'{{"index": 0, "coeffs": [3, 3, 3], "report": {report.strip()}}}'
+
+
 def test_rr_incomplete_fan_exit_2(capsys, tmp_path):
     fan_path = write(tmp_path, "fan.json", {"rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]})
     div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0}})
@@ -581,16 +596,12 @@ def test_sweep_counts_planted_violations(capsys, tmp_path, monkeypatch):
 
 
 def test_sweep_counts_planted_violations_sampled(capsys, tmp_path, monkeypatch):
-    # a sampled sweep calls the kernel on every tuple: a planted kernel with
-    # defect a_0 checks the same bookkeeping on 10,000 draws
-    def kernel(fan):
-        def fields(a):
-            return (0, 0, 1, -1 - a[0], -a[0], a[0], a[0] >= 0)
-
-        return fields
-
-    monkeypatch.setattr(cli, "_rr_kernel", kernel)
+    # the planted cycle terms of the exhaustive test above, s_0 = 1, not 3,
+    # give defect a_0 on P2 and check the same bookkeeping on 10,000 draws
     fan_path = write(tmp_path, "fan.json", P2)
+    planted = fan_from_dict(P2)
+    planted.__dict__["cycle_terms"] = ((0, 1, 1, 1), (1, 2, 1, 3), (2, 0, 1, 3))
+    monkeypatch.setattr(cli, "_load_fan", lambda path: planted)
     code, out = run(capsys, "sweep", fan_path, "--range=-23..23")  # 47^3 tuples
     lines = out.splitlines()
     firsts = [json.loads(line)["coeffs"][0] for line in lines[:-1]]
@@ -627,16 +638,15 @@ def test_sweep_raises_on_planted_odd_pairing(capsys, tmp_path, monkeypatch):
     assert captured.out == "" and "ArithmeticError" in captured.err
 
 
-def kernel_box_lines(f, lo, hi):
-    # the plain route: the kernel on every tuple of the box, in order
-    kernel = _rr_kernel(f)
+def rr_check_box_lines(f, lo, hi):
+    # the plain route: rr_check on every tuple of the box, in order
     box = itertools.product(range(lo, hi + 1), repeat=len(f.rays))
-    return [cli._sweep_line(index, a, kernel(a)) for index, a in enumerate(box)]
+    return [cli._sweep_line(index, a, rr_check(f, ToricDivisor(f, a))) for index, a in enumerate(box)]
 
 
 def check_box(f, lo, hi):
     lines, min_defect, violations = cli._sweep_box(f, range(lo, hi + 1))
-    expected = kernel_box_lines(f, lo, hi)
+    expected = rr_check_box_lines(f, lo, hi)
     assert lines == expected
     defects = [json.loads(line)["report"]["defect"] for line in expected]
     assert min_defect == min(defects) and violations == sum(x < 0 for x in defects)
@@ -645,7 +655,7 @@ def check_box(f, lo, hi):
 @pytest.mark.parametrize("fan, lo, hi", [(DENSE, -3, 3), (P2, -20, 20)], ids=["dense", "p2"])
 def test_sweep_box_is_the_kernel_on_every_tuple(fan, lo, hi):
     # the class path, one count and one report text per Picard class,
-    # against the kernel on each of 16,807 and 68,921 tuples
+    # against rr_check on each of 16,807 and 68,921 tuples
     check_box(fan_from_dict(fan), lo, hi)
 
 
@@ -673,7 +683,7 @@ def test_sweep_box_is_the_kernel_on_blowup_fans():
 def test_sweep_box_is_the_kernel_on_planted_terms():
     # the class key reads only the rays, so planted cycle terms, wrong but
     # with every b_i + s_i even, change D(D-K) tuple by tuple but the lines
-    # must still be the kernel's, reading the same terms
+    # must still be rr_check's, reading the same terms
     rng = random.Random(29)
     fans = [fan_from_dict(DENSE), fan_from_dict(P2)] + [shuffled(rng, random_blowup_fan(rng)) for _ in range(6)]
     for f in fans:
@@ -698,7 +708,7 @@ def test_sweep_box_raises_on_any_odd_tuple():
         with pytest.raises(ArithmeticError):
             cli._sweep_box(f, range(0, 2))
         with pytest.raises(ArithmeticError):
-            _rr_kernel(f)(tuple(int(i == k) for i in range(5)))
+            rr_check(f, ToricDivisor(f, tuple(int(i == k) for i in range(5))))
         assert len(cli._sweep_box(f, range(2, 3))[0]) == 1
 
 

@@ -124,7 +124,7 @@ def test_dir_lists_every_export_before_any_is_read():
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError):
         troptoric.no_such_name
-    assert not hasattr(troptoric, "_rr_kernel")
+    assert not hasattr(troptoric, "_report_fields")
 
 
 def test_module_run_emits_no_runpy_warning(tmp_path):

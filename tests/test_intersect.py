@@ -1,6 +1,6 @@
+import json
 import random
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 
@@ -29,13 +29,15 @@ from troptoric.fan import (
     projective_plane,
 )
 from troptoric.intersect import (
-    _rr_kernel,
+    RRReport,
+    _report_text,
     intersection_matrix,
     pairing,
     ray_intersection,
     rr_check,
     self_intersection,
 )
+from troptoric.jsonutil import full_int_text
 
 
 def test_ray_intersection_examples():
@@ -121,12 +123,11 @@ def test_intersection_terms_are_the_nonzero_entries():
 
 
 def test_cycle_terms_are_the_only_intersection_data(capsys, monkeypatch):
-    # the kernel, rr_check, pairing and a sweep read the cycle terms; the
-    # dense matrix is built only when something reads it
+    # rr_check, pairing and a sweep read the cycle terms; the dense matrix
+    # is built only when something reads it
     rng = random.Random(149)
     for f in (projective_plane(), hirzebruch(3), random_blowup_fan(rng, 6)):
         d = random_divisor(rng, f)
-        _rr_kernel(f)(d.coeffs)
         rr_check(f, d)
         pairing(f, d, d)
         monkeypatch.setattr(cli, "_load_fan", lambda path: f)
@@ -227,12 +228,39 @@ def test_rr_check_matches_oracle():
         divisors += [ToricDivisor(f, tuple(rng.choice((-40, 40)) for _ in f.rays))]
         for d in divisors:
             report = rr_check(f, d)
-            fields = asdict(report)
+            fields = report.to_dict()
             assert fields == rr_oracle(f, d), d.coeffs
             assert all(type(v) is int for k, v in fields.items() if k != "holds")
-            assert list(report.to_dict().items()) == list(fields.items())
+            assert tuple(fields.values()) == report
             positive += report.defect > 0
     assert positive >= 20  # the oracle is compared on nonzero defects too
+
+
+def test_rr_report_is_a_tuple_of_its_fields():
+    r = rr_check(projective_plane(), ray_divisor(projective_plane(), (-1, -1)))
+    h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, holds = r
+    assert (h0_d, h0_k_minus_d, euler, pairing_term, rhs, defect, holds) == (3, 0, 1, 2, 3, 0, True)
+    assert r == (3, 0, 1, 2, 3, 0, True) and r.pairing_term == pairing_term
+    # to_dict keeps the declaration order, which is the order JSON writes
+    names = ["h0_D", "h0_K_minus_D", "euler", "pairing_term", "rhs", "defect", "holds"]
+    assert list(r.to_dict()) == list(RRReport._fields) == names
+    assert list(r.to_dict().values()) == list(r)
+
+
+def test_report_text_is_json_dumps():
+    # the one writer of a report, on a failed report, a true one and one
+    # whose ints pass the interpreter's digit limit (3H scaled by a
+    # 3,001-digit number on P^2)
+    failed = RRReport(h0_D=0, h0_K_minus_D=2, euler=1, pairing_term=5, rhs=6, defect=-4, holds=False)
+    assert _report_text(failed) == json.dumps(failed.to_dict())
+    assert json.loads(_report_text(failed))["holds"] is False
+    p2 = projective_plane()
+    report = rr_check(p2, zero_divisor(p2))
+    assert _report_text(report) == json.dumps(report.to_dict())
+    report = rr_check(p2, ToricDivisor(p2, (0, 0, int("1" * 3001))))
+    with full_int_text():
+        assert _report_text(report) == json.dumps(report.to_dict())
+        assert len(str(report.pairing_term)) > 4300  # the default digit limit
 
 
 def test_rr_check_matches_oracle_at_scale_80():
@@ -246,7 +274,7 @@ def test_rr_check_matches_oracle_at_scale_80():
         divisors = [random_divisor(rng, f, -80, 80) for _ in range(20)]
         divisors += [ToricDivisor(f, tuple(rng.choice((-80, 80)) for _ in f.rays)) for _ in range(2)]
         for d in divisors:
-            assert asdict(rr_check(f, d)) == rr_oracle(f, d), d.coeffs
+            assert rr_check(f, d).to_dict() == rr_oracle(f, d), d.coeffs
 
 
 def test_rr_defect_is_h1():
@@ -288,23 +316,22 @@ def test_rr_check_raises_on_odd_pairing():
 def test_cycle_form_is_the_dense_pairing():
     # sum a_i (b_i a_i + 2 a_next(i) + b_i + 2), with next(i) the
     # counterclockwise neighbour, against the dense a.M.(a + 1) over all
-    # n^2 entries, and the kernel's pairing term is half of it
+    # n^2 entries, and rr_check's pairing term is half of it
     rng = random.Random(131)
     fans = (projective_plane(), product_p1_p1(), hirzebruch(3)) + tuple(random_blowup_fan(rng) for _ in range(6))
     for f in fans:
-        kernel = _rr_kernel(f)
         after = [f.ray_index(adjacent_rays(f, u)[1]) for u in f.rays]
         b = [self_intersection(f, u) for u in f.rays]
         for _ in range(300):
             a = tuple(rng.randint(-80, 80) for _ in f.rays)
             cycle_form = sum(c * (b[i] * c + 2 * a[after[i]] + b[i] + 2) for i, c in enumerate(a))
             assert cycle_form == dense_pairing(f.intersection_numbers, a, [c + 1 for c in a])
-            assert 2 * kernel(a)[3] == cycle_form
+            assert 2 * rr_check(f, ToricDivisor(f, a)).pairing_term == cycle_form
 
 
 def test_kernel_odd_exactly_where_the_dense_pairing_is():
     # planted cycle terms, the diagonal and row sums of a random symmetric
-    # matrix M: the kernel raises for exactly the coefficient tuples whose
+    # matrix M: rr_check raises for exactly the coefficient tuples whose
     # cycle form is odd, and so is the dense a.M.(a + 1)
     rng = random.Random(137)
     raised = 0
@@ -317,17 +344,16 @@ def test_kernel_odd_exactly_where_the_dense_pairing_is():
                 rows[i][j] = rows[j][i] = rng.randint(-3, 3)
         terms = tuple((i, j, rows[i][i], sum(rows[i])) for i, j, _, _ in f.cycle_terms)
         f.__dict__["cycle_terms"] = terms
-        kernel = _rr_kernel(f)
         for _ in range(20):
             a = tuple(rng.randint(-5, 5) for _ in range(n))
             odd = sum(a[i] * (b * a[i] + 2 * a[j] + s) for i, j, b, s in terms) % 2 == 1
             assert odd == (dense_pairing(rows, a, [c + 1 for c in a]) % 2 == 1)
             if odd:
                 with pytest.raises(ArithmeticError):
-                    kernel(a)
+                    rr_check(f, ToricDivisor(f, a))
                 raised += 1
             else:
-                kernel(a)
+                rr_check(f, ToricDivisor(f, a))
     assert 200 <= raised <= 600  # both outcomes are exercised
 
 
