@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .fan import Fan, RowPlan, Vec, _as_vec, det2, dot
 from .jsonutil import ParseError
 
-if TYPE_CHECKING:  # annotations only: a sweep never loads trop
+if TYPE_CHECKING:  # annotations only: a sweep never loads fractions or trop
+    from fractions import Fraction
+
     from .trop import TropPolynomial
 
 # An inequality (ex, ey, a) means ex*x + ey*y + a >= 0.
@@ -49,22 +49,39 @@ class UnboundedPolytopeError(ValueError):
     """Raised when a nonempty unbounded polytope has no finite point count."""
 
 
-@dataclass(frozen=True)
 class ToricDivisor:
-    """An integer combination of the ray divisors, stored in fan ray order."""
+    """An integer combination of the ray divisors, stored in fan ray order.
 
-    fan: Fan
-    coeffs: tuple[int, ...]
+    A frozen value: equality, hash and repr read ``fan`` and ``coeffs``.
+    """
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != len(self.fan.rays):
+    def __init__(self, fan: Fan, coeffs: tuple[int, ...]):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != len(fan.rays):
             raise ValueError("one coefficient per fan ray is required")
         for c in coeffs:
             # bool is an int subclass, but JSON true/false is not a coefficient
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError("divisor coefficients must be integers")
+        object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.fan == other.fan and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.fan, self.coeffs))
+
+    def __repr__(self):
+        return f"ToricDivisor(fan={self.fan!r}, coeffs={self.coeffs!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def coeff(self, ray) -> int:
         return self.coeffs[self.fan.ray_index(ray)]
@@ -182,18 +199,36 @@ def linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor) -> Vec | None:
     return m
 
 
-@dataclass(frozen=True)
 class DivisorPolytope:
     """P(D): the inequalities <m, e_ray> + a_ray >= 0 of a divisor.
 
+    A frozen value: equality, hash and repr read ``divisor`` alone.
     ``bounded`` is the fan's fact: True iff the recession cone
     {m : <m, e_ray> >= 0} is trivial.  ``vertices``, the feasible pairwise
     intersections of the boundary lines (none on a bounded polytope means
-    it is empty), are found on first read and cached outside equality and
-    hashing.
+    it is empty), are found on first read and cached in the instance
+    ``__dict__``, outside equality, hashing and repr.
     """
 
-    divisor: ToricDivisor
+    def __init__(self, divisor: ToricDivisor):
+        object.__setattr__(self, "divisor", divisor)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.divisor == other.divisor
+
+    def __hash__(self):
+        return hash((self.divisor,))
+
+    def __repr__(self):
+        return f"DivisorPolytope(divisor={self.divisor!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def inequalities(self) -> tuple[Inequality, ...]:
@@ -209,6 +244,8 @@ class DivisorPolytope:
 
 
 def _enumerate_vertices(ineqs) -> tuple[tuple[Fraction, Fraction], ...]:
+    import fractions  # on first use, as in `jsonutil.format_rational`
+
     found = {}
     n = len(ineqs)
     for i in range(n):
@@ -231,7 +268,7 @@ def _enumerate_vertices(ineqs) -> tuple[tuple[Fraction, Fraction], ...]:
             if ok:
                 g = math.gcd(math.gcd(abs(nx), abs(ny)), d)
                 found[(nx // g, ny // g, d // g)] = None
-    verts = [(Fraction(nx, d), Fraction(ny, d)) for nx, ny, d in found]
+    verts = [(fractions.Fraction(nx, d), fractions.Fraction(ny, d)) for nx, ny, d in found]
     verts.sort()
     return tuple(verts)
 

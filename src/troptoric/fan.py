@@ -32,7 +32,6 @@ along the two chains, with integer arithmetic on its coefficient tuple.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -93,18 +92,16 @@ def primitive(v) -> Vec:
     return (x // g, y // g)
 
 
-@dataclass(frozen=True)
 class Cone:
     """A strictly convex rational cone in the plane.
 
     Given by 0, 1, or 2 primitive ray generators; a 2-ray cone must have
-    linearly independent generators (no half-planes or lines).
+    linearly independent generators (no half-planes or lines).  A frozen
+    value: equality, hash and repr read ``rays`` alone.
     """
 
-    rays: tuple[Vec, ...] = ()
-
-    def __post_init__(self):
-        rays = tuple(_as_vec(r) for r in self.rays)
+    def __init__(self, rays: tuple[Vec, ...] = ()):
+        rays = tuple(_as_vec(r) for r in rays)
         if len(rays) > 2:
             raise ValueError("plane cones have at most two rays")
         for r in rays:
@@ -113,6 +110,23 @@ class Cone:
         if len(rays) == 2 and det2(rays[0], rays[1]) == 0:
             raise ValueError("2-ray cone generators must be linearly independent")
         object.__setattr__(self, "rays", rays)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rays == other.rays
+
+    def __hash__(self):
+        return hash((self.rays,))
+
+    def __repr__(self):
+        return f"Cone(rays={self.rays!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -139,16 +153,16 @@ def dual_frame(c: Cone) -> list[Vec]:
     return [m1, m2]
 
 
-@dataclass(frozen=True)
 class Fan:
     """A fan in the plane, stored by its maximal cones.
 
     ``rays`` is the deduplicated ray list; it is derived from the cones in
     first-appearance order unless an explicit order is supplied (it must
-    then be a permutation of the derived set).  Validity is checked at
-    construction with one counterclockwise sort of the rays and one pass
-    over the cones, by the theorem below; the cycle is kept, as positions
-    in ``rays`` from angle 0, outside equality, hash and repr.
+    then be a permutation of the derived set).  A frozen value: equality,
+    hash and repr read ``max_cones`` and ``rays`` alone.  Validity is
+    checked at construction with one counterclockwise sort of the rays and
+    one pass over the cones, by the theorem below; the cycle is kept, as
+    positions in ``rays`` from angle 0, outside equality, hash and repr.
 
     Theorem: distinct cones on primitive rays, each 2-cone with
     det(u, v) != 0, form a fan iff the origin cone is the only cone when it
@@ -169,11 +183,8 @@ class Fan:
     meets in no common face, so the only such pair when there is one.
     """
 
-    max_cones: tuple[Cone, ...]
-    rays: tuple[Vec, ...] = ()
-
-    def __post_init__(self):
-        cones = tuple(self.max_cones)
+    def __init__(self, max_cones: tuple[Cone, ...], rays: tuple[Vec, ...] = ()):
+        cones = tuple(max_cones)
         for c in cones:
             if not isinstance(c, Cone):
                 raise TypeError("max_cones must contain Cone instances")
@@ -196,7 +207,7 @@ class Fan:
                 if after[u] != v:  # after[u] lies strictly inside c
                     i = first[after[u]]
                     raise _no_common_face(min(i, j), max(i, j))
-        rays = tuple(_as_vec(r) for r in self.rays)
+        rays = tuple(_as_vec(r) for r in rays)
         if rays:
             if len(set(rays)) != len(rays) or set(rays) != first.keys():
                 raise ValueError("explicit ray list must enumerate the fan's rays")
@@ -207,10 +218,26 @@ class Fan:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "_ccw", tuple(index[r] for r in ccw))
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.max_cones == other.max_cones and self.rays == other.rays
+
+    def __hash__(self):
+        return hash((self.max_cones, self.rays))
+
+    def __repr__(self):
+        return f"Fan(max_cones={self.max_cones!r}, rays={self.rays!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
     # Fixed facts, computed on first use.  cached_property stores them in
-    # the instance __dict__, outside the dataclass fields, as __post_init__
-    # stores _ccw, so equality, hashing and repr still see only max_cones
-    # and rays.
+    # the instance __dict__, as __init__ stores _ccw, where equality,
+    # hashing and repr, which read only max_cones and rays, never look.
 
     @functools.cached_property
     def smooth(self) -> bool:

@@ -10,7 +10,10 @@ import contextlib
 import json
 import re
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # annotations only: a sweep never loads fractions
+    from fractions import Fraction
 
 
 class ParseError(ValueError):
@@ -57,7 +60,12 @@ def full_int_text():
 
 
 def format_rational(q):
-    q = Fraction(q)
+    # `import fractions` loads the module on first use, as a sweep writes no
+    # rational; `from fractions import Fraction` here would cost about 1 us
+    # a call on Python 3.11, for the failed lookup of a package __path__
+    import fractions
+
+    q = fractions.Fraction(q)
     if q.denominator == 1:
         return int(q)
     return f"{q.numerator}/{q.denominator}"
@@ -68,12 +76,14 @@ def parse_rational(v) -> Fraction:
     optional sign, ASCII digits, and optionally '/' and ASCII digits.
     ParseError for anything else ('1e5', '1.5', '1_000', a bool, a float),
     a zero denominator or digits past Python's digit limit."""
+    import fractions  # on first use, as in format_rational
+
     if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
+        return fractions.Fraction(v)
     if isinstance(v, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", v):
         p, _, q = v.partition("/")
         try:
-            return Fraction(int(p), int(q or 1))
+            return fractions.Fraction(int(p), int(q or 1))
         except (ValueError, ZeroDivisionError):
             pass
     raise ParseError(f"expected an exact rational, got {v!r}")

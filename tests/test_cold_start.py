@@ -76,6 +76,30 @@ def test_cli_import_loads_only_the_sweep_modules():
     assert json.loads(done.stdout) == sweep
 
 
+def test_cli_import_loads_no_dataclasses_or_fractions():
+    # -S: a .pth file of the host's site-packages may import any of these
+    code = (
+        "import json, sys, troptoric.cli; "
+        "print(json.dumps(sorted({'dataclasses', 'decimal', 'fractions', 'inspect'} & set(sys.modules))))"
+    )
+    done = python("-S", "-X", "dev", "-W", "error", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+def test_h0_command_writes_rational_vertices(tmp_path):
+    # fractions loads on first use: P(D) on F2 has the vertex (1, 1/2)
+    fan = {"rays": [[1, 0], [0, 1], [-1, 2], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+    (tmp_path / "f2.json").write_text(json.dumps(fan))
+    (tmp_path / "d.json").write_text(json.dumps({"coeffs": {"0": -1, "1": 0, "2": 0, "3": 2}}))
+    done = python("-S", "-X", "dev", "-W", "error", "-m", "troptoric.cli", "h0", "f2.json", "d.json", cwd=tmp_path)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == (
+        '{"h0": 6, "lattice_points": [[1, 1], [2, 1], [1, 2], [2, 2], [3, 2], [4, 2]], '
+        '"polytope_vertices": [[1, "1/2"], [1, 2], [4, 2]]}\n'
+    )
+
+
 def test_h0_command_loads_no_sections_or_trop(tmp_path):
     # h0 counts by floor sums and lists P(D) itself: no section module
     fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}

@@ -199,6 +199,81 @@ def test_polytope_equality_ignores_read_vertices():
     assert p == q and hash(p) == hash(q)
 
 
+P2_REPR = (
+    "Fan(max_cones=(Cone(rays=((1, 0), (0, 1))), Cone(rays=((0, 1), (-1, -1))), Cone(rays=((-1, -1), (1, 0)))),"
+    " rays=((1, 0), (0, 1), (-1, -1)))"
+)
+
+
+def test_value_classes_are_frozen_records_of_their_fields():
+    # Cone, Fan, ToricDivisor and DivisorPolytope: equality, hash and repr
+    # over their fields alone, keyword or positional construction, and no
+    # field assignment or deletion
+    f, g = projective_plane(), projective_plane()
+    d, e = ToricDivisor(f, (0, 0, 1)), ToricDivisor(g, [0, 0, 1])
+    p, q = polytope(d), polytope(e)
+    cone = f.max_cones[0]
+    assert repr(f) == P2_REPR
+    assert repr(cone) == "Cone(rays=((1, 0), (0, 1)))"
+    assert repr(d) == f"ToricDivisor(fan={P2_REPR}, coeffs=(0, 0, 1))"
+    assert repr(p) == f"DivisorPolytope(divisor=ToricDivisor(fan={P2_REPR}, coeffs=(0, 0, 1)))"
+    # facts kept outside the fields, read on one side only
+    assert f._ccw == (0, 1, 2) and len(f.cycle_terms) == 3 and len(p.vertices) == 3
+    assert {"cycle_terms", "_ccw"} <= vars(f).keys() and "cycle_terms" not in vars(g)
+    assert "vertices" in vars(p) and "vertices" not in vars(q)
+    values = {
+        cone: (Cone([[1, 0], [0, 1]]), Cone(rays=((1, 0), (0, 1))), (cone.rays,)),
+        f: (g, Fan(max_cones=f.max_cones, rays=f.rays), (f.max_cones, f.rays)),
+        d: (e, ToricDivisor(fan=g, coeffs=(0, 0, 1)), (f, (0, 0, 1))),
+        p: (q, DivisorPolytope(divisor=e), (d,)),
+    }
+    for a, (b, keyword, fields) in values.items():
+        for c in (b, keyword):
+            assert a is not c and a == c and not a != c
+            assert hash(a) == hash(c) and repr(a) == repr(c)
+        assert a != fields and a.__eq__(fields) is NotImplemented
+    assert values.keys() == {Cone(((1, 0), (0, 1))), g, e, q}
+    # one field differs: the rays in another order, a coefficient
+    assert Fan(f.max_cones, (f.rays[1], f.rays[0], f.rays[2])) != f
+    assert ToricDivisor(f, (0, 1, 0)) != d and polytope(ToricDivisor(f, (0, 1, 0))) != p
+    # defaults: a cone with no rays, rays derived in first-appearance order
+    assert Cone() == Cone(rays=()) and Cone().rays == () and Cone().dim == 0
+    assert Fan(()) == Fan(max_cones=(), rays=()) and Fan(()).rays == ()
+    assert Fan(f.max_cones[::-1]).rays == ((-1, -1), (1, 0), (0, 1))
+    for obj, names in ((cone, ("rays",)), (f, ("max_cones", "rays")), (d, ("fan", "coeffs")), (p, ("divisor",))):
+        for name in names:
+            kept = getattr(obj, name)
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(obj, name, kept)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(obj, name)
+            assert getattr(obj, name) is kept
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda f: Cone(((2, 4),)), ValueError, "ray generator (2, 4) is not primitive"),
+        (lambda f: Cone(((1, 0), (-1, 0))), ValueError, "2-ray cone generators must be linearly independent"),
+        (lambda f: Cone(((1, 0), (1, 0), (0, 1))), ValueError, "plane cones have at most two rays"),
+        (lambda f: Cone(((1.0, 0),)), TypeError, "lattice vectors must have integer coordinates"),
+        (lambda f: Cone((1,)), TypeError, "a lattice vector must be a pair [x, y], got 1"),
+        (lambda f: Fan(((1, 0),)), TypeError, "max_cones must contain Cone instances"),
+        (lambda f: Fan((Cone(((1, 0), (0, 1))), Cone(((0, 1), (1, 0))))), ValueError, "duplicate maximal cone"),
+        (lambda f: Fan((Cone(()), Cone(((1, 0),)))), ValueError, "the origin cone is redundant beside other cones"),
+        (lambda f: Fan((Cone(((1, 0), (0, 1))), Cone(((1, 0),)))), ValueError, "cones 0 and 1 do not intersect in a common face"),
+        (lambda f: Fan(f.max_cones, f.rays[:2]), ValueError, "explicit ray list must enumerate the fan's rays"),
+        (lambda f: Fan(f.max_cones, ((1, 0), (0, 1), (True, 0))), TypeError, "lattice vectors must have integer coordinates"),
+        (lambda f: ToricDivisor(f, (0, 0)), ValueError, "one coefficient per fan ray is required"),
+        (lambda f: ToricDivisor(f, (0, 0, True)), TypeError, "divisor coefficients must be integers"),
+    ],
+)
+def test_value_classes_validate_on_construction(build, error, message):
+    with pytest.raises(error) as info:
+        build(projective_plane())
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_h0_closed_forms():
     p2 = projective_plane()
     h = ray_divisor(p2, (-1, -1))
