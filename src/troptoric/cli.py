@@ -17,14 +17,13 @@ import argparse
 import functools
 import itertools
 import json
-import random
 import re
 import sys
 
 from .divisor import UnboundedPolytopeError, _lattice_count_pair, divisor_from_dict, h0, lattice_points, polytope
 from .fan import Fan, blow_up, dot, dual_frame, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
 from .intersect import _cycle_form, _report_fields, _report_text, rr_check
-from .jsonutil import ParseError, format_rational, full_int_text, load_json, parse_rational
+from .jsonutil import ParseError, format_ratio, format_rational, full_int_text, load_json, parse_rational
 
 DEFAULT_SEED = 314159
 EXIT_OK = 0
@@ -146,34 +145,48 @@ def cmd_rr(args) -> tuple[list[str], int]:
 
 
 def cmd_sections(args) -> tuple[list[str], int]:
-    from .sections import global_sections, h0_a, h0_b, passes_through, vandermonde_section
+    """The generators, h0_a and h0_b, and with --vandermonde the
+    interpolating section through the points: each coefficient and one
+    pass-through flag per point, read off the integer matrix of
+    `sections._vandermonde_minors` with no Fraction or TropPolynomial.
+
+    Coefficient j is minors[j]/s.  Point k's flag says whether the
+    maximum of minors[j] + rows[k][j] over j is attained twice: the test
+    of `sections.passes_through`, at scale s.  Every flag is true (the
+    proof is in the `sections` module docstring), so a false one reports
+    a fault in `trop._maximal_minors`; the check costs O(l^2) additions.
+    """
+    from .sections import _vandermonde_minors, global_sections, h0_a, h0_b
 
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
     _listable_h0(f, d)
     module = global_sections(f, d)
-    section = None
+    points = None
     if args.vandermonde is not None:
         points = _parse_points(load_json(args.vandermonde))
-        section = vandermonde_section(module, points)
     with full_int_text():
         payload = {
             "generators": [list(m) for m in module.generators],
             "h0_a": h0_a(module),
             "h0_b": h0_b(module),
         }
-        if section is not None:
-            payload["coefficients"] = [format_rational(section.coeff(m)) for m in module.generators]
-            payload["pass_through"] = [bool(passes_through(section, p)) for p in points]
+        if points is not None:
+            s, rows, minors = _vandermonde_minors(module.generators, points)
+            payload["coefficients"] = [format_ratio(m, s) for m in minors]
+            values = [[m + r for m, r in zip(minors, row)] for row in rows]
+            payload["pass_through"] = [v.count(max(v)) >= 2 for v in values]
         return [json.dumps(payload)], EXIT_OK
 
 
-_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+# ASCII digits only, as in parse_rational: \d takes any Unicode digit
+_RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 
 def _coeff_range(text: str) -> tuple[int, int]:
-    # an argparse type: a malformed range is a usage error, exit 1
-    match = _RANGE_RE.match(text)
+    # an argparse type: a malformed range is a usage error, exit 1;
+    # fullmatch, as $ would also match before a final newline
+    match = _RANGE_RE.fullmatch(text)
     if not match:
         raise argparse.ArgumentTypeError(f"range must look like '-3..3', got {text!r}")
     return int(match.group(1)), int(match.group(2))
@@ -195,6 +208,8 @@ def _uniform_draws(seed: int, lo: int, hi: int):
     until the draw is below width.  This is that rejection loop, without
     randrange's argument checks on every call.
     """
+    import random  # on first use: only a sampled sweep draws
+
     bits = random.Random(seed).getrandbits
     width = hi - lo + 1
     k = width.bit_length()

@@ -31,15 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 from .fan import Fan, RowPlan, Vec, _as_vec, det2, dot
 from .jsonutil import ParseError
 
-if TYPE_CHECKING:  # annotations only: a sweep never loads fractions or trop
-    from fractions import Fraction
-
-    from .trop import TropPolynomial
+# Fraction (fractions) and TropPolynomial (trop) appear in annotations only,
+# which stay unevaluated strings: a sweep never loads either module
 
 # An inequality (ex, ey, a) means ex*x + ey*y + a >= 0.
 Inequality = tuple[int, int, int]

@@ -31,16 +31,16 @@ along the two chains, with integer arithmetic on its coefficient tuple.
 
 from __future__ import annotations
 
+import collections
 import functools
 from math import gcd
-from typing import NamedTuple
 
 from .jsonutil import ParseError
 
 Vec = tuple[int, int]
 
 
-class RowPlan(NamedTuple):
+class RowPlan(collections.namedtuple("RowPlan", "pos neg lower upper fixed")):
     """The coefficient-free part of {m : <m, e_i> + a_i >= 0}, cut into rows.
 
     ``pos`` and ``neg`` hold the rays with x > 0 and x < 0 as
@@ -52,14 +52,11 @@ class RowPlan(NamedTuple):
     cy*y + wi*a_i + wj*a_j >= 0: one per ray with x = 0 (weight 0 on its
     second index) and one per pair of opposite x-signs, scaled so that x
     cancels.  ``lower`` has cy > 0, ``upper`` cy < 0, and ``fixed`` cy = 0,
-    a condition on the coefficients alone (as for opposite rays).
+    a condition on the coefficients alone (as for opposite rays).  All
+    five fields are tuples of int tuples.
     """
 
-    pos: tuple[tuple[int, int, int], ...]
-    neg: tuple[tuple[int, int, int], ...]
-    lower: tuple[tuple[int, int, int, int, int], ...]
-    upper: tuple[tuple[int, int, int, int, int], ...]
-    fixed: tuple[tuple[int, int, int, int, int], ...]
+    __slots__ = ()
 
 
 def det2(u, v):

@@ -66,7 +66,7 @@ constant (`cli._sweep_box`).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import collections
 
 from .divisor import ToricDivisor, _lattice_count_pair, _same_fan
 from .fan import Fan, _as_vec
@@ -107,18 +107,12 @@ def pairing(fan: Fan, d1: ToricDivisor, d2: ToricDivisor) -> int:
     return total
 
 
-class RRReport(NamedTuple):
+class RRReport(collections.namedtuple("RRReport", "h0_D h0_K_minus_D euler pairing_term rhs defect holds")):
     """One Riemann-Roch inequality check, all in integers: both h0 values,
     chi, the pairing term D(D-K)/2, rhs = chi + D(D-K)/2 and the defect
-    h0(D) + h0(K-D) - rhs."""
+    h0(D) + h0(K-D) - rhs, all ints, and ``holds``, a bool."""
 
-    h0_D: int
-    h0_K_minus_D: int
-    euler: int
-    pairing_term: int
-    rhs: int
-    defect: int
-    holds: bool
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """The fields by name, in declaration order: JSON ints and a bool."""

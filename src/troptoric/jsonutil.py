@@ -10,10 +10,10 @@ import contextlib
 import json
 import re
 import sys
-from typing import TYPE_CHECKING
+from math import gcd
 
-if TYPE_CHECKING:  # annotations only: a sweep never loads fractions
-    from fractions import Fraction
+# Fraction appears in annotations only, which stay unevaluated strings: a
+# sweep never loads fractions
 
 
 class ParseError(ValueError):
@@ -59,6 +59,17 @@ def full_int_text():
         sys.set_int_max_str_digits(limit)
 
 
+def format_ratio(p: int, q: int):
+    """The JSON value of the rational p/q, for ints p and q > 0: the int
+    when q divides p, else the string 'p/q' in lowest terms.  The one
+    writer of a rational, for `format_rational` and for interpolation
+    coefficients, which are ints over one common denominator."""
+    g = gcd(p, q)
+    if g == q:
+        return p // q
+    return f"{p // g}/{q // g}"
+
+
 def format_rational(q):
     # `import fractions` loads the module on first use, as a sweep writes no
     # rational; `from fractions import Fraction` here would cost about 1 us
@@ -66,9 +77,7 @@ def format_rational(q):
     import fractions
 
     q = fractions.Fraction(q)
-    if q.denominator == 1:
-        return int(q)
-    return f"{q.numerator}/{q.denominator}"
+    return format_ratio(q.numerator, q.denominator)
 
 
 def parse_rational(v) -> Fraction:

@@ -11,6 +11,19 @@ the cycle-sum genericity predicate for point configurations.  A
 Vandermonde section works on plain integers: the points are scaled by
 one common denominator, and all its cofactors, the maximal minors of
 the integer matrix, come from one assignment (`trop._maximal_minors`).
+
+The section F through p_1..p_{l-1} passes through every p_k: at least
+two terms attain its maximum there.  Proof (the duplicated-row argument
+behind tropical Cramer's rule; Richter-Gebert, Sturmfels and Theobald,
+*First steps in tropical geometry*, 2005): expanding along the first
+row, F(p_k) = max_j (minor_j + s_j(p_k)) is the tropical determinant of
+the l x l matrix whose first row is (s_j(p_k))_j and whose other rows
+are the points' rows, so row k appears twice in it.  A permutation of
+weight F(p_k) that sends the first row to column j shows that term j
+attains the maximum.  An optimal permutation sends the first row to
+some j and the other copy of row k to some j' != j; swapping the two
+images keeps the weight, as the rows are equal, so term j' attains the
+maximum too.  Scaling every entry by s keeps the maximising terms.
 """
 
 from __future__ import annotations
@@ -113,22 +126,16 @@ def h0_b(module: SectionModule) -> int:
     return module.rank
 
 
-def vandermonde_section(module: SectionModule, points) -> TropPolynomial:
-    """The interpolating section through l-1 prescribed points.
+def _vandermonde_minors(gens, points) -> tuple[int, list[list[int]], list[int]]:
+    """(s, rows, minors): the Vandermonde interpolation of the generator
+    exponents ``gens`` through the l-1 ``points``, all in ints.
 
-    With generators s_1..s_l, the coefficient of s_i is the tropical
-    determinant of the (l-1)x(l-1) matrix (s_j(p_k)) over j != i, i.e.
-    the cofactor of the i-th column of the Vandermonde matrix.  The
-    divisor of the returned section passes through every input point.
-
-    The points are scaled once by s, the lcm of their coordinate
-    denominators, so the matrix rows[k][j] = <m_j, s*p_k> is all ints and
-    each cofactor is s times the one over the rationals.  All l cofactors
-    come from one assignment and one shortest-path pass
-    (`trop._maximal_minors`), so a section costs O(l^3), not l
-    determinants.
+    s is the lcm of the points' coordinate denominators, rows[k][j] =
+    <m_j, s*p_k>, and minors[j], the max-plus minor of ``rows`` without
+    column j, is s times the coefficient of x^{m_j}.  All l minors come
+    from one assignment and one shortest-path pass
+    (`trop._maximal_minors`), so this costs O(l^3), not l determinants.
     """
-    gens = module.generators
     l = len(gens)
     if l < 2:
         raise ValueError("interpolation needs at least two generators")
@@ -137,7 +144,22 @@ def vandermonde_section(module: SectionModule, points) -> TropPolynomial:
         raise ValueError(f"expected {l - 1} points, got {len(pts)}")
     s, coords = _common_scale([c for p in pts for c in p])
     rows = [[mx * px + my * py for mx, my in gens] for px, py in zip(coords[::2], coords[1::2])]
-    return TropPolynomial(2, zip(gens, (Fraction(m, s) for m in _maximal_minors(rows))))
+    return s, rows, _maximal_minors(rows)
+
+
+def vandermonde_section(module: SectionModule, points) -> TropPolynomial:
+    """The interpolating section through l-1 prescribed points.
+
+    With generators s_1..s_l, the coefficient of s_i is the tropical
+    determinant of the (l-1)x(l-1) matrix (s_j(p_k)) over j != i, i.e.
+    the cofactor of the i-th column of the Vandermonde matrix.  The
+    divisor of the returned section passes through every input point
+    (proof in the module docstring).  The cofactors are those of
+    `_vandermonde_minors`, divided by its common scale s.
+    """
+    gens = module.generators
+    s, _, minors = _vandermonde_minors(gens, points)
+    return TropPolynomial(2, zip(gens, (Fraction(m, s) for m in minors)))
 
 
 def passes_through(section: TropPolynomial, x) -> bool:

@@ -396,6 +396,20 @@ def test_sections_command(capsys, tmp_path):
     assert payload["pass_through"] == [True, True]
 
 
+def test_sections_flags_are_computed(capsys, tmp_path, monkeypatch):
+    # planted minors in which the last term dominates everywhere: no point
+    # has a tie, so every flag must print false, not a constant true
+    monkeypatch.setattr("troptoric.sections._maximal_minors", lambda rows: [10**9 * j for j in range(len(rows) + 1)])
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 2}})
+    pts_path = write(tmp_path, "pts.json", [[0, 0], [1, 2], ["1/2", -3], [4, 4], [0, 0]])
+    code, out = run(capsys, "sections", fan_path, div_path, "--vandermonde", pts_path)
+    assert code == 0
+    assert out.endswith('"pass_through": [false, false, false, false, false]}\n')
+    # the points' common denominator is 2
+    assert json.loads(out)["coefficients"] == [10**9 * j // 2 for j in range(6)]
+
+
 def test_sections_empty_module(capsys, tmp_path):
     fan_path = write(tmp_path, "fan.json", P2)
     div_path = write(tmp_path, "k.json", {"coeffs": {"0": -1, "1": -1, "2": -1}})
@@ -796,7 +810,9 @@ def test_usage_error_exit_1(capsys):
     assert err.value.code == 1
 
 
-@pytest.mark.parametrize("bad_range", ["3", "a..b", "1..2..3"])
+# a final newline ($ matched before it) and Arabic-Indic digits (\d took
+# them) were once read as 1..2 and 1..3
+@pytest.mark.parametrize("bad_range", ["3", "a..b", "1..2..3", "1..2\n", "\u0661..\u0663"])
 def test_malformed_range_exit_1(capsys, tmp_path, bad_range):
     fan_path = write(tmp_path, "fan.json", P2)
     with pytest.raises(SystemExit) as err:

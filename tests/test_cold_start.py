@@ -77,10 +77,11 @@ def test_cli_import_loads_only_the_sweep_modules():
 
 
 def test_cli_import_loads_no_dataclasses_or_fractions():
-    # -S: a .pth file of the host's site-packages may import any of these
+    # -S: a .pth file of the host's site-packages may import any of these;
+    # typing and random too, which only the sampled sweep's draws need
     code = (
         "import json, sys, troptoric.cli; "
-        "print(json.dumps(sorted({'dataclasses', 'decimal', 'fractions', 'inspect'} & set(sys.modules))))"
+        "print(json.dumps(sorted({'dataclasses', 'decimal', 'fractions', 'inspect', 'random', 'typing'} & set(sys.modules))))"
     )
     done = python("-S", "-X", "dev", "-W", "error", "-c", code)
     assert done.returncode == 0, done.stderr

@@ -3,8 +3,10 @@
 Each case mutates the structure of a valid fan, divisor or point file (a
 value replaced by one of another type, an entry dropped, duplicated or
 swapped, a key added) and runs one of `fan validate`, `fan blowup`, `h0`,
-`rr`, `sections` and `sweep` on it; sweeps run over small boxes, so that
-they take the exhaustive path.  No case may end in exit 4, an internal
+`rr`, `sections`, `sections --vandermonde` and `sweep` on it; sweeps run
+over small boxes, so that they take the exhaustive path.  A Vandermonde
+case on a divisor with h0 >= 2 draws exactly h0 - 1 points, so that an
+unmutated one interpolates.  No case may end in exit 4, an internal
 error, and on exit 0 stdout must be the library's own answer for the same
 files.  Coefficients stay far below Python's digit limit.
 """
@@ -42,6 +44,30 @@ def _fans():
 
 FANS = _fans()
 POINTS = [[0, 0], ["1/2", 3], [-2, "5/3"], [4, -1], ["-7/2", "-1/4"], [1, 1], [3, "2/5"], ["-1/3", 6], [5, -3]]
+
+
+def random_points(rng, count):
+    """``count`` points, each of one of three kinds: rational (denominators
+    up to 7), tie-dense small integers, or a copy of an earlier point."""
+    points = []
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 2 and points:
+            points.append(list(rng.choice(points)))
+        elif kind == 1:
+            points.append([rng.randint(-2, 2), rng.randint(-2, 2)])
+        else:
+            points.append([f"{rng.randint(-30, 30)}/{rng.randint(1, 7)}" for _ in range(2)])
+    return points
+
+
+def section_count(fan_data, divisor_data):
+    """h0 of a valid divisor on a valid fan, else None."""
+    try:
+        f = fan_from_dict(fan_data)
+        return h0(f, divisor_from_dict(f, divisor_data))
+    except ValueError:
+        return None
 
 
 def random_value(rng):
@@ -153,11 +179,15 @@ def check_sweep(out, files, lo, hi):
 
 def make_case(rng, k):
     fan_data = rng.choice(FANS)
-    command = ["validate", "blowup", "h0", "rr", "sections", "sweep"][k % 6]
+    command = ["validate", "blowup", "h0", "rr", "sections", "vandermonde", "sweep"][k % 7]
     files = {"fan": fan_data}
-    if command in ("h0", "rr", "sections"):
+    if command in ("h0", "rr", "sections", "vandermonde"):
         files["divisor"] = random_divisor(rng, fan_data)
-        if command == "sections" and rng.random() < 0.5:
+    if command == "vandermonde":
+        count = section_count(fan_data, files["divisor"])
+        if count is not None and count >= 2:
+            files["points"] = random_points(rng, count - 1)
+        else:
             files["points"] = POINTS[: rng.randint(0, 9)]
     # mutate one file, or none, so that the valid paths stay covered
     target = rng.choice(list(files) + [None])
@@ -181,10 +211,10 @@ def run_case(tmp_path, capsys, rng, command, files):
         lo = rng.randint(-3, 2)
         hi = lo + rng.randint(-1, 2)
         argv = ["sweep", paths["fan"], f"--range={lo}..{hi}"]
+    elif command == "vandermonde":
+        argv = ["sections", paths["fan"], paths["divisor"], "--vandermonde", paths["points"]]
     else:
         argv = [command, paths["fan"], paths["divisor"]]
-        if "points" in paths:
-            argv += ["--vandermonde", paths["points"]]
     code = cli.run(argv)
     captured = capsys.readouterr()
     assert code != cli.EXIT_INTERNAL, (argv, files, captured.err)
@@ -207,4 +237,5 @@ def test_cli_boundary_fuzz(tmp_path, capsys, seed):
         command, files = make_case(rng, k)
         seen.add((command, run_case(tmp_path, capsys, rng, command, files)))
     assert {code for _, code in seen} == {0, 1, 2}
-    assert {command for command, code in seen if code == 0} == {"validate", "blowup", "h0", "rr", "sections", "sweep"}
+    commands = {"validate", "blowup", "h0", "rr", "sections", "vandermonde", "sweep"}
+    assert {command for command, code in seen if code == 0} == commands
