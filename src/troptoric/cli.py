@@ -23,7 +23,7 @@ import sys
 from .divisor import UnboundedPolytopeError, _lattice_count_pair, divisor_from_dict, h0, lattice_points, polytope
 from .fan import Fan, blow_up, dot, dual_frame, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
 from .intersect import _cycle_form, _report_fields, _report_text, rr_check
-from .jsonutil import ParseError, format_ratio, format_rational, full_int_text, load_json, parse_rational
+from .jsonutil import ParseError, format_point, format_ratio, full_int_text, load_json, parse_rational
 
 DEFAULT_SEED = 314159
 EXIT_OK = 0
@@ -64,10 +64,6 @@ def _builtin_fan(name: str, param):
     if param is not None:
         raise ValueError(f"builtin fan {name!r} takes no parameter, got {param}")
     return make()
-
-
-def _pt_json(p):
-    return [format_rational(p[0]), format_rational(p[1])]
 
 
 def _parse_points(raw) -> list:
@@ -131,7 +127,7 @@ def cmd_h0(args) -> tuple[list[str], int]:
         payload = {
             "h0": "infinite" if count is None else count,
             "lattice_points": None if count is None else [list(m) for m in lattice_points(p)],
-            "polytope_vertices": [_pt_json(v) for v in p.vertices],
+            "polytope_vertices": [format_point(v) for v in p.vertices],
         }
         return [json.dumps(payload)], EXIT_OK
 
@@ -306,8 +302,11 @@ def cmd_sweep(args) -> tuple[list[str], int]:
     lo, hi = args.range
     with full_int_text():
         # both branches read the fan's cycle terms first: ValueError unless
-        # smooth and complete, even over an empty range
-        if max(hi - lo + 1, 0) ** len(f.rays) <= SWEEP_EXHAUSTIVE_LIMIT:
+        # smooth and complete, even over an empty range.  A width w >= 2
+        # gives w**17 > SWEEP_EXHAUSTIVE_LIMIT, so capping the exponent at
+        # 17 keeps the decision and the power small on any fan
+        exponent = min(len(f.rays), SWEEP_EXHAUSTIVE_LIMIT.bit_length())
+        if max(hi - lo + 1, 0) ** exponent <= SWEEP_EXHAUSTIVE_LIMIT:
             mode = "exhaustive"
             lines, min_defect, violations = _sweep_box(f, range(lo, hi + 1))
         else:

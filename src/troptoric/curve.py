@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fan import Vec, det2, dot, primitive
-from .jsonutil import format_rational
+from .jsonutil import format_point
 from .trop import TropPolynomial
 
 Point = tuple[Fraction, Fraction]
@@ -73,18 +73,15 @@ class WeightedComplex:
         return not (self.vertices or self.segments or self.rays or self.lines)
 
     def to_dict(self) -> dict:
-        def pt(p):
-            return [format_rational(p[0]), format_rational(p[1])]
-
         return {
-            "vertices": [pt(v) for v in self.vertices],
+            "vertices": [format_point(v) for v in self.vertices],
             "segments": [{"ends": list(s.ends), "weight": s.weight} for s in self.segments],
             "rays": [
                 {"vertex": r.vertex, "direction": list(r.direction), "weight": r.weight}
                 for r in self.rays
             ],
             "lines": [
-                {"anchor": pt(l.anchor), "direction": list(l.direction), "weight": l.weight}
+                {"anchor": format_point(l.anchor), "direction": list(l.direction), "weight": l.weight}
                 for l in self.lines
             ],
         }

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .fan import Fan, RowPlan, Vec, _as_vec, det2, dot
+from .fan import Fan, RowPlan, Vec, _as_vec, _frozen, det2, dot
 from .jsonutil import ParseError
 
 # Fraction (fractions) and TropPolynomial (trop) appear in annotations only,
@@ -46,6 +46,7 @@ class UnboundedPolytopeError(ValueError):
     """Raised when a nonempty unbounded polytope has no finite point count."""
 
 
+@_frozen("fan", "coeffs")
 class ToricDivisor:
     """An integer combination of the ray divisors, stored in fan ray order.
 
@@ -62,23 +63,6 @@ class ToricDivisor:
                 raise TypeError("divisor coefficients must be integers")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.fan == other.fan and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.fan, self.coeffs))
-
-    def __repr__(self):
-        return f"ToricDivisor(fan={self.fan!r}, coeffs={self.coeffs!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def coeff(self, ray) -> int:
         return self.coeffs[self.fan.ray_index(ray)]
@@ -156,10 +140,15 @@ def canonical_divisor(fan: Fan) -> ToricDivisor:
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
+    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g.  Iterative, as
+    Euclid's step count grows with the digits (about 1,200 steps on
+    consecutive Fibonacci numbers of 251 digits)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
 def linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor) -> Vec | None:
@@ -196,6 +185,7 @@ def linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor) -> Vec | None:
     return m
 
 
+@_frozen("divisor")
 class DivisorPolytope:
     """P(D): the inequalities <m, e_ray> + a_ray >= 0 of a divisor.
 
@@ -209,23 +199,6 @@ class DivisorPolytope:
 
     def __init__(self, divisor: ToricDivisor):
         object.__setattr__(self, "divisor", divisor)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.divisor == other.divisor
-
-    def __hash__(self):
-        return hash((self.divisor,))
-
-    def __repr__(self):
-        return f"DivisorPolytope(divisor={self.divisor!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def inequalities(self) -> tuple[Inequality, ...]:

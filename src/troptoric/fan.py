@@ -27,12 +27,19 @@ which bound x on a row, each side in the order in which its rays take
 over the bound as y grows, and the y-bounds of the elimination as weights
 on the coefficients a; a divisor then counts its points by floor sums
 along the two chains, with integer arithmetic on its coefficient tuple.
+
+The library's values (`Cone`, `Fan`, `divisor.ToricDivisor`,
+`divisor.DivisorPolytope` and `sections.SectionModule`) are frozen by one
+definition, the class decorator `_frozen`: equality, hash and repr over
+the named fields, as a frozen dataclass's, and no assignment or deletion.
+So no command loads `dataclasses`, and with it `inspect`.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import operator
 from math import gcd
 
 from .jsonutil import ParseError
@@ -89,6 +96,47 @@ def primitive(v) -> Vec:
     return (x // g, y // g)
 
 
+def _frozen(*fields):
+    """A class decorator that makes the class a frozen value of ``fields``.
+
+    Equality (with another instance of the class alone), hash and repr
+    read the named fields in order, as a frozen dataclass's would, and
+    assigning or deleting any attribute raises AttributeError.  The class
+    keeps its own ``__init__``, which sets the fields with
+    ``object.__setattr__``; facts cached in the instance ``__dict__``
+    stay outside equality, hash and repr.  A decorator, not a base class,
+    so that each class holds the five methods in its own ``__dict__``.
+    """
+    get = operator.attrgetter(*fields)
+    values = get if len(fields) > 1 else lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values(self)))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def decorate(cls):
+        for method in (__eq__, __hash__, __repr__, __setattr__, __delattr__):
+            setattr(cls, method.__name__, method)
+        return cls
+
+    return decorate
+
+
+@_frozen("rays")
 class Cone:
     """A strictly convex rational cone in the plane.
 
@@ -107,23 +155,6 @@ class Cone:
         if len(rays) == 2 and det2(rays[0], rays[1]) == 0:
             raise ValueError("2-ray cone generators must be linearly independent")
         object.__setattr__(self, "rays", rays)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rays == other.rays
-
-    def __hash__(self):
-        return hash((self.rays,))
-
-    def __repr__(self):
-        return f"Cone(rays={self.rays!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -150,6 +181,7 @@ def dual_frame(c: Cone) -> list[Vec]:
     return [m1, m2]
 
 
+@_frozen("max_cones", "rays")
 class Fan:
     """A fan in the plane, stored by its maximal cones.
 
@@ -214,23 +246,6 @@ class Fan:
         object.__setattr__(self, "max_cones", cones)
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "_ccw", tuple(index[r] for r in ccw))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.max_cones == other.max_cones and self.rays == other.rays
-
-    def __hash__(self):
-        return hash((self.max_cones, self.rays))
-
-    def __repr__(self):
-        return f"Fan(max_cones={self.max_cones!r}, rays={self.rays!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     # Fixed facts, computed on first use.  cached_property stores them in
     # the instance __dict__, as __init__ stores _ccw, where equality,

@@ -80,6 +80,12 @@ def format_rational(q):
     return format_ratio(q.numerator, q.denominator)
 
 
+def format_point(p) -> list:
+    """The JSON value of a plane point: its two coordinates as
+    `format_rational` writes them."""
+    return [format_rational(p[0]), format_rational(p[1])]
+
+
 def parse_rational(v) -> Fraction:
     """An exact rational from a JSON int or a 'p' or 'p/q' string: an
     optional sign, ASCII digits, and optionally '/' and ASCII digits.

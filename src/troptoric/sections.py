@@ -11,6 +11,9 @@ the cycle-sum genericity predicate for point configurations.  A
 Vandermonde section works on plain integers: the points are scaled by
 one common denominator, and all its cofactors, the maximal minors of
 the integer matrix, come from one assignment (`trop._maximal_minors`).
+`SectionModule` is a frozen value by `fan._frozen`, as the fan and the
+divisor it holds are, so `troptoric sections` loads no `dataclasses`,
+`inspect` or `typing`.
 
 The section F through p_1..p_{l-1} passes through every p_k: at least
 two terms attain its maximum there.  Proof (the duplicated-row argument
@@ -29,15 +32,14 @@ maximum too.  Scaling every entry by s keeps the maximising terms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .divisor import ToricDivisor, _same_fan, lattice_points, polytope
-from .fan import Fan, Vec, dot
+from .fan import Fan, Vec, _frozen, dot
 from .trop import TropPolynomial, _common_scale, _maximal_minors, as_fraction, supporting_monomials
 
 
-@dataclass(frozen=True)
+@_frozen("fan", "divisor", "generators")
 class SectionModule:
     """The section module of a divisor, given by its generator exponents.
 
@@ -50,11 +52,14 @@ class SectionModule:
     or the max is kinked somewhere, and then it is not affine.  (Terms
     sharing an exponent would be tropical multiples of one another and
     merge into one generator; distinct exponents rule that out here.)
+    A frozen value: equality, hash and repr read ``fan``, ``divisor`` and
+    ``generators``.
     """
 
-    fan: Fan
-    divisor: ToricDivisor
-    generators: tuple[Vec, ...]
+    def __init__(self, fan: Fan, divisor: ToricDivisor, generators: tuple[Vec, ...]):
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "divisor", divisor)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def rank(self) -> int:

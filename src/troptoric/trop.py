@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 
 def as_fraction(x) -> Fraction:
@@ -201,16 +201,13 @@ def trop_det(rows: Sequence[Sequence]) -> tuple[Fraction | None, bool]:
     finite = [x for row in vals for x in row if x is not None]
     if not finite:
         return None, True
-    scale = math.lcm(*(x.denominator for x in finite))
-    scaled = [
-        [None if x is None else x.numerator * (scale // x.denominator) for x in row]
-        for row in vals
-    ]
+    scale, ints = _common_scale(finite)
+    it = iter(ints)
+    scaled = [[None if x is None else next(it) for x in row] for row in vals]
     # minimisation form: nonnegative integer costs, with a forbidden edge
     # priced above every assignment that avoids forbidden edges
-    finite_scaled = [x for row in scaled for x in row if x is not None]
-    top = max(finite_scaled)
-    forbidden = k * (top - min(finite_scaled)) + 1
+    top = max(ints)
+    forbidden = k * (top - min(ints)) + 1
     cost = [[forbidden if x is None else top - x for x in row] for row in scaled]
     owner, u, v = _min_cost_assignment(cost)
     if any(scaled[owner[j]][j] is None for j in range(k)):

@@ -754,6 +754,22 @@ def test_sweep_empty_range_checks_the_fan(capsys, tmp_path, fan):
     assert outcomes[1] == outcomes[0]
 
 
+def test_sweep_mode_check_is_fast_on_many_rays_and_long_bounds(capsys, tmp_path):
+    # 2,000 one-cones and bounds of 4,000 digits, within the input digit
+    # limit: width**2000 would have about 8 million digits, so the mode is
+    # decided on width**17 before the fan is refused
+    fan = {"rays": [[1, k] for k in range(2000)], "max_cones": [[i] for i in range(2000)]}
+    fan_path = write(tmp_path, "fan.json", fan)
+    bound = "9" * 4000
+    start = time.perf_counter()
+    code = main(["sweep", fan_path, f"--range=-{bound}..{bound}"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("troptoric: intersection theory requires")
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 161, 256, 257, 2**20 + 1])
 @pytest.mark.parametrize("seed", [5, 11, 314159])
 def test_uniform_draws_are_randrange(width, seed):

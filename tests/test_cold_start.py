@@ -88,6 +88,27 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
     assert json.loads(done.stdout) == []
 
 
+def test_vandermonde_sections_load_no_dataclasses_or_typing(tmp_path):
+    # the plane cubic through 9 points: SectionModule, like the fan and the
+    # divisor it holds, is a frozen value without dataclasses, and trop's
+    # annotations need no typing
+    fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+    points = [[0, 0], ["1/2", 3], [-2, "5/3"], [4, -1], ["-7/2", "-1/4"], [1, 1], [3, "2/5"], ["-1/3", 6], [5, -3]]
+    (tmp_path / "p2.json").write_text(json.dumps(fan))
+    (tmp_path / "3h.json").write_text(json.dumps({"coeffs": {"0": 0, "1": 0, "2": 3}}))
+    (tmp_path / "pts9.json").write_text(json.dumps(points))
+    code = (
+        "import json, sys, troptoric.cli; "
+        "code = troptoric.cli.main(['sections', 'p2.json', '3h.json', '--vandermonde', 'pts9.json']); "
+        "print(json.dumps([code, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))]))"
+    )
+    done = python("-S", "-X", "dev", "-W", "error", "-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    report, loaded = done.stdout.splitlines()
+    assert json.loads(report)["pass_through"] == [True] * 9
+    assert json.loads(loaded) == [0, []]
+
+
 def test_h0_command_writes_rational_vertices(tmp_path):
     # fractions loads on first use: P(D) on F2 has the vertex (1, 1/2)
     fan = {"rays": [[1, 0], [0, 1], [-1, 2], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}

@@ -27,6 +27,7 @@ from troptoric.divisor import (
 )
 from troptoric.fan import Cone, Fan, blow_up, hirzebruch, product_p1_p1, projective_plane
 from troptoric.jsonutil import ParseError
+from troptoric.sections import SectionModule, global_sections
 from troptoric.trop import TropPolynomial
 
 
@@ -67,6 +68,14 @@ def test_linearly_equivalent_examples():
     assert linearly_equivalent(d1, d2) == (1, -1)
     assert linearly_equivalent(d1, d1) == (0, 0)
     assert linearly_equivalent(d1, 2 * d1) is None
+    # a ray of consecutive Fibonacci numbers of 251 digits: Euclid's
+    # algorithm takes about 1,200 steps, past the recursion limit
+    a, b = 0, 1
+    while len(str(a)) < 251:
+        a, b = b, a + b
+    line = Fan((Cone(((a, b),)), Cone(((-a, -b),))))
+    m = linearly_equivalent(ToricDivisor(line, (5, -5)), zero_divisor(line))
+    assert m is not None and principal_divisor(m, line).coeffs == (5, -5)
 
 
 def test_linearly_equivalent_respects_principal_shifts():
@@ -206,17 +215,19 @@ P2_REPR = (
 
 
 def test_value_classes_are_frozen_records_of_their_fields():
-    # Cone, Fan, ToricDivisor and DivisorPolytope: equality, hash and repr
-    # over their fields alone, keyword or positional construction, and no
-    # field assignment or deletion
+    # Cone, Fan, ToricDivisor, DivisorPolytope and SectionModule: equality,
+    # hash and repr over their fields alone, keyword or positional
+    # construction, and no field assignment or deletion
     f, g = projective_plane(), projective_plane()
     d, e = ToricDivisor(f, (0, 0, 1)), ToricDivisor(g, [0, 0, 1])
     p, q = polytope(d), polytope(e)
+    s, t = global_sections(f, d), global_sections(g, e)
     cone = f.max_cones[0]
     assert repr(f) == P2_REPR
     assert repr(cone) == "Cone(rays=((1, 0), (0, 1)))"
     assert repr(d) == f"ToricDivisor(fan={P2_REPR}, coeffs=(0, 0, 1))"
     assert repr(p) == f"DivisorPolytope(divisor=ToricDivisor(fan={P2_REPR}, coeffs=(0, 0, 1)))"
+    assert repr(s) == f"SectionModule(fan={P2_REPR}, divisor={d!r}, generators=((0, 0), (1, 0), (0, 1)))"
     # facts kept outside the fields, read on one side only
     assert f._ccw == (0, 1, 2) and len(f.cycle_terms) == 3 and len(p.vertices) == 3
     assert {"cycle_terms", "_ccw"} <= vars(f).keys() and "cycle_terms" not in vars(g)
@@ -226,13 +237,14 @@ def test_value_classes_are_frozen_records_of_their_fields():
         f: (g, Fan(max_cones=f.max_cones, rays=f.rays), (f.max_cones, f.rays)),
         d: (e, ToricDivisor(fan=g, coeffs=(0, 0, 1)), (f, (0, 0, 1))),
         p: (q, DivisorPolytope(divisor=e), (d,)),
+        s: (t, SectionModule(fan=g, divisor=e, generators=s.generators), (f, d, s.generators)),
     }
     for a, (b, keyword, fields) in values.items():
         for c in (b, keyword):
             assert a is not c and a == c and not a != c
             assert hash(a) == hash(c) and repr(a) == repr(c)
         assert a != fields and a.__eq__(fields) is NotImplemented
-    assert values.keys() == {Cone(((1, 0), (0, 1))), g, e, q}
+    assert values.keys() == {Cone(((1, 0), (0, 1))), g, e, q, t}
     # one field differs: the rays in another order, a coefficient
     assert Fan(f.max_cones, (f.rays[1], f.rays[0], f.rays[2])) != f
     assert ToricDivisor(f, (0, 1, 0)) != d and polytope(ToricDivisor(f, (0, 1, 0))) != p
@@ -240,7 +252,13 @@ def test_value_classes_are_frozen_records_of_their_fields():
     assert Cone() == Cone(rays=()) and Cone().rays == () and Cone().dim == 0
     assert Fan(()) == Fan(max_cones=(), rays=()) and Fan(()).rays == ()
     assert Fan(f.max_cones[::-1]).rays == ((-1, -1), (1, 0), (0, 1))
-    for obj, names in ((cone, ("rays",)), (f, ("max_cones", "rays")), (d, ("fan", "coeffs")), (p, ("divisor",))):
+    for obj, names in (
+        (cone, ("rays",)),
+        (f, ("max_cones", "rays")),
+        (d, ("fan", "coeffs")),
+        (p, ("divisor",)),
+        (s, ("fan", "divisor", "generators")),
+    ):
         for name in names:
             kept = getattr(obj, name)
             with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
