@@ -18,6 +18,19 @@ face gets an integer id when it is found, and the ids are ranked once by
 the dual vertices, compared as integer pairs over a common denominator,
 so no Fraction is hashed or compared.  A triangle's ring is the edge it
 was found from and its one left point.
+
+A section's locus and its subdivision come from one wrap, memoised in a
+single slot: the last polynomial wrapped, held by strong reference and
+matched by identity, with its hull as tuples of tuples.  Holding the
+polynomial keeps its id from passing to a new object, and
+`TropPolynomial` has no mutator, so a match has the same terms; the
+tuples keep either caller from changing what the other reads; a wrap
+that raises leaves the slot as it was.  The slot serves the one reuse
+callers have, ``corner_locus(g)`` and ``newton_subdivision(g)`` in a
+row, and goes no wider on purpose: a cache keyed by equality hashes
+every polynomial (tens of microseconds at 10-36 terms), a cache of many
+objects keeps them all alive to serve only inputs met again, and an
+equal but distinct copy simply costs a second wrap.
 """
 
 from __future__ import annotations
@@ -134,9 +147,24 @@ def _upper_chain(lift, a, b):
     ]
 
 
+_held = None  # (g, its hull): the one polynomial last wrapped, kept alive
+
+
 def _lifted_hull(g: TropPolynomial):
+    """``_gift_wrap(g)``, memoised for the last g wrapped (see the module
+    docstring): a locus and a subdivision of one polynomial share a wrap."""
+    global _held
+    held = _held
+    if held is not None and held[0] is g:
+        return held[1]
+    hull = _gift_wrap(g)
+    _held = (g, hull)
+    return hull
+
+
+def _gift_wrap(g: TropPolynomial):
     """(cells, edges) of the upper hull of the exponents lifted to their
-    coefficients.
+    coefficients, both tuples of tuples.
 
     Each exponent m is lifted once to the flat integer tuple (m[0], m[1],
     h, m), h = c_m times the lcm of the coefficients' denominators.  Faces
@@ -150,12 +178,12 @@ def _lifted_hull(g: TropPolynomial):
     scale = math.lcm(*(c.denominator for _, c in g.terms()))
     lift = [(m[0], m[1], c.numerator * (scale // c.denominator), m) for m, c in g.terms()]
     if len(lift) == 1:
-        return [], []
+        return (), ()
     at = {t[3]: t for t in lift}  # exponent -> lifted point
     corners = hull_vertices(at)
     chain = _upper_chain(lift, at[corners[0]], at[corners[1]])
     if len(corners) == 2:
-        return [], [(a[3], b[3], family, ()) for a, b, family in chain]
+        return (), tuple((a[3], b[3], family, ()) for a, b, family in chain)
     faces = []  # face id -> (x, y, d, exponents on the face), dual vertex (x / d, y / d)
     left = {}  # directed edge (a, b) of a face, as exponents -> (family, face id)
     todo = [chain[0][:2]]  # the Newton polygon lies left of its ccw boundary
@@ -230,7 +258,7 @@ def _lifted_hull(g: TropPolynomial):
             edges.append((a, b, family, (rank[face],)))
         elif a < b:
             edges.append((a, b, family, (rank[face], rank[twin[1]])))
-    return [faces[f] for f in order], edges
+    return tuple(faces[f] for f in order), tuple(edges)
 
 
 def corner_locus(g: TropPolynomial) -> WeightedComplex:
@@ -251,11 +279,12 @@ def corner_locus(g: TropPolynomial) -> WeightedComplex:
     lines = []
     for a, b, _, ranks in edges:
         weight = math.gcd(b[0] - a[0], b[1] - a[1])
-        normal = primitive((b[1] - a[1], a[0] - b[0]))  # right of a -> b
         if len(ranks) == 2:
             i, j = ranks
             segments.append(SegmentEdge((i, j) if i < j else (j, i), weight))
-        elif ranks:
+            continue
+        normal = ((b[1] - a[1]) // weight, (a[0] - b[0]) // weight)  # primitive, right of a -> b
+        if ranks:
             rays.append(RayEdge(ranks[0], normal, weight))
         else:  # anchored where a and b tie nearest the origin: <n, x> = rhs
             n = (a[0] - b[0], a[1] - b[1])

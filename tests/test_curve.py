@@ -15,6 +15,7 @@ from oracles import (
     upper_hull_cells2,
     upper_hull_dual,
 )
+from troptoric import curve
 from troptoric.curve import (
     LineEdge,
     RayEdge,
@@ -124,11 +125,9 @@ def test_36_terms_match_upper_hull_oracle(pool):
         assert any(len(cell) >= 4 for cell in sub.cells2)
 
 
-def curve_bytes(g):
-    """The corner locus and the Newton subdivision of g, in their order,
-    as one JSON line; each cell's and each edge's points sorted."""
-    wc = corner_locus(g)
-    sub = newton_subdivision(g)
+def curve_bytes(wc, sub):
+    """A corner locus and a Newton subdivision, in their order, as one
+    JSON line; each cell's and each edge's points sorted."""
     return json.dumps([
         wc.to_dict(),
         [sorted(cell) for cell in sub.cells2],
@@ -148,20 +147,62 @@ def pinned_inputs(kind):
     return [section_of_7h(rng, pool) for pool in (None, (-1, 0, 1), None, (-2, -1, 0, 1, 2))]
 
 
+CURVE_DIGESTS = {
+    "random": "604ed5c737d9681ee1aef0b1fd0fb88ab1719723f1b1cd688f16a2ebcbd582b6",
+    "tie-dense": "1ff1035d50d1883e43d34454f0338b22c76eb8a66c2f47fa8285648b6678c7a6",
+    "collinear": "c3571fa46f4617f062fcf75d88e32972f4350f4bc1b095b5ac181ac749957f5f",
+    "36-terms": "edbb32be5adfc53f2036cbd590f957559979e891dbbf93582c2dac882c6b87df",
+}
+
+
 @pytest.mark.parametrize(
-    "kind, digest",
-    [
-        ("random", "604ed5c737d9681ee1aef0b1fd0fb88ab1719723f1b1cd688f16a2ebcbd582b6"),
-        ("tie-dense", "1ff1035d50d1883e43d34454f0338b22c76eb8a66c2f47fa8285648b6678c7a6"),
-        ("collinear", "c3571fa46f4617f062fcf75d88e32972f4350f4bc1b095b5ac181ac749957f5f"),
-        ("36-terms", "edbb32be5adfc53f2036cbd590f957559979e891dbbf93582c2dac882c6b87df"),
-    ],
-    ids=["random", "tie-dense", "collinear", "36-terms"],
+    "kind, subdivisions_first",
+    [pytest.param(kind, False, id=kind) for kind in CURVE_DIGESTS]
+    + [pytest.param(kind, True, id=f"{kind}-subdivisions-first") for kind in CURVE_DIGESTS],
 )
-def test_curve_output_bytes_pinned(kind, digest):
-    # order, ends orientation, flags and cells0 of every input, pinned by sha256
-    out = "\n".join(curve_bytes(g) for g in pinned_inputs(kind))
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_curve_output_bytes_pinned(kind, subdivisions_first):
+    # order, ends orientation, flags and cells0 of every input, pinned by
+    # sha256; the same bytes whether each locus or every subdivision comes first
+    polys = pinned_inputs(kind)
+    if subdivisions_first:
+        subs = [newton_subdivision(g) for g in polys]
+        pairs = zip([corner_locus(g) for g in polys], subs)
+    else:
+        pairs = ((corner_locus(g), newton_subdivision(g)) for g in polys)
+    out = "\n".join(curve_bytes(wc, sub) for wc, sub in pairs)
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_DIGESTS[kind]
+
+
+def test_locus_and_subdivision_share_one_gift_wrap(monkeypatch):
+    # a section's locus and its subdivision read one wrap, kept for the
+    # last polynomial by identity only: an equal copy is wrapped afresh
+    wraps = []
+    wrap = curve._gift_wrap
+
+    def counted(g):
+        wraps.append(g)
+        return wrap(g)
+
+    monkeypatch.setattr(curve, "_gift_wrap", counted)
+    p2 = projective_plane()
+    rng = random.Random(173)
+    g, h = section_of_7h(rng), section_of_7h(rng)
+    locus, _ = divisor_of_section(p2, g)
+    sub = newton_subdivision(g)
+    assert len(wraps) == 1
+    wraps.clear()
+    newton_subdivision(h)
+    corner_locus(h)
+    assert len(wraps) == 1
+    wraps.clear()
+    for f in (g, h, g):
+        corner_locus(f)
+    assert wraps == [g, h, g]
+    wraps.clear()
+    copy = TropPolynomial(2, g.terms())
+    assert copy == g and copy is not g
+    assert corner_locus(copy) == locus and newton_subdivision(copy) == sub
+    assert wraps == [copy]
 
 
 def test_corner_locus_tropical_line():
@@ -246,6 +287,9 @@ def test_gift_wrap_with_reversed_cell_rings_raises(monkeypatch):
     with pytest.raises(RuntimeError):
         corner_locus(g)
     assert 2 <= len(rings) <= 6 * 5
+    # the failed wrap left nothing for g to be answered from
+    monkeypatch.undo()
+    assert corner_locus(g) == corner_locus(TropPolynomial(2, g.terms()))
 
 
 def test_balancing_on_random_polynomials():
