@@ -31,55 +31,46 @@ row, and goes no wider on purpose: a cache keyed by equality hashes
 every polynomial (tens of microseconds at 10-36 terms), a cache of many
 objects keeps them all alive to serve only inputs met again, and an
 equal but distinct copy simply costs a second wrap.
+
+The outputs are returned records, so `collections.namedtuple` subclasses
+(see `fan`): each hashes, orders and compares as the tuple of its fields.
 """
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fan import Vec, det2, dot, primitive
 from .jsonutil import format_point
 from .trop import TropPolynomial
 
-Point = tuple[Fraction, Fraction]
+
+class SegmentEdge(collections.namedtuple("SegmentEdge", "ends weight")):
+    """A bounded edge between two vertices, ``ends`` an increasing index pair."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SegmentEdge:
-    """A bounded edge between two vertices of the complex."""
+class RayEdge(collections.namedtuple("RayEdge", "vertex direction weight")):
+    """A half-infinite edge anchored at a vertex, by its index."""
 
-    ends: tuple[int, int]
-    weight: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RayEdge:
-    """A half-infinite edge anchored at a vertex."""
-
-    vertex: int
-    direction: Vec
-    weight: int
-
-
-@dataclass(frozen=True)
-class LineEdge:
+class LineEdge(collections.namedtuple("LineEdge", "anchor direction weight")):
     """A full line; occurs only when every exponent is collinear (no vertices)."""
 
-    anchor: Point
-    direction: Vec
-    weight: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeightedComplex:
+class WeightedComplex(
+    collections.namedtuple("WeightedComplex", "vertices segments rays lines", defaults=((), (), ()))
+):
     """A weighted rational 1-complex in the plane: the corner locus."""
 
-    vertices: tuple[Point, ...]
-    segments: tuple[SegmentEdge, ...] = ()
-    rays: tuple[RayEdge, ...] = ()
-    lines: tuple[LineEdge, ...] = ()
+    __slots__ = ()
 
     @property
     def is_empty(self) -> bool:
@@ -100,22 +91,16 @@ class WeightedComplex:
         }
 
 
-@dataclass(frozen=True)
-class SubdivisionEdge:
+class SubdivisionEdge(collections.namedtuple("SubdivisionEdge", "points boundary")):
     """A 1-cell of the Newton subdivision: a maximal collinear tying family."""
 
-    points: frozenset
-    boundary: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NewtonSubdivision:
+class NewtonSubdivision(collections.namedtuple("NewtonSubdivision", "points cells2 edges cells0")):
     """The regular subdivision of the Newton polygon induced by the lift."""
 
-    points: tuple[tuple[Vec, Fraction], ...]
-    cells2: tuple[frozenset, ...]
-    edges: tuple[SubdivisionEdge, ...]
-    cells0: tuple[Vec, ...]
+    __slots__ = ()
 
 
 def _require_bivariate(g: TropPolynomial):
@@ -269,8 +254,9 @@ def corner_locus(g: TropPolynomial) -> WeightedComplex:
     one ray per boundary edge of a cell, along the edge's outward normal;
     one full line per edge of the lifted upper chain when all exponents
     are collinear.  Weights are the lattice lengths of the dual edges.
-    Segments are sorted by ``ends``, rays by ``(vertex, direction)`` and
-    lines by ``(anchor, direction)``.  A single monomial has an empty locus.
+    Each kind sorts as tuples, so segments by ``ends``, rays by ``(vertex,
+    direction)`` and lines by ``(anchor, direction)``, as each of these is
+    unique in a locus.  A single monomial has an empty locus.
     """
     _require_bivariate(g)
     cells, edges = _lifted_hull(g)
@@ -293,9 +279,9 @@ def corner_locus(g: TropPolynomial) -> WeightedComplex:
             lines.append(LineEdge(anchor, normal, weight))
     return WeightedComplex(
         tuple((Fraction(x, d), Fraction(y, d)) for x, y, d, _ in cells),
-        tuple(sorted(segments, key=lambda s: s.ends)),
-        tuple(sorted(rays, key=lambda r: (r.vertex, r.direction))),
-        tuple(sorted(lines, key=lambda l: (l.anchor, l.direction))),
+        tuple(sorted(segments)),
+        tuple(sorted(rays)),
+        tuple(sorted(lines)),
     )
 
 
@@ -360,6 +346,8 @@ def degree_from_polygon(g: TropPolynomial, ray: Vec) -> int:
     """
     if g.is_empty:
         raise ValueError("empty polynomial has no ray degrees")
+    if g.dimension != 2:
+        raise ValueError("ray degrees are implemented for two variables")
     hull = hull_vertices(g.support)
     return min(dot(m, ray) for m in hull)
 

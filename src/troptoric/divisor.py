@@ -68,10 +68,14 @@ class ToricDivisor:
         return self.coeffs[self.fan.ray_index(ray)]
 
     def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
+        if not isinstance(other, ToricDivisor):
+            return NotImplemented
         _same_fan(self.fan, other)
         return ToricDivisor(self.fan, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "ToricDivisor") -> "ToricDivisor":
+        if not isinstance(other, ToricDivisor):
+            return NotImplemented
         _same_fan(self.fan, other)
         return ToricDivisor(self.fan, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -454,6 +458,8 @@ def degree_along_ray(g: TropPolynomial, ray) -> int:
     """Degree of g along the ray divisor: min <m, e_ray> over the support."""
     if g.is_empty:
         raise ValueError("empty polynomial has no ray degrees")
+    if g.dimension != 2:
+        raise ValueError("ray degrees are implemented for two variables")
     ray = _as_vec(ray)
     return min(dot(m, ray) for m in g.support)
 

@@ -28,11 +28,17 @@ over the bound as y grows, and the y-bounds of the elimination as weights
 on the coefficients a; a divisor then counts its points by floor sums
 along the two chains, with integer arithmetic on its coefficient tuple.
 
-The library's values (`Cone`, `Fan`, `divisor.ToricDivisor`,
-`divisor.DivisorPolytope` and `sections.SectionModule`) are frozen by one
-definition, the class decorator `_frozen`: equality, hash and repr over
-the named fields, as a frozen dataclass's, and no assignment or deletion.
-So no command loads `dataclasses`, and with it `inspect`.
+A record of the package is one of two kinds, so no module loads
+`dataclasses`, and with it `inspect`.  A value that a caller constructs
+and passes in (`Cone`, `Fan`, `divisor.ToricDivisor`,
+`divisor.DivisorPolytope` and `sections.SectionModule`) is frozen by one
+definition, the class decorator `_frozen`: its own `__init__` validates
+it, it may cache facts in its `__dict__`, equality, hash and repr read
+the named fields, as a frozen dataclass's, and it is never equal to a
+tuple.  A record that a function returns (`RowPlan`, `intersect.RRReport`
+and the edges, loci and subdivisions of `curve`) is a
+`collections.namedtuple` subclass with empty `__slots__`: a tuple of its
+fields.
 """
 
 from __future__ import annotations
@@ -106,6 +112,9 @@ def _frozen(*fields):
     ``object.__setattr__``; facts cached in the instance ``__dict__``
     stay outside equality, hash and repr.  A decorator, not a base class,
     so that each class holds the five methods in its own ``__dict__``.
+
+    For a value that a caller constructs and passes in; a record that a
+    function returns is a namedtuple instead (see the module docstring).
     """
     get = operator.attrgetter(*fields)
     values = get if len(fields) > 1 else lambda self: (get(self),)

@@ -109,6 +109,17 @@ def test_vandermonde_sections_load_no_dataclasses_or_typing(tmp_path):
     assert json.loads(loaded) == [0, []]
 
 
+def test_curve_import_loads_no_dataclasses_or_typing():
+    # the corner locus and the Newton subdivision are namedtuple records
+    code = (
+        "import json, sys, troptoric.curve; "
+        "print(json.dumps(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))))"
+    )
+    done = python("-S", "-X", "dev", "-W", "error", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
 def test_h0_command_writes_rational_vertices(tmp_path):
     # fractions loads on first use: P(D) on F2 has the vertex (1, 1/2)
     fan = {"rays": [[1, 0], [0, 1], [-1, 2], [0, -1]], "max_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}

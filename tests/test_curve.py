@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -257,13 +256,13 @@ def test_is_balanced_rejects_broken_36_term_locus():
     wc = corner_locus(section_of_7h(random.Random(167)))
     assert is_balanced(wc) and wc.segments and wc.rays
     seg = wc.segments[len(wc.segments) // 2]
-    heavier = (dataclasses.replace(seg, weight=seg.weight + 1),)
+    heavier = (seg._replace(weight=seg.weight + 1),)
     i = wc.segments.index(seg)
-    assert not is_balanced(dataclasses.replace(wc, segments=wc.segments[:i] + heavier + wc.segments[i + 1:]))
+    assert not is_balanced(wc._replace(segments=wc.segments[:i] + heavier + wc.segments[i + 1:]))
     ray = wc.rays[-1]
-    flipped = dataclasses.replace(ray, direction=(-ray.direction[0], -ray.direction[1]))
-    assert not is_balanced(dataclasses.replace(wc, rays=wc.rays[:-1] + (flipped,)))
-    assert not is_balanced(dataclasses.replace(wc, rays=wc.rays[1:]))
+    flipped = ray._replace(direction=(-ray.direction[0], -ray.direction[1]))
+    assert not is_balanced(wc._replace(rays=wc.rays[:-1] + (flipped,)))
+    assert not is_balanced(wc._replace(rays=wc.rays[1:]))
 
 
 def test_gift_wrap_with_reversed_cell_rings_raises(monkeypatch):
@@ -411,3 +410,31 @@ def test_weighted_complex_to_dict():
     d = wc.to_dict()
     assert d["vertices"] == [[0, 0]]
     assert len(d["rays"]) == 3 and d["segments"] == [] and d["lines"] == []
+
+
+def test_curve_records_are_tuples_of_their_fields():
+    # reprs, hashes and keyword construction as the frozen dataclasses
+    # had them, and the tuple's _replace and natural order
+    seg = SegmentEdge(ends=(0, 1), weight=2)
+    ray = RayEdge(vertex=0, direction=(-1, 0), weight=1)
+    line = LineEdge(anchor=(Fraction(1, 2), Fraction(0)), direction=(0, -1), weight=3)
+    assert repr(seg) == "SegmentEdge(ends=(0, 1), weight=2)"
+    assert repr(ray) == "RayEdge(vertex=0, direction=(-1, 0), weight=1)"
+    assert repr(line) == "LineEdge(anchor=(Fraction(1, 2), Fraction(0, 1)), direction=(0, -1), weight=3)"
+    wc = WeightedComplex(vertices=((Fraction(0), Fraction(0)),), rays=(ray,))
+    assert repr(wc) == (
+        "WeightedComplex(vertices=((Fraction(0, 1), Fraction(0, 1)),), segments=(), "
+        "rays=(RayEdge(vertex=0, direction=(-1, 0), weight=1),), lines=())"
+    )
+    assert WeightedComplex(vertices=()) == WeightedComplex((), (), (), ())
+    assert WeightedComplex(vertices=()).is_empty and not wc.is_empty
+    for r, fields in ((seg, ((0, 1), 2)), (ray, (0, (-1, 0), 1)), (line, (line.anchor, (0, -1), 3))):
+        assert hash(r) == hash(fields) and r == fields and tuple(r) == fields
+    assert hash(wc) == hash((wc.vertices, (), (ray,), ()))
+    assert seg._replace(weight=5) == SegmentEdge((0, 1), 5) and seg.weight == 2
+    assert wc._replace(rays=()) == WeightedComplex(wc.vertices)
+    rng = random.Random(173)
+    for g in [random_polynomial(rng) for _ in range(30)] + tie_dense_and_collinear(179, 10):
+        locus = corner_locus(g)
+        for edges in (locus.segments, locus.rays, locus.lines):
+            assert list(edges) == sorted(edges)

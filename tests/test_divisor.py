@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import _primitive_pool, fm_lattice_points, lattice_count, pair_search_equivalence, random_blowup_fan, random_divisor, random_fan
+from troptoric.curve import degree_from_polygon
 from troptoric.divisor import (
     DivisorPolytope,
     ToricDivisor,
@@ -566,6 +567,12 @@ def test_degree_along_ray_examples():
     assert degree_along_ray(g, (0, 1)) == -2
     with pytest.raises(ValueError):
         degree_along_ray(TropPolynomial(2), (1, 0))
+    # bivariate only, as for divisor_of_section: not the first two
+    # coordinates of three, and no IndexError for one
+    for h in (TropPolynomial(3, [((1, 2, 3), 0), ((0, 5, -1), 1)]), TropPolynomial(1, [((1,), 0), ((2,), 1)])):
+        for degree in (degree_along_ray, degree_from_polygon):
+            with pytest.raises(ValueError, match="two variables"):
+                degree(h, (1, 0))
 
 
 def test_sections_satisfy_divisor_bound():
@@ -604,6 +611,11 @@ def test_divisor_json_round_trip():
     for n in (True, 2.0):
         with pytest.raises(TypeError):
             n * d
+    # a divisor adds and subtracts only a divisor, on either side
+    for other in (1, (2, 0, -1)):
+        for combine in (lambda: d + other, lambda: d - other, lambda: other + d, lambda: other - d):
+            with pytest.raises(TypeError):
+                combine()
     with pytest.raises(ValueError):
         divisor_from_dict(p2, {"coeffs": {"0": 1, "1": 0}})
     with pytest.raises(ValueError):
