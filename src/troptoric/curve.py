@@ -9,15 +9,22 @@ boundary edge, and a line per edge of the lifted upper chain when the
 exponents are collinear.  A 1-cell's weight is the lattice length of its
 dual edge, which is exactly what makes the locus balanced.
 
-The faces are found in integers.  Coefficients are scaled by the lcm of
-their denominators and each exponent is lifted once to a flat tuple
-(x, y, h, m).  The faces are gift-wrapped from a boundary edge: one
-inline scan of the lifted points per directed edge finds the plane of the
-face on its left and collects its cell, coplanar points in one cell.  A
-face gets an integer id when it is found, and the ids are ranked once by
-the dual vertices, compared as integer pairs over a common denominator,
-so no Fraction is hashed or compared.  A triangle's ring is the edge it
-was found from and its one left point.
+The faces are found in integers.  The terms are read once, in sorted
+order; coefficients are scaled by the lcm of their denominators and the
+i-th exponent is lifted once to a flat tuple (x, y, h, i).  The faces are
+gift-wrapped from a boundary edge, which one linear scan finds
+(`_start_edge`): the least exponent is a corner, a Jarvis step gives the
+boundary line that leaves it counterclockwise, and the steepest rise
+along that line gives the first edge of the lifted upper chain.  One
+inline scan of the lifted points per directed edge then finds the plane
+of the face on its left and collects its cell, coplanar points in one
+cell.  Directed edges are keyed by their pairs of term positions, so no
+exponent tuple is hashed while wrapping.  A face gets an integer id when
+it is found, and the ids are ranked once by the dual vertices, compared
+as integer pairs over a common denominator, so no Fraction is hashed or
+compared.  A triangle's ring is the edge it was found from and its one
+left point, and its edges carry no family: the exponents on such an edge
+are its two ends.
 
 A section's locus and its subdivision come from one wrap, memoised in a
 single slot: the last polynomial wrapped, held by strong reference and
@@ -113,7 +120,8 @@ def _require_bivariate(g: TropPolynomial):
 def _upper_chain(lift, a, b):
     """(start, end, family) for each edge of the upper chain of the lifted
     points on the line through a and b, in order from a toward b: the
-    ends as lifted points, the family as the exponents on the edge."""
+    ends as lifted points, the family as the last entries of the lifted
+    points on the edge."""
     dx, dy = b[0] - a[0], b[1] - a[1]
     line = {}  # (position along b - a, height) -> lifted point
     for t in lift:
@@ -130,6 +138,40 @@ def _upper_chain(lift, a, b):
         ))
         for s, e in zip(chain, chain[1:])
     ]
+
+
+def _start_edge(lift):
+    """(p, e): the first edge of the lifted upper chain along the boundary
+    edge of the Newton polygon that leaves p = lift[0] counterclockwise,
+    or None when the points are collinear.
+
+    The lifted points are (x, y, h, tag) in increasing (x, y) order, so p
+    is a corner and every other point lies in the half-plane after it:
+    their directions from p span less than a half-turn.  One scan keeps
+    the candidate e of the most clockwise direction seen (a Jarvis step
+    from p) and, among the points in that direction, the one of steepest
+    rise from p, the farthest on ties.  A point comes after every nearer
+    one in its direction, so a tie goes to the later point.  Once the
+    final direction is met the candidate never leaves it, so every point
+    on the boundary line is compared in it.
+    """
+    p = lift[0]
+    px, py, ph, _ = p
+    e = lift[1]
+    ex, ey = e[0] - px, e[1] - py
+    rise, run = e[2] - ph, ex or ey  # run: a positive length along the direction
+    flat = True
+    for s in lift[2:]:
+        x, y = s[0] - px, s[1] - py
+        t = ex * y - ey * x
+        if t < 0:  # s is right of p -> e: a new, more clockwise direction
+            e, ex, ey, rise, run = s, x, y, s[2] - ph, x or y
+            flat = False
+        elif t:
+            flat = False
+        elif (s[2] - ph) * run >= rise * (x or y):
+            e, rise, run = s, s[2] - ph, x or y
+    return None if flat else (p, e)
 
 
 _held = None  # (g, its hull): the one polynomial last wrapped, kept alive
@@ -151,8 +193,11 @@ def _gift_wrap(g: TropPolynomial):
     """(cells, edges) of the upper hull of the exponents lifted to their
     coefficients, both tuples of tuples.
 
-    Each exponent m is lifted once to the flat integer tuple (m[0], m[1],
-    h, m), h = c_m times the lcm of the coefficients' denominators.  Faces
+    The terms are read once, in sorted order, and the i-th exponent is
+    lifted to the flat integer tuple (m[0], m[1], h, i), h = c_m times the
+    lcm of the coefficients' denominators.  The wrap starts from
+    `_start_edge` and keys each directed edge of a face by its pair of
+    term positions; exponents are looked up only for the output.  Faces
     get integer ids as the gift-wrap finds them and are ranked by their
     dual vertex at the end.  cells lists (x, y, d, exponents on the face)
     in rank order, the dual vertex being (x / d, y / d); edges lists (a, b,
@@ -160,18 +205,24 @@ def _gift_wrap(g: TropPolynomial):
     its faces, the face left of a -> b first.  Collinear support has no
     faces; its edges are those of the lifted upper chain, a before b.
     """
-    scale = math.lcm(*(c.denominator for _, c in g.terms()))
-    lift = [(m[0], m[1], c.numerator * (scale // c.denominator), m) for m, c in g.terms()]
+    terms = list(g.terms())
+    exps = [m for m, _ in terms]
+    scale = math.lcm(*(c.denominator for _, c in terms))
+    lift = [(m[0], m[1], c.numerator * (scale // c.denominator), i) for i, (m, c) in enumerate(terms)]
     if len(lift) == 1:
         return (), ()
-    at = {t[3]: t for t in lift}  # exponent -> lifted point
-    corners = hull_vertices(at)
-    chain = _upper_chain(lift, at[corners[0]], at[corners[1]])
-    if len(corners) == 2:
-        return (), tuple((a[3], b[3], family, ()) for a, b, family in chain)
+    start = _start_edge(lift)
+    if start is None:
+        at = {exps[t[3]]: t for t in lift}  # exponent -> lifted point
+        corners = hull_vertices(at)
+        return (), tuple(
+            (exps[a[3]], exps[b[3]], tuple(exps[i] for i in family), ())
+            for a, b, family in _upper_chain(lift, at[corners[0]], at[corners[1]])
+        )
     faces = []  # face id -> (x, y, d, exponents on the face), dual vertex (x / d, y / d)
-    left = {}  # directed edge (a, b) of a face, as exponents -> (family, face id)
-    todo = [chain[0][:2]]  # the Newton polygon lies left of its ccw boundary
+    left = {}  # directed edge (i, j) of a face, as term positions -> face id
+    families = {}  # (i, j) -> exponents on the edge, for the edges of polygonal cells only
+    todo = [start]  # the Newton polygon lies left of its ccw boundary
     # each scan records its directed edge in left, or finds it on the
     # boundary, whose reverse is recorded once: one scan per directed pair
     scans = len(lift) * (len(lift) - 1)
@@ -216,18 +267,19 @@ def _gift_wrap(g: TropPolynomial):
         # / (nz * scale), so exactly the monomials of the cell attain the
         # maximum at v
         face = len(faces)
-        faces.append((nx, ny, nz * scale, tuple(s[3] for s in cell)))
+        faces.append((nx, ny, nz * scale, tuple(exps[s[3]] for s in cell)))
         if len(cell) == 3:  # the one left point closes a ccw triangle
             r = cell[0]
-            ring = ((p, q, (p[3], q[3])), (q, r, (q[3], r[3])), (r, p, (r[3], p[3])))
-        else:
-            hull = [at[m] for m in hull_vertices(faces[face][3])]
-            ring = []
-            for a, b in zip(hull, hull[1:] + hull[:1]):
-                dx, dy = b[0] - a[0], b[1] - a[1]
-                ring.append((a, b, tuple(s[3] for s in cell if dx * (s[1] - a[1]) == dy * (s[0] - a[0]))))
-        for a, b, family in ring:
-            left[(a[3], b[3])] = (family, face)
+            i, j, k = p[3], q[3], r[3]
+            left[i, j] = left[j, k] = left[k, i] = face
+            todo += ((q, p), (r, q), (p, r))
+            continue
+        hull = hull_vertices(tuple(cell))  # ccw corners, as lifted points
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            edge = (a[3], b[3])
+            left[edge] = face
+            families[edge] = tuple(exps[s[3]] for s in cell if dx * (s[1] - a[1]) == dy * (s[0] - a[0]))
             todo.append((b, a))
     # the dual vertices (x / d, y / d) sort as the integer pairs (x * k, y * k), k = lcm / d
     lcm = math.lcm(*(d for _, _, d, _ in faces))
@@ -237,12 +289,16 @@ def _gift_wrap(g: TropPolynomial):
     for r, face in enumerate(order):
         rank[face] = r
     edges = []
-    for (a, b), (family, face) in left.items():
-        twin = left.get((b, a))
+    for (i, j), face in left.items():
+        twin = left.get((j, i))
         if twin is None:
-            edges.append((a, b, family, (rank[face],)))
-        elif a < b:
-            edges.append((a, b, family, (rank[face], rank[twin[1]])))
+            ranks = (rank[face],)
+        elif i < j:  # positions order as the exponents do
+            ranks = (rank[face], rank[twin])
+        else:
+            continue
+        a, b = exps[i], exps[j]
+        edges.append((a, b, families.get((i, j)) or (a, b), ranks))
     return tuple(faces[f] for f in order), tuple(edges)
 
 
@@ -301,13 +357,18 @@ def newton_subdivision(g: TropPolynomial) -> NewtonSubdivision:
     if len(points) == 1:
         return NewtonSubdivision(points, (), (), (points[0][0],))
     cells, edges = _lifted_hull(g)
-    flagged = (SubdivisionEdge(frozenset(family), len(ranks) < 2) for _, _, family, ranks in edges)
+    # each edge's family is sorted once, as its key: distinct edges have
+    # distinct point sets, so this is the order of the sorted points
+    flagged = (
+        SubdivisionEdge(frozenset(family), len(ranks) < 2)
+        for _, _, family, ranks in sorted(edges, key=lambda e: sorted(e[2]))
+    )
     # every corner of a cell or an edge is an end of an edge
     corners = {m for a, b, _, _ in edges for m in (a, b)}
     return NewtonSubdivision(
         points,
         tuple(frozenset(cell) for _, _, _, cell in cells),
-        tuple(sorted(flagged, key=lambda e: sorted(e.points))),
+        tuple(flagged),
         tuple(sorted(corners)),
     )
 
@@ -316,7 +377,9 @@ def hull_vertices(points) -> list[Vec]:
     """Vertices of the convex hull of integer points, counterclockwise.
 
     Monotone chain; collinear input yields the two extremes, a singleton
-    yields itself.
+    yields itself.  A point may carry more entries after its two
+    coordinates (the gift-wrap passes lifted points), provided no two
+    points share their coordinates.
     """
     pts = sorted(set(tuple(p) for p in points))
     if len(pts) <= 2:

@@ -467,7 +467,9 @@ def degree_along_ray(g: TropPolynomial, ray) -> int:
 def divisor_of_section(fan: Fan, g: TropPolynomial):
     """Split div(g) into its inner corner locus and its ray-divisor part.
 
-    Returns (corner_locus(g), sum over rays of deg(g)_ray D_ray).
+    Returns (corner_locus(g), sum over rays of deg(g)_ray D_ray), each
+    deg(g)_ray = min <m, u_ray> over the support, as `degree_along_ray`
+    computes it.
     """
     from .curve import corner_locus
 
@@ -476,5 +478,6 @@ def divisor_of_section(fan: Fan, g: TropPolynomial):
     if g.dimension != 2:
         raise ValueError("sections are bivariate here")
     inner = corner_locus(g)
-    ray_part = ToricDivisor(fan, tuple(degree_along_ray(g, r) for r in fan.rays))
+    support = g.support  # sorted on every read: read once, for every ray
+    ray_part = ToricDivisor(fan, tuple(min(m[0] * u + m[1] * v for m in support) for u, v in fan.rays))
     return inner, ray_part

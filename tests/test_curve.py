@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     on_newton_boundary,
+    random_blowup_fan,
     random_collinear_polynomial,
     random_divisor,
     random_polynomial,
@@ -33,8 +34,10 @@ from troptoric.divisor import (
     lattice_points,
     polytope,
     principal_divisor,
+    ray_divisor,
 )
 from troptoric.fan import hirzebruch, product_p1_p1, projective_plane
+from troptoric.intersect import pairing
 from troptoric.sections import global_sections
 from troptoric.trop import TropPolynomial
 
@@ -50,14 +53,14 @@ def tie_dense_and_collinear(seed, n=60):
     return polys + [random_collinear_polynomial(rng) for _ in range(n // 2)]
 
 
-def section_of_7h(rng, pool=None):
-    """A section of O(7H) on P^2, 36 terms: a concave lift perturbed by
-    thousandths (a triangulation, every exponent a corner), or coefficients
-    drawn from ``pool``."""
+def general_section(rng, pool=None, degree=7):
+    """A section of O(degree * H) on P^2, 36 terms at degree 7: a concave
+    lift perturbed by thousandths (a triangulation, every exponent a
+    corner), or coefficients drawn from ``pool``."""
     p2 = projective_plane()
     terms = []
     a, b, c = rng.randint(2, 6), rng.randint(2, 6), rng.randint(-1, 1)
-    for m in global_sections(p2, ToricDivisor(p2, (0, 0, 7))).generators:
+    for m in global_sections(p2, ToricDivisor(p2, (0, 0, degree))).generators:
         if pool is None:
             terms.append((m, -(a * m[0] ** 2 + b * m[1] ** 2 + c * m[0] * m[1]) + Fraction(rng.randint(-100, 100), 1000)))
         else:
@@ -110,7 +113,7 @@ def test_newton_subdivision_matches_upper_hull_oracle():
 @pytest.mark.parametrize("pool", [None, (-1, 0, 1)], ids=["concave", "tie-dense"])
 def test_36_terms_match_upper_hull_oracle(pool):
     # the benchmark's largest sections; its own oracle stops at 21 terms
-    g = section_of_7h(random.Random(157), pool)
+    g = general_section(random.Random(157), pool)
     assert len(g) == 36
     dual = upper_hull_dual(g)
     sub = newton_subdivision(g)
@@ -143,7 +146,9 @@ def pinned_inputs(kind):
         return [random_polynomial(rng, max_terms=14, pool=(-1, 0, 1)) for _ in range(150)]
     if kind == "collinear":
         return [random_collinear_polynomial(rng) for _ in range(80)]
-    return [section_of_7h(rng, pool) for pool in (None, (-1, 0, 1), None, (-2, -1, 0, 1, 2))]
+    if kind == "36-terms":
+        return [general_section(rng, pool) for pool in (None, (-1, 0, 1), None, (-2, -1, 0, 1, 2))]
+    return [general_section(rng, degree=10)]
 
 
 CURVE_DIGESTS = {
@@ -151,6 +156,7 @@ CURVE_DIGESTS = {
     "tie-dense": "1ff1035d50d1883e43d34454f0338b22c76eb8a66c2f47fa8285648b6678c7a6",
     "collinear": "c3571fa46f4617f062fcf75d88e32972f4350f4bc1b095b5ac181ac749957f5f",
     "36-terms": "edbb32be5adfc53f2036cbd590f957559979e891dbbf93582c2dac882c6b87df",
+    "66-terms": "f8515f70c703e75bf50c836203c179e95c2c9b919c9718b38213e9c3aac9c762",
 }
 
 
@@ -172,6 +178,67 @@ def test_curve_output_bytes_pinned(kind, subdivisions_first):
     assert hashlib.sha256(out.encode()).hexdigest() == CURVE_DIGESTS[kind]
 
 
+def lifted(terms):
+    """Integer terms lifted as the gift-wrap lifts them: (x, y, h, i) in
+    increasing exponent order, i the position."""
+    return [(m[0], m[1], h, i) for i, (m, h) in enumerate(sorted(terms))]
+
+
+def start_edge_inputs(rng):
+    """Tie-dense pools, negative exponents, and supports whose first
+    boundary edge from the least exponent holds three to five exponents,
+    a middle one lifted above, on or below the chord of its neighbours."""
+    for _ in range(900):
+        n = rng.randint(2, 14)
+        exps = {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n)}
+        pool = rng.choice(((-1, 0, 1), (0,), (-3, -2, -1, 0, 1, 2, 3)))
+        yield [(m, rng.choice(pool)) for m in exps], None
+    for _ in range(1500):
+        p = (rng.randint(-3, 3), rng.randint(-3, 3))
+        d = rng.choice(((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2), (1, -3), (3, 2)))
+        k = rng.randint(3, 5)
+        line = [(p[0] + t * d[0], p[1] + t * d[1]) for t in range(k)]
+        heights = [rng.randint(-4, 4) for _ in line]
+        mid = rng.randrange(1, k - 1)
+        lift = rng.choice((-1, 0, 1))  # the middle exponent: below, on or above its chord
+        if lift:
+            heights[mid] = (heights[mid - 1] + heights[mid + 1]) // 2 + lift
+        else:
+            heights[mid + 1] = 2 * heights[mid] - heights[mid - 1]
+        terms = dict(zip(line, heights))
+        # others strictly left of p -> p + d and after p, so that the line
+        # is the boundary edge that leaves p counterclockwise
+        for _ in range(rng.randint(0, 8)):
+            m = (p[0] + rng.randint(0, 6), p[1] + rng.randint(-6, 6))
+            if m > p and d[0] * (m[1] - p[1]) - d[1] * (m[0] - p[0]) > 0:
+                terms.setdefault(m, rng.randint(-4, 4))
+        yield list(terms.items()), lift
+
+
+def test_start_edge_matches_upper_chain_of_first_hull_edge():
+    # one scan against the previous route: the first edge of the upper
+    # chain over the first two corners of the hull; a tie goes to the
+    # farther point, so a rule that kept the nearer one fails here
+    rng = random.Random(181)
+    seen = {"collinear": 0, -1: 0, 0: 0, 1: 0}
+    inputs = 0
+    for terms, lift in start_edge_inputs(rng):
+        inputs += 1
+        pts = lifted(terms)
+        at = {t[:2]: t for t in pts}
+        corners = hull_vertices(at)
+        start = curve._start_edge(pts)
+        if len(corners) == 2:
+            assert start is None
+            seen["collinear"] += 1
+            continue
+        assert start == curve._upper_chain(pts, at[corners[0]], at[corners[1]])[0][:2]
+        if lift is not None:
+            seen[lift] += 1
+    assert inputs >= 2000
+    assert min(seen.values()) >= 100, seen
+
+
 def test_locus_and_subdivision_share_one_gift_wrap(monkeypatch):
     # a section's locus and its subdivision read one wrap, kept for the
     # last polynomial by identity only: an equal copy is wrapped afresh
@@ -185,7 +252,7 @@ def test_locus_and_subdivision_share_one_gift_wrap(monkeypatch):
     monkeypatch.setattr(curve, "_gift_wrap", counted)
     p2 = projective_plane()
     rng = random.Random(173)
-    g, h = section_of_7h(rng), section_of_7h(rng)
+    g, h = general_section(rng), general_section(rng)
     locus, _ = divisor_of_section(p2, g)
     sub = newton_subdivision(g)
     assert len(wraps) == 1
@@ -253,7 +320,7 @@ def test_is_balanced_examples():
 def test_is_balanced_rejects_broken_36_term_locus():
     # one segment heavier, one ray reversed, one ray gone: each unbalances
     # the locus, so the one-pass sum cannot be vacuously zero
-    wc = corner_locus(section_of_7h(random.Random(167)))
+    wc = corner_locus(general_section(random.Random(167)))
     assert is_balanced(wc) and wc.segments and wc.rays
     seg = wc.segments[len(wc.segments) // 2]
     heavier = (seg._replace(weight=seg.weight + 1),)
@@ -342,6 +409,36 @@ def test_decomposition_degrees_match_min_formula():
             g = TropPolynomial(2, [(m, rng.randint(-4, 4)) for m in pts])
             for ray in f.rays:
                 assert degree_from_polygon(g, ray) == degree_along_ray(g, ray)
+
+
+def test_locus_rays_are_intersection_numbers_of_the_newton_divisor():
+    # Where the fan refines the normal fan of the Newton polygon P (every
+    # ray of the locus points along some -u_rho), C_f . D_rho = D_P . D_rho
+    # with D_P = -(ray part): the weight of the locus rays in direction
+    # -u_rho, a line counting once in each of its two directions
+    rng = random.Random(1)
+    sections = checks = 0
+    for _ in range(300):
+        f = random_blowup_fan(rng)
+        d = ToricDivisor(f, tuple(rng.randint(0, 3) for _ in f.rays))
+        pts = lattice_points(polytope(d))
+        if len(pts) < 2:
+            continue
+        g = TropPolynomial(2, [(m, rng.randint(-6, 6)) for m in rng.sample(pts, rng.randint(2, len(pts)))])
+        locus, ray_part = divisor_of_section(f, g)
+        assert ray_part.coeffs == tuple(degree_along_ray(g, u) for u in f.rays)
+        ends = [(r.direction, r.weight) for r in locus.rays]
+        for l in locus.lines:
+            ends += [(l.direction, l.weight), ((-l.direction[0], -l.direction[1]), l.weight)]
+        if any((-x, -y) not in f.rays for (x, y), _ in ends):
+            continue
+        sections += 1
+        d_p = ToricDivisor(f, tuple(-a for a in ray_part.coeffs))
+        for u in f.rays:
+            weight = sum(w for direction, w in ends if direction == (-u[0], -u[1]))
+            assert weight == pairing(f, d_p, ray_divisor(f, u))
+            checks += 1
+    assert sections >= 100 and checks >= 500, (sections, checks)
 
 
 def test_locus_invariance_under_scaling_and_shift():
