@@ -29,10 +29,9 @@ one (`_walkable` proves it), and then both raise UnboundedPolytopeError.
 
 from __future__ import annotations
 
-import functools
 import math
 
-from .fan import Fan, RowPlan, Vec, _as_vec, _frozen, det2, dot
+from .fan import Fan, RowPlan, Vec, _as_vec, _fact, _frozen, det2, dot
 from .jsonutil import ParseError
 
 # Fraction (fractions) and TropPolynomial (trop) appear in annotations only,
@@ -197,8 +196,8 @@ class DivisorPolytope:
     ``bounded`` is the fan's fact: True iff the recession cone
     {m : <m, e_ray> >= 0} is trivial.  ``vertices``, the feasible pairwise
     intersections of the boundary lines (none on a bounded polytope means
-    it is empty), are found on first read and cached in the instance
-    ``__dict__``, outside equality, hashing and repr.
+    it is empty), are a fact (`fan._fact`): found on first read and cached
+    in the instance ``__dict__``, outside equality, hashing and repr.
     """
 
     def __init__(self, divisor: ToricDivisor):
@@ -212,7 +211,7 @@ class DivisorPolytope:
     def bounded(self) -> bool:
         return self.divisor.fan.bounded
 
-    @functools.cached_property
+    @_fact
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return _enumerate_vertices(self.inequalities)
 

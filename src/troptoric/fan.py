@@ -11,9 +11,10 @@ Its rays positively span the plane iff every gap is less than pi, which
 (arcs of the cycle), so a fan sorts its rays once.
 
 A fan's fixed facts are computed once, on first use, and cached on the
-instance outside its equality and hash: whether it is smooth, complete
-and bounded (its rays positively span the plane, so every P(D) is
-bounded), its intersection numbers, and its row plan.  The intersection
+instance outside its equality and hash by `_fact`, the package's one
+fact cache, a descriptor that takes no lock: whether it is smooth,
+complete and bounded (its rays positively span the plane, so every P(D)
+is bounded), its intersection numbers, and its row plan.  The intersection
 numbers are the counterclockwise cycle (`Fan.cycle_terms`): two ray
 divisors meet once iff their rays are cycle neighbours (on a complete
 fan, its 2-cones), and a ray with cycle neighbours u1, u2 has
@@ -81,9 +82,14 @@ def dot(a, b):
 
 
 def _as_vec(v) -> Vec:
-    # a fan's own rays are already int pairs: one exact-type test (no bool)
-    if type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
-        return v
+    # a fan's own rays are already int pairs, and a JSON ray is an int
+    # list: exact-type tests first (no bool), so that fan_from_dict makes
+    # the one full coercion of a ray and Cone and Fan pass it on as it is
+    kind = type(v)
+    if (kind is tuple or kind is list) and len(v) == 2:
+        x, y = v
+        if type(x) is int and type(y) is int:
+            return v if kind is tuple else (x, y)
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise TypeError(f"a lattice vector must be a pair [x, y], got {v!r}")
     x, y = v
@@ -100,6 +106,25 @@ def primitive(v) -> Vec:
         raise ValueError("the zero vector has no primitive representative")
     g = gcd(x, y)
     return (x // g, y // g)
+
+
+class _fact:
+    """A fixed fact of a frozen value: the method computes it on the first
+    read, which stores it in the instance ``__dict__`` under the method's
+    name.  A non-data descriptor, so later reads find the stored value
+    there and never call this class.  Unlike ``functools.cached_property``
+    before Python 3.12 it takes no lock: a fact is pure, so two threads
+    racing on the first read at worst compute it twice."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.compute.__name__] = self.compute(obj)
+        return value
 
 
 def _frozen(*fields):
@@ -155,7 +180,7 @@ class Cone:
     """
 
     def __init__(self, rays: tuple[Vec, ...] = ()):
-        rays = tuple(_as_vec(r) for r in rays)
+        rays = tuple(map(_as_vec, rays))
         if len(rays) > 2:
             raise ValueError("plane cones have at most two rays")
         for r in rays:
@@ -228,24 +253,25 @@ class Fan:
                 raise TypeError("max_cones must contain Cone instances")
         if len({frozenset(c.rays) for c in cones}) < len(cones):
             raise ValueError("duplicate maximal cone")
-        if any(c.dim == 0 for c in cones) and len(cones) > 1:
+        # len(c.rays), not the dim property, which costs a call per read
+        if any(not c.rays for c in cones) and len(cones) > 1:
             raise ValueError("the origin cone is redundant beside other cones")
         # the first cone listing each ray, in first-appearance order
         first: dict[Vec, int] = {}
         for j, c in enumerate(cones):
             for r in c.rays:
                 i = first.setdefault(r, j)
-                if i != j and (c.dim == 1 or cones[i].dim == 1):
+                if i != j and (len(c.rays) == 1 or len(cones[i].rays) == 1):
                     raise _no_common_face(i, j)
         ccw = ccw_sorted_rays(first)
         after = dict(zip(ccw, ccw[1:] + ccw[:1]))
         for j, c in enumerate(cones):
-            if c.dim == 2:
+            if len(c.rays) == 2:
                 u, v = c.rays if det2(*c.rays) > 0 else c.rays[::-1]
                 if after[u] != v:  # after[u] lies strictly inside c
                     i = first[after[u]]
                     raise _no_common_face(min(i, j), max(i, j))
-        rays = tuple(_as_vec(r) for r in rays)
+        rays = tuple(map(_as_vec, rays))
         if rays:
             if len(set(rays)) != len(rays) or set(rays) != first.keys():
                 raise ValueError("explicit ray list must enumerate the fan's rays")
@@ -256,19 +282,19 @@ class Fan:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "_ccw", tuple(index[r] for r in ccw))
 
-    # Fixed facts, computed on first use.  cached_property stores them in
-    # the instance __dict__, as __init__ stores _ccw, where equality,
-    # hashing and repr, which read only max_cones and rays, never look.
+    # Fixed facts, computed on first use.  _fact stores them in the
+    # instance __dict__, as __init__ stores _ccw, where equality, hashing
+    # and repr, which read only max_cones and rays, never look.
 
-    @functools.cached_property
+    @_fact
     def smooth(self) -> bool:
         return all(is_smooth(c) for c in self.max_cones)
 
-    @functools.cached_property
+    @_fact
     def complete(self) -> bool:
         return is_complete(self)
 
-    @functools.cached_property
+    @_fact
     def bounded(self) -> bool:
         """True iff the rays positively span the plane: then every P(D),
         whose recession cone is {m : <m, e_ray> >= 0}, is bounded.
@@ -286,7 +312,7 @@ class Fan:
         rays, cycle = self.rays, self._ccw
         return bool(cycle) and all(det2(rays[cycle[k - 1]], rays[i]) > 0 for k, i in enumerate(cycle))
 
-    @functools.cached_property
+    @_fact
     def cycle_terms(self) -> tuple[tuple[int, int, int, int], ...]:
         """(i, j, b_i, b_i + 2) for each ray i in counterclockwise order,
         with j the ray after i, b_i = D_i . D_i and b_i + 2 = D_i . -K: the
@@ -314,7 +340,7 @@ class Fan:
         b = [-det2(rays[h], rays[j]) for h, j in zip(cycle[-1:] + cycle[:-1], after)]
         return tuple((i, j, b_i, b_i + 2) for i, j, b_i in zip(cycle, after, b))
 
-    @functools.cached_property
+    @_fact
     def intersection_numbers(self) -> tuple[tuple[int, ...], ...]:
         """D_i . D_j in ray order, the dense view of ``cycle_terms``;
         ValueError unless smooth and complete."""
@@ -326,7 +352,7 @@ class Fan:
             rows[i][i] = b
         return tuple(tuple(row) for row in rows)
 
-    @functools.cached_property
+    @_fact
     def row_plan(self) -> RowPlan:
         """The row plan of every P(D) on this fan: of the systems
         <m, e_i> + a_i >= 0 on its rays e_i, for every coefficient tuple a.

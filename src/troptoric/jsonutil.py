@@ -6,7 +6,7 @@ integers stay plain JSON numbers.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import json
 import re
 import sys
@@ -28,16 +28,25 @@ def load_json(path: str):
     cannot be opened or read (missing, a directory, unreadable), is not
     valid UTF-8 or is not JSON, or holds an integer longer than Python's
     digit limit or arrays and objects nested deeper than its recursion
-    limit.  UnicodeDecodeError and JSONDecodeError are ValueErrors."""
+    limit.  UnicodeDecodeError and JSONDecodeError are ValueErrors.
+
+    The file is read as bytes in one call and decoded as UTF-8, which is
+    what text mode does on a whole-file read, and text mode's universal
+    newlines are kept: CR LF and a lone CR read as LF, so a decode error's
+    byte position and a syntax error's line and column are the ones a
+    text-mode read reports.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(str(exc)) from exc
 
 
-@contextlib.contextmanager
-def full_int_text():
+class full_int_text:
     """A context in which an int of any length converts to decimal text.
 
     Python limits that conversion to 4300 digits by default, both ways.
@@ -45,18 +54,22 @@ def full_int_text():
     which keeps it; output written from input within it can be longer, as
     a pairing term and an h0 are quadratic in the coefficients.  So the
     CLI writes its output here: the limit is lifted for the body and put
-    back after it.
+    back after it, also when the body raises.  On an interpreter without
+    the limit (Python 3.10) the context does nothing.  A plain class, not
+    a generator context, as every CLI command enters one.
     """
-    get = getattr(sys, "get_int_max_str_digits", None)
-    if get is None:  # an interpreter without the limit
-        yield
-        return
-    limit = get()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
+
+    __slots__ = ("limit",)
+
+    def __enter__(self):
+        get = getattr(sys, "get_int_max_str_digits", None)
+        self.limit = None if get is None else get()
+        if self.limit is not None:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info):
+        if self.limit is not None:
+            sys.set_int_max_str_digits(self.limit)
 
 
 def format_ratio(p: int, q: int):
@@ -86,6 +99,12 @@ def format_point(p) -> list:
     return [format_rational(p[0]), format_rational(p[1])]
 
 
+@functools.cache  # compiled on first use: a sweep parses no rational
+def _rational_pattern():
+    # ASCII digits only: \d takes any Unicode digit
+    return re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(v) -> Fraction:
     """An exact rational from a JSON int or a 'p' or 'p/q' string: an
     optional sign, ASCII digits, and optionally '/' and ASCII digits.
@@ -95,7 +114,7 @@ def parse_rational(v) -> Fraction:
 
     if isinstance(v, int) and not isinstance(v, bool):
         return fractions.Fraction(v)
-    if isinstance(v, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", v):
+    if isinstance(v, str) and _rational_pattern().fullmatch(v):
         p, _, q = v.partition("/")
         try:
             return fractions.Fraction(int(p), int(q or 1))

@@ -31,21 +31,25 @@ the single count takes one y-range at a time (production counts D and
 K - D from one pass over the y-bounds),
 the pairing oracle sums all n^2 entries of the dense intersection matrix
 (production sums the cycle form, n terms over the counterclockwise cycle),
-and the h1 oracle sums the toric cohomology formula over the lattice
+the h1 oracle sums the toric cohomology formula over the lattice
 points of alternating four-ray polygons (production reads the defect of
-the Riemann-Roch inequality, which equals h1 by Serre duality).
+the Riemann-Roch inequality, which equals h1 by Serre duality), and the
+JSON-file oracle reads in text mode with universal newlines (production
+reads the bytes, decodes them and translates the newlines itself).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
 from troptoric.divisor import ToricDivisor, _count_rows, _ext_gcd, _y_ranges, canonical_divisor
 from troptoric.fan import Cone, Fan, blow_up, ccw_sorted_rays, det2, dot, primitive, projective_plane
 from troptoric.intersect import pairing
+from troptoric.jsonutil import ParseError
 from troptoric.sections import generator_value
 from troptoric.trop import TropPolynomial, trop_det
 
@@ -572,3 +576,13 @@ def random_collinear_polynomial(rng, max_terms=6) -> TropPolynomial:
             for t in rng.sample(range(-4, 5), rng.randint(2, max_terms))
         ],
     )
+
+
+def text_mode_load_json(path):
+    """`jsonutil.load_json` as a text-mode read: json.load on the file
+    opened as UTF-8 text, universal newlines on."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from exc

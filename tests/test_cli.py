@@ -834,3 +834,89 @@ def test_malformed_range_exit_1(capsys, tmp_path, bad_range):
     with pytest.raises(SystemExit) as err:
         main(["sweep", fan_path, "--range", bad_range])
     assert err.value.code == 1
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv); a SystemExit from
+    argparse counts as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def parity_table(tmp_path):
+    fan = write(tmp_path, "fan.json", P2)
+    div = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 2}})
+    pts = write(tmp_path, "pts.json", [[0, 0], ["1/2", 3], [-2, "5/3"], [4, -1], ["-7/2", "-1/4"]])
+    out = str(tmp_path / "out.json")
+    missing = str(tmp_path / "missing.json")
+    return [
+        ["fan", "builtin", "p2"],
+        ["fan", "builtin", "hirzebruch", "2"],
+        ["fan", "builtin", "p2", "5"],
+        ["fan", "validate", fan],
+        ["fan", "blowup", fan, "0"],
+        ["fan", "blowup", fan, "zero"],
+        ["h0", fan, div],
+        ["rr", fan, div],
+        ["sections", fan, div],
+        ["sections", fan, div, "--vandermonde", pts],
+        ["sections", fan, div, "--vander", pts],
+        ["sweep", fan, "--range", "-1..1"],
+        ["sweep", fan, "--range=-30..30", "--seed", "9"],
+        ["--seed", "7", "sweep", fan, "--range", "-3..3"],
+        ["--json-out", out, "rr", fan, div],
+        ["rr", fan, div, "--json-out", out],
+        ["fan", "builtin", "p1xp1", "--seed", "1", "--json-out", out],
+        ["rr", missing, div],
+        ["rr", "--", fan, div],
+        ["-h"],
+        ["sections", "-h"],
+        ["fan", "-h"],
+        ["fan", "builtin", "-h"],
+        ["h0", fan],
+        ["sweep", fan],
+        ["sweep", fan, "--range"],
+        ["sweep", fan, "--range", "3"],
+        ["rr", fan, div, "--seed", "x"],
+        ["h0", fan, div, "--seed"],
+        ["sections", fan, div, "--vandermonde"],
+        ["sections", fan, div, "extra"],
+        ["fan", "validate", fan, "extra"],
+        ["fan", "builtin", "p2", "--frobnicate"],
+        ["fan"],
+        ["frobnicate"],
+        ["--seed", "3"],
+        [],
+    ]
+
+
+def test_subcommand_parser_matches_the_main_parser(capsys, tmp_path, monkeypatch):
+    # argv that starts with a subcommand name is parsed by that subcommand's
+    # parser alone; with the subcommand map empty, every argv goes to the
+    # main parser.  Both give the same exit code, stdout and stderr on
+    # every entry, usage errors and help included
+    table = parity_table(tmp_path)
+    assert len(table) >= 25
+    parser = cli.build_parser()
+    for argv in table:
+        direct = outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parsers", lambda: (parser, {}))
+            full = outcome(capsys, argv)
+        assert direct == full, argv
+    # a leftover argument is the main parser's usage error, not ignored
+    code, out, err = outcome(capsys, table[8] + ["extra"])
+    assert code == ("SystemExit", 1) and out == ""
+    assert err.endswith("troptoric: error: unrecognized arguments: extra\n")
+
+
+def test_subcommand_parser_skips_the_main_parser(capsys, tmp_path, monkeypatch):
+    # valid argv starting with a subcommand never reaches the main parser
+    fan = write(tmp_path, "fan.json", P2)
+    monkeypatch.setattr(cli.build_parser(), "parse_args", lambda argv: pytest.fail("main parser ran"))
+    assert run(capsys, "fan", "validate", fan)[0] == 0
+    assert run(capsys, "sweep", fan, "--range", "-1..1", "--seed", "2")[0] == 0

@@ -102,6 +102,29 @@ def test_is_complete():
     assert complete == 1028
 
 
+def test_facts_are_computed_once_and_stored(monkeypatch):
+    # fan._fact: the first read computes a fact into the instance __dict__,
+    # where later reads find it; on the class it is the descriptor itself,
+    # carrying the method's docstring
+    f = hirzebruch(1)
+    calls = []
+    real = fan_module.is_complete
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(fan_module, "is_complete", counting)
+    assert f.complete is True and f.complete is True
+    assert calls == [f] and vars(f)["complete"] is True
+    for name in ("smooth", "complete", "bounded", "cycle_terms", "intersection_numbers", "row_plan"):
+        assert isinstance(vars(Fan)[name], fan_module._fact) and getattr(Fan, name) is vars(Fan)[name]
+    assert Fan.bounded.__doc__.startswith("True iff the rays positively span the plane")
+    p = polytope(ToricDivisor(f, (0, 0, 1, 1)))
+    assert "vertices" not in vars(p)
+    assert p.vertices is p.vertices and "vertices" in vars(p)
+
+
 def test_cached_facts_outside_equality():
     f = hirzebruch(2)
     facts = (f.smooth, f.complete, f.bounded, f.intersection_numbers)
