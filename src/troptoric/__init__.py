@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "curve": ("WeightedComplex", "corner_locus", "is_balanced", "newton_subdivision"),
     "divisor": (
-        "DivisorPolytope",
         "ToricDivisor",
         "UnboundedPolytopeError",
         "canonical_divisor",
@@ -28,6 +27,7 @@ _EXPORTS = {
         "lattice_points",
         "linearly_equivalent",
         "polytope",
+        "polytope_vertices",
         "principal_divisor",
         "ray_divisor",
         "zero_divisor",

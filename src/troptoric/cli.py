@@ -20,7 +20,7 @@ import json
 import re
 import sys
 
-from .divisor import UnboundedPolytopeError, _lattice_count_pair, divisor_from_dict, h0, lattice_points, polytope
+from .divisor import UnboundedPolytopeError, _lattice_count_pair, divisor_from_dict, h0, lattice_points, polytope_vertices
 from .fan import Fan, blow_up, dot, dual_frame, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
 from .intersect import _cycle_form, _report_fields, _report_text, rr_check
 from .jsonutil import ParseError, format_point, format_ratio, full_int_text, load_json, parse_rational
@@ -118,7 +118,6 @@ def _listable_h0(f: Fan, d) -> int:
 def cmd_h0(args) -> tuple[list[str], int]:
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
-    p = polytope(d)
     try:
         count = _listable_h0(f, d)
     except UnboundedPolytopeError:
@@ -126,8 +125,8 @@ def cmd_h0(args) -> tuple[list[str], int]:
     with full_int_text():
         payload = {
             "h0": "infinite" if count is None else count,
-            "lattice_points": None if count is None else [list(m) for m in lattice_points(p)],
-            "polytope_vertices": [format_point(v) for v in p.vertices],
+            "lattice_points": None if count is None else [list(m) for m in lattice_points(d)],
+            "polytope_vertices": [format_point(v) for v in polytope_vertices(d)],
         }
         return [json.dumps(payload)], EXIT_OK
 

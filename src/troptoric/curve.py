@@ -51,7 +51,7 @@ from fractions import Fraction
 
 from .fan import Vec, det2, dot, primitive
 from .jsonutil import format_point
-from .trop import TropPolynomial
+from .trop import TropPolynomial, _common_scale
 
 
 class SegmentEdge(collections.namedtuple("SegmentEdge", "ends weight")):
@@ -207,17 +207,17 @@ def _gift_wrap(g: TropPolynomial):
     """
     terms = list(g.terms())
     exps = [m for m, _ in terms]
-    scale = math.lcm(*(c.denominator for _, c in terms))
-    lift = [(m[0], m[1], c.numerator * (scale // c.denominator), i) for i, (m, c) in enumerate(terms)]
+    scale, heights = _common_scale([c for _, c in terms])
+    lift = [(m[0], m[1], h, i) for i, (m, h) in enumerate(zip(exps, heights))]
     if len(lift) == 1:
         return (), ()
     start = _start_edge(lift)
     if start is None:
-        at = {exps[t[3]]: t for t in lift}  # exponent -> lifted point
-        corners = hull_vertices(at)
+        # sorted collinear exponents run along their line: the first and
+        # the last are its two ends
         return (), tuple(
             (exps[a[3]], exps[b[3]], tuple(exps[i] for i in family), ())
-            for a, b, family in _upper_chain(lift, at[corners[0]], at[corners[1]])
+            for a, b, family in _upper_chain(lift, lift[0], lift[-1])
         )
     faces = []  # face id -> (x, y, d, exponents on the face), dual vertex (x / d, y / d)
     left = {}  # directed edge (i, j) of a face, as term positions -> face id

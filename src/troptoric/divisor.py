@@ -1,12 +1,12 @@
 """Toric divisors, the polytope P(D), lattice-point enumeration, and h0.
 
 A toric divisor is an integer coefficient per ray of a fan.  Its polytope
-P(D) = {m : <m, e_ray> + a_ray >= 0} belongs to it: a `DivisorPolytope`
-holds the divisor alone, and reads its inequalities off the divisor and
-whether it is bounded off the fan (its recession cone is trivial iff the
-rays positively span the plane, `Fan.bounded`).  Its vertices, pairwise
-line intersections in homogeneous integer coordinates, are found only
-when they are read.
+P(D) = {m : <m, e_ray> + a_ray >= 0} is a function of the divisor alone:
+`polytope` reads the inequalities off it, `polytope_vertices` finds the
+vertices, pairwise line intersections in homogeneous integer coordinates,
+on each call, and whether P(D) is bounded is the fan's fact (its
+recession cone is trivial iff the rays positively span the plane,
+`Fan.bounded`).
 
 Both the count and the listing read the row plan: the Fourier-Motzkin
 elimination of x, which depends only on the rays, so a fan computes it
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .fan import Fan, RowPlan, Vec, _as_vec, _fact, _frozen, det2, dot
+from .fan import Fan, RowPlan, Vec, _as_vec, _frozen, det2, dot
 from .jsonutil import ParseError
 
 # Fraction (fractions) and TropPolynomial (trop) appear in annotations only,
@@ -188,67 +188,44 @@ def linearly_equivalent(d1: ToricDivisor, d2: ToricDivisor) -> Vec | None:
     return m
 
 
-@_frozen("divisor")
-class DivisorPolytope:
-    """P(D): the inequalities <m, e_ray> + a_ray >= 0 of a divisor.
-
-    A frozen value: equality, hash and repr read ``divisor`` alone.
-    ``bounded`` is the fan's fact: True iff the recession cone
-    {m : <m, e_ray> >= 0} is trivial.  ``vertices``, the feasible pairwise
-    intersections of the boundary lines (none on a bounded polytope means
-    it is empty), are a fact (`fan._fact`): found on first read and cached
-    in the instance ``__dict__``, outside equality, hashing and repr.
-    """
-
-    def __init__(self, divisor: ToricDivisor):
-        object.__setattr__(self, "divisor", divisor)
-
-    @property
-    def inequalities(self) -> tuple[Inequality, ...]:
-        return tuple((e[0], e[1], a) for e, a in zip(self.divisor.fan.rays, self.divisor.coeffs))
-
-    @property
-    def bounded(self) -> bool:
-        return self.divisor.fan.bounded
-
-    @_fact
-    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return _enumerate_vertices(self.inequalities)
+def polytope(d: ToricDivisor) -> tuple[Inequality, ...]:
+    """P(D): one inequality (ex, ey, a), <m, e_ray> + a_ray >= 0, per ray,
+    in ray order."""
+    return tuple((e[0], e[1], a) for e, a in zip(d.fan.rays, d.coeffs))
 
 
-def _enumerate_vertices(ineqs) -> tuple[tuple[Fraction, Fraction], ...]:
+def polytope_vertices(d: ToricDivisor) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The vertices of P(D), sorted: the pairwise intersections of its
+    boundary lines that satisfy every inequality, found in homogeneous
+    integer coordinates.  No vertex on a bounded P(D) means it is empty."""
     import fractions  # on first use, as in `jsonutil.format_rational`
 
+    ineqs = polytope(d)
     found = {}
     n = len(ineqs)
     for i in range(n):
         ei_x, ei_y, ai = ineqs[i]
         for j in range(i + 1, n):
             ej_x, ej_y, aj = ineqs[j]
-            d = ei_x * ej_y - ei_y * ej_x
-            if d == 0:
+            w = ei_x * ej_y - ei_y * ej_x
+            if w == 0:
                 continue
             # solve ei.m = -ai, ej.m = -aj in homogeneous coordinates
             nx = aj * ei_y - ai * ej_y
             ny = ai * ej_x - aj * ei_x
-            if d < 0:
-                nx, ny, d = -nx, -ny, -d
+            if w < 0:
+                nx, ny, w = -nx, -ny, -w
             ok = True
             for ex, ey, a in ineqs:
-                if ex * nx + ey * ny + a * d < 0:
+                if ex * nx + ey * ny + a * w < 0:
                     ok = False
                     break
             if ok:
-                g = math.gcd(math.gcd(abs(nx), abs(ny)), d)
-                found[(nx // g, ny // g, d // g)] = None
-    verts = [(fractions.Fraction(nx, d), fractions.Fraction(ny, d)) for nx, ny, d in found]
+                g = math.gcd(math.gcd(abs(nx), abs(ny)), w)
+                found[(nx // g, ny // g, w // g)] = None
+    verts = [(fractions.Fraction(nx, w), fractions.Fraction(ny, w)) for nx, ny, w in found]
     verts.sort()
     return tuple(verts)
-
-
-def polytope(d: ToricDivisor) -> DivisorPolytope:
-    """P(D): one inequality <m, e_ray> + a_ray >= 0 per ray."""
-    return DivisorPolytope(d)
 
 
 def _y_ranges(plan: RowPlan, a) -> tuple[int, int, int, int]:
@@ -338,14 +315,14 @@ def _walkable(fan: Fan, a) -> bool:
     raise UnboundedPolytopeError("P(D) is unbounded and nonempty")
 
 
-def lattice_points(p: DivisorPolytope) -> tuple[Vec, ...]:
+def lattice_points(d: ToricDivisor) -> tuple[Vec, ...]:
     """All integer points of P(D), sorted by (y, x).
 
-    Raises UnboundedPolytopeError when the polytope is unbounded and
-    nonempty; an empty polytope (bounded or not) yields the empty tuple.
-    The rows come from the fan's row plan.
+    Raises UnboundedPolytopeError when P(D) is unbounded and nonempty;
+    an empty P(D) (bounded or not) yields the empty tuple.  The rows come
+    from the fan's row plan.
     """
-    fan, a = p.divisor.fan, p.divisor.coeffs
+    fan, a = d.fan, d.coeffs
     if not _walkable(fan, a):
         return ()
     return tuple((x, y) for y, lo, hi in _rows(fan.row_plan, a) for x in range(lo, hi + 1))
@@ -477,6 +454,6 @@ def divisor_of_section(fan: Fan, g: TropPolynomial):
     if g.dimension != 2:
         raise ValueError("sections are bivariate here")
     inner = corner_locus(g)
-    support = g.support  # sorted on every read: read once, for every ray
+    support = g.support  # a new tuple on every read: read once, for every ray
     ray_part = ToricDivisor(fan, tuple(min(m[0] * u + m[1] * v for m in support) for u, v in fan.rays))
     return inner, ray_part

@@ -31,15 +31,15 @@ along the two chains, with integer arithmetic on its coefficient tuple.
 
 A record of the package is one of two kinds, so no module loads
 `dataclasses`, and with it `inspect`.  A value that a caller constructs
-and passes in (`Cone`, `Fan`, `divisor.ToricDivisor`,
-`divisor.DivisorPolytope` and `sections.SectionModule`) is frozen by one
-definition, the class decorator `_frozen`: its own `__init__` validates
-it, it may cache facts in its `__dict__`, equality, hash and repr read
-the named fields, as a frozen dataclass's, and it is never equal to a
-tuple.  A record that a function returns (`RowPlan`, `intersect.RRReport`
-and the edges, loci and subdivisions of `curve`) is a
-`collections.namedtuple` subclass with empty `__slots__`: a tuple of its
-fields.
+and passes in (`Cone`, `Fan`, `divisor.ToricDivisor` and
+`sections.SectionModule`) is frozen by one definition, the class
+decorator `_frozen`: its own `__init__` validates it, equality, hash and
+repr read the named fields, as a frozen dataclass's, and it is never
+equal to a tuple.  Of the four, only `Fan` caches facts in its
+`__dict__`.  A record that a function returns (`RowPlan`,
+`intersect.RRReport` and the edges, loci and subdivisions of `curve`) is
+a `collections.namedtuple` subclass with empty `__slots__`: a tuple of
+its fields.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def primitive(v) -> Vec:
 
 
 class _fact:
-    """A fixed fact of a frozen value: the method computes it on the first
+    """A fixed fact of a `Fan`: the method computes it on the first
     read, which stores it in the instance ``__dict__`` under the method's
     name.  A non-data descriptor, so later reads find the stored value
     there and never call this class.  Unlike ``functools.cached_property``

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .divisor import ToricDivisor, _same_fan, lattice_points, polytope
+from .divisor import ToricDivisor, _same_fan, lattice_points
 from .fan import Fan, Vec, _frozen, dot
 from .trop import TropPolynomial, _common_scale, _maximal_minors, as_fraction, supporting_monomials
 
@@ -76,7 +76,7 @@ def global_sections(fan: Fan, d: ToricDivisor) -> SectionModule:
     _same_fan(fan, d)
     if not fan.smooth:
         raise ValueError("global sections require a smooth fan")
-    return SectionModule(fan, d, lattice_points(polytope(d)))
+    return SectionModule(fan, d, lattice_points(d))
 
 
 def _point(x) -> tuple[Fraction, Fraction]:

@@ -45,7 +45,9 @@ class TropPolynomial:
 
     Stored in canonical form: duplicate exponents are merged by taking the
     larger coefficient and -infinity coefficients are dropped, so two
-    polynomials compare equal exactly when they keep the same terms.
+    polynomials compare equal exactly when they keep the same terms.  The
+    terms are sorted by exponent once, on construction, so ``terms`` and
+    ``support`` read them in that order without sorting again.
     The empty polynomial is the constant -infinity.  ``terms`` are
     (exponent, coefficient) pairs with integer exponents and a coefficient
     that is None (-infinity) or anything `as_fraction` accepts.
@@ -68,7 +70,7 @@ class TropPolynomial:
             if old is None or c > old:
                 coeffs[exp] = c
         self._dim = dimension
-        self._coeffs = coeffs
+        self._coeffs = dict(sorted(coeffs.items(), key=operator.itemgetter(0)))  # exponents are distinct
 
     @property
     def dimension(self) -> int:
@@ -81,12 +83,11 @@ class TropPolynomial:
     @property
     def support(self) -> tuple[tuple[int, ...], ...]:
         """Stored exponents, sorted lexicographically."""
-        return tuple(sorted(self._coeffs))
+        return tuple(self._coeffs)
 
     def terms(self):
         """Iterate (exponent, Fraction coefficient) pairs in sorted order."""
-        for exp in sorted(self._coeffs):
-            yield exp, self._coeffs[exp]
+        return iter(self._coeffs.items())
 
     def coeff(self, exponent) -> Fraction | None:
         """The coefficient of x^exponent, None (-infinity) when absent."""

@@ -265,6 +265,9 @@ F2 = {"rays": [[1, 0], [0, 1], [-1, 2], [0, -1]], "max_cones": [[0, 1], [1, 2], 
         # one 2-cone: P(D) is a quadrant with one vertex
         ({"rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}, [2, -1],
          '{"h0": "infinite", "lattice_points": null, "polytope_vertices": [[-2, 1]]}'),
+        # a rational vertex, written as "p/q"
+        (F2, [-2, -1, -1, 2], '{"h0": 2, "lattice_points": [[2, 2], [3, 2]], '
+         '"polytope_vertices": [[2, "3/2"], [2, 2], [3, 2]]}'),
     ],
 )
 def test_h0_output_bytes_pinned(capsys, tmp_path, fan, coeffs, expected):

@@ -13,11 +13,10 @@ import troptoric
 
 SRC = str(Path(troptoric.__file__).resolve().parents[1])
 
-# what `troptoric/__init__.py` imported eagerly before it became lazy
+# the public names of the package, by the submodule that defines each
 OLD_EXPORTS = {
     "curve": ["WeightedComplex", "corner_locus", "is_balanced", "newton_subdivision"],
     "divisor": [
-        "DivisorPolytope",
         "ToricDivisor",
         "UnboundedPolytopeError",
         "canonical_divisor",
@@ -27,6 +26,7 @@ OLD_EXPORTS = {
         "lattice_points",
         "linearly_equivalent",
         "polytope",
+        "polytope_vertices",
         "principal_divisor",
         "ray_divisor",
         "zero_divisor",

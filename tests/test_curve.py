@@ -32,7 +32,6 @@ from troptoric.divisor import (
     degree_along_ray,
     divisor_of_section,
     lattice_points,
-    polytope,
     principal_divisor,
     ray_divisor,
 )
@@ -403,7 +402,7 @@ def test_decomposition_degrees_match_min_formula():
     for f in fans:
         for _ in range(40):
             d = random_divisor(rng, f, 0, 3)
-            pts = lattice_points(polytope(d))
+            pts = lattice_points(d)
             if len(pts) < 2:
                 continue
             g = TropPolynomial(2, [(m, rng.randint(-4, 4)) for m in pts])
@@ -421,7 +420,7 @@ def test_locus_rays_are_intersection_numbers_of_the_newton_divisor():
     for _ in range(300):
         f = random_blowup_fan(rng)
         d = ToricDivisor(f, tuple(rng.randint(0, 3) for _ in f.rays))
-        pts = lattice_points(polytope(d))
+        pts = lattice_points(d)
         if len(pts) < 2:
             continue
         g = TropPolynomial(2, [(m, rng.randint(-6, 6)) for m in rng.sample(pts, rng.randint(2, len(pts)))])

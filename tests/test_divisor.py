@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import _primitive_pool, fm_lattice_points, lattice_count, pair_search_equivalence, random_blowup_fan, random_divisor, random_fan
-from troptoric.curve import degree_from_polygon
+from troptoric.curve import degree_from_polygon, hull_vertices
 from troptoric.divisor import (
-    DivisorPolytope,
     ToricDivisor,
     UnboundedPolytopeError,
     _floor_sum,
@@ -22,6 +21,7 @@ from troptoric.divisor import (
     lattice_points,
     linearly_equivalent,
     polytope,
+    polytope_vertices,
     principal_divisor,
     ray_divisor,
     zero_divisor,
@@ -130,28 +130,26 @@ def test_linearly_equivalent_against_pair_search():
 def test_polytope_examples():
     p2 = projective_plane()
     h = ray_divisor(p2, (-1, -1))
-    p = polytope(h)
-    assert p.bounded
-    assert set(p.vertices) == {
+    assert h.fan.bounded
+    assert set(polytope_vertices(h)) == {
         (Fraction(0), Fraction(0)),
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
     }
-    p0 = polytope(zero_divisor(p2))
-    assert p0.vertices == ((Fraction(0), Fraction(0)),)
+    assert polytope_vertices(zero_divisor(p2)) == ((Fraction(0), Fraction(0)),)
     single = Fan((Cone(((1, 0),)),))
-    phalf = polytope(zero_divisor(single))
-    assert not phalf.bounded and phalf.vertices == ()
+    half = zero_divisor(single)
+    assert not half.fan.bounded and polytope_vertices(half) == ()
 
 
 def test_polytope_vertices_satisfy_inequalities():
     rng = random.Random(23)
     for f in (projective_plane(), hirzebruch(2)):
         for _ in range(40):
-            p = polytope(random_divisor(rng, f, -4, 4))
-            for v in p.vertices:
+            d = random_divisor(rng, f, -4, 4)
+            for v in polytope_vertices(d):
                 tight = 0
-                for ex, ey, a in p.inequalities:
+                for ex, ey, a in polytope(d):
                     val = ex * v[0] + ey * v[1] + a
                     assert val >= 0
                     tight += val == 0
@@ -161,22 +159,22 @@ def test_polytope_vertices_satisfy_inequalities():
 def test_lattice_points_examples():
     p2 = projective_plane()
     h = ray_divisor(p2, (-1, -1))
-    assert lattice_points(polytope(h)) == ((0, 0), (1, 0), (0, 1))
-    assert len(lattice_points(polytope(2 * h))) == 6
+    assert lattice_points(h) == ((0, 0), (1, 0), (0, 1))
+    assert len(lattice_points(2 * h)) == 6
     empty = -1 * ray_divisor(p2, (1, 0))
-    assert lattice_points(polytope(empty)) == ()
+    assert lattice_points(empty) == ()
 
 
 def test_lattice_points_unbounded():
     single = Fan((Cone(((1, 0),)),))
     with pytest.raises(UnboundedPolytopeError):
-        lattice_points(polytope(zero_divisor(single)))
+        lattice_points(zero_divisor(single))
     # unbounded but empty: m1 >= 1 and m1 <= -1
     line = Fan((Cone(((1, 0),)), Cone(((-1, 0),))))
-    p = polytope(ToricDivisor(line, (-1, -1)))
-    assert p.inequalities == ((1, 0, -1), (-1, 0, -1))
-    assert not p.bounded
-    assert lattice_points(p) == ()
+    d = ToricDivisor(line, (-1, -1))
+    assert polytope(d) == ((1, 0, -1), (-1, 0, -1))
+    assert not d.fan.bounded
+    assert lattice_points(d) == ()
 
 
 def test_polytope_bounded_is_the_fan_fact():
@@ -195,18 +193,17 @@ def test_polytope_bounded_is_the_fan_fact():
         assert f.bounded == bounded
         for _ in range(5):
             d = random_divisor(rng, f, -3, 3)
-            p = polytope(d)
-            assert p == DivisorPolytope(d) and p.divisor is d
-            assert p.bounded == bounded
-            assert p.inequalities == tuple((ex, ey, a) for (ex, ey), a in zip(f.rays, d.coeffs))
+            assert d.fan.bounded == bounded
+            assert polytope(d) == tuple((ex, ey, a) for (ex, ey), a in zip(f.rays, d.coeffs))
 
 
 def test_polytope_equality_ignores_read_vertices():
     d = ToricDivisor(hirzebruch(2), (2, -1, 3, 1))
-    p, q = polytope(d), polytope(d)
-    assert p.vertices == ((Fraction(-2), Fraction(1)), (Fraction(5), Fraction(1)))
-    assert "vertices" in vars(p) and "vertices" not in vars(q)
-    assert p == q and hash(p) == hash(q)
+    p = polytope(d)
+    assert polytope_vertices(d) == ((Fraction(-2), Fraction(1)), (Fraction(5), Fraction(1)))
+    # reading the vertices stores nothing: P(D) is its plain inequality tuple
+    q = polytope(d)
+    assert p == q == ((1, 0, 2), (0, 1, -1), (-1, 2, 3), (0, -1, 1)) and hash(p) == hash(q)
 
 
 P2_REPR = (
@@ -216,28 +213,24 @@ P2_REPR = (
 
 
 def test_value_classes_are_frozen_records_of_their_fields():
-    # Cone, Fan, ToricDivisor, DivisorPolytope and SectionModule: equality,
-    # hash and repr over their fields alone, keyword or positional
-    # construction, and no field assignment or deletion
+    # Cone, Fan, ToricDivisor and SectionModule: equality, hash and repr
+    # over their fields alone, keyword or positional construction, and no
+    # field assignment or deletion
     f, g = projective_plane(), projective_plane()
     d, e = ToricDivisor(f, (0, 0, 1)), ToricDivisor(g, [0, 0, 1])
-    p, q = polytope(d), polytope(e)
     s, t = global_sections(f, d), global_sections(g, e)
     cone = f.max_cones[0]
     assert repr(f) == P2_REPR
     assert repr(cone) == "Cone(rays=((1, 0), (0, 1)))"
     assert repr(d) == f"ToricDivisor(fan={P2_REPR}, coeffs=(0, 0, 1))"
-    assert repr(p) == f"DivisorPolytope(divisor=ToricDivisor(fan={P2_REPR}, coeffs=(0, 0, 1)))"
     assert repr(s) == f"SectionModule(fan={P2_REPR}, divisor={d!r}, generators=((0, 0), (1, 0), (0, 1)))"
     # facts kept outside the fields, read on one side only
-    assert f._ccw == (0, 1, 2) and len(f.cycle_terms) == 3 and len(p.vertices) == 3
+    assert f._ccw == (0, 1, 2) and len(f.cycle_terms) == 3
     assert {"cycle_terms", "_ccw"} <= vars(f).keys() and "cycle_terms" not in vars(g)
-    assert "vertices" in vars(p) and "vertices" not in vars(q)
     values = {
         cone: (Cone([[1, 0], [0, 1]]), Cone(rays=((1, 0), (0, 1))), (cone.rays,)),
         f: (g, Fan(max_cones=f.max_cones, rays=f.rays), (f.max_cones, f.rays)),
         d: (e, ToricDivisor(fan=g, coeffs=(0, 0, 1)), (f, (0, 0, 1))),
-        p: (q, DivisorPolytope(divisor=e), (d,)),
         s: (t, SectionModule(fan=g, divisor=e, generators=s.generators), (f, d, s.generators)),
     }
     for a, (b, keyword, fields) in values.items():
@@ -245,10 +238,10 @@ def test_value_classes_are_frozen_records_of_their_fields():
             assert a is not c and a == c and not a != c
             assert hash(a) == hash(c) and repr(a) == repr(c)
         assert a != fields and a.__eq__(fields) is NotImplemented
-    assert values.keys() == {Cone(((1, 0), (0, 1))), g, e, q, t}
+    assert values.keys() == {Cone(((1, 0), (0, 1))), g, e, t}
     # one field differs: the rays in another order, a coefficient
     assert Fan(f.max_cones, (f.rays[1], f.rays[0], f.rays[2])) != f
-    assert ToricDivisor(f, (0, 1, 0)) != d and polytope(ToricDivisor(f, (0, 1, 0))) != p
+    assert ToricDivisor(f, (0, 1, 0)) != d
     # defaults: a cone with no rays, rays derived in first-appearance order
     assert Cone() == Cone(rays=()) and Cone().rays == () and Cone().dim == 0
     assert Fan(()) == Fan(max_cones=(), rays=()) and Fan(()).rays == ()
@@ -257,7 +250,6 @@ def test_value_classes_are_frozen_records_of_their_fields():
         (cone, ("rays",)),
         (f, ("max_cones", "rays")),
         (d, ("fan", "coeffs")),
-        (p, ("divisor",)),
         (s, ("fan", "divisor", "generators")),
     ):
         for name in names:
@@ -310,7 +302,7 @@ def test_h0_matches_lattice_point_count():
     for f in (projective_plane(), hirzebruch(1)):
         for _ in range(60):
             d = random_divisor(rng, f, -4, 4)
-            assert int(h0(f, d)) == len(lattice_points(polytope(d)))
+            assert int(h0(f, d)) == len(lattice_points(d))
     # coefficient scale 60 on blown-up fans; every fifth divisor is also
     # checked against box enumeration, which shares no code with the rows
     for _ in range(3):
@@ -318,9 +310,9 @@ def test_h0_matches_lattice_point_count():
         for k in range(20):
             d = random_divisor(rng, f, -60, 60)
             n = int(h0(f, d))
-            assert n == len(lattice_points(polytope(d)))
+            assert n == len(lattice_points(d))
             if k % 5 == 0:
-                assert n == len(fm_lattice_points(polytope(d).inequalities))
+                assert n == len(fm_lattice_points(polytope(d)))
 
 
 def test_h0_infinite_and_errors():
@@ -380,9 +372,9 @@ def test_h0_row_plan_at_scale_80():
         divisors = [random_divisor(rng, f, -80, 80) for _ in range(12)]
         divisors += [ToricDivisor(f, tuple(rng.choice((-80, 80)) for _ in f.rays)) for _ in range(3)]
         for d in divisors:
-            points = fm_lattice_points(polytope(d).inequalities)
+            points = fm_lattice_points(polytope(d))
             assert h0(f, d) == len(points), d.coeffs
-            assert set(lattice_points(polytope(d))) == points
+            assert set(lattice_points(d)) == points
             cut_by_fixed += f is pp and d.coeffs[0] + d.coeffs[2] < 0
     assert cut_by_fixed >= 3  # P(D) found empty by the fixed bound alone
 
@@ -425,7 +417,7 @@ def test_h0_floor_sums_match_rows():
             rows = list(_rows(f.row_plan, d.coeffs))
             count = sum(hi - lo + 1 for _, lo, hi in rows)
             if s < 10**4:
-                assert count == len(lattice_points(polytope(d)))
+                assert count == len(lattice_points(d))
             assert h0(f, d) == count, (f.rays, d.coeffs)
             shapes["empty"] += count == 0
             shapes["one point"] += count == 1
@@ -433,7 +425,7 @@ def test_h0_floor_sums_match_rows():
     # one row of 2*10^4 + 1 points, away from the origin
     pp = product_p1_p1()
     d = ToricDivisor(pp, (10**4 - 7, 3, 10**4 + 7, -3))
-    assert h0(pp, d) == 2 * 10**4 + 1 == len(lattice_points(polytope(d)))
+    assert h0(pp, d) == 2 * 10**4 + 1 == len(lattice_points(d))
     assert all(n > 0 for n in shapes.values()), shapes
 
 
@@ -488,15 +480,15 @@ def test_h0_on_fans_without_a_bounded_plan():
     # Three 1-cones spanning the plane are bounded and walked by rows.
     def nonempty(f, d):
         try:
-            points = fm_lattice_points(polytope(d).inequalities)
+            points = fm_lattice_points(polytope(d))
         except ValueError:  # nonempty and unbounded
             with pytest.raises(UnboundedPolytopeError):
-                lattice_points(polytope(d))
+                lattice_points(d)
             if f.smooth:
                 with pytest.raises(UnboundedPolytopeError):
                     h0(f, d)
             return True
-        assert points == set() and lattice_points(polytope(d)) == ()
+        assert points == set() and lattice_points(d) == ()
         assert not f.smooth or h0(f, d) == 0
         return False
 
@@ -529,7 +521,7 @@ def test_h0_on_fans_without_a_bounded_plan():
     spread = Fan(tuple(Cone((r,)) for r in ((1, 0), (0, 1), (-1, -1))))
     for coeffs in itertools.product(range(-2, 3), repeat=3):
         d = ToricDivisor(spread, coeffs)
-        assert h0(spread, d) == len(fm_lattice_points(polytope(d).inequalities))
+        assert h0(spread, d) == len(fm_lattice_points(polytope(d)))
 
 
 def test_h0_translation_invariance():
@@ -555,8 +547,25 @@ def test_lattice_points_match_fm_oracle():
     rng = random.Random(43)
     for f in (projective_plane(), product_p1_p1(), random_blowup_fan(rng)):
         for _ in range(60):
-            p = polytope(random_divisor(rng, f, -5, 5))
-            assert set(lattice_points(p)) == fm_lattice_points(p.inequalities)
+            d = random_divisor(rng, f, -5, 5)
+            assert set(lattice_points(d)) == fm_lattice_points(polytope(d))
+
+
+def test_integral_vertices_are_the_hull_of_the_lattice_points():
+    # an independent route to the vertices of P(D): a lattice polygon is
+    # the convex hull of its lattice points, and the monotone chain of
+    # `curve.hull_vertices` shares no code with the pairwise line search
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(2000):
+        f = random_blowup_fan(rng)
+        d = random_divisor(rng, f, -3, 8)
+        vertices = polytope_vertices(d)
+        if not vertices or any(x.denominator != 1 or y.denominator != 1 for x, y in vertices):
+            continue
+        assert set(vertices) == set(hull_vertices(lattice_points(d))), (f.rays, d.coeffs)
+        checked += 1
+    assert checked > 1000
 
 
 def test_degree_along_ray_examples():
@@ -581,7 +590,7 @@ def test_sections_satisfy_divisor_bound():
     for f in (projective_plane(), hirzebruch(1)):
         for _ in range(30):
             d = random_divisor(rng, f, 0, 4)
-            pts = lattice_points(polytope(d))
+            pts = lattice_points(d)
             if not pts:
                 continue
             g = TropPolynomial(2, [(m, rng.randint(-3, 3)) for m in pts])

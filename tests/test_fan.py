@@ -17,7 +17,7 @@ from oracles import (
     rejected_pairs,
 )
 from troptoric import fan as fan_module
-from troptoric.divisor import ToricDivisor, h0, lattice_points, polytope
+from troptoric.divisor import ToricDivisor, h0, lattice_points
 from troptoric.fan import (
     Cone,
     Fan,
@@ -120,9 +120,6 @@ def test_facts_are_computed_once_and_stored(monkeypatch):
     for name in ("smooth", "complete", "bounded", "cycle_terms", "intersection_numbers", "row_plan"):
         assert isinstance(vars(Fan)[name], fan_module._fact) and getattr(Fan, name) is vars(Fan)[name]
     assert Fan.bounded.__doc__.startswith("True iff the rays positively span the plane")
-    p = polytope(ToricDivisor(f, (0, 0, 1, 1)))
-    assert "vertices" not in vars(p)
-    assert p.vertices is p.vertices and "vertices" in vars(p)
 
 
 def test_cached_facts_outside_equality():
@@ -179,12 +176,12 @@ def test_one_sort_per_fan(monkeypatch):
     d = ToricDivisor(f, (2, -1, 3, 0, 1, 2))
     assert (f.smooth, f.complete, f.bounded) == (True, True, True)
     assert len(f.intersection_numbers) == len(f.rays) == 6
-    assert len(lattice_points(polytope(d))) == h0(f, d) > 0
+    assert len(lattice_points(d)) == h0(f, d) > 0
     assert len(calls) == len(sorts) == 1
     # the points of P(D) are walked along the fan's own row plan
     fresh = fan_from_dict(data)
     assert "row_plan" not in vars(fresh)
-    lattice_points(polytope(ToricDivisor(fresh, d.coeffs)))
+    lattice_points(ToricDivisor(fresh, d.coeffs))
     assert "row_plan" in vars(fresh)
 
 

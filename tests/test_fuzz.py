@@ -19,7 +19,7 @@ import random
 import pytest
 
 from troptoric import cli
-from troptoric.divisor import ToricDivisor, UnboundedPolytopeError, divisor_from_dict, h0, lattice_points, polytope
+from troptoric.divisor import ToricDivisor, UnboundedPolytopeError, divisor_from_dict, h0, lattice_points, polytope_vertices
 from troptoric.fan import blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, projective_plane
 from troptoric.intersect import rr_check
 from troptoric.jsonutil import format_rational, parse_rational
@@ -138,15 +138,14 @@ def expected_output(argv, files):
     if command == "rr":
         return json.dumps(rr_check(f, d).to_dict()) + "\n"
     if command == "h0":
-        p = polytope(d)
         try:
             count = h0(f, d)
         except UnboundedPolytopeError:
             count = None
         payload = {
             "h0": "infinite" if count is None else count,
-            "lattice_points": None if count is None else [list(m) for m in lattice_points(p)],
-            "polytope_vertices": [[format_rational(x), format_rational(y)] for x, y in p.vertices],
+            "lattice_points": None if count is None else [list(m) for m in lattice_points(d)],
+            "polytope_vertices": [[format_rational(x), format_rational(y)] for x, y in polytope_vertices(d)],
         }
         return json.dumps(payload) + "\n"
     module = global_sections(f, d)
