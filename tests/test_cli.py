@@ -473,13 +473,50 @@ def test_vandermonde_output_bytes_pinned(capsys, tmp_path, coeffs, points, diges
         [5, [1, 2]],  # not a list
         [["1e5000", 0], [1, 2]],  # an exponent: 5,001 digits past the limit
         [["1.5", 0], [1, 2]],  # a decimal point
+        [[True, 0], [1, 2]],  # a JSON bool
+        [[1.5, 0], [1, 2]],  # a JSON float
+        [[2.0, 0], [1, 2]],  # a JSON float with an integer value
+        [["1_000", 0], [1, 2]],  # an underscore, which int() takes
+        [["", 0], [1, 2]],  # no digits
+        [["+", 0], [1, 2]],  # a sign alone
+        [["/3", 0], [1, 2]],  # no numerator
+        [[" 1", 0], [1, 2]],  # a space, which int() strips
+        [["1/-2", 0], [1, 2]],  # a signed denominator
+        [["\u0661", 0], [1, 2]],  # ARABIC-INDIC DIGIT ONE, which int() takes
     ],
 )
 def test_sections_malformed_points_exit_1(capsys, tmp_path, points):
     fan_path = write(tmp_path, "fan.json", P2)
     div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 1}})
     pts_path = write(tmp_path, "pts.json", points)
-    assert run(capsys, "sections", fan_path, div_path, "--vandermonde", pts_path)[0] == 1
+    code = main(["sections", fan_path, div_path, "--vandermonde", pts_path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    # every case is malformed in its first point
+    bad = points[0]
+    if isinstance(bad, list) and len(bad) == 2:
+        message = f"expected an exact rational, got {bad[0]!r}"
+    else:
+        message = f"a point must be a pair [x, y], got {bad!r}"
+    assert captured.err == f"troptoric: parse error: {message}\n"
+
+
+def test_sections_point_spellings_read_as_their_reduced_forms(capsys, tmp_path):
+    # a sign, leading zeros and a common factor are accepted, and the
+    # output is byte for byte that of the reduced spelling
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 2}})
+    outs = []
+    for name, points in [
+        ("reduced", [["1/2", 3], [0, "1/2"], ["-2/3", 1], [3, "-1/4"], [-1, "-7/5"]]),
+        ("unreduced", [["2/4", "+3"], ["-0", "007/014"], ["-6/9", "+1"], ["+3", "-2/8"], ["-1", "-14/10"]]),
+    ]:
+        pts_path = write(tmp_path, f"{name}.json", points)
+        code, out = run(capsys, "sections", fan_path, div_path, "--vandermonde", pts_path)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["pass_through"] == [True] * 5
 
 
 def test_sweep_exhaustive(capsys, tmp_path):

@@ -17,6 +17,7 @@ from oracles import (
     rejected_pairs,
 )
 from troptoric import fan as fan_module
+from troptoric.cli import main
 from troptoric.divisor import ToricDivisor, h0, lattice_points
 from troptoric.fan import (
     Cone,
@@ -414,3 +415,61 @@ def test_bool_coordinates_rejected():
     for a in (2.5, True, "2"):
         with pytest.raises(TypeError):
             hirzebruch(a)
+
+
+# rays 3, 4 and 5 are not primitive: (2, 4), (2, 0) and the zero vector
+PRECEDENCE_RAYS = [[1, 0], [0, 1], [-1, -1], [2, 4], [2, 0], [0, 0]]
+NOT_PRIMITIVE = (ValueError, "ray generator (2, 4) is not primitive")
+
+
+@pytest.mark.parametrize(
+    "cones, error",
+    [
+        # a cone's own checks run when the cone is read, in cone order, so
+        # whichever of the two faults comes first wins
+        ([[0, 3], [1, True]], NOT_PRIMITIVE),
+        ([[1, True], [0, 3]], (ParseError, "cone ray indices must be integers, got True")),
+        ([[0, 3], [1, 9]], NOT_PRIMITIVE),
+        ([[1, 9], [0, 3]], (ValueError, "cone ray index 9 out of range")),
+        ([[0, 3], 5], NOT_PRIMITIVE),
+        ([5, [0, 3]], (ParseError, "a cone must be a list of ray indices, got 5")),
+        ([[0, 3], [0, 1, 2]], NOT_PRIMITIVE),
+        ([[0, 1, 2], [0, 3]], (ValueError, "plane cones have at most two rays")),
+        # the ray count is checked before the rays
+        ([[3, 0, 1]], (ValueError, "plane cones have at most two rays")),
+        # a duplicate is a fault of the fan, found after every cone is read
+        ([[0, 3], [0, 1], [1, 0]], NOT_PRIMITIVE),
+        ([[0, 1], [1, 0], [0, 3]], NOT_PRIMITIVE),
+        # within a cone the rays are checked in order, before independence
+        ([[4, 3]], (ValueError, "ray generator (2, 0) is not primitive")),
+        ([[0, 4]], (ValueError, "ray generator (2, 0) is not primitive")),
+        ([[5, 3]], (ValueError, "the zero vector has no primitive representative")),
+        # a ray that no cone uses is never checked for primitivity
+        ([[0, 1], [1, 2], [2, 0]], (ValueError, "explicit ray list must enumerate the fan's rays")),
+        ([[0, 1], [1, 2], [2, 0], [1, 0]], (ValueError, "duplicate maximal cone")),
+    ],
+    ids=[
+        "bool-index-after", "bool-index-before", "out-of-range-after", "out-of-range-before",
+        "non-list-after", "non-list-before", "three-rays-after", "three-rays-before",
+        "three-rays-holding-it", "duplicate-after", "duplicate-before", "two-in-one-cone",
+        "dependent-pair", "zero-ray", "unused", "unused-duplicate",
+    ],
+)
+def test_fan_from_dict_error_precedence(capsys, tmp_path, cones, error):
+    # a fan malformed in two ways reports the same fault, through the
+    # library and through `fan validate`
+    data = {"rays": PRECEDENCE_RAYS, "max_cones": cones}
+    cls, message = error
+    with pytest.raises(ValueError) as err:
+        fan_from_dict(data)
+    assert type(err.value) is cls and str(err.value) == message
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    code = main(["fan", "validate", str(path)])
+    captured = capsys.readouterr()
+    if cls is ParseError:
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"troptoric: parse error: {message}\n"
+    else:
+        assert code == 2
+        assert captured.out == json.dumps({"valid": False, "error": message}) + "\n"
