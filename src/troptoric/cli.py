@@ -23,7 +23,7 @@ import sys
 from .divisor import UnboundedPolytopeError, _lattice_count_pair, divisor_from_dict, h0, lattice_points, polytope_vertices
 from .fan import Fan, blow_up, dot, dual_frame, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
 from .intersect import _cycle_form, _report_fields, _report_text, rr_check
-from .jsonutil import ParseError, format_point, format_ratio, full_int_text, load_json, parse_rational
+from .jsonutil import ParseError, format_point, format_ratio, full_int_text, load_json, parse_ratio
 
 DEFAULT_SEED = 314159
 EXIT_OK = 0
@@ -67,13 +67,17 @@ def _builtin_fan(name: str, param):
 
 
 def _parse_points(raw) -> list:
+    """The plane points of a JSON list of [x, y] pairs, each coordinate
+    as `parse_ratio` reads it: a pair of ints (p, q) in lowest terms with
+    q > 0, the form `sections._vandermonde_minors` takes, so no Fraction
+    is built.  ParseError for anything else, at the first bad point."""
     if not isinstance(raw, list):
         raise ParseError("points must be a JSON list of [x, y] pairs")
     points = []
     for p in raw:
         if not isinstance(p, list) or len(p) != 2:
             raise ParseError(f"a point must be a pair [x, y], got {p!r}")
-        points.append((parse_rational(p[0]), parse_rational(p[1])))
+        points.append((parse_ratio(p[0]), parse_ratio(p[1])))
     return points
 
 
@@ -144,6 +148,9 @@ def cmd_sections(args) -> tuple[list[str], int]:
     interpolating section through the points: each coefficient and one
     pass-through flag per point, read off the integer matrix of
     `sections._vandermonde_minors` with no Fraction or TropPolynomial.
+    The path is integer from the JSON text on: `_parse_points` reads each
+    coordinate as a reduced pair of ints, which the kernel scales by their
+    common denominator, and `fan_from_dict` checks each ray once.
 
     Coefficient j is minors[j]/s.  Point k's flag says whether the
     maximum of minors[j] + rows[k][j] over j is attained twice: the test
@@ -174,7 +181,7 @@ def cmd_sections(args) -> tuple[list[str], int]:
         return [json.dumps(payload)], EXIT_OK
 
 
-# ASCII digits only, as in parse_rational: \d takes any Unicode digit
+# ASCII digits only, as in parse_ratio: \d takes any Unicode digit
 _RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 

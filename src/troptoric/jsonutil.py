@@ -30,14 +30,15 @@ def load_json(path: str):
     digit limit or arrays and objects nested deeper than its recursion
     limit.  UnicodeDecodeError and JSONDecodeError are ValueErrors.
 
-    The file is read as bytes in one call and decoded as UTF-8, which is
-    what text mode does on a whole-file read, and text mode's universal
-    newlines are kept: CR LF and a lone CR read as LF, so a decode error's
-    byte position and a syntax error's line and column are the ones a
-    text-mode read reports.
+    The file is read as bytes by one unbuffered ``FileIO.readall``, which
+    reads to the end of the file (of a pipe too) with no ``BufferedReader``
+    and no ``isatty`` probe, and decoded as UTF-8, which is what text mode
+    does on a whole-file read.  Text mode's universal newlines are kept: CR
+    LF and a lone CR read as LF, so a decode error's byte position and a
+    syntax error's line and column are the ones a text-mode read reports.
     """
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             text = fh.read().decode("utf-8")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -50,7 +51,7 @@ class full_int_text:
     """A context in which an int of any length converts to decimal text.
 
     Python limits that conversion to 4300 digits by default, both ways.
-    The limit guards the parsing of input (`load_json`, `parse_rational`),
+    The limit guards the parsing of input (`load_json`, `parse_ratio`),
     which keeps it; output written from input within it can be longer, as
     a pairing term and an h0 are quadratic in the coefficients.  So the
     CLI writes its output here: the limit is lifted for the body and put
@@ -105,19 +106,31 @@ def _rational_pattern():
     return re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(v) -> Fraction:
-    """An exact rational from a JSON int or a 'p' or 'p/q' string: an
-    optional sign, ASCII digits, and optionally '/' and ASCII digits.
-    ParseError for anything else ('1e5', '1.5', '1_000', a bool, a float),
-    a zero denominator or digits past Python's digit limit."""
-    import fractions  # on first use, as in format_rational
-
+def parse_ratio(v) -> tuple[int, int]:
+    """The rational of a JSON int or a 'p' or 'p/q' string as ints (p, q)
+    in lowest terms with q > 0: an optional sign, ASCII digits, and
+    optionally '/' and ASCII digits.  ParseError for anything else ('1e5',
+    '1.5', '1_000', a bool, a float), a zero denominator or digits past
+    Python's digit limit.  The one reader of a rational, for
+    `parse_rational` and for the points of an interpolation, which are
+    scaled to ints by their common denominator."""
     if isinstance(v, int) and not isinstance(v, bool):
-        return fractions.Fraction(v)
+        return v, 1
     if isinstance(v, str) and _rational_pattern().fullmatch(v):
         p, _, q = v.partition("/")
         try:
-            return fractions.Fraction(int(p), int(q or 1))
-        except (ValueError, ZeroDivisionError):
+            p, q = int(p), int(q or 1)
+        except ValueError:  # past the digit limit
             pass
+        else:
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
     raise ParseError(f"expected an exact rational, got {v!r}")
+
+
+def parse_rational(v) -> Fraction:
+    """`parse_ratio` as a Fraction: the same grammar and the same errors."""
+    import fractions  # on first use, as in format_rational
+
+    return fractions.Fraction(*parse_ratio(v))

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .divisor import ToricDivisor, _same_fan, lattice_points
 from .fan import Fan, Vec, _frozen, dot
-from .trop import TropPolynomial, _common_scale, _maximal_minors, as_fraction, supporting_monomials
+from .trop import TropPolynomial, _maximal_minors, as_fraction, supporting_monomials
 
 
 @_frozen("fan", "divisor", "generators")
@@ -135,21 +136,36 @@ def _vandermonde_minors(gens, points) -> tuple[int, list[list[int]], list[int]]:
     """(s, rows, minors): the Vandermonde interpolation of the generator
     exponents ``gens`` through the l-1 ``points``, all in ints.
 
-    s is the lcm of the points' coordinate denominators, rows[k][j] =
-    <m_j, s*p_k>, and minors[j], the max-plus minor of ``rows`` without
-    column j, is s times the coefficient of x^{m_j}.  All l minors come
+    Each point is a pair of coordinates, each coordinate a pair of ints
+    (p, q) with q > 0, the rational p/q, as `cli._parse_points` reads it
+    from JSON; ``points`` may be any iterable, read after the generator
+    count is checked.  s is the lcm of the q's, the point's scaled
+    coordinates are the ints p*(s//q), rows[k][j] = <m_j, s*p_k>, and
+    minors[j], the max-plus minor of ``rows`` without column j, is s
+    times the coefficient of x^{m_j}.  With each p/q in lowest terms, s is
+    the lcm of the coordinates' denominators, so equal rationals give
+    equal (s, rows, minors) however they are spelt.  All l minors come
     from one assignment and one shortest-path pass
     (`trop._maximal_minors`), so this costs O(l^3), not l determinants.
     """
     l = len(gens)
     if l < 2:
         raise ValueError("interpolation needs at least two generators")
-    pts = [_point(p) for p in points]
+    pts = list(points)
     if len(pts) != l - 1:
         raise ValueError(f"expected {l - 1} points, got {len(pts)}")
-    s, coords = _common_scale([c for p in pts for c in p])
-    rows = [[mx * px + my * py for mx, my in gens] for px, py in zip(coords[::2], coords[1::2])]
+    s = lcm(*(q for point in pts for _, q in point))
+    rows = []
+    for (xp, xq), (yp, yq) in pts:
+        x, y = xp * (s // xq), yp * (s // yq)
+        rows.append([mx * x + my * y for mx, my in gens])
     return s, rows, _maximal_minors(rows)
+
+
+def _ratio_point(x) -> tuple[tuple[int, int], tuple[int, int]]:
+    # a plane point as the (numerator, denominator) pairs of its coordinates
+    px, py = _point(x)
+    return (px.numerator, px.denominator), (py.numerator, py.denominator)
 
 
 def vandermonde_section(module: SectionModule, points) -> TropPolynomial:
@@ -160,10 +176,12 @@ def vandermonde_section(module: SectionModule, points) -> TropPolynomial:
     the cofactor of the i-th column of the Vandermonde matrix.  The
     divisor of the returned section passes through every input point
     (proof in the module docstring).  The cofactors are those of
-    `_vandermonde_minors`, divided by its common scale s.
+    `_vandermonde_minors`, divided by its common scale s; the points go
+    in as the numerator and denominator pairs of their coordinates, so
+    the CLI's integer route and this one share one kernel.
     """
     gens = module.generators
-    s, _, minors = _vandermonde_minors(gens, points)
+    s, _, minors = _vandermonde_minors(gens, map(_ratio_point, points))
     return TropPolynomial(2, zip(gens, (Fraction(m, s) for m in minors)))
 
 

@@ -47,7 +47,7 @@ import math
 from fractions import Fraction
 
 from troptoric.divisor import ToricDivisor, _count_rows, _ext_gcd, _y_ranges, canonical_divisor
-from troptoric.fan import Cone, Fan, blow_up, ccw_sorted_rays, det2, dot, primitive, projective_plane
+from troptoric.fan import Cone, Fan, _as_vec, blow_up, ccw_sorted_rays, det2, dot, primitive, projective_plane
 from troptoric.intersect import pairing
 from troptoric.jsonutil import ParseError
 from troptoric.sections import generator_value
@@ -326,6 +326,34 @@ def random_fan(rng, max_rays=6, scale=2) -> Fan:
             return Fan(tuple(cones), tuple(rays))
         except ValueError:
             continue
+
+
+def cone_by_cone_fan(d) -> Fan:
+    """`fan.fan_from_dict` by the public constructors alone: every ray
+    coerced, one `Cone` per listed cone, each testing all its rays, then
+    `Fan` on the explicit ray list, which coerces the rays again."""
+    for key in ("rays", "max_cones"):
+        if not isinstance(d, dict) or key not in d:
+            raise ParseError(f"a fan must be a JSON object with a {key!r} key")
+        if not isinstance(d[key], list):
+            raise ParseError(f"{key} must be a list, got {d[key]!r}")
+    try:
+        rays = [_as_vec(r) for r in d["rays"]]
+    except TypeError as exc:
+        raise ParseError(str(exc)) from None
+    cones = []
+    for idxs in d["max_cones"]:
+        if not isinstance(idxs, list):
+            raise ParseError(f"a cone must be a list of ray indices, got {idxs!r}")
+        members = []
+        for i in idxs:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise ParseError(f"cone ray indices must be integers, got {i!r}")
+            if not 0 <= i < len(rays):
+                raise ValueError(f"cone ray index {i} out of range")
+            members.append(rays[i])
+        cones.append(Cone(tuple(members)))
+    return Fan(tuple(cones), tuple(rays))
 
 
 def random_cone_set(rng, max_rays=6, scale=2) -> tuple[Cone, ...]:

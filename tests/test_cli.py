@@ -1,20 +1,24 @@
+import collections
+import fractions
 import hashlib
 import itertools
 import json
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from oracles import random_blowup_fan, rr_oracle
+from oracles import random_blowup_fan, random_divisor, rr_oracle, vandermonde_oracle
 from troptoric import cli
 from troptoric import divisor as divisor_module
 from troptoric.cli import main
-from troptoric.divisor import ToricDivisor
-from troptoric.fan import fan_from_dict, fan_to_dict
+from troptoric.divisor import ToricDivisor, h0
+from troptoric.fan import fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
 from troptoric.intersect import RRReport, rr_check
 from troptoric.jsonutil import full_int_text
+from troptoric.sections import global_sections, passes_through
 
 
 def run(capsys, *argv):
@@ -499,6 +503,51 @@ def test_sections_malformed_points_exit_1(capsys, tmp_path, points):
     else:
         message = f"a point must be a pair [x, y], got {bad!r}"
     assert captured.err == f"troptoric: parse error: {message}\n"
+
+
+def test_sections_integer_route_matches_the_oracle(capsys, tmp_path, monkeypatch):
+    # points written as unreduced "p/q" strings go through `cli.main` on
+    # the integer route, which must build no Fraction; its coefficients and
+    # flags must be those of the one-determinant-per-generator oracle
+    rng = random.Random(33)
+    builtins = [projective_plane(), product_p1_p1(), hirzebruch(1), hirzebruch(2)]
+    made = []
+    real_new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    ranks = collections.Counter()
+    for case in range(300):
+        f = builtins[case % 4] if case % 5 else random_blowup_fan(rng)
+        while True:
+            d = random_divisor(rng, f, -2, 3)
+            if 2 <= h0(f, d) <= 10:
+                break
+        module = global_sections(f, d)
+        ranks[module.rank] += 1
+        points, texts = [], []
+        for _ in range(module.rank - 1):
+            point = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(2)]
+            points.append(point)
+            factors = [rng.randint(2, 4) for _ in point]
+            texts.append([f"{x.numerator * k}/{x.denominator * k}" for x, k in zip(point, factors)])
+        fan_path = write(tmp_path, "fan.json", fan_to_dict(f))
+        div_path = write(tmp_path, "d.json", d.to_dict())
+        pts_path = write(tmp_path, "pts.json", texts)
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+        code = main(["sections", fan_path, div_path, "--vandermonde", pts_path])
+        monkeypatch.undo()
+        assert made == []
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        section = vandermonde_oracle(module, points)
+        coeffs = dict(section.terms())
+        assert [tuple(m) for m in payload["generators"]] == list(module.generators)
+        assert [Fraction(str(c)) for c in payload["coefficients"]] == [coeffs[m] for m in module.generators]
+        assert payload["pass_through"] == [passes_through(section, p) for p in points]
+    assert set(ranks) == set(range(2, 11)), ranks
 
 
 def test_sections_point_spellings_read_as_their_reduced_forms(capsys, tmp_path):

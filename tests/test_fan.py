@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     ccw_complete,
+    cone_by_cone_fan,
     cone_neighbours,
     interior_contains,
     pairwise_fan_error,
@@ -473,3 +474,77 @@ def test_fan_from_dict_error_precedence(capsys, tmp_path, cones, error):
     else:
         assert code == 2
         assert captured.out == json.dumps({"valid": False, "error": message}) + "\n"
+
+
+def test_fan_from_dict_checks_each_ray_once(monkeypatch):
+    # one build of F_2 coerces each of its 4 rays once and tests each for
+    # primitivity once, by one gcd: a Cone per cone and a Fan on the
+    # explicit ray list would make 16 _as_vec and 8 primitive calls
+    calls = Counter()
+    for name in ("_as_vec", "primitive", "gcd"):
+        real = getattr(fan_module, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(fan_module, name, counted)
+    expected = hirzebruch(2)
+    data = fan_to_dict(expected)
+    calls.clear()
+    built = fan_from_dict(data)
+    assert dict(calls) == {"_as_vec": 4, "gcd": 4}
+    assert built == expected and built.row_plan == expected.row_plan
+    assert all(type(c) is Cone for c in built.max_cones)
+
+
+def _outcome(build, data):
+    try:
+        f = build(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return f, f._ccw
+
+
+def test_fan_from_dict_matches_cone_by_cone_construction():
+    # random cone sets, about half of them fans, written as JSON and then
+    # spoilt in up to two places: a ray that is not primitive (a multiple
+    # or the zero vector, used or not), an index that is a bool or out of
+    # range, a cone that is not a list, has three rays or is listed twice.
+    # fan_from_dict must give the fan, or the error, of one Cone per cone
+    rng = random.Random(69)
+    kinds = Counter()
+    for _ in range(4000):
+        cones = random_cone_set(rng)
+        rays = list(dict.fromkeys(r for c in cones for r in c.rays))
+        rng.shuffle(rays)
+        rays = [list(r) for r in rays]
+        max_cones = [[rays.index(list(r)) for r in c.rays] for c in cones]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            way = rng.randrange(8)
+            lists = [c for c in max_cones if type(c) is list]
+            if way == 0:
+                k = rng.randrange(len(rays))
+                rays[k] = [rng.choice((0, 2, 3)) * x for x in rays[k]]
+            elif way == 1:
+                rays.append(rng.choice(([0, 0], [2, 4], [-3, 0], [1, 1])))
+            elif way == 2 and lists:
+                rng.choice(lists).append(rng.choice((True, False)))
+            elif way == 3 and lists:
+                rng.choice(lists).append(rng.choice((len(rays), -1, 99)))
+            elif way == 4:
+                max_cones.insert(rng.randint(0, len(max_cones)), rng.choice((5, "01", None, {"0": 1})))
+            elif way == 5:
+                max_cones.insert(rng.randint(0, len(max_cones)), rng.sample(range(len(rays)), min(3, len(rays))))
+            elif way == 6 and lists:
+                max_cones.insert(rng.randint(0, len(max_cones)), list(rng.choice(lists)))
+            elif way == 7:
+                max_cones.insert(rng.randint(0, len(max_cones)), [rng.randrange(len(rays))] * 2)
+        data = {"rays": rays, "max_cones": max_cones}
+        want = _outcome(cone_by_cone_fan, data)
+        assert _outcome(fan_from_dict, data) == want, data
+        kinds[want[1] if want[0] in (ValueError, ParseError) else "fan"] += 1
+    for kind in ("fan", "ray generator", "not primitive", "zero vector", "integers", "out of range",
+                 "ray indices, got", "at most two rays", "duplicate", "explicit ray list", "common face",
+                 "linearly independent"):
+        assert sum(n for k, n in kinds.items() if kind in k) >= 20, (kind, kinds)

@@ -1,9 +1,15 @@
+import json
+import os
+import random
 import sys
+import threading
+import time
+from fractions import Fraction
 
 import pytest
 
 from oracles import text_mode_load_json
-from troptoric.jsonutil import ParseError, full_int_text, load_json
+from troptoric.jsonutil import ParseError, full_int_text, load_json, parse_ratio, parse_rational
 
 NO_DIGIT_LIMIT = not hasattr(sys, "get_int_max_str_digits")
 
@@ -60,6 +66,41 @@ def test_load_json_directory_and_missing_path(tmp_path):
     for path in (str(tmp_path), str(tmp_path / "missing.json")):
         binary, text_mode = read_both(path)
         assert binary == text_mode and binary[1] is not None
+        # the message names the file
+        assert binary[1].endswith(f": {path!r}")
+
+
+def test_load_json_empty_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError) as err:
+        load_json(str(path))
+    assert str(err.value) == "Expecting value: line 1 column 1 (char 0)"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_load_json_reads_a_pipe_to_its_end(tmp_path):
+    # an unbuffered read of a pipe returns what the writer has put in so
+    # far; load_json must keep reading until the writer closes it.  The
+    # value is past a pipe's 64 KiB buffer and arrives in several writes
+    path = tmp_path / "pipe.json"
+    os.mkfifo(path)
+    value = list(range(30_000))
+    data = json.dumps(value).encode()
+    assert len(data) > 3 * 2**16
+
+    def writer():
+        with open(path, "wb") as fh:
+            for start in range(0, len(data), 20_000):
+                fh.write(data[start : start + 20_000])
+                fh.flush()
+                time.sleep(0.01)
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    assert load_json(str(path)) == value
+    thread.join(10)
+    assert not thread.is_alive()
 
 
 @pytest.mark.skipif(NO_DIGIT_LIMIT, reason="the interpreter has no digit limit")
@@ -87,3 +128,36 @@ def test_full_int_text_is_a_no_op_without_the_limit(monkeypatch):
     with pytest.raises(RuntimeError):
         with full_int_text():
             raise RuntimeError("body")
+
+
+def test_parse_ratio_reduces_every_spelling():
+    # a sign, leading zeros and a common factor: (p, q) in lowest terms
+    # with q > 0, the numerator and denominator of parse_rational's value
+    rng = random.Random(17)
+    for _ in range(2000):
+        p, q = rng.randint(-10**6, 10**6), rng.randint(1, 10**6)
+        sign = "-" if p < 0 else rng.choice(["", "+"])
+        zeros = "0" * rng.randint(0, 2)
+        text = f"{sign}{zeros}{abs(p)}" + (f"/{zeros}{q}" if q > 1 or rng.random() < 0.5 else "")
+        want = Fraction(p, q)
+        assert parse_ratio(text) == (want.numerator, want.denominator), text
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
+    assert parse_ratio(-7) == (-7, 1) and parse_rational(-7) == -7
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "1/0", "0/0", "1e5", "1_000", "", "+", "/3", " 1", "1/-2", "\u0661", None, [1]])
+def test_parse_ratio_and_parse_rational_reject_alike(value):
+    messages = []
+    for reader in (parse_ratio, parse_rational):
+        with pytest.raises(ParseError) as err:
+            reader(value)
+        messages.append(str(err.value))
+    assert messages == [f"expected an exact rational, got {value!r}"] * 2
+
+
+@pytest.mark.skipif(NO_DIGIT_LIMIT, reason="the interpreter has no digit limit")
+def test_parse_ratio_keeps_the_digit_limit():
+    for text in ("7" * 5000, "1/" + "7" * 5000):
+        with pytest.raises(ParseError, match="expected an exact rational"):
+            parse_ratio(text)
