@@ -49,6 +49,8 @@ def test_load_json_matches_text_mode_read(tmp_path, name):
     assert binary == text_mode
     if name in ("crlf", "lf"):
         assert binary[1] is None
+    elif name == "empty":
+        assert binary[1] == "Expecting value: line 1 column 1 (char 0)"
     elif name != "5000_digit_int" or not NO_DIGIT_LIMIT:
         assert binary[1] is not None
 
@@ -68,14 +70,6 @@ def test_load_json_directory_and_missing_path(tmp_path):
         assert binary == text_mode and binary[1] is not None
         # the message names the file
         assert binary[1].endswith(f": {path!r}")
-
-
-def test_load_json_empty_file(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_bytes(b"")
-    with pytest.raises(ParseError) as err:
-        load_json(str(path))
-    assert str(err.value) == "Expecting value: line 1 column 1 (char 0)"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
