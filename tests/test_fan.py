@@ -75,6 +75,44 @@ def test_cone_rejects_bad_generators():
         Cone(((1, 0), (1, 0), (0, 1)))  # too many rays
 
 
+def test_cone_primitivity_messages():
+    for ray in ((-2, 0), (0, -3), (3, -6)):
+        with pytest.raises(ValueError) as err:
+            Cone((ray,))
+        assert str(err.value) == f"ray generator {ray} is not primitive"
+    with pytest.raises(ValueError) as err:
+        Cone(((0, 0),))
+    assert str(err.value) == "the zero vector has no primitive representative"
+
+
+def test_cone_accepts_exactly_the_primitive_rays():
+    accepted = 0
+    for x in range(-6, 7):
+        for y in range(-6, 7):
+            if x or y:
+                r = (x, y)
+                try:
+                    Cone((r,))
+                    ok = True
+                except ValueError:
+                    ok = False
+                assert ok == (primitive(r) == r), r
+                accepted += ok
+    assert accepted == 96  # the 4 unit rays on the axes, 23 coprime pairs per open quadrant
+
+
+def test_fan_checks_cones_before_explicit_rays():
+    # the explicit rays are coerced after the cones are checked, so a
+    # conflict of the cones is reported before a malformed ray
+    overlapping = (Cone(((1, 0), (0, 1))), Cone(((1, 1), (-1, 1))))
+    with pytest.raises(ValueError) as err:
+        Fan(overlapping, ((1, 0), (0, 1), (1, True), (-1, 1)))
+    assert str(err.value) == "cones 0 and 1 do not intersect in a common face"
+    with pytest.raises(TypeError) as err:
+        Fan((Cone(((1, 0), (0, 1))),), ((1, 0), (0, 1.0)))
+    assert str(err.value) == "lattice vectors must have integer coordinates"
+
+
 def test_builtins():
     p2 = projective_plane()
     assert len(p2.rays) == 3 and len(p2.max_cones) == 3
