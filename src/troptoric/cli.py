@@ -150,7 +150,7 @@ def cmd_sections(args) -> tuple[list[str], int]:
     `sections._vandermonde_minors` with no Fraction or TropPolynomial.
     The path is integer from the JSON text on: `_parse_points` reads each
     coordinate as a reduced pair of ints, which the kernel scales by their
-    common denominator, and `fan_from_dict` checks each ray once.
+    common denominator.
 
     Coefficient j is minors[j]/s.  Point k's flag says whether the
     maximum of minors[j] + rows[k][j] over j is attained twice: the test

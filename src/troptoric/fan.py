@@ -83,8 +83,8 @@ def dot(a, b):
 
 def _as_vec(v) -> Vec:
     # a fan's own rays are already int pairs, and a JSON ray is an int
-    # list: exact-type tests first (no bool), so that fan_from_dict makes
-    # the one full coercion of a ray and Cone and Fan pass it on as it is
+    # list: exact-type tests first (no bool), so that a ray that Cone and
+    # Fan coerce again, as fan_from_dict's are, passes as it is
     kind = type(v)
     if (kind is tuple or kind is list) and len(v) == 2:
         x, y = v
@@ -183,9 +183,11 @@ class Cone:
         rays = tuple(map(_as_vec, rays))
         if len(rays) > 2:
             raise ValueError("plane cones have at most two rays")
-        for r in rays:
-            if r != primitive(r):
-                raise ValueError(f"ray generator {r} is not primitive")
+        for x, y in rays:
+            # an int pair is primitive iff the gcd of its coordinates is 1
+            if gcd(x, y) != 1:
+                primitive((x, y))  # raises for the zero vector, whose gcd is 0
+                raise ValueError(f"ray generator {(x, y)} is not primitive")
         if len(rays) == 2 and det2(rays[0], rays[1]) == 0:
             raise ValueError("2-ray cone generators must be linearly independent")
         object.__setattr__(self, "rays", rays)
@@ -251,15 +253,6 @@ class Fan:
         for c in cones:
             if not isinstance(c, Cone):
                 raise TypeError("max_cones must contain Cone instances")
-        # map is lazy: the explicit rays are coerced after the cones are
-        # checked, so a conflict of the cones is reported first
-        self._build(cones, map(_as_vec, rays))
-
-    def _build(self, cones: tuple[Cone, ...], rays) -> None:
-        """Check the Cones ``cones`` by the theorem above, then read the
-        int pairs ``rays`` as the explicit ray order, and set the fields.
-        `fan_from_dict` calls it on the rays it has coerced, and on Cones
-        it has checked, so that neither is coerced or checked again."""
         if len({frozenset(c.rays) for c in cones}) < len(cones):
             raise ValueError("duplicate maximal cone")
         # len(c.rays), not the dim property, which costs a call per read
@@ -280,7 +273,9 @@ class Fan:
                 if after[u] != v:  # after[u] lies strictly inside c
                     i = first[after[u]]
                     raise _no_common_face(min(i, j), max(i, j))
-        rays = tuple(rays)
+        # the explicit rays are coerced after the cones are checked, so a
+        # conflict of the cones is reported first
+        rays = tuple(map(_as_vec, rays))
         if rays:
             if len(set(rays)) != len(rays) or set(rays) != first.keys():
                 raise ValueError("explicit ray list must enumerate the fan's rays")
@@ -522,22 +517,19 @@ def fan_from_dict(d: dict) -> Fan:
     index that is not an int (JSON booleans included); ValueError for an
     index outside the ray list or cones that do not form a fan.
 
-    Each ray is coerced once, and tested for primitivity once, by the
-    first cone that uses it; the cones and the fan are then built on those
-    rays without coercing or testing them again.  The faults are found in
-    the order in which ``Fan(tuple(Cone(...) for ...), rays)`` finds them,
-    cone by cone, so a fan with two faults reports the same one."""
+    Each cone is read in turn, its indices checked and then its `Cone`
+    built, so of two faults in different cones the earlier cone's is
+    reported; `Fan` then checks the cones together."""
     for key in ("rays", "max_cones"):
         if not isinstance(d, dict) or key not in d:
             raise ParseError(f"a fan must be a JSON object with a {key!r} key")
         if not isinstance(d[key], list):
             raise ParseError(f"{key} must be a list, got {d[key]!r}")
     try:
-        rays = tuple([_as_vec(r) for r in d["rays"]])
+        rays = [_as_vec(r) for r in d["rays"]]
     except TypeError as exc:
         raise ParseError(str(exc)) from None
     n = len(rays)
-    untested = [True] * n  # rays not yet tested for primitivity
     cones = []
     for idxs in d["max_cones"]:
         if not isinstance(idxs, list):
@@ -547,21 +539,5 @@ def fan_from_dict(d: dict) -> Fan:
                 raise ParseError(f"cone ray indices must be integers, got {i!r}")
             if not 0 <= i < n:
                 raise ValueError(f"cone ray index {i} out of range")
-        members = tuple([rays[i] for i in idxs])
-        # Cone's tests, with each ray's primitivity tested once: an int
-        # pair is primitive iff the gcd of its coordinates is 1 (the zero
-        # vector's is 0).  On a fault, Cone raises the error of the first
-        # of its tests that fails, as the rays tested before passed
-        fault = len(members) > 2 or (len(members) == 2 and det2(*members) == 0)
-        for i in idxs:
-            if untested[i]:
-                untested[i] = False
-                fault = fault or gcd(*rays[i]) != 1
-        if fault:
-            Cone(members)  # raises
-        cone = object.__new__(Cone)
-        object.__setattr__(cone, "rays", members)
-        cones.append(cone)
-    f = object.__new__(Fan)
-    f._build(tuple(cones), rays)
-    return f
+        cones.append(Cone([rays[i] for i in idxs]))
+    return Fan(cones, rays)

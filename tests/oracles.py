@@ -329,9 +329,11 @@ def random_fan(rng, max_rays=6, scale=2) -> Fan:
 
 
 def cone_by_cone_fan(d) -> Fan:
-    """`fan.fan_from_dict` by the public constructors alone: every ray
-    coerced, one `Cone` per listed cone, each testing all its rays, then
-    `Fan` on the explicit ray list, which coerces the rays again."""
+    """`fan.fan_from_dict` written out on its own: every ray coerced, one
+    `Cone` per listed cone, each testing all its rays, then `Fan` on the
+    explicit ray list, which coerces the rays again.  The reference that
+    `fan_from_dict`, the one construction path for fans, must keep
+    matching, fan for fan and error for error."""
     for key in ("rays", "max_cones"):
         if not isinstance(d, dict) or key not in d:
             raise ParseError(f"a fan must be a JSON object with a {key!r} key")
