@@ -83,8 +83,8 @@ def dot(a, b):
 
 def _as_vec(v) -> Vec:
     # a fan's own rays are already int pairs, and a JSON ray is an int
-    # list: exact-type tests first (no bool), so that a ray that Cone and
-    # Fan coerce again, as fan_from_dict's are, passes as it is
+    # list: exact-type tests first (no bool), so that these pass cheaply,
+    # as they do again when fan_from_dict hands its rays to Cone and Fan
     kind = type(v)
     if (kind is tuple or kind is list) and len(v) == 2:
         x, y = v
