@@ -5,10 +5,21 @@ Output is deterministic for identical inputs and --seed; rationals are
 emitted as 'p/q' strings, integers as JSON numbers.
 
 Exit codes: 0 success, 1 parse or usage error, 2 precondition violation,
-3 Riemann-Roch inequality violation, 4 internal error.  Malformed input is
-a ParseError (exit 1); any other error inside the library propagates out
-of `main` with its traceback, and the console entry point `run` prints
-that traceback and exits 4, so a bug is never reported as a parse error.
+3 Riemann-Roch inequality violation, 4 internal error, 141 stdout closed
+by its reader.  Malformed input is a ParseError (exit 1); any other error
+inside the library propagates out of `main` with its traceback, and the
+console entry point `run` prints that traceback and exits 4, so a bug is
+never reported as a parse error.
+
+Handlers.  Each subcommand is one handler in `_HANDLERS`, called with the
+parsed namespace alone.  `main` puts the output sink on it as
+``args.write``: each call writes its text to stdout, looked up at the
+call, and to the --json-out file, opened at the first call.  A handler
+writes its whole output through ``args.write``, newlines included, and
+returns its exit code.  It raises every ParseError and ValueError before
+its first write, so a refused command leaves stdout empty and makes no
+--json-out file.  A sweep writes as it goes, SWEEP_CHUNK_LINES lines at a
+time, so its memory does not grow with its output.
 """
 
 from __future__ import annotations
@@ -17,6 +28,8 @@ import argparse
 import functools
 import itertools
 import json
+import operator
+import os
 import re
 import sys
 
@@ -31,9 +44,12 @@ EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 SWEEP_EXHAUSTIVE_LIMIT = 100_000
 SWEEP_SAMPLE_SIZE = 10_000
+# a sweep writes its lines in chunks of this many, so its output is never held whole
+SWEEP_CHUNK_LINES = 2048
 # h0 and sections list P(D) up to this many points, about 0.2 GB, else exit 2
 MAX_LISTED_POINTS = 10**6
 
@@ -81,17 +97,19 @@ def _parse_points(raw) -> list:
     return points
 
 
-def cmd_fan(args) -> tuple[list[str], int]:
+def cmd_fan(args) -> int:
     if args.fan_cmd == "builtin":
         f = _builtin_fan(args.name, args.param)
-        return [json.dumps(fan_to_dict(f))], EXIT_OK
+        args.write(json.dumps(fan_to_dict(f)) + "\n")
+        return EXIT_OK
     if args.fan_cmd == "validate":
         try:
             f = fan_from_dict(load_json(args.fan))
         except ParseError:
             raise  # malformed input, exit 1, not an invalid fan
         except ValueError as exc:
-            return [json.dumps({"valid": False, "error": str(exc)})], EXIT_PRECONDITION
+            args.write(json.dumps({"valid": False, "error": str(exc)}) + "\n")
+            return EXIT_PRECONDITION
         offending = next((i for i, c in enumerate(f.max_cones) if not is_smooth(c)), None)
         report = {
             "valid": True,
@@ -99,14 +117,16 @@ def cmd_fan(args) -> tuple[list[str], int]:
             "complete": f.complete,
             "offending_cone": offending,
         }
-        return [json.dumps(report)], EXIT_OK
+        args.write(json.dumps(report) + "\n")
+        return EXIT_OK
     if args.fan_cmd == "blowup":
         f = _load_fan(args.fan)
         if not 0 <= args.cone < len(f.max_cones):
             raise ValueError(f"cone index {args.cone} out of range")
         g = blow_up(f, f.max_cones[args.cone])
         with full_int_text():  # u1 + u2 can be one digit longer than u1 and u2
-            return [json.dumps(fan_to_dict(g))], EXIT_OK
+            args.write(json.dumps(fan_to_dict(g)) + "\n")
+        return EXIT_OK
     raise AssertionError
 
 
@@ -119,7 +139,7 @@ def _listable_h0(f: Fan, d) -> int:
     return count
 
 
-def cmd_h0(args) -> tuple[list[str], int]:
+def cmd_h0(args) -> int:
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
     try:
@@ -132,18 +152,20 @@ def cmd_h0(args) -> tuple[list[str], int]:
             "lattice_points": None if count is None else [list(m) for m in lattice_points(d)],
             "polytope_vertices": [format_point(v) for v in polytope_vertices(d)],
         }
-        return [json.dumps(payload)], EXIT_OK
+        args.write(json.dumps(payload) + "\n")
+    return EXIT_OK
 
 
-def cmd_rr(args) -> tuple[list[str], int]:
+def cmd_rr(args) -> int:
     f = _load_fan(args.fan)
     d = divisor_from_dict(f, load_json(args.divisor))
     report = rr_check(f, d)
     with full_int_text():  # the pairing term is quadratic in the coefficients
-        return [_report_text(report)], EXIT_OK if report.holds else EXIT_VIOLATION
+        args.write(_report_text(report) + "\n")
+    return EXIT_OK if report.holds else EXIT_VIOLATION
 
 
-def cmd_sections(args) -> tuple[list[str], int]:
+def cmd_sections(args) -> int:
     """The generators, h0_a and h0_b, and with --vandermonde the
     interpolating section through the points: each coefficient and one
     pass-through flag per point, read off the integer matrix of
@@ -178,7 +200,8 @@ def cmd_sections(args) -> tuple[list[str], int]:
             payload["coefficients"] = [format_ratio(m, s) for m in minors]
             values = [[m + r for m, r in zip(minors, row)] for row in rows]
             payload["pass_through"] = [v.count(max(v)) >= 2 for v in values]
-        return [json.dumps(payload)], EXIT_OK
+        args.write(json.dumps(payload) + "\n")
+    return EXIT_OK
 
 
 # ASCII digits only, as in parse_ratio: \d takes any Unicode digit
@@ -196,8 +219,8 @@ def _coeff_range(text: str) -> tuple[int, int]:
 
 def _sweep_line(index: int, coeffs, fields) -> str:
     """The JSON line json.dumps writes for {"index": index, "coeffs":
-    list(coeffs), "report": RRReport(*fields).to_dict()}."""
-    return f'{{"index": {index}, "coeffs": {list(coeffs)}, "report": {_report_text(fields)}}}'
+    list(coeffs), "report": RRReport(*fields).to_dict()}, and its newline."""
+    return f'{{"index": {index}, "coeffs": {list(coeffs)}, "report": {_report_text(fields)}}}\n'
 
 
 def _uniform_draws(seed: int, lo: int, hi: int):
@@ -222,11 +245,11 @@ def _uniform_draws(seed: int, lo: int, hi: int):
         yield lo + x
 
 
-def _sweep_box(f: Fan, values: range):
-    """(lines, min_defect, violations) for every tuple of values^r on the
-    smooth complete fan f, in itertools.product order: the lines
-    `_sweep_line` writes for `rr_check`'s fields, with each Picard class
-    counted once.
+def _sweep_box(f: Fan, values: range, write) -> tuple[int, int | None, int]:
+    """(count, min_defect, violations) for every tuple of values^r on the
+    smooth complete fan f, in itertools.product order, whose lines go to
+    ``write`` in chunks of SWEEP_CHUNK_LINES: the lines `_sweep_line`
+    writes for `rr_check`'s fields, with each Picard class counted once.
 
     The box is walked as an odometer: the first r - 1 coefficients are a
     prefix, and the last ray's coefficient c runs over ``values`` inside
@@ -234,14 +257,19 @@ def _sweep_box(f: Fan, values: range):
     which each c adds c*(b_L*c + 2*(a_prev + a_next) + s_L) for the last
     ray L and its cycle neighbours; the class key of the class theorem in
     `intersect`, on a cone that avoids L, which is the prefix's key with
-    c plus a constant last; and the text of the prefix's coefficients.
-    Each report's text is kept per class key and D(D-K), and the counts
+    c plus a shift last; and the text of the prefix's coefficients.  The
+    principal divisor that makes the key, and so the shift, depends only
+    on the prefix's coefficients a_p, a_q on that cone, and is read from
+    a table built once for the box's values.  The memo is keyed once per
+    prefix, on the prefix's key, to the row of that key's entries, each
+    kept per c + shift and D(D-K) with the report's text, and the counts
     are taken once per entry.  On a true fan D(D-K) is a class invariant,
     so that is once per class; planted terms can make it vary within a
     class, and then the class is counted again, so the lines are still
     `rr_check`'s.  Every tuple's D(D-K) is checked even, as
     `intersect._report_fields` checks each value before it is kept.  The
-    memo holds at most one entry per tuple.
+    memo holds at most one entry per tuple; the output is never held
+    whole.
     """
     steps, plan, rays = f.cycle_terms, f.row_plan, f.rays
     last = len(rays) - 1
@@ -252,36 +280,54 @@ def _sweep_box(f: Fan, values: range):
     p, q = map(rays.index, cone.rays)
     m_p, m_q = dual_frame(cone)
     w_p, w_q = [dot(m_p, u) for u in rays], [dot(m_q, u) for u in rays]
-    tails = {}  # (class key, D(D-K)) -> (defect, the line's text after c)
+    # (a_p, a_q) -> (the prefix's part of div(a_p*m_p + a_q*m_q), the
+    # shift of c): the key is the prefix minus the first, then c plus the second
+    principal = {
+        (a_p, a_q): (
+            tuple(a_p * w_p[i] + a_q * w_q[i] for i in range(last)),
+            -a_p * w_p[last] - a_q * w_q[last],
+        )
+        for a_p in values
+        for a_q in values
+    }
+    last_texts = [(c, f", {c}") for c in values]
+    rows = {}  # class key of the prefix -> {(c + shift, D(D-K)): (defect, the line's text after c)}
     lines = []
     violations = 0
     index = 0
     for prefix in itertools.product(values, repeat=last):
-        a_p, a_q = prefix[p], prefix[q]
-        key = tuple(a - a_p * w_p[i] - a_q * w_q[i] for i, a in enumerate(prefix))
-        shift = -a_p * w_p[last] - a_q * w_q[last]
+        offsets, shift = principal[prefix[p], prefix[q]]
+        key = tuple(map(operator.sub, prefix, offsets))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = {}
         twice0 = _cycle_form(steps, prefix + (0,))
         slope = 2 * (prefix[preceding] + prefix[following]) + s_last
         head = f"{list(prefix)}"[:-1]
-        for c in values:
+        for c, c_text in last_texts:
             twice = twice0 + c * (b_last * c + slope)
-            cls = key, c + shift
-            tail = tails.get((cls, twice))
+            tail = row.get((c + shift, twice))
             if tail is None:
                 fields = _report_fields(twice, *_lattice_count_pair(plan, prefix + (c,)))
-                tail = tails[cls, twice] = fields[5], f'], "report": {_report_text(fields)}}}'
+                tail = row[c + shift, twice] = fields[5], f'], "report": {_report_text(fields)}}}\n'
             if tail[0] < 0:  # a report holds iff its defect is >= 0
                 violations += 1
-            lines.append(f'{{"index": {index}, "coeffs": {head}, {c}{tail[1]}')
+            lines.append(f'{{"index": {index}, "coeffs": {head}{c_text}{tail[1]}')
             index += 1
-    min_defect = min((defect for defect, _ in tails.values()), default=None)
-    return lines, min_defect, violations
+        # a prefix adds w < SWEEP_CHUNK_LINES lines, as w**3 is at most
+        # SWEEP_EXHAUSTIVE_LIMIT, so one chunk at most is ever full
+        if len(lines) >= SWEEP_CHUNK_LINES:
+            _write_lines(write, lines[:SWEEP_CHUNK_LINES])
+            del lines[:SWEEP_CHUNK_LINES]
+    _write_lines(write, lines)
+    min_defect = min((defect for row in rows.values() for defect, _ in row.values()), default=None)
+    return index, min_defect, violations
 
 
-def _sweep_sample(f: Fan, seed: int, lo: int, hi: int):
-    """(lines, min_defect, violations) for SWEEP_SAMPLE_SIZE tuples drawn
-    uniformly from lo..hi: each line is `_sweep_line` of `rr_check`'s
-    fields."""
+def _sweep_sample(f: Fan, seed: int, lo: int, hi: int, write) -> tuple[int, int | None, int]:
+    """(count, min_defect, violations) for SWEEP_SAMPLE_SIZE tuples drawn
+    uniformly from lo..hi, whose lines go to ``write`` in chunks of
+    SWEEP_CHUNK_LINES: each line is `_sweep_line` of `rr_check`'s fields."""
     steps, plan = f.cycle_terms, f.row_plan
     # zip takes r values in turn from the one stream: each tuple holds
     # the next r draws, in order
@@ -290,65 +336,72 @@ def _sweep_sample(f: Fan, seed: int, lo: int, hi: int):
     lines = []
     min_defect = None
     violations = 0
+    count = 0
     # the tuples are ints of the fan's length by construction, so they go
     # to rr_check's parts as they are, with no ToricDivisor built around them
-    for index, coeffs in enumerate(coeff_iter):
+    for coeffs in coeff_iter:
         fields = _report_fields(_cycle_form(steps, coeffs), *_lattice_count_pair(plan, coeffs))
         defect = fields[5]
         if min_defect is None or defect < min_defect:
             min_defect = defect
         if defect < 0:  # a report holds iff its defect is >= 0
             violations += 1
-        lines.append(_sweep_line(index, coeffs, fields))
-    return lines, min_defect, violations
+        lines.append(_sweep_line(count, coeffs, fields))
+        count += 1
+        if len(lines) == SWEEP_CHUNK_LINES:
+            _write_lines(write, lines)
+            lines = []
+    _write_lines(write, lines)
+    return count, min_defect, violations
 
 
-def cmd_sweep(args) -> tuple[list[str], int]:
+def _write_lines(write, lines) -> None:
+    # one write per chunk, each line with its newline
+    if lines:
+        write("".join(lines))
+
+
+def cmd_sweep(args) -> int:
     f = _load_fan(args.fan)
     lo, hi = args.range
     with full_int_text():
-        # both branches read the fan's cycle terms first: ValueError unless
-        # smooth and complete, even over an empty range.  A width w >= 2
-        # gives w**17 > SWEEP_EXHAUSTIVE_LIMIT, so capping the exponent at
-        # 17 keeps the decision and the power small on any fan
+        # both branches read the fan's cycle terms before their first
+        # write: ValueError unless smooth and complete, even over an empty
+        # range.  A width w >= 2 gives w**17 > SWEEP_EXHAUSTIVE_LIMIT, so
+        # capping the exponent at 17 keeps the decision and the power
+        # small on any fan
         exponent = min(len(f.rays), SWEEP_EXHAUSTIVE_LIMIT.bit_length())
         if max(hi - lo + 1, 0) ** exponent <= SWEEP_EXHAUSTIVE_LIMIT:
             mode = "exhaustive"
-            lines, min_defect, violations = _sweep_box(f, range(lo, hi + 1))
+            count, min_defect, violations = _sweep_box(f, range(lo, hi + 1), args.write)
         else:
             mode = "sampled"
-            lines, min_defect, violations = _sweep_sample(f, args.seed, lo, hi)
+            count, min_defect, violations = _sweep_sample(f, args.seed, lo, hi, args.write)
         summary = {
             "summary": {
                 "mode": mode,
                 "seed": args.seed,
-                "count": len(lines),
+                "count": count,
                 "min_defect": min_defect,
                 "violations": violations,
             }
         }
-        lines.append(json.dumps(summary))
-    return lines, EXIT_OK if violations == 0 else EXIT_VIOLATION
+        args.write(json.dumps(summary) + "\n")
+    return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
-@functools.cache  # built once per process: it costs as much as a small command
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The main parser and its subcommand parsers by name."""
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags every parser takes, as a parent."""
     # SUPPRESS defaults keep a subcommand's unparsed flags from clobbering
     # values already parsed before the subcommand name
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for sampled sweeps")
     common.add_argument("--json-out", metavar="PATH", default=argparse.SUPPRESS, help="also write the JSON output to PATH")
+    return common
 
-    parser = _Parser(prog="troptoric", description=__doc__, parents=[common])
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fan = sub.add_parser("fan", help="builtin fans, validation, blow-ups", parents=[common])
-    fan_sub = p_fan.add_subparsers(dest="fan_cmd", required=True)
+def _fan_arguments(parser, common) -> None:
+    fan_sub = parser.add_subparsers(dest="fan_cmd", required=True)
     p_builtin = fan_sub.add_parser("builtin", help="emit a builtin fan", parents=[common])
     p_builtin.add_argument("name", help="p2 | p1xp1 | hirzebruch")
     p_builtin.add_argument("param", nargs="?", type=int, default=None)
@@ -358,23 +411,59 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p_blowup.add_argument("fan")
     p_blowup.add_argument("cone", type=int)
 
-    p_h0 = sub.add_parser("h0", help="lattice-point count of P(D)", parents=[common])
-    p_h0.add_argument("fan")
-    p_h0.add_argument("divisor")
 
-    p_rr = sub.add_parser("rr", help="Riemann-Roch inequality report", parents=[common])
-    p_rr.add_argument("fan")
-    p_rr.add_argument("divisor")
+def _fan_divisor_arguments(parser, common) -> None:
+    parser.add_argument("fan")
+    parser.add_argument("divisor")
 
-    p_sections = sub.add_parser("sections", help="section module generators", parents=[common])
-    p_sections.add_argument("fan")
-    p_sections.add_argument("divisor")
-    p_sections.add_argument("--vandermonde", metavar="POINTS_JSON")
 
-    p_sweep = sub.add_parser("sweep", help="Riemann-Roch reports over a coefficient range", parents=[common])
-    p_sweep.add_argument("fan")
-    p_sweep.add_argument("--range", required=True, type=_coeff_range, help="coefficient range, e.g. -3..3")
+def _sections_arguments(parser, common) -> None:
+    _fan_divisor_arguments(parser, common)
+    parser.add_argument("--vandermonde", metavar="POINTS_JSON")
+
+
+def _sweep_arguments(parser, common) -> None:
+    parser.add_argument("fan")
+    parser.add_argument("--range", required=True, type=_coeff_range, help="coefficient range, e.g. -3..3")
+
+
+# each subcommand's help line in the main parser, and the function that
+# adds its arguments, to the main parser's subparser and to its own alike
+_SUBCOMMANDS = {
+    "fan": ("builtin fans, validation, blow-ups", _fan_arguments),
+    "h0": ("lattice-point count of P(D)", _fan_divisor_arguments),
+    "rr": ("Riemann-Roch inequality report", _fan_divisor_arguments),
+    "sections": ("section module generators", _sections_arguments),
+    "sweep": ("Riemann-Roch reports over a coefficient range", _sweep_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # built once per process: it costs as much as a small command
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The main parser and its subcommand parsers by name."""
+    common = _common_parser()
+    # the help shows the module docstring up to the handler contract
+    description = __doc__.partition("\n\nHandlers.")[0]
+    parser = _Parser(prog="troptoric", description=description, parents=[common])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=text, parents=[common]), common)
     return parser, sub.choices
+
+
+@functools.cache  # one per subcommand and process, like the main parser
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The parser the main parser builds for subcommand ``name``, built
+    alone: the same program name, flags and arguments, at a tenth of the
+    main parser's cost."""
+    common = _common_parser()
+    parser = _Parser(prog=f"troptoric {name}", parents=[common])
+    _SUBCOMMANDS[name][1](parser, common)
+    return parser
 
 
 _HANDLERS = {
@@ -403,19 +492,47 @@ def _join_range_flag(argv):
 
 def _parse_args(argv):
     """The main parser's namespace for argv, parsed by the subcommand's
-    own parser when argv starts with a subcommand name: about half the
-    work of the main parser, which hands that parser the same arguments.
+    own parser alone when argv starts with a subcommand name: the main
+    parser hands its subparser the same arguments, and is not built.
     Anything else, and anything that parser leaves over, goes to the main
     parser, which writes the usage errors."""
     argv = _join_range_flag(argv)
-    parser, subparsers = _parsers()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, rest = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]
             return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
+
+
+class _Output:
+    """The sink a handler writes its output through: stdout, looked up at
+    each write, and the --json-out file, if a path is given, opened on
+    the first write.  An error on the file is kept, not raised, so that
+    stdout is still written whole; `main` reports it after the handler."""
+
+    def __init__(self, path):
+        self.path = path
+        self.file = None
+        self.error = None
+
+    def write(self, text: str) -> None:
+        sys.stdout.write(text)
+        if not self.path or self.error is not None:
+            return
+        try:
+            if self.file is None:
+                self.file = open(self.path, "w", encoding="utf-8")
+            self.file.write(text)
+        except OSError as exc:
+            self.error = exc
+
+    def close(self) -> None:
+        if self.file is not None:
+            try:
+                self.file.close()
+            except OSError as exc:
+                self.error = self.error or exc
 
 
 def main(argv=None) -> int:
@@ -424,32 +541,40 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     args.seed = getattr(args, "seed", DEFAULT_SEED)
     args.json_out = getattr(args, "json_out", None)
+    out = _Output(args.json_out)
+    args.write = out.write
     try:
-        lines, code = _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
     except ParseError as exc:
         print(f"troptoric: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"troptoric: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    text = "\n".join(lines)
-    print(text)
-    if args.json_out:
-        try:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"troptoric: cannot write --json-out: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+    finally:
+        out.close()
+    if out.error is not None:
+        print(f"troptoric: cannot write --json-out: {out.error}", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 
 def run(argv=None) -> int:
     """The console entry point: ``main``, with any exception it lets
     through (a bug, never malformed input) printed with its traceback and
-    reported as exit 4, apart from 1, the code for parse errors."""
+    reported as exit 4, apart from 1, the code for parse errors.  A
+    reader that closes stdout early (``| head``) is no error: the exit is
+    141, as for a process that SIGPIPE ends, with nothing on stderr."""
     try:
-        return main(argv)
+        code = main(argv)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # fd 1 goes to devnull, so the flush at interpreter exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except Exception as exc:
         sys.excepthook(type(exc), exc, exc.__traceback__)
         return EXIT_INTERNAL

@@ -1,11 +1,15 @@
 import collections
+import contextlib
 import fractions
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +19,7 @@ from troptoric import cli
 from troptoric import divisor as divisor_module
 from troptoric.cli import main
 from troptoric.divisor import ToricDivisor, h0
-from troptoric.fan import fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
+from troptoric.fan import blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
 from troptoric.intersect import RRReport, rr_check
 from troptoric.jsonutil import full_int_text
 from troptoric.sections import global_sections, passes_through
@@ -648,7 +652,7 @@ def test_sweep_line_writes_false():
     fields = (0, 2, 1, 5, 6, -4, False)
     line = cli._sweep_line(7, (-3, 0, 12), fields)
     report = RRReport(h0_D=0, h0_K_minus_D=2, euler=1, pairing_term=5, rhs=6, defect=-4, holds=False)
-    assert line == json.dumps({"index": 7, "coeffs": [-3, 0, 12], "report": report.to_dict()})
+    assert line == json.dumps({"index": 7, "coeffs": [-3, 0, 12], "report": report.to_dict()}) + "\n"
     assert json.loads(line)["report"]["holds"] is False
 
 
@@ -748,9 +752,11 @@ def rr_check_box_lines(f, lo, hi):
 
 
 def check_box(f, lo, hi):
-    lines, min_defect, violations = cli._sweep_box(f, range(lo, hi + 1))
+    # the text the box writes through its sink, line for line
+    written = []
+    count, min_defect, violations = cli._sweep_box(f, range(lo, hi + 1), written.append)
     expected = rr_check_box_lines(f, lo, hi)
-    assert lines == expected
+    assert "".join(written).splitlines(keepends=True) == expected and count == len(expected)
     defects = [json.loads(line)["report"]["defect"] for line in expected]
     assert min_defect == min(defects) and violations == sum(x < 0 for x in defects)
 
@@ -809,10 +815,10 @@ def test_sweep_box_raises_on_any_odd_tuple():
             (i, j, b, s + (i == k)) for i, j, b, s in fan_from_dict(DENSE).cycle_terms
         )
         with pytest.raises(ArithmeticError):
-            cli._sweep_box(f, range(0, 2))
+            cli._sweep_box(f, range(0, 2), [].append)
         with pytest.raises(ArithmeticError):
             rr_check(f, ToricDivisor(f, tuple(int(i == k) for i in range(5))))
-        assert len(cli._sweep_box(f, range(2, 3))[0]) == 1
+        assert cli._sweep_box(f, range(2, 3), [].append)[0] == 1
 
 
 def test_sweep_empty_range(capsys, tmp_path):
@@ -896,6 +902,101 @@ def test_json_out_unwritable_exit_1(capsys, tmp_path, target):
     assert code == 1
     assert json.loads(captured.out)["valid"] is True
     assert captured.err.startswith("troptoric: ") and captured.err.count("\n") == 1
+    # a sweep streams its output: the file fails at the first chunk, and
+    # stdout is still written whole
+    sweep = ["sweep", write(tmp_path, "dense.json", DENSE), "--range=-3..3"]
+    _, whole = run(capsys, *sweep)
+    code = main(["--json-out", str(tmp_path / target)] + sweep)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == whole and len(whole.splitlines()) == 7**5 + 1
+    assert captured.err.startswith("troptoric: cannot write --json-out: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "fan, argv",
+    [(DENSE, ["--range=-3..3"]), (WIDE, ["--range=-80..80", "--seed", "5"])],
+    ids=["exhaustive", "sampled"],
+)
+def test_sweep_json_out_is_its_stdout(capsys, tmp_path, fan, argv):
+    # stdout and --json-out are written chunk by chunk from one sink
+    out_path = tmp_path / "out.json"
+    code, out = run(capsys, "sweep", write(tmp_path, "fan.json", fan), *argv, "--json-out", str(out_path))
+    assert code == 0 and len(out.splitlines()) > cli.SWEEP_CHUNK_LINES
+    assert out_path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("bounds", ["0..1", "-5000..5000"], ids=["exhaustive", "sampled"])
+def test_sweep_refused_fan_writes_nothing(capsys, tmp_path, bounds):
+    # every ParseError and ValueError comes before a sweep's first write:
+    # an incomplete fan is exit 2 with nothing on stdout, and no
+    # --json-out file is made
+    fan_path = write(tmp_path, "fan.json", {"rays": [[1, 0], [-1, 0]], "max_cones": [[0], [1]]})
+    out_path = tmp_path / "out.json"
+    code = main(["sweep", fan_path, f"--range={bounds}", "--json-out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("troptoric: intersection theory requires")
+    assert not out_path.exists()
+
+
+class _Discard:
+    """A stdout that keeps only the count of what it is given."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_sweep_memory_does_not_grow_with_its_output(tmp_path):
+    # the 16,807 reports of a dense sweep are 2.67 MB of text; written in
+    # chunks, the sweep's peak is its class memo and one chunk, not its
+    # output (over 6 MB when the lines were joined and printed at exit)
+    f = projective_plane()
+    f = blow_up(f, f.max_cones[0])
+    fan_path = write(tmp_path, "fan.json", fan_to_dict(blow_up(f, f.max_cones[1])))
+    sink = _Discard()
+    with contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["sweep", fan_path, "--range=-3..3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and sink.chars > 2_600_000
+    assert peak < 2_000_000
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # a reader that stops early (`| head`) is the normal end of a streamed
+    # sweep: exit 141, as for a process SIGPIPE ends, and nothing on
+    # stderr, whether stdout closes mid-sweep or before a short output's
+    # last flush
+    fan_path = write(tmp_path, "fan.json", P2)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    cmd = [sys.executable, "-m", "troptoric.cli"]
+    proc = subprocess.Popen(
+        cmd + ["sweep", fan_path, "--range=-20..20"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert json.loads(proc.stdout.readline())["index"] == 0
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
+    assert err == b""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(cmd + ["rr", fan_path, write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 1}})],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141 and done.stderr == b""
 
 
 def test_seed_ignores_environment(capsys, tmp_path, monkeypatch):
@@ -1001,6 +1102,18 @@ def test_subcommand_parser_matches_the_main_parser(capsys, tmp_path, monkeypatch
     code, out, err = outcome(capsys, table[8] + ["extra"])
     assert code == ("SystemExit", 1) and out == ""
     assert err.endswith("troptoric: error: unrecognized arguments: extra\n")
+
+
+def test_standalone_subcommand_parser_matches_the_main_parsers(capsys, tmp_path, monkeypatch):
+    # a subcommand's parser, built alone, against the one the main parser
+    # builds for it: the same exit code, stdout and stderr on every entry
+    subparsers = cli._parsers()[1]
+    for argv in parity_table(tmp_path):
+        alone = outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_subcommand_parser", subparsers.__getitem__)
+            within = outcome(capsys, argv)
+        assert alone == within, argv
 
 
 def test_subcommand_parser_skips_the_main_parser(capsys, tmp_path, monkeypatch):
