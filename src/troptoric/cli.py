@@ -10,16 +10,6 @@ by its reader.  Malformed input is a ParseError (exit 1); any other error
 inside the library propagates out of `main` with its traceback, and the
 console entry point `run` prints that traceback and exits 4, so a bug is
 never reported as a parse error.
-
-Handlers.  Each subcommand is one handler in `_HANDLERS`, called with the
-parsed namespace alone.  `main` puts the output sink on it as
-``args.write``: each call writes its text to stdout, looked up at the
-call, and to the --json-out file, opened at the first call.  A handler
-writes its whole output through ``args.write``, newlines included, and
-returns its exit code.  It raises every ParseError and ValueError before
-its first write, so a refused command leaves stdout empty and makes no
---json-out file.  A sweep writes as it goes, SWEEP_CHUNK_LINES lines at a
-time, so its memory does not grow with its output.
 """
 
 from __future__ import annotations
@@ -248,8 +238,9 @@ def _uniform_draws(seed: int, lo: int, hi: int):
 def _sweep_box(f: Fan, values: range, write) -> tuple[int, int | None, int]:
     """(count, min_defect, violations) for every tuple of values^r on the
     smooth complete fan f, in itertools.product order, whose lines go to
-    ``write`` in chunks of SWEEP_CHUNK_LINES: the lines `_sweep_line`
-    writes for `rr_check`'s fields, with each Picard class counted once.
+    ``write`` in chunks of whole prefixes, each written once it holds at
+    least SWEEP_CHUNK_LINES lines: the lines `_sweep_line` writes for
+    `rr_check`'s fields, with each Picard class counted once.
 
     The box is walked as an odometer: the first r - 1 coefficients are a
     prefix, and the last ray's coefficient c runs over ``values`` inside
@@ -314,11 +305,9 @@ def _sweep_box(f: Fan, values: range, write) -> tuple[int, int | None, int]:
                 violations += 1
             lines.append(f'{{"index": {index}, "coeffs": {head}{c_text}{tail[1]}')
             index += 1
-        # a prefix adds w < SWEEP_CHUNK_LINES lines, as w**3 is at most
-        # SWEEP_EXHAUSTIVE_LIMIT, so one chunk at most is ever full
         if len(lines) >= SWEEP_CHUNK_LINES:
-            _write_lines(write, lines[:SWEEP_CHUNK_LINES])
-            del lines[:SWEEP_CHUNK_LINES]
+            _write_lines(write, lines)
+            lines = []
     _write_lines(write, lines)
     min_defect = min((defect for row in rows.values() for defect, _ in row.values()), default=None)
     return index, min_defect, violations
@@ -390,18 +379,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    """The flags every parser takes, as a parent."""
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # built once per process: it costs as much as a small command
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The main parser and its subcommand parsers by name."""
     # SUPPRESS defaults keep a subcommand's unparsed flags from clobbering
     # values already parsed before the subcommand name
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for sampled sweeps")
     common.add_argument("--json-out", metavar="PATH", default=argparse.SUPPRESS, help="also write the JSON output to PATH")
-    return common
 
+    parser = _Parser(prog="troptoric", description=__doc__, parents=[common])
+    sub = parser.add_subparsers(dest="command", required=True)
 
-def _fan_arguments(parser, common) -> None:
-    fan_sub = parser.add_subparsers(dest="fan_cmd", required=True)
+    p_fan = sub.add_parser("fan", help="builtin fans, validation, blow-ups", parents=[common])
+    fan_sub = p_fan.add_subparsers(dest="fan_cmd", required=True)
     p_builtin = fan_sub.add_parser("builtin", help="emit a builtin fan", parents=[common])
     p_builtin.add_argument("name", help="p2 | p1xp1 | hirzebruch")
     p_builtin.add_argument("param", nargs="?", type=int, default=None)
@@ -411,59 +406,23 @@ def _fan_arguments(parser, common) -> None:
     p_blowup.add_argument("fan")
     p_blowup.add_argument("cone", type=int)
 
+    p_h0 = sub.add_parser("h0", help="lattice-point count of P(D)", parents=[common])
+    p_h0.add_argument("fan")
+    p_h0.add_argument("divisor")
 
-def _fan_divisor_arguments(parser, common) -> None:
-    parser.add_argument("fan")
-    parser.add_argument("divisor")
+    p_rr = sub.add_parser("rr", help="Riemann-Roch inequality report", parents=[common])
+    p_rr.add_argument("fan")
+    p_rr.add_argument("divisor")
 
+    p_sections = sub.add_parser("sections", help="section module generators", parents=[common])
+    p_sections.add_argument("fan")
+    p_sections.add_argument("divisor")
+    p_sections.add_argument("--vandermonde", metavar="POINTS_JSON")
 
-def _sections_arguments(parser, common) -> None:
-    _fan_divisor_arguments(parser, common)
-    parser.add_argument("--vandermonde", metavar="POINTS_JSON")
-
-
-def _sweep_arguments(parser, common) -> None:
-    parser.add_argument("fan")
-    parser.add_argument("--range", required=True, type=_coeff_range, help="coefficient range, e.g. -3..3")
-
-
-# each subcommand's help line in the main parser, and the function that
-# adds its arguments, to the main parser's subparser and to its own alike
-_SUBCOMMANDS = {
-    "fan": ("builtin fans, validation, blow-ups", _fan_arguments),
-    "h0": ("lattice-point count of P(D)", _fan_divisor_arguments),
-    "rr": ("Riemann-Roch inequality report", _fan_divisor_arguments),
-    "sections": ("section module generators", _sections_arguments),
-    "sweep": ("Riemann-Roch reports over a coefficient range", _sweep_arguments),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
-@functools.cache  # built once per process: it costs as much as a small command
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The main parser and its subcommand parsers by name."""
-    common = _common_parser()
-    # the help shows the module docstring up to the handler contract
-    description = __doc__.partition("\n\nHandlers.")[0]
-    parser = _Parser(prog="troptoric", description=description, parents=[common])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=text, parents=[common]), common)
+    p_sweep = sub.add_parser("sweep", help="Riemann-Roch reports over a coefficient range", parents=[common])
+    p_sweep.add_argument("fan")
+    p_sweep.add_argument("--range", required=True, type=_coeff_range, help="coefficient range, e.g. -3..3")
     return parser, sub.choices
-
-
-@functools.cache  # one per subcommand and process, like the main parser
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """The parser the main parser builds for subcommand ``name``, built
-    alone: the same program name, flags and arguments, at a tenth of the
-    main parser's cost."""
-    common = _common_parser()
-    parser = _Parser(prog=f"troptoric {name}", parents=[common])
-    _SUBCOMMANDS[name][1](parser, common)
-    return parser
 
 
 _HANDLERS = {
@@ -492,17 +451,19 @@ def _join_range_flag(argv):
 
 def _parse_args(argv):
     """The main parser's namespace for argv, parsed by the subcommand's
-    own parser alone when argv starts with a subcommand name: the main
-    parser hands its subparser the same arguments, and is not built.
+    own parser when argv starts with a subcommand name: about half the
+    work of the main parser, which hands that parser the same arguments.
     Anything else, and anything that parser leaves over, goes to the main
     parser, which writes the usage errors."""
     argv = _join_range_flag(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        args, rest = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
+    parser, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
         if not rest:
             args.command = argv[0]
             return args
-    return build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 class _Output:
@@ -536,6 +497,20 @@ class _Output:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Each subcommand is one handler in `_HANDLERS`, called with the parsed
+    namespace alone.  `main` puts the output sink on it as ``args.write``:
+    each call writes its text to stdout, looked up at the call, and to the
+    --json-out file, opened at the first call.  A handler writes its whole
+    output through ``args.write``, newlines included, and returns its exit
+    code.  It raises every ParseError and ValueError before its first
+    write, so a refused command leaves stdout empty and makes no
+    --json-out file.  A sweep writes as it goes, SWEEP_CHUNK_LINES lines
+    at a time, so its memory does not grow with its output; a sweep that
+    stops early, on a closed stdout or an internal error, leaves in the
+    --json-out file the whole lines written so far and no summary line.
+    """
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_args(argv)

@@ -925,6 +925,56 @@ def test_sweep_json_out_is_its_stdout(capsys, tmp_path, fan, argv):
     assert out_path.read_bytes() == out.encode()
 
 
+class _ClosesAfter:
+    """A stdout whose reader goes away after ``n`` writes."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def write(self, text):
+        if self.n == 0:
+            raise BrokenPipeError
+        self.n -= 1
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _fail_after(n, fn):
+    calls = itertools.count()
+
+    def wrapped(*args):
+        if next(calls) == n:
+            raise RuntimeError("planted")
+        return fn(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("stop", ["closed-stdout", "internal-error"])
+def test_sweep_stopped_early_leaves_whole_lines_in_json_out(tmp_path, monkeypatch, stop):
+    # a sweep that stops partway (exit 141 or 4 from the console script)
+    # leaves the --json-out file incomplete: the whole lines of the chunks
+    # written so far, and no summary line
+    fan_path = write(tmp_path, "fan.json", WIDE)
+    out_path = tmp_path / "out.json"
+    argv = ["sweep", fan_path, "--range=-80..80", "--json-out", str(out_path)]
+    if stop == "closed-stdout":
+        expected_error, stdout = BrokenPipeError, _ClosesAfter(2)
+    else:
+        # the sampled sweep counts P(D) once per line: the call for line
+        # 2 * SWEEP_CHUNK_LINES + 5 fails, after two chunks are written
+        expected_error, stdout = RuntimeError, _Discard()
+        monkeypatch.setattr(cli, "_lattice_count_pair", _fail_after(2 * cli.SWEEP_CHUNK_LINES + 5, cli._lattice_count_pair))
+    with contextlib.redirect_stdout(stdout), pytest.raises(expected_error):
+        main(argv)
+    text = out_path.read_text()
+    assert text.endswith("\n")
+    lines = [json.loads(line) for line in text.splitlines()]
+    assert [line["index"] for line in lines] == list(range(2 * cli.SWEEP_CHUNK_LINES))
+
+
 @pytest.mark.parametrize("bounds", ["0..1", "-5000..5000"], ids=["exhaustive", "sampled"])
 def test_sweep_refused_fan_writes_nothing(capsys, tmp_path, bounds):
     # every ParseError and ValueError comes before a sweep's first write:
@@ -962,6 +1012,10 @@ def test_sweep_memory_does_not_grow_with_its_output(tmp_path):
     fan_path = write(tmp_path, "fan.json", fan_to_dict(blow_up(f, f.max_cones[1])))
     sink = _Discard()
     with contextlib.redirect_stdout(sink):
+        # build the parser and import what a sweep runs before tracing,
+        # so the bound covers the sweep alone
+        assert main(["sweep", fan_path, "--range=0..0"]) == 0
+        sink.chars = 0
         tracemalloc.start()
         try:
             code = main(["sweep", fan_path, "--range=-3..3"])
@@ -1102,18 +1156,6 @@ def test_subcommand_parser_matches_the_main_parser(capsys, tmp_path, monkeypatch
     code, out, err = outcome(capsys, table[8] + ["extra"])
     assert code == ("SystemExit", 1) and out == ""
     assert err.endswith("troptoric: error: unrecognized arguments: extra\n")
-
-
-def test_standalone_subcommand_parser_matches_the_main_parsers(capsys, tmp_path, monkeypatch):
-    # a subcommand's parser, built alone, against the one the main parser
-    # builds for it: the same exit code, stdout and stderr on every entry
-    subparsers = cli._parsers()[1]
-    for argv in parity_table(tmp_path):
-        alone = outcome(capsys, argv)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_subcommand_parser", subparsers.__getitem__)
-            within = outcome(capsys, argv)
-        assert alone == within, argv
 
 
 def test_subcommand_parser_skips_the_main_parser(capsys, tmp_path, monkeypatch):
