@@ -195,7 +195,16 @@ def cmd_sections(args) -> int:
 
 
 # ASCII digits only, as in parse_ratio: \d takes any Unicode digit
-_RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
+_INT_RE = re.compile("-?[0-9]+")
+_RANGE_RE = re.compile(rf"({_INT_RE.pattern})\.\.({_INT_RE.pattern})")
+
+
+def _cli_int(text: str) -> int:
+    # the argparse type of every int argument, --range's grammar: int()
+    # alone would also read ' 7', '1_0', '+5' and any Unicode digit
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer like -3, got {text!r}")
+    return int(text)
 
 
 def _coeff_range(text: str) -> tuple[int, int]:
@@ -389,7 +398,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     # SUPPRESS defaults keep a subcommand's unparsed flags from clobbering
     # values already parsed before the subcommand name
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for sampled sweeps")
+    common.add_argument("--seed", type=_cli_int, default=argparse.SUPPRESS, help="seed for sampled sweeps")
     common.add_argument("--json-out", metavar="PATH", default=argparse.SUPPRESS, help="also write the JSON output to PATH")
 
     parser = _Parser(prog="troptoric", description=__doc__, parents=[common])
@@ -399,12 +408,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     fan_sub = p_fan.add_subparsers(dest="fan_cmd", required=True)
     p_builtin = fan_sub.add_parser("builtin", help="emit a builtin fan", parents=[common])
     p_builtin.add_argument("name", help="p2 | p1xp1 | hirzebruch")
-    p_builtin.add_argument("param", nargs="?", type=int, default=None)
+    p_builtin.add_argument("param", nargs="?", type=_cli_int, default=None)
     p_validate = fan_sub.add_parser("validate", help="check a fan JSON file", parents=[common])
     p_validate.add_argument("fan")
     p_blowup = fan_sub.add_parser("blowup", help="star-subdivide a maximal cone", parents=[common])
     p_blowup.add_argument("fan")
-    p_blowup.add_argument("cone", type=int)
+    p_blowup.add_argument("cone", type=_cli_int)
 
     p_h0 = sub.add_parser("h0", help="lattice-point count of P(D)", parents=[common])
     p_h0.add_argument("fan")

@@ -198,7 +198,7 @@ def polytope_vertices(d: ToricDivisor) -> tuple[tuple[Fraction, Fraction], ...]:
     """The vertices of P(D), sorted: the pairwise intersections of its
     boundary lines that satisfy every inequality, found in homogeneous
     integer coordinates.  No vertex on a bounded P(D) means it is empty."""
-    import fractions  # on first use, as in `jsonutil.format_rational`
+    import fractions  # on first use, as in `jsonutil.parse_rational`
 
     ineqs = polytope(d)
     found = {}

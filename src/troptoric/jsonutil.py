@@ -56,8 +56,8 @@ class full_int_text:
     a pairing term and an h0 are quadratic in the coefficients.  So the
     CLI writes its output here: the limit is lifted for the body and put
     back after it, also when the body raises.  On an interpreter without
-    the limit (Python 3.10) the context does nothing.  A plain class, not
-    a generator context, as every CLI command enters one.
+    the limit (before Python 3.10.7) the context does nothing.  A plain
+    class, not a generator context, as every CLI command enters one.
     """
 
     __slots__ = ("limit",)
@@ -85,18 +85,12 @@ def format_ratio(p: int, q: int):
 
 
 def format_rational(q):
-    # `import fractions` loads the module on first use, as a sweep writes no
-    # rational; `from fractions import Fraction` here would cost about 1 us
-    # a call on Python 3.11, for the failed lookup of a package __path__
-    import fractions
-
-    q = fractions.Fraction(q)
+    """The JSON value of an int or a Fraction q, as `format_ratio` writes it."""
     return format_ratio(q.numerator, q.denominator)
 
 
 def format_point(p) -> list:
-    """The JSON value of a plane point: its two coordinates as
-    `format_rational` writes them."""
+    """The JSON value of a plane point: [format_rational(x), format_rational(y)]."""
     return [format_rational(p[0]), format_rational(p[1])]
 
 
@@ -131,6 +125,6 @@ def parse_ratio(v) -> tuple[int, int]:
 
 def parse_rational(v) -> Fraction:
     """`parse_ratio` as a Fraction: the same grammar and the same errors."""
-    import fractions  # on first use, as in format_rational
+    import fractions  # on first use: a sweep reads no rational
 
     return fractions.Fraction(*parse_ratio(v))

@@ -216,12 +216,8 @@ def is_generic_configuration(module: SectionModule, points) -> bool:
         for idx_seq in itertools.permutations(range(L), k):
             if idx_seq[0] != min(idx_seq):
                 continue  # cycle sums are rotation-invariant
+            steps = list(zip(idx_seq, idx_seq[1:] + idx_seq[:1]))  # (i_j, i_{j+1})
             for pt_seq in itertools.permutations(range(len(pts)), k):
-                total = Fraction(0)
-                for j in range(k):
-                    i_cur = idx_seq[j]
-                    i_next = idx_seq[(j + 1) % k]
-                    total += values[pt_seq[j]][i_cur] - values[pt_seq[j]][i_next]
-                if total == 0:
+                if sum(values[x][i] - values[x][i_next] for x, (i, i_next) in zip(pt_seq, steps)) == 0:
                     return False
     return True

@@ -2,10 +2,10 @@
 
 The tropical semifield is Q ∪ {-oo} with max as addition and ordinary +
 as multiplication.  Its elements are plain values: None is -oo and every
-finite value is a `fractions.Fraction` (ints are accepted as input).
-Floats are rejected outright, because the predicates built on top of
-this module (ties between monomials, pass-through tests) are meaningless
-under rounding.
+finite value is a `fractions.Fraction`, read by `as_fraction` from an
+int, a Fraction or a string in the CLI's one rational grammar.  Floats
+are rejected outright, because the predicates built on top of this module
+(ties between monomials, pass-through tests) are meaningless under rounding.
 """
 
 from __future__ import annotations
@@ -15,18 +15,19 @@ import operator
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
+from .jsonutil import parse_ratio
+
 
 def as_fraction(x) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to a Fraction.
-
-    Floats (including inf/nan) and bools are rejected: the core is
-    exact-only, and True is not a number.
-    """
-    if isinstance(x, (float, bool)):
-        raise TypeError("float or bool input rejected; use int, Fraction, or 'p/q'")
+    """x as a Fraction: a Fraction as it is, or an int or a string read by
+    `jsonutil.parse_ratio`, the CLI's one grammar, so any other string
+    ('1.5', '1e5', ' 1') raises ParseError, a ValueError, before a number is
+    built.  TypeError for any other type: a float, a bool, a Decimal, None."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"expected an int, a Fraction or a 'p/q' string, got {type(x).__name__}")
+    return Fraction(*parse_ratio(x))
 
 
 def _exponent(exp, dimension: int) -> tuple[int, ...]:

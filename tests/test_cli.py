@@ -22,7 +22,8 @@ from troptoric.divisor import ToricDivisor, h0
 from troptoric.fan import blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
 from troptoric.intersect import RRReport, rr_check
 from troptoric.jsonutil import full_int_text
-from troptoric.sections import global_sections, passes_through
+from troptoric.sections import global_sections, passes_through, vandermonde_section
+from troptoric.trop import as_fraction
 
 
 def run(capsys, *argv):
@@ -457,8 +458,22 @@ def test_sections_rational_points(capsys, tmp_path):
             [["1/2", "1/3"], ["-5/7", 2], [3, "-1/4"], ["2/3", "5/2"], [-1, "-7/5"]],
             "5198bd65fc9018da2a766a83df816875c6fbc729c4dd36228369106ed01eed5f",
         ),
+        (
+            {"0": 0, "1": 0, "2": 3},
+            [[0, 0], ["1/2", 3], [-2, "5/3"], [4, -1], ["-7/2", "-1/4"], [1, 1], [3, "2/5"], ["-1/3", 6], [5, -3]],
+            "c74f74fbf525fab31bc8ed6ad33210e9682f14219d922a10014a8535d9704d64",
+        ),
+        (
+            # the same nine points with signs, leading zeros and common factors
+            {"0": 0, "1": 0, "2": 3},
+            [
+                ["-0", "0/5"], ["2/4", "+3"], ["-6/3", "10/6"], ["+4", "-3/3"], ["-14/4", "-2/8"],
+                ["007/7", 1], ["9/3", "4/10"], ["-2/6", "012/2"], [5, "-3"],
+            ],
+            "c74f74fbf525fab31bc8ed6ad33210e9682f14219d922a10014a8535d9704d64",
+        ),
     ],
-    ids=["p2-3H-9-points", "p2-2H-rational"],
+    ids=["p2-3H-9-points", "p2-2H-rational", "p2-3H-9-rational-points", "p2-3H-9-rational-points-unreduced"],
 )
 def test_vandermonde_output_bytes_pinned(capsys, tmp_path, coeffs, points, digest):
     # the whole stdout of an interpolation, with integer coefficients and
@@ -472,27 +487,31 @@ def test_vandermonde_output_bytes_pinned(capsys, tmp_path, coeffs, points, diges
     assert json.loads(out)["pass_through"] == [True] * len(points)
 
 
-@pytest.mark.parametrize(
-    "points",
-    [
-        [["1/0", 0], [1, 2]],  # zero denominator
-        [["abc", 0], [1, 2]],  # not a rational
-        [[0, 0, 99], [1, 2]],  # three coordinates
-        [5, [1, 2]],  # not a list
-        [["1e5000", 0], [1, 2]],  # an exponent: 5,001 digits past the limit
-        [["1.5", 0], [1, 2]],  # a decimal point
-        [[True, 0], [1, 2]],  # a JSON bool
-        [[1.5, 0], [1, 2]],  # a JSON float
-        [[2.0, 0], [1, 2]],  # a JSON float with an integer value
-        [["1_000", 0], [1, 2]],  # an underscore, which int() takes
-        [["", 0], [1, 2]],  # no digits
-        [["+", 0], [1, 2]],  # a sign alone
-        [["/3", 0], [1, 2]],  # no numerator
-        [[" 1", 0], [1, 2]],  # a space, which int() strips
-        [["1/-2", 0], [1, 2]],  # a signed denominator
-        [["\u0661", 0], [1, 2]],  # ARABIC-INDIC DIGIT ONE, which int() takes
-    ],
-)
+# two points for the two-point interpolation of H on P2, each list
+# malformed in its first point; the CLI reads them from JSON and the
+# library takes them as Python values, and both refuse every one
+MALFORMED_POINTS = [
+    [["1/0", 0], [1, 2]],  # zero denominator
+    [["abc", 0], [1, 2]],  # not a rational
+    [[0, 0, 99], [1, 2]],  # three coordinates
+    [5, [1, 2]],  # not a list
+    [["1e5000", 0], [1, 2]],  # an exponent: 5,001 digits past the limit
+    [["1.5", 0], [1, 2]],  # a decimal point
+    [[True, 0], [1, 2]],  # a JSON bool
+    [[1.5, 0], [1, 2]],  # a JSON float
+    [[2.0, 0], [1, 2]],  # a JSON float with an integer value
+    [["1_000", 0], [1, 2]],  # an underscore, which int() takes
+    [["", 0], [1, 2]],  # no digits
+    [["+", 0], [1, 2]],  # a sign alone
+    [["/3", 0], [1, 2]],  # no numerator
+    [[" 1", 0], [1, 2]],  # a space, which int() strips
+    [["1/-2", 0], [1, 2]],  # a signed denominator
+    [["\u0661", 0], [1, 2]],  # ARABIC-INDIC DIGIT ONE, which int() takes
+    [["1e4000000", 0], [1, 2]],  # an exponent: 4,000,001 digits, which Fraction() built
+]
+
+
+@pytest.mark.parametrize("points", MALFORMED_POINTS)
 def test_sections_malformed_points_exit_1(capsys, tmp_path, points):
     fan_path = write(tmp_path, "fan.json", P2)
     div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 1}})
@@ -507,6 +526,44 @@ def test_sections_malformed_points_exit_1(capsys, tmp_path, points):
     else:
         message = f"a point must be a pair [x, y], got {bad!r}"
     assert captured.err == f"troptoric: parse error: {message}\n"
+
+
+def test_library_refuses_the_malformed_points(monkeypatch):
+    # the library reads a coordinate by the CLI's grammar: every string
+    # the CLI refuses is a ValueError before any Fraction is built (so
+    # "1e4000000" costs nothing), every bool or float a TypeError, and
+    # both point functions refuse every point of the table
+    f = projective_plane()
+    module = global_sections(f, ToricDivisor(f, (0, 0, 1)))
+    line = vandermonde_section(module, [(0, 0), (1, 2)])
+    made = []
+    real_new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    for points in MALFORMED_POINTS:
+        bad = points[0]
+        if isinstance(bad, list) and len(bad) == 2:
+            error = ValueError if isinstance(bad[0], str) else TypeError
+            monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+            with pytest.raises(error):
+                as_fraction(bad[0])
+            monkeypatch.undo()
+            assert made == [], bad
+        else:
+            error = (TypeError, ValueError)  # not a pair: len() or the plane check
+        with pytest.raises(error):
+            vandermonde_section(module, points)
+        with pytest.raises(error):
+            passes_through(line, bad)
+    # the accepted spellings read as their reduced values, in both functions
+    assert [as_fraction(x) for x in ("2/4", "+3", "-0", "007/014")] == [Fraction(1, 2), 3, 0, Fraction(1, 2)]
+    spelt = [("2/4", "+3"), ("-0", "007/014")]
+    reduced = [(Fraction(1, 2), 3), (0, Fraction(1, 2))]
+    assert vandermonde_section(module, spelt) == vandermonde_section(module, reduced)
+    assert [passes_through(line, p) for p in spelt] == [passes_through(line, p) for p in reduced]
 
 
 def test_sections_integer_route_matches_the_oracle(capsys, tmp_path, monkeypatch):
@@ -628,8 +685,11 @@ WIDE = {
         (DENSE, ["--range=-2..2"], "d3bfd19025dfd2809091a2a1b4b30bf88c25c0d848c9c63d57cd7f87958f5291"),
         (WIDE, ["--range=-80..80", "--seed", "5"], "94271924038661f3be1996b0a2d0ac31f6352b24b555194b40b567bf896b9028"),
         ("p1xp1", ["--range=-4..4"], "b40346e915e25c1823893ecac4578bf922b605ea9b414c3ea7902d77d40b1898"),
+        (B2, ["--range=-80..80", "--seed", "5"], "f08236d76d042acd218a3eb8651fc8e285bb5818fbfc494b023e07c18c845605"),
+        (B2, ["--range=-3..3"], "7d7610cff38f9b364609a7bb7c9770274e20dd998bf9ffa2bb72179f8e78b5e7"),
+        (P2, ["--range=-20..20"], "ae84c2fb027f888ffd563ce9e4744d61f9fc9bb5e2c91d5b36a7c3cf0a57bd2c"),
     ],
-    ids=["dense", "wide-sampled", "p1xp1-builtin"],
+    ids=["dense", "wide-sampled", "p1xp1-builtin", "b2-sampled", "b2-box", "p2-box"],
 )
 def test_sweep_output_bytes_pinned(capsys, tmp_path, fan, argv, digest):
     # the whole stdout of an exhaustive sweep, a sampled one and one
@@ -1091,6 +1151,23 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("bad", ["\u0663", " 7", "1_0", "+5"])
+@pytest.mark.parametrize("argument", ["--seed", "builtin", "blowup"])
+def test_int_arguments_use_the_range_grammar(capsys, tmp_path, argument, bad):
+    # int() reads each of these (ARABIC-INDIC DIGIT THREE as 3, " 7" as 7,
+    # "1_0" as 10); every int of the command line is read as --range reads
+    # its bounds, so each is a usage error
+    fan = write(tmp_path, "fan.json", P2)
+    argv = {
+        "--seed": ["--seed", bad, "sweep", fan, "--range", "0..0"],
+        "builtin": ["fan", "builtin", "hirzebruch", bad],
+        "blowup": ["fan", "blowup", fan, bad],
+    }[argument]
+    code, out, err = outcome(capsys, argv)
+    assert code == ("SystemExit", 1) and out == ""
+    assert f"expected an integer like -3, got {bad!r}" in err
+
+
 def parity_table(tmp_path):
     fan = write(tmp_path, "fan.json", P2)
     div = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 2}})
@@ -1104,6 +1181,7 @@ def parity_table(tmp_path):
         ["fan", "validate", fan],
         ["fan", "blowup", fan, "0"],
         ["fan", "blowup", fan, "zero"],
+        ["fan", "builtin", "hirzebruch", "\u0662"],
         ["h0", fan, div],
         ["rr", fan, div],
         ["sections", fan, div],

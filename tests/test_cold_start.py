@@ -91,7 +91,8 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
 def test_vandermonde_sections_load_no_dataclasses_or_typing(tmp_path):
     # the plane cubic through 9 points: SectionModule, like the fan and the
     # divisor it holds, is a frozen value without dataclasses, and trop's
-    # annotations need no typing
+    # annotations need no typing; an interpolation draws nothing at random
+    # and draws no curve
     fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
     points = [[0, 0], ["1/2", 3], [-2, "5/3"], [4, -1], ["-7/2", "-1/4"], [1, 1], [3, "2/5"], ["-1/3", 6], [5, -3]]
     (tmp_path / "p2.json").write_text(json.dumps(fan))
@@ -100,7 +101,7 @@ def test_vandermonde_sections_load_no_dataclasses_or_typing(tmp_path):
     code = (
         "import json, sys, troptoric.cli; "
         "code = troptoric.cli.main(['sections', 'p2.json', '3h.json', '--vandermonde', 'pts9.json']); "
-        "print(json.dumps([code, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))]))"
+        "print(json.dumps([code, sorted({'troptoric.curve', 'dataclasses', 'inspect', 'typing', 'random'} & set(sys.modules))]))"
     )
     done = python("-S", "-X", "dev", "-W", "error", "-c", code, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
