@@ -1,8 +1,9 @@
 """troptoric: scriptable JSON frontend for the tropical toric toolkit.
 
 Subcommands: fan (builtin / validate / blowup), h0, rr, sections, sweep.
-Output is deterministic for identical inputs and --seed; rationals are
-emitted as 'p/q' strings, integers as JSON numbers.
+A handler parses its files, calls the library (a sweep: `intersect.sweep`)
+and writes its JSON.  Output is deterministic for identical inputs and
+--seed; rationals are emitted as 'p/q' strings, integers as JSON numbers.
 
 Exit codes: 0 success, 1 parse or usage error, 2 precondition violation,
 3 Riemann-Roch inequality violation, 4 internal error, 141 stdout closed
@@ -16,16 +17,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import operator
 import os
 import re
 import sys
 
-from .divisor import UnboundedPolytopeError, _lattice_count_pair, divisor_from_dict, h0, lattice_points, polytope_vertices
-from .fan import Fan, blow_up, dot, dual_frame, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
-from .intersect import _cycle_form, _report_fields, _report_text, rr_check
+from .divisor import UnboundedPolytopeError, divisor_from_dict, h0, lattice_points, polytope_vertices
+from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
+from .intersect import _report_text, rr_check, sweep
 from .jsonutil import ParseError, format_point, format_ratio, full_int_text, load_json, parse_ratio
 
 DEFAULT_SEED = 314159
@@ -36,10 +35,6 @@ EXIT_VIOLATION = 3
 EXIT_INTERNAL = 4
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
-SWEEP_EXHAUSTIVE_LIMIT = 100_000
-SWEEP_SAMPLE_SIZE = 10_000
-# a sweep writes its lines in chunks of this many, so its output is never held whole
-SWEEP_CHUNK_LINES = 2048
 # h0 and sections list P(D) up to this many points, about 0.2 GB, else exit 2
 MAX_LISTED_POINTS = 10**6
 
@@ -201,10 +196,16 @@ _RANGE_RE = re.compile(rf"({_INT_RE.pattern})\.\.({_INT_RE.pattern})")
 
 def _cli_int(text: str) -> int:
     # the argparse type of every int argument, --range's grammar: int()
-    # alone would also read ' 7', '1_0', '+5' and any Unicode digit
+    # alone would also read ' 7', '1_0', '+5' and any Unicode digit, and
+    # past the interpreter's digit limit it raises a bare ValueError,
+    # which argparse would report by this function's name
     if not _INT_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer like -3, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        n, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(f"an integer of {n} digits is past the limit of {limit} digits") from None
 
 
 def _coeff_range(text: str) -> tuple[int, int]:
@@ -213,178 +214,16 @@ def _coeff_range(text: str) -> tuple[int, int]:
     match = _RANGE_RE.fullmatch(text)
     if not match:
         raise argparse.ArgumentTypeError(f"range must look like '-3..3', got {text!r}")
-    return int(match.group(1)), int(match.group(2))
-
-
-def _sweep_line(index: int, coeffs, fields) -> str:
-    """The JSON line json.dumps writes for {"index": index, "coeffs":
-    list(coeffs), "report": RRReport(*fields).to_dict()}, and its newline."""
-    return f'{{"index": {index}, "coeffs": {list(coeffs)}, "report": {_report_text(fields)}}}\n'
-
-
-def _uniform_draws(seed: int, lo: int, hi: int):
-    """An endless stream of integers drawn uniformly from lo..hi, lo <= hi:
-    the values of random.Random(seed).randrange(lo, hi + 1), call after
-    call, for the same random bits.
-
-    randrange(lo, hi + 1) is lo + _randbelow(width) with width = hi - lo
-    + 1, and _randbelow draws getrandbits(k), k = width.bit_length(),
-    until the draw is below width.  This is that rejection loop, without
-    randrange's argument checks on every call.
-    """
-    import random  # on first use: only a sampled sweep draws
-
-    bits = random.Random(seed).getrandbits
-    width = hi - lo + 1
-    k = width.bit_length()
-    while True:
-        x = bits(k)
-        while x >= width:
-            x = bits(k)
-        yield lo + x
-
-
-def _sweep_box(f: Fan, values: range, write) -> tuple[int, int | None, int]:
-    """(count, min_defect, violations) for every tuple of values^r on the
-    smooth complete fan f, in itertools.product order, whose lines go to
-    ``write`` in chunks of whole prefixes, each written once it holds at
-    least SWEEP_CHUNK_LINES lines: the lines `_sweep_line` writes for
-    `rr_check`'s fields, with each Picard class counted once.
-
-    The box is walked as an odometer: the first r - 1 coefficients are a
-    prefix, and the last ray's coefficient c runs over ``values`` inside
-    it.  Each prefix computes, once: D(D-K) at c = 0 by the cycle form, to
-    which each c adds c*(b_L*c + 2*(a_prev + a_next) + s_L) for the last
-    ray L and its cycle neighbours; the class key of the class theorem in
-    `intersect`, on a cone that avoids L, which is the prefix's key with
-    c plus a shift last; and the text of the prefix's coefficients.  The
-    principal divisor that makes the key, and so the shift, depends only
-    on the prefix's coefficients a_p, a_q on that cone, and is read from
-    a table built once for the box's values.  The memo is keyed once per
-    prefix, on the prefix's key, to the row of that key's entries, each
-    kept per c + shift and D(D-K) with the report's text, and the counts
-    are taken once per entry.  On a true fan D(D-K) is a class invariant,
-    so that is once per class; planted terms can make it vary within a
-    class, and then the class is counted again, so the lines are still
-    `rr_check`'s.  Every tuple's D(D-K) is checked even, as
-    `intersect._report_fields` checks each value before it is kept.  The
-    memo holds at most one entry per tuple; the output is never held
-    whole.
-    """
-    steps, plan, rays = f.cycle_terms, f.row_plan, f.rays
-    last = len(rays) - 1
-    # cycle_terms runs over the cycle, so L is once an i and once a j
-    ((_, following, b_last, s_last),) = [t for t in steps if t[0] == last]
-    (preceding,) = [t[0] for t in steps if t[1] == last]
-    cone = next(c for c in f.max_cones if rays[last] not in c.rays)
-    p, q = map(rays.index, cone.rays)
-    m_p, m_q = dual_frame(cone)
-    w_p, w_q = [dot(m_p, u) for u in rays], [dot(m_q, u) for u in rays]
-    # (a_p, a_q) -> (the prefix's part of div(a_p*m_p + a_q*m_q), the
-    # shift of c): the key is the prefix minus the first, then c plus the second
-    principal = {
-        (a_p, a_q): (
-            tuple(a_p * w_p[i] + a_q * w_q[i] for i in range(last)),
-            -a_p * w_p[last] - a_q * w_q[last],
-        )
-        for a_p in values
-        for a_q in values
-    }
-    last_texts = [(c, f", {c}") for c in values]
-    rows = {}  # class key of the prefix -> {(c + shift, D(D-K)): (defect, the line's text after c)}
-    lines = []
-    violations = 0
-    index = 0
-    for prefix in itertools.product(values, repeat=last):
-        offsets, shift = principal[prefix[p], prefix[q]]
-        key = tuple(map(operator.sub, prefix, offsets))
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = {}
-        twice0 = _cycle_form(steps, prefix + (0,))
-        slope = 2 * (prefix[preceding] + prefix[following]) + s_last
-        head = f"{list(prefix)}"[:-1]
-        for c, c_text in last_texts:
-            twice = twice0 + c * (b_last * c + slope)
-            tail = row.get((c + shift, twice))
-            if tail is None:
-                fields = _report_fields(twice, *_lattice_count_pair(plan, prefix + (c,)))
-                tail = row[c + shift, twice] = fields[5], f'], "report": {_report_text(fields)}}}\n'
-            if tail[0] < 0:  # a report holds iff its defect is >= 0
-                violations += 1
-            lines.append(f'{{"index": {index}, "coeffs": {head}{c_text}{tail[1]}')
-            index += 1
-        if len(lines) >= SWEEP_CHUNK_LINES:
-            _write_lines(write, lines)
-            lines = []
-    _write_lines(write, lines)
-    min_defect = min((defect for row in rows.values() for defect, _ in row.values()), default=None)
-    return index, min_defect, violations
-
-
-def _sweep_sample(f: Fan, seed: int, lo: int, hi: int, write) -> tuple[int, int | None, int]:
-    """(count, min_defect, violations) for SWEEP_SAMPLE_SIZE tuples drawn
-    uniformly from lo..hi, whose lines go to ``write`` in chunks of
-    SWEEP_CHUNK_LINES: each line is `_sweep_line` of `rr_check`'s fields."""
-    steps, plan = f.cycle_terms, f.row_plan
-    # zip takes r values in turn from the one stream: each tuple holds
-    # the next r draws, in order
-    values = _uniform_draws(seed, lo, hi)
-    coeff_iter = itertools.islice(zip(*[values] * len(f.rays)), SWEEP_SAMPLE_SIZE)
-    lines = []
-    min_defect = None
-    violations = 0
-    count = 0
-    # the tuples are ints of the fan's length by construction, so they go
-    # to rr_check's parts as they are, with no ToricDivisor built around them
-    for coeffs in coeff_iter:
-        fields = _report_fields(_cycle_form(steps, coeffs), *_lattice_count_pair(plan, coeffs))
-        defect = fields[5]
-        if min_defect is None or defect < min_defect:
-            min_defect = defect
-        if defect < 0:  # a report holds iff its defect is >= 0
-            violations += 1
-        lines.append(_sweep_line(count, coeffs, fields))
-        count += 1
-        if len(lines) == SWEEP_CHUNK_LINES:
-            _write_lines(write, lines)
-            lines = []
-    _write_lines(write, lines)
-    return count, min_defect, violations
-
-
-def _write_lines(write, lines) -> None:
-    # one write per chunk, each line with its newline
-    if lines:
-        write("".join(lines))
+    return _cli_int(match.group(1)), _cli_int(match.group(2))
 
 
 def cmd_sweep(args) -> int:
     f = _load_fan(args.fan)
     lo, hi = args.range
     with full_int_text():
-        # both branches read the fan's cycle terms before their first
-        # write: ValueError unless smooth and complete, even over an empty
-        # range.  A width w >= 2 gives w**17 > SWEEP_EXHAUSTIVE_LIMIT, so
-        # capping the exponent at 17 keeps the decision and the power
-        # small on any fan
-        exponent = min(len(f.rays), SWEEP_EXHAUSTIVE_LIMIT.bit_length())
-        if max(hi - lo + 1, 0) ** exponent <= SWEEP_EXHAUSTIVE_LIMIT:
-            mode = "exhaustive"
-            count, min_defect, violations = _sweep_box(f, range(lo, hi + 1), args.write)
-        else:
-            mode = "sampled"
-            count, min_defect, violations = _sweep_sample(f, args.seed, lo, hi, args.write)
-        summary = {
-            "summary": {
-                "mode": mode,
-                "seed": args.seed,
-                "count": count,
-                "min_defect": min_defect,
-                "violations": violations,
-            }
-        }
-        args.write(json.dumps(summary) + "\n")
+        mode, count, min_defect, violations = sweep(f, lo, hi, args.seed, args.write)
+        summary = {"mode": mode, "seed": args.seed, "count": count, "min_defect": min_defect, "violations": violations}
+        args.write(json.dumps({"summary": summary}) + "\n")
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
@@ -515,8 +354,8 @@ def main(argv=None) -> int:
     output through ``args.write``, newlines included, and returns its exit
     code.  It raises every ParseError and ValueError before its first
     write, so a refused command leaves stdout empty and makes no
-    --json-out file.  A sweep writes as it goes, SWEEP_CHUNK_LINES lines
-    at a time, so its memory does not grow with its output; a sweep that
+    --json-out file.  A sweep writes as it goes, in chunks of
+    `intersect.SWEEP_CHUNK_LINES` lines, so its memory does not grow with its output; a sweep that
     stops early, on a closed stdout or an internal error, leaves in the
     --json-out file the whole lines written so far and no summary line.
     """

@@ -15,11 +15,11 @@ instance outside its equality and hash by `_fact`, the package's one
 fact cache, a descriptor that takes no lock: whether it is smooth,
 complete and bounded (its rays positively span the plane, so every P(D)
 is bounded), its intersection numbers, and its row plan.  The intersection
-numbers are the counterclockwise cycle (`Fan.cycle_terms`): two ray
-divisors meet once iff their rays are cycle neighbours (on a complete
-fan, its 2-cones), and a ray with cycle neighbours u1, u2 has
+numbers are kept as the counterclockwise cycle alone (`Fan.cycle_terms`):
+two ray divisors meet once iff their rays are cycle neighbours (on a
+complete fan, its 2-cones), and a ray with cycle neighbours u1, u2 has
 self-intersection -det(u1, u2).  So at most 3n of the n^2 entries are
-nonzero on n rays, and the dense matrix is built only when it is read.
+nonzero on n rays, and no dense matrix is kept.
 
 Every P(D) on a fan, {m : <m, e_i> + a_i >= 0}, has the same normals, so
 the Fourier-Motzkin elimination of x that bounds its rows is a fact of the
@@ -343,18 +343,6 @@ class Fan:
         after = cycle[1:] + cycle[:1]
         b = [-det2(rays[h], rays[j]) for h, j in zip(cycle[-1:] + cycle[:-1], after)]
         return tuple((i, j, b_i, b_i + 2) for i, j, b_i in zip(cycle, after, b))
-
-    @_fact
-    def intersection_numbers(self) -> tuple[tuple[int, ...], ...]:
-        """D_i . D_j in ray order, the dense view of ``cycle_terms``;
-        ValueError unless smooth and complete."""
-        terms = self.cycle_terms
-        n = len(terms)
-        rows = [[0] * n for _ in range(n)]
-        for i, j, b, _ in terms:
-            rows[i][j] = rows[j][i] = 1
-            rows[i][i] = b
-        return tuple(tuple(row) for row in rows)
 
     @_fact
     def row_plan(self) -> RowPlan:

@@ -1,23 +1,23 @@
-"""Intersection numbers on smooth complete toric surfaces and the
-Riemann-Roch inequality verifier.
+"""Intersection numbers on smooth complete toric surfaces, the
+Riemann-Roch inequality verifier and the sweeps that run it.
 
 The intersection numbers are a fact of the fan, read off its
 counterclockwise cycle once and cached on it (`Fan.cycle_terms`, which
 proves them); the functions here check their arguments and read them,
-and only those that return matrix entries build the dense
-`Fan.intersection_numbers`.  The verifier compares
-h0(D) + h0(K-D) against chi(O_X) + D(D-K)/2 with chi(O_X) = 1, all in
-integers, from three parts that `rr_check` and `troptoric sweep` call on
-a coefficient tuple: D(D-K) is the cycle form below (`_cycle_form`), the
-two counts take one pass over the y-bounds of the fan's row plan
-(`Fan.row_plan`) and, by the vanishing theorem below, at most one pair
-of floor sums along its chains (`divisor._lattice_count_pair`), and
-`_report_fields` checks D(D-K) even and gives the report's fields.  So
-each divisor costs only integer arithmetic on its coefficient tuple, in
-a number of steps that grows with the log of its coefficients.  An
-exhaustive sweep counts each Picard class once, by the class theorem
-below.  Every report, from `rr` and from both kinds of sweep, is written
-as JSON by `_report_text`.
+and `intersection_matrix` builds the dense matrix from them on each call.
+The verifier compares h0(D) + h0(K-D) against chi(O_X) + D(D-K)/2 with
+chi(O_X) = 1, all in integers, from three parts that `rr_check` and the
+sweeps call on a coefficient tuple: D(D-K) is the cycle form below
+(`_cycle_form`), the two counts take one pass over the y-bounds of the
+fan's row plan (`Fan.row_plan`) and, by the vanishing theorem below, at
+most one pair of floor sums along its chains (`divisor._lattice_count_pair`),
+and `_report_fields` checks D(D-K) even and gives the report's fields.  So
+each divisor costs integer arithmetic on its coefficient tuple, in a
+number of steps that grows with the log of its coefficients.  `sweep`,
+behind `troptoric sweep`, runs a box of tuples whole (`_sweep_box`, which
+counts each Picard class once by the class theorem below) or a seeded
+sample of it (`_sweep_sample`), and writes one JSON line per tuple.  Every
+report, from `rr` and from both kinds of sweep, is written by `_report_text`.
 
 Theorem: on a smooth complete toric surface D(D-K) is even, since
 Riemann-Roch gives chi(O(D)) = 1 + D(D-K)/2 and chi(O(D)) = h0 - h1 + h2
@@ -61,38 +61,52 @@ only D(D-K), which the cycle form gives tuple by tuple.  The key is
 affine in the coefficients, and zero at p and q; a box swept with the
 last ray's coefficient c innermost, by a cone that avoids that ray, has
 keys that are the key of the other coefficients followed by c plus a
-constant (`cli._sweep_box`).
+constant (`_sweep_box`).
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
+import operator
 
 from .divisor import ToricDivisor, _lattice_count_pair, _same_fan
-from .fan import Fan, _as_vec
+from .fan import Fan, _as_vec, dot, dual_frame
+
+SWEEP_EXHAUSTIVE_LIMIT = 100_000
+SWEEP_SAMPLE_SIZE = 10_000
+# a sweep writes its lines in chunks of this many, so its output is never held whole
+SWEEP_CHUNK_LINES = 2048
 
 
 def ray_intersection(fan: Fan, ray1, ray2) -> int:
-    """D_ray1 . D_ray2 for distinct rays: 1 iff some cone has both as rays."""
-    m = fan.intersection_numbers
+    """D_ray1 . D_ray2 for distinct rays: 1 iff they are neighbours in the
+    counterclockwise cycle, that is iff some cone has both as rays."""
+    terms = fan.cycle_terms  # ValueError unless smooth and complete
     r1, r2 = _as_vec(ray1), _as_vec(ray2)
     if r1 == r2:
         raise ValueError("equal rays: use self_intersection")
-    return m[fan.ray_index(r1)][fan.ray_index(r2)]
+    pair = {fan.ray_index(r1), fan.ray_index(r2)}
+    return int(any({i, j} == pair for i, j, _, _ in terms))
 
 
 def self_intersection(fan: Fan, ray) -> int:
     """D_ray . D_ray: the integer b with u1 + u2 + b*u = 0, where u1, u2
     are the two rays adjacent to u."""
-    i = fan.ray_index(ray)
-    return fan.intersection_numbers[i][i]
+    k = fan.ray_index(ray)
+    return next(b for i, _, b, _ in fan.cycle_terms if i == k)
 
 
 def intersection_matrix(fan: Fan) -> tuple[tuple[int, ...], ...]:
-    """The symmetric matrix of D_i . D_j in ray order: the fan's cached
-    ``intersection_numbers`` tuple itself.  ValueError unless the fan is
-    smooth and complete."""
-    return fan.intersection_numbers
+    """The symmetric matrix of D_i . D_j in ray order, built from the
+    fan's ``cycle_terms`` on each call and kept nowhere.  ValueError
+    unless the fan is smooth and complete."""
+    terms = fan.cycle_terms
+    rows = [[0] * len(terms) for _ in terms]
+    for i, j, b, _ in terms:
+        rows[i][j] = rows[j][i] = 1
+        rows[i][i] = b
+    return tuple(map(tuple, rows))
 
 
 def pairing(fan: Fan, d1: ToricDivisor, d2: ToricDivisor) -> int:
@@ -178,3 +192,162 @@ def rr_check(fan: Fan, d: ToricDivisor) -> RRReport:
     _same_fan(fan, d)
     a = d.coeffs
     return RRReport._make(_report_fields(_cycle_form(steps, a), *_lattice_count_pair(fan.row_plan, a)))
+
+
+def _sweep_line(index: int, coeffs, fields) -> str:
+    """The JSON line json.dumps writes for {"index": index, "coeffs":
+    list(coeffs), "report": RRReport(*fields).to_dict()}, and its newline."""
+    return f'{{"index": {index}, "coeffs": {list(coeffs)}, "report": {_report_text(fields)}}}\n'
+
+
+def _uniform_draws(seed: int, lo: int, hi: int):
+    """An endless stream of integers drawn uniformly from lo..hi, lo <= hi:
+    the values of random.Random(seed).randrange(lo, hi + 1), call after
+    call, for the same random bits.
+
+    randrange(lo, hi + 1) is lo + _randbelow(width) with width = hi - lo
+    + 1, and _randbelow draws getrandbits(k), k = width.bit_length(),
+    until the draw is below width.  This is that rejection loop, without
+    randrange's argument checks on every call.
+    """
+    import random  # on first use: only a sampled sweep draws
+
+    bits = random.Random(seed).getrandbits
+    width = hi - lo + 1
+    k = width.bit_length()
+    while True:
+        x = bits(k)
+        while x >= width:
+            x = bits(k)
+        yield lo + x
+
+
+def _sweep_box(f: Fan, values: range, write) -> tuple[int, int | None, int]:
+    """(count, min_defect, violations) for every tuple of values^r on the
+    smooth complete fan f, in itertools.product order, whose lines go to
+    ``write`` in chunks of whole prefixes, each written once it holds at
+    least SWEEP_CHUNK_LINES lines: the lines `_sweep_line` writes for
+    `rr_check`'s fields, with each Picard class counted once.
+
+    The box is walked as an odometer: the first r - 1 coefficients are a
+    prefix, and the last ray's coefficient c runs over ``values`` inside
+    it.  Each prefix computes, once: D(D-K) at c = 0 by the cycle form, to
+    which each c adds c*(b_L*c + 2*(a_prev + a_next) + s_L) for the last
+    ray L and its cycle neighbours; the class key of the class theorem in
+    `intersect`, on a cone that avoids L, which is the prefix's key with
+    c plus a shift last; and the text of the prefix's coefficients.  The
+    principal divisor that makes the key, and so the shift, depends only
+    on the prefix's coefficients a_p, a_q on that cone, and is read from
+    a table built once for the box's values.  The memo is keyed once per
+    prefix, on the prefix's key, to the row of that key's entries, each
+    kept per c + shift and D(D-K) with the report's text, and the counts
+    are taken once per entry.  On a true fan D(D-K) is a class invariant,
+    so that is once per class; planted terms can make it vary within a
+    class, and then the class is counted again, so the lines are still
+    `rr_check`'s.  Every tuple's D(D-K) is checked even, as
+    `intersect._report_fields` checks each value before it is kept.  The
+    memo holds at most one entry per tuple; the output is never held
+    whole.
+    """
+    steps, plan, rays = f.cycle_terms, f.row_plan, f.rays
+    last = len(rays) - 1
+    # cycle_terms runs over the cycle, so L is once an i and once a j
+    ((_, following, b_last, s_last),) = [t for t in steps if t[0] == last]
+    (preceding,) = [t[0] for t in steps if t[1] == last]
+    cone = next(c for c in f.max_cones if rays[last] not in c.rays)
+    p, q = map(rays.index, cone.rays)
+    m_p, m_q = dual_frame(cone)
+    w_p, w_q = [dot(m_p, u) for u in rays], [dot(m_q, u) for u in rays]
+    # (a_p, a_q) -> (the prefix's part of div(a_p*m_p + a_q*m_q), the
+    # shift of c): the key is the prefix minus the first, then c plus the second
+    principal = {
+        (a_p, a_q): (
+            tuple(a_p * w_p[i] + a_q * w_q[i] for i in range(last)),
+            -a_p * w_p[last] - a_q * w_q[last],
+        )
+        for a_p in values
+        for a_q in values
+    }
+    last_texts = [(c, f", {c}") for c in values]
+    rows = {}  # class key of the prefix -> {(c + shift, D(D-K)): (defect, the line's text after c)}
+    lines = []
+    violations = 0
+    index = 0
+    for prefix in itertools.product(values, repeat=last):
+        offsets, shift = principal[prefix[p], prefix[q]]
+        key = tuple(map(operator.sub, prefix, offsets))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = {}
+        twice0 = _cycle_form(steps, prefix + (0,))
+        slope = 2 * (prefix[preceding] + prefix[following]) + s_last
+        head = f"{list(prefix)}"[:-1]
+        for c, c_text in last_texts:
+            twice = twice0 + c * (b_last * c + slope)
+            tail = row.get((c + shift, twice))
+            if tail is None:
+                fields = _report_fields(twice, *_lattice_count_pair(plan, prefix + (c,)))
+                tail = row[c + shift, twice] = fields[5], f'], "report": {_report_text(fields)}}}\n'
+            if tail[0] < 0:  # a report holds iff its defect is >= 0
+                violations += 1
+            lines.append(f'{{"index": {index}, "coeffs": {head}{c_text}{tail[1]}')
+            index += 1
+        if len(lines) >= SWEEP_CHUNK_LINES:
+            _write_lines(write, lines)
+            lines = []
+    _write_lines(write, lines)
+    min_defect = min((defect for row in rows.values() for defect, _ in row.values()), default=None)
+    return index, min_defect, violations
+
+
+def _sweep_sample(f: Fan, seed: int, lo: int, hi: int, write) -> tuple[int, int | None, int]:
+    """(count, min_defect, violations) for SWEEP_SAMPLE_SIZE tuples drawn
+    uniformly from lo..hi, whose lines go to ``write`` in chunks of
+    SWEEP_CHUNK_LINES: each line is `_sweep_line` of `rr_check`'s fields."""
+    steps, plan = f.cycle_terms, f.row_plan
+    # zip takes r values in turn from the one stream: each tuple holds
+    # the next r draws, in order
+    values = _uniform_draws(seed, lo, hi)
+    coeff_iter = itertools.islice(zip(*[values] * len(f.rays)), SWEEP_SAMPLE_SIZE)
+    lines = []
+    min_defect = None
+    violations = 0
+    count = 0
+    # the tuples are ints of the fan's length by construction, so they go
+    # to rr_check's parts as they are, with no ToricDivisor built around them
+    for coeffs in coeff_iter:
+        fields = _report_fields(_cycle_form(steps, coeffs), *_lattice_count_pair(plan, coeffs))
+        defect = fields[5]
+        if min_defect is None or defect < min_defect:
+            min_defect = defect
+        if defect < 0:  # a report holds iff its defect is >= 0
+            violations += 1
+        lines.append(_sweep_line(count, coeffs, fields))
+        count += 1
+        if len(lines) == SWEEP_CHUNK_LINES:
+            _write_lines(write, lines)
+            lines = []
+    _write_lines(write, lines)
+    return count, min_defect, violations
+
+
+def _write_lines(write, lines) -> None:
+    # one write per chunk, each line with its newline
+    if lines:
+        write("".join(lines))
+
+
+def sweep(f: Fan, lo: int, hi: int, seed: int, write) -> tuple[str, int, int | None, int]:
+    """(mode, count, min_defect, violations) of the reports on coefficient
+    tuples over lo..hi on the fan f, written to ``write``: the whole box
+    (`_sweep_box`, "exhaustive") when it holds at most SWEEP_EXHAUSTIVE_LIMIT
+    tuples, else SWEEP_SAMPLE_SIZE drawn from ``seed`` (`_sweep_sample`,
+    "sampled").  ValueError before the first write unless f is smooth and
+    complete, even over an empty range.  Ints past the interpreter's digit
+    limit need `jsonutil.full_int_text`."""
+    # a width w >= 2 gives w**17 > SWEEP_EXHAUSTIVE_LIMIT, so capping the
+    # exponent at 17 keeps the decision and the power small on any fan
+    exponent = min(len(f.rays), SWEEP_EXHAUSTIVE_LIMIT.bit_length())
+    if max(hi - lo + 1, 0) ** exponent <= SWEEP_EXHAUSTIVE_LIMIT:
+        return ("exhaustive", *_sweep_box(f, range(lo, hi + 1), write))
+    return ("sampled", *_sweep_sample(f, seed, lo, hi, write))

@@ -268,6 +268,6 @@ def test_criterion_12_validation_of_a_long_chain():
     t0 = time.time()
     f = fan_from_dict(data)
     assert f.complete and f.smooth
-    matrix = f.intersection_numbers
+    matrix = intersection_matrix(f)
     assert sum(matrix[i][i] for i in range(n)) == 12 - 3 * n == -2997
     _finish("12 (a smooth complete fan on 1,003 shuffled rays)", 0.5, t0)

@@ -17,6 +17,7 @@ import pytest
 from oracles import random_blowup_fan, random_divisor, rr_oracle, vandermonde_oracle
 from troptoric import cli
 from troptoric import divisor as divisor_module
+from troptoric import intersect
 from troptoric.cli import main
 from troptoric.divisor import ToricDivisor, h0
 from troptoric.fan import blow_up, fan_from_dict, fan_to_dict, hirzebruch, product_p1_p1, projective_plane
@@ -53,6 +54,12 @@ def test_fan_builtin(capsys):
         assert main(["fan", "builtin", *argv]) == cli.EXIT_PRECONDITION == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("troptoric: ")
+
+
+def test_fan_builtin_unknown_name_exit_2(capsys):
+    assert main(["fan", "builtin", "frobnicate"]) == cli.EXIT_PRECONDITION == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "troptoric: unknown builtin fan 'frobnicate'\n"
 
 
 def test_fan_round_trip(capsys, tmp_path):
@@ -528,6 +535,16 @@ def test_sections_malformed_points_exit_1(capsys, tmp_path, points):
     assert captured.err == f"troptoric: parse error: {message}\n"
 
 
+def test_sections_points_not_a_list_exit_1(capsys, tmp_path):
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 1}})
+    pts_path = write(tmp_path, "pts.json", {"points": [[0, 0], [1, 2]]})
+    code = main(["sections", fan_path, div_path, "--vandermonde", pts_path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "troptoric: parse error: points must be a JSON list of [x, y] pairs\n"
+
+
 def test_library_refuses_the_malformed_points(monkeypatch):
     # the library reads a coordinate by the CLI's grammar: every string
     # the CLI refuses is a ValueError before any Fraction is built (so
@@ -710,7 +727,7 @@ def test_sweep_line_writes_false():
     # no sweep holds a violation, so the line of a failed report is
     # checked on constructed fields, in RRReport's order
     fields = (0, 2, 1, 5, 6, -4, False)
-    line = cli._sweep_line(7, (-3, 0, 12), fields)
+    line = intersect._sweep_line(7, (-3, 0, 12), fields)
     report = RRReport(h0_D=0, h0_K_minus_D=2, euler=1, pairing_term=5, rhs=6, defect=-4, holds=False)
     assert line == json.dumps({"index": 7, "coeffs": [-3, 0, 12], "report": report.to_dict()}) + "\n"
     assert json.loads(line)["report"]["holds"] is False
@@ -808,13 +825,13 @@ def test_sweep_raises_on_planted_odd_pairing(capsys, tmp_path, monkeypatch):
 def rr_check_box_lines(f, lo, hi):
     # the plain route: rr_check on every tuple of the box, in order
     box = itertools.product(range(lo, hi + 1), repeat=len(f.rays))
-    return [cli._sweep_line(index, a, rr_check(f, ToricDivisor(f, a))) for index, a in enumerate(box)]
+    return [intersect._sweep_line(index, a, rr_check(f, ToricDivisor(f, a))) for index, a in enumerate(box)]
 
 
 def check_box(f, lo, hi):
     # the text the box writes through its sink, line for line
     written = []
-    count, min_defect, violations = cli._sweep_box(f, range(lo, hi + 1), written.append)
+    count, min_defect, violations = intersect._sweep_box(f, range(lo, hi + 1), written.append)
     expected = rr_check_box_lines(f, lo, hi)
     assert "".join(written).splitlines(keepends=True) == expected and count == len(expected)
     defects = [json.loads(line)["report"]["defect"] for line in expected]
@@ -875,10 +892,10 @@ def test_sweep_box_raises_on_any_odd_tuple():
             (i, j, b, s + (i == k)) for i, j, b, s in fan_from_dict(DENSE).cycle_terms
         )
         with pytest.raises(ArithmeticError):
-            cli._sweep_box(f, range(0, 2), [].append)
+            intersect._sweep_box(f, range(0, 2), [].append)
         with pytest.raises(ArithmeticError):
             rr_check(f, ToricDivisor(f, tuple(int(i == k) for i in range(5))))
-        assert cli._sweep_box(f, range(2, 3), [].append)[0] == 1
+        assert intersect._sweep_box(f, range(2, 3), [].append)[0] == 1
 
 
 def test_sweep_empty_range(capsys, tmp_path):
@@ -934,7 +951,7 @@ def test_uniform_draws_are_randrange(width, seed):
     lo = -(width // 2)
     rng = random.Random(seed)
     expected = [rng.randrange(lo, lo + width) for _ in range(2000)]
-    assert list(itertools.islice(cli._uniform_draws(seed, lo, lo + width - 1), 2000)) == expected
+    assert list(itertools.islice(intersect._uniform_draws(seed, lo, lo + width - 1), 2000)) == expected
 
 
 def test_sweep_deterministic(capsys, tmp_path):
@@ -981,7 +998,7 @@ def test_sweep_json_out_is_its_stdout(capsys, tmp_path, fan, argv):
     # stdout and --json-out are written chunk by chunk from one sink
     out_path = tmp_path / "out.json"
     code, out = run(capsys, "sweep", write(tmp_path, "fan.json", fan), *argv, "--json-out", str(out_path))
-    assert code == 0 and len(out.splitlines()) > cli.SWEEP_CHUNK_LINES
+    assert code == 0 and len(out.splitlines()) > intersect.SWEEP_CHUNK_LINES
     assert out_path.read_bytes() == out.encode()
 
 
@@ -1026,13 +1043,13 @@ def test_sweep_stopped_early_leaves_whole_lines_in_json_out(tmp_path, monkeypatc
         # the sampled sweep counts P(D) once per line: the call for line
         # 2 * SWEEP_CHUNK_LINES + 5 fails, after two chunks are written
         expected_error, stdout = RuntimeError, _Discard()
-        monkeypatch.setattr(cli, "_lattice_count_pair", _fail_after(2 * cli.SWEEP_CHUNK_LINES + 5, cli._lattice_count_pair))
+        monkeypatch.setattr(intersect, "_lattice_count_pair", _fail_after(2 * intersect.SWEEP_CHUNK_LINES + 5, intersect._lattice_count_pair))
     with contextlib.redirect_stdout(stdout), pytest.raises(expected_error):
         main(argv)
     text = out_path.read_text()
     assert text.endswith("\n")
     lines = [json.loads(line) for line in text.splitlines()]
-    assert [line["index"] for line in lines] == list(range(2 * cli.SWEEP_CHUNK_LINES))
+    assert [line["index"] for line in lines] == list(range(2 * intersect.SWEEP_CHUNK_LINES))
 
 
 @pytest.mark.parametrize("bounds", ["0..1", "-5000..5000"], ids=["exhaustive", "sampled"])
@@ -1166,6 +1183,26 @@ def test_int_arguments_use_the_range_grammar(capsys, tmp_path, argument, bad):
     code, out, err = outcome(capsys, argv)
     assert code == ("SystemExit", 1) and out == ""
     assert f"expected an integer like -3, got {bad!r}" in err
+
+
+@pytest.mark.parametrize("argument", ["--seed", "builtin", "blowup", "range-lo", "range-hi"])
+def test_int_arguments_past_the_digit_limit_exit_1(capsys, tmp_path, argument):
+    # int() refuses text past the interpreter's digit limit with a bare
+    # ValueError, which argparse once reported as "invalid _cli_int value"
+    limit = sys.get_int_max_str_digits()
+    big = "9" * (limit + 700)
+    fan = write(tmp_path, "fan.json", P2)
+    argv = {
+        "--seed": ["--seed", big, "sweep", fan, "--range", "0..0"],
+        "builtin": ["fan", "builtin", "hirzebruch", big],
+        "blowup": ["fan", "blowup", fan, big],
+        "range-lo": ["sweep", fan, f"--range=-{big}..0"],
+        "range-hi": ["sweep", fan, "--range", f"0..{big}"],
+    }[argument]
+    code, out, err = outcome(capsys, argv)
+    assert code == ("SystemExit", 1) and out == ""
+    assert err.endswith(f": an integer of {limit + 700} digits is past the limit of {limit} digits\n")
+    assert err.count("\n") == 1 and "invalid" not in err and "_" not in err
 
 
 def parity_table(tmp_path):

@@ -77,6 +77,10 @@ def test_linearly_equivalent_examples():
     line = Fan((Cone(((a, b),)), Cone(((-a, -b),))))
     m = linearly_equivalent(ToricDivisor(line, (5, -5)), zero_divisor(line))
     assert m is not None and principal_divisor(m, line).coeffs == (5, -5)
+    # the fan with no rays has one divisor, the empty one, and every m
+    # solves the empty system
+    origin = Fan((Cone(()),))
+    assert linearly_equivalent(zero_divisor(origin), ToricDivisor(origin, ())) == (0, 0)
 
 
 def test_linearly_equivalent_respects_principal_shifts():
@@ -607,6 +611,14 @@ def test_divisor_of_section_examples():
     assert inner0.is_empty and ray0.coeffs == (0, 0, 0)
     inner1, ray1 = divisor_of_section(p2, TropPolynomial(2, [((1, 0), 0)]))
     assert inner1.is_empty and ray1.coeffs == (1, 0, -1)
+
+
+def test_divisor_of_section_errors():
+    p2 = projective_plane()
+    with pytest.raises(ValueError, match="the zero section has no divisor decomposition"):
+        divisor_of_section(p2, TropPolynomial(2))
+    with pytest.raises(ValueError, match="sections are bivariate here"):
+        divisor_of_section(p2, TropPolynomial(3, [((1, 2, 3), 0), ((0, 5, -1), 1)]))
 
 
 def test_divisor_json_round_trip():

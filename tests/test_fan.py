@@ -37,6 +37,7 @@ from troptoric.fan import (
     projective_plane,
 )
 from troptoric.fan import _as_vec, det2, dot
+from troptoric.intersect import intersection_matrix
 from troptoric.jsonutil import ParseError
 
 
@@ -157,18 +158,18 @@ def test_facts_are_computed_once_and_stored(monkeypatch):
     monkeypatch.setattr(fan_module, "is_complete", counting)
     assert f.complete is True and f.complete is True
     assert calls == [f] and vars(f)["complete"] is True
-    for name in ("smooth", "complete", "bounded", "cycle_terms", "intersection_numbers", "row_plan"):
+    for name in ("smooth", "complete", "bounded", "cycle_terms", "row_plan"):
         assert isinstance(vars(Fan)[name], fan_module._fact) and getattr(Fan, name) is vars(Fan)[name]
     assert Fan.bounded.__doc__.startswith("True iff the rays positively span the plane")
 
 
 def test_cached_facts_outside_equality():
     f = hirzebruch(2)
-    facts = (f.smooth, f.complete, f.bounded, f.intersection_numbers)
+    facts = (f.smooth, f.complete, f.bounded, f.cycle_terms)
     fresh = hirzebruch(2)
-    assert "intersection_numbers" in vars(f) and "intersection_numbers" not in vars(fresh)
+    assert "cycle_terms" in vars(f) and "cycle_terms" not in vars(fresh)
     assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
-    assert facts == (fresh.smooth, fresh.complete, fresh.bounded, fresh.intersection_numbers)
+    assert facts == (fresh.smooth, fresh.complete, fresh.bounded, fresh.cycle_terms)
     assert facts[:3] == (True, True, True)
     # the counterclockwise order kept by validation is no field either
     assert tuple(f.rays[i] for i in f._ccw) == tuple(ccw_sorted_rays(f.rays))
@@ -181,7 +182,7 @@ def test_cached_facts_outside_equality():
     line = Fan((Cone(((1, 0),)), Cone(((-1, 0),))))
     assert (line.smooth, line.complete, line.bounded) == (True, False, False)
     with pytest.raises(ValueError):
-        line.intersection_numbers
+        line.cycle_terms
     assert not Fan(()).bounded
     # the gap test against probing directions perpendicular to the rays
     rng = random.Random(2021)
@@ -215,7 +216,7 @@ def test_one_sort_per_fan(monkeypatch):
     assert len(sorts) == 1
     d = ToricDivisor(f, (2, -1, 3, 0, 1, 2))
     assert (f.smooth, f.complete, f.bounded) == (True, True, True)
-    assert len(f.intersection_numbers) == len(f.rays) == 6
+    assert len(intersection_matrix(f)) == len(f.rays) == 6
     assert len(lattice_points(d)) == h0(f, d) > 0
     assert len(calls) == len(sorts) == 1
     # the points of P(D) are walked along the fan's own row plan
@@ -285,7 +286,7 @@ def test_adjacency_against_cone_scan():
             b = -(dot(s, u) // dot(u, u))
             assert (s[0] + b * u[0], s[1] + b * u[1]) == (0, 0)
             rows[i][i] = b
-        assert f.intersection_numbers == tuple(map(tuple, rows))
+        assert intersection_matrix(f) == tuple(map(tuple, rows))
 
 
 def test_blow_up_examples():
@@ -304,6 +305,10 @@ def test_blow_up_errors():
     ray_fan = Fan((Cone(((1, 0),)),))
     with pytest.raises(ValueError):
         blow_up(ray_fan, Cone(((1, 0),)))
+    # |det| = 2: the sum of the rays would not be primitive
+    singular = Cone(((1, 0), (1, 2)))
+    with pytest.raises(ValueError, match="blow-up requires a smooth cone"):
+        blow_up(Fan((singular,)), singular)
 
 
 def test_fan_invariants_under_blowups():

@@ -82,7 +82,7 @@ def test_intersection_matrix_entries():
     rng = random.Random(71)
     for f in (hirzebruch(2), random_blowup_fan(rng)):
         im = intersection_matrix(f)
-        assert im is f.intersection_numbers
+        assert intersection_matrix(f) == im and intersection_matrix(f) is not im
         for i, r1 in enumerate(f.rays):
             for j, r2 in enumerate(f.rays):
                 assert im[i][j] == im[j][i]
@@ -109,7 +109,7 @@ def test_intersection_terms_are_the_nonzero_entries():
     rng = random.Random(127)
     for f in (projective_plane(), product_p1_p1(), hirzebruch(3)) + tuple(random_blowup_fan(rng, 6) for _ in range(5)):
         n = len(f.rays)
-        nonzero = {(i, j): m for i, row in enumerate(f.intersection_numbers) for j, m in enumerate(row) if m}
+        nonzero = {(i, j): m for i, row in enumerate(intersection_matrix(f)) for j, m in enumerate(row) if m}
         assert len(nonzero) <= 3 * n
         terms = {}
         for i, j, b, _ in f.cycle_terms:
@@ -119,23 +119,16 @@ def test_intersection_terms_are_the_nonzero_entries():
         assert nonzero == terms
         for _ in range(10):
             d1, d2 = random_divisor(rng, f), random_divisor(rng, f)
-            assert pairing(f, d1, d2) == dense_pairing(f.intersection_numbers, d1.coeffs, d2.coeffs)
+            assert pairing(f, d1, d2) == dense_pairing(intersection_matrix(f), d1.coeffs, d2.coeffs)
 
 
-def test_cycle_terms_are_the_only_intersection_data(capsys, monkeypatch):
-    # rr_check, pairing and a sweep read the cycle terms; the dense matrix
-    # is built only when something reads it
-    rng = random.Random(149)
-    for f in (projective_plane(), hirzebruch(3), random_blowup_fan(rng, 6)):
-        d = random_divisor(rng, f)
-        rr_check(f, d)
-        pairing(f, d, d)
-        monkeypatch.setattr(cli, "_load_fan", lambda path: f)
-        assert cli.main(["sweep", "fan.json", "--range=-1..1"]) in (cli.EXIT_OK, cli.EXIT_VIOLATION)
-        assert "cycle_terms" in vars(f) and "intersection_numbers" not in vars(f)
-    capsys.readouterr()
-    # the shuffled 1,003-ray chain of acceptance criterion 12: the terms
-    # are the dense matrix's diagonal and row sums
+# what a Fan keeps: its two fields, the cycle that validation sorts, and its facts
+FAN_STATE = {"max_cones", "rays", "_ccw", "smooth", "complete", "bounded", "cycle_terms", "row_plan"}
+
+
+def shuffled_chain(rng):
+    # the smooth complete fan of acceptance criterion 12: 1,003 rays and
+    # their cones, each listed in a shuffled order
     rays = [(1, k) for k in range(1001)] + [(0, 1), (-1, -1)]
     n = len(rays)
     order = rng.sample(range(n), n)
@@ -144,13 +137,73 @@ def test_cycle_terms_are_the_only_intersection_data(capsys, monkeypatch):
         "rays": [list(rays[i]) for i in order],
         "max_cones": [[where[i], where[(i + 1) % n]] for i in rng.sample(range(n), n)],
     }
-    f = fan_from_dict(data)
+    return fan_from_dict(data)
+
+
+def test_cycle_terms_are_the_only_intersection_data(capsys, monkeypatch):
+    # rr_check, pairing and a sweep read the cycle terms; the fan keeps
+    # no other intersection data
+    rng = random.Random(149)
+    for f in (projective_plane(), hirzebruch(3), random_blowup_fan(rng, 6)):
+        d = random_divisor(rng, f)
+        rr_check(f, d)
+        pairing(f, d, d)
+        monkeypatch.setattr(cli, "_load_fan", lambda path: f)
+        assert cli.main(["sweep", "fan.json", "--range=-1..1"]) in (cli.EXIT_OK, cli.EXIT_VIOLATION)
+        assert "cycle_terms" in vars(f) and set(vars(f)) <= FAN_STATE
+    capsys.readouterr()
+    # on the 1,003-ray chain the terms are the dense matrix's diagonal and
+    # row sums
+    f = shuffled_chain(rng)
+    n = len(f.rays)
     terms = f.cycle_terms
-    assert "intersection_numbers" not in vars(f)
-    m = f.intersection_numbers
+    m = intersection_matrix(f)
     assert [(i, m[i][i], sum(m[i])) for i, _, _, _ in terms] == [(i, b, s) for i, _, b, s in terms]
     assert sorted(i for i, _, _, _ in terms) == list(range(n))
     assert sum(b for _, _, b, _ in terms) == 12 - 3 * n
+
+
+def test_intersection_numbers_store_nothing_on_the_fan():
+    # every entry is answered from the cycle terms: on the 1,003-ray chain
+    # ray_intersection, self_intersection and intersection_matrix leave
+    # the fan's state as it was, object for object
+    rng = random.Random(151)
+    f = shuffled_chain(rng)
+    assert f.cycle_terms
+    before = dict(vars(f))
+    index = {r: i for i, r in enumerate(f.rays)}
+    neighbours = {frozenset(index[r] for r in c.rays) for c in f.max_cones}
+    for _ in range(300):
+        i, j = rng.sample(range(len(f.rays)), 2)
+        assert ray_intersection(f, f.rays[i], f.rays[j]) == int(frozenset((i, j)) in neighbours)
+    for c in rng.sample(f.max_cones, 300):
+        assert ray_intersection(f, *c.rays) == ray_intersection(f, *c.rays[::-1]) == 1
+    diagonal = [self_intersection(f, u) for u in f.rays]
+    assert diagonal == [row[i] for i, row in enumerate(intersection_matrix(f))]
+    assert vars(f).keys() == before.keys() and all(vars(f)[k] is v for k, v in before.items())
+
+
+def test_intersection_errors_keep_their_order():
+    # ray_intersection: smooth and complete first, then equal rays, then
+    # unknown rays; self_intersection: unknown ray first
+    incomplete = Fan((Cone(((1, 0), (0, 1))),))
+    singular = Fan((Cone(((1, 0), (1, 2))), Cone(((1, 2), (-1, -1))), Cone(((-1, -1), (1, 0)))))
+    for f, first in ((incomplete, "complete"), (singular, "smooth")):
+        with pytest.raises(ValueError, match=first):
+            ray_intersection(f, (5, 7), (5, 7))
+        with pytest.raises(ValueError, match="not a ray"):
+            self_intersection(f, (5, 7))
+        with pytest.raises(ValueError, match=first):
+            self_intersection(f, (1, 0))
+        with pytest.raises(ValueError, match=first):
+            intersection_matrix(f)
+    p2 = projective_plane()
+    with pytest.raises(ValueError, match="equal rays"):
+        ray_intersection(p2, (5, 7), (5, 7))
+    with pytest.raises(ValueError, match="not a ray"):
+        ray_intersection(p2, (1, 0), (5, 7))
+    with pytest.raises(TypeError):
+        ray_intersection(p2, (1, 0), (1.0, 0))
 
 
 def test_pairing_symmetric_bilinear_invariant():
@@ -303,6 +356,41 @@ def test_rr_check_invariant_on_class():
             assert rr_check(f, d + principal_divisor(m, f)) == rr_check(f, d), (d.coeffs, m)
 
 
+def lattice_automorphism(rng, steps=6):
+    """(g, det g) for a random g in GL2(Z): a product of shears by +-1 or
+    +-2 and the two reflections, so det g is 1 or -1."""
+    g, det = ((1, 0), (0, 1)), 1
+    for _ in range(steps):
+        k = rng.choice((-2, -1, 1, 2))
+        e = rng.choice((((1, k), (0, 1)), ((1, 0), (k, 1)), ((1, 0), (0, -1)), ((0, 1), (1, 0))))
+        det *= e[0][0] * e[1][1] - e[0][1] * e[1][0]
+        g = tuple(tuple(e[r][0] * g[0][c] + e[r][1] * g[1][c] for c in range(2)) for r in range(2))
+    return g, det
+
+
+def test_rr_check_and_h0_are_gl2z_invariant():
+    # g in GL2(Z) maps the fan onto an isomorphic one, ray i to g*u_i with
+    # the same cone indices, and the divisor with the same coefficients to
+    # its image: every report field and h0 must be the same
+    rng = random.Random(1409)
+    checks, flips = 0, 0
+    for _ in range(50):
+        f = random_blowup_fan(rng, 27)  # 4 to 30 rays
+        g, det = lattice_automorphism(rng)
+        data = fan_to_dict(f)
+        data["rays"] = [[g[0][0] * x + g[0][1] * y, g[1][0] * x + g[1][1] * y] for x, y in data["rays"]]
+        moved = fan_from_dict(data)
+        flips += det == -1
+        for scale in (5, 100, 10**6):
+            for _ in range(10):
+                a = tuple(rng.randint(-scale, scale) for _ in f.rays)
+                d, e = ToricDivisor(f, a), ToricDivisor(moved, a)
+                assert rr_check(moved, e) == rr_check(f, d), (g, a)
+                assert h0(moved, e) == h0(f, d), (g, a)
+                checks += 1
+    assert checks == 1500 and 10 <= flips <= 40
+
+
 def test_rr_check_raises_on_odd_pairing():
     # D(D-K) is even on every smooth complete surface, so only wrong
     # intersection numbers can make it odd: planted here, they must raise
@@ -325,7 +413,7 @@ def test_cycle_form_is_the_dense_pairing():
         for _ in range(300):
             a = tuple(rng.randint(-80, 80) for _ in f.rays)
             cycle_form = sum(c * (b[i] * c + 2 * a[after[i]] + b[i] + 2) for i, c in enumerate(a))
-            assert cycle_form == dense_pairing(f.intersection_numbers, a, [c + 1 for c in a])
+            assert cycle_form == dense_pairing(intersection_matrix(f), a, [c + 1 for c in a])
             assert 2 * rr_check(f, ToricDivisor(f, a)).pairing_term == cycle_form
 
 

@@ -36,6 +36,10 @@ def test_global_sections_unbounded_errors():
     single = Fan((Cone(((1, 0),)),))
     with pytest.raises(ValueError):
         global_sections(single, zero_divisor(single))
+    # complete, but the cone on (1, 0) and (1, 2) has |det| = 2
+    singular = Fan((Cone(((1, 0), (1, 2))), Cone(((1, 2), (-1, -1))), Cone(((-1, -1), (1, 0)))))
+    with pytest.raises(ValueError, match="global sections require a smooth fan"):
+        global_sections(singular, zero_divisor(singular))
 
 
 def test_local_slope_count_examples():
