@@ -15,14 +15,16 @@ i-th exponent is lifted once to a flat tuple (x, y, h, i).  The faces are
 gift-wrapped from a boundary edge, which one linear scan finds
 (`_start_edge`): the least exponent is a corner, a Jarvis step gives the
 boundary line that leaves it counterclockwise, and the steepest rise
-along that line gives the first edge of the lifted upper chain.  One
-inline scan of the lifted points per directed edge then finds the plane
-of the face on its left and collects its cell, coplanar points in one
-cell.  Directed edges are keyed by their pairs of term positions, so no
-exponent tuple is hashed while wrapping.  A face gets an integer id when
-it is found, and the ids are ranked once by the dual vertices, compared
-as integer pairs over a common denominator, so no Fraction is hashed or
-compared.  A triangle's ring is the edge it was found from and its one
+along that line gives the first edge of the lifted upper chain.  When
+the exponents are collinear there are no faces, and the same scan,
+repeated from the end of each edge it finds, gives the whole chain
+(`_line_chain`).  Otherwise one inline scan of the lifted points per
+directed edge finds the plane of the face on its left and collects its
+cell, coplanar points in one cell.  Directed edges are keyed by their
+pairs of term positions, so no exponent tuple is hashed while wrapping.
+A face gets an integer id when it is found, and the ids are ranked once
+by the dual vertices, compared as integer pairs over a common
+denominator, so no Fraction is hashed or compared.  A triangle's ring is the edge it was found from and its one
 left point, and its edges carry no family: the exponents on such an edge
 are its two ends.
 
@@ -117,33 +119,11 @@ def _require_bivariate(g: TropPolynomial):
         raise ValueError("corner loci are implemented for two variables")
 
 
-def _upper_chain(lift, a, b):
-    """(start, end, family) for each edge of the upper chain of the lifted
-    points on the line through a and b, in order from a toward b: the
-    ends as lifted points, the family as the last entries of the lifted
-    points on the edge."""
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    line = {}  # (position along b - a, height) -> lifted point
-    for t in lift:
-        wx, wy = t[0] - a[0], t[1] - a[1]
-        if dx * wy == dy * wx:
-            line[(dx * wx + dy * wy, t[2] - a[2])] = t
-    ring = hull_vertices(line)  # ccw: lower chain to the far end, then back
-    chain = [ring[0]] + ring[:ring.index(max(ring)) - 1:-1]
-    # every lifted point is weakly below the chain, so a point on the line
-    # of a chain edge lies on that edge
-    return [
-        (line[s], line[e], tuple(
-            t[3] for p, t in line.items() if det2((e[0] - s[0], e[1] - s[1]), (p[0] - s[0], p[1] - s[1])) == 0
-        ))
-        for s, e in zip(chain, chain[1:])
-    ]
-
-
 def _start_edge(lift):
-    """(p, e): the first edge of the lifted upper chain along the boundary
-    edge of the Newton polygon that leaves p = lift[0] counterclockwise,
-    or None when the points are collinear.
+    """(p, e, flat): the first edge p -> e of the lifted upper chain along
+    the boundary edge of the Newton polygon that leaves p = lift[0]
+    counterclockwise, or along the line of the points when they are
+    collinear, which flat tells.
 
     The lifted points are (x, y, h, tag) in increasing (x, y) order, so p
     is a corner and every other point lies in the half-plane after it:
@@ -171,7 +151,28 @@ def _start_edge(lift):
             flat = False
         elif (s[2] - ph) * run >= rise * (x or y):
             e, rise, run = s, s[2] - ph, x or y
-    return None if flat else (p, e)
+    return p, e, flat
+
+
+def _line_chain(lift):
+    """(start, end, tags) for each edge of the lifted upper chain of
+    collinear points, lifted as in `_start_edge` and tagged by their
+    positions in lift, from lift[0] to lift[-1].
+
+    Each edge is the steepest rise from the end of the last, farthest on
+    ties (`_start_edge` on the points from there on), so no later point
+    is on it; its tags are those of the points from its start to its end
+    at its slope, every point being weakly below the chain.
+    """
+    chain = []
+    i = 0
+    while i < len(lift) - 1:
+        p, e, _ = _start_edge(lift[i:])
+        rise, run = e[2] - p[2], e[0] - p[0] or e[1] - p[1]
+        tags = tuple(s[3] for s in lift[i:e[3] + 1] if (s[2] - p[2]) * run == rise * (s[0] - p[0] or s[1] - p[1]))
+        chain.append((p, e, tags))
+        i = e[3]
+    return chain
 
 
 _held = None  # (g, its hull): the one polynomial last wrapped, kept alive
@@ -211,18 +212,15 @@ def _gift_wrap(g: TropPolynomial):
     lift = [(m[0], m[1], h, i) for i, (m, h) in enumerate(zip(exps, heights))]
     if len(lift) == 1:
         return (), ()
-    start = _start_edge(lift)
-    if start is None:
-        # sorted collinear exponents run along their line: the first and
-        # the last are its two ends
+    p, q, flat = _start_edge(lift)
+    if flat:
         return (), tuple(
-            (exps[a[3]], exps[b[3]], tuple(exps[i] for i in family), ())
-            for a, b, family in _upper_chain(lift, lift[0], lift[-1])
+            (exps[a[3]], exps[b[3]], tuple(exps[i] for i in tags), ()) for a, b, tags in _line_chain(lift)
         )
     faces = []  # face id -> (x, y, d, exponents on the face), dual vertex (x / d, y / d)
     left = {}  # directed edge (i, j) of a face, as term positions -> face id
     families = {}  # (i, j) -> exponents on the edge, for the edges of polygonal cells only
-    todo = [start]  # the Newton polygon lies left of its ccw boundary
+    todo = [(p, q)]  # the Newton polygon lies left of its ccw boundary
     # each scan records its directed edge in left, or finds it on the
     # boundary, whose reverse is recorded once: one scan per directed pair
     scans = len(lift) * (len(lift) - 1)

@@ -16,8 +16,10 @@ over the rays with x < 0 and -lo the minimum over the rays with x > 0 of
 floor((ey*y + a_i)/|ex|).  h0 counts by floor sums: along each chain of
 the plan the minimum is one ray on each of at most n pieces, and a piece
 sums in O(log scale) steps by the Euclid-like reduction, so no polytope,
-vertex, row or point is built and the cost grows only with the log of
-the coefficients.  There is one count, `_lattice_count_pair`, on bare
+vertex, row or point is built.  The cost grows with the log of the
+coefficients and linearly with the number of y-bounds, which is one per
+pair of a ray with x > 0 and a ray with x < 0, so quadratic in the rays
+at worst.  There is one count, `_lattice_count_pair`, on bare
 coefficient tuples, for h0 and the Riemann-Roch verifier: one pass over
 the y-bounds gives D's and K - D's y-ranges, and at most one holds rows,
 so it sums one pair of chains at most.  lattice_points walks the rows

@@ -13,7 +13,9 @@ fan's row plan (`Fan.row_plan`) and, by the vanishing theorem below, at
 most one pair of floor sums along its chains (`divisor._lattice_count_pair`),
 and `_report_fields` checks D(D-K) even and gives the report's fields.  So
 each divisor costs integer arithmetic on its coefficient tuple, in a
-number of steps that grows with the log of its coefficients.  `sweep`,
+number of steps that grows with the log of its coefficients and
+linearly with the number of y-bounds of the row plan (one per pair of a
+ray with x > 0 and a ray with x < 0).  `sweep`,
 behind `troptoric sweep`, runs a box of tuples whole (`_sweep_box`, which
 counts each Picard class once by the class theorem below) or a seeded
 sample of it (`_sweep_sample`), and writes one JSON line per tuple.  Every

@@ -9,10 +9,12 @@ of P(D), and decides whether an unbounded P(D) is empty from the fan's
 opposite pair of rays), the upper-hull oracle tries every triple of exponents for a
 lifted plane with no point above it and reads each 2-cell and its dual
 locus vertex off that plane (production gift-wraps the upper faces, one
-scan per edge), the boundary oracle checks that the whole support lies
-on one side of an edge's line (production counts the faces on the edge:
-fewer than two iff on the boundary), the
-slope-count oracle evaluates the generators at random untied points
+scan per edge), the upper-chain oracle keys the points on a line by
+position and height and hulls them (production repeats the start edge's
+steepest-rise scan from each end of the chain), the boundary oracle
+checks that the whole support lies on one side of an edge's line
+(production counts the faces on the edge: fewer than two iff on the
+boundary), the slope-count oracle evaluates the generators at random untied points
 (production returns the rank, which is the theorem the oracle samples),
 the fan-validity oracle tries every pair of cones for a common face
 (production sorts the rays once and checks that each 2-cone spans the
@@ -46,6 +48,7 @@ import json
 import math
 from fractions import Fraction
 
+from troptoric.curve import hull_vertices
 from troptoric.divisor import ToricDivisor, _count_rows, _ext_gcd, _y_ranges, canonical_divisor
 from troptoric.fan import Cone, Fan, _as_vec, blow_up, ccw_sorted_rays, det2, dot, primitive, projective_plane
 from troptoric.intersect import pairing
@@ -507,6 +510,29 @@ def upper_hull_dual(g: TropPolynomial) -> dict:
 def upper_hull_cells2(g: TropPolynomial):
     """The set of 2-cells of the Newton subdivision (keys of upper_hull_dual)."""
     return set(upper_hull_dual(g))
+
+
+def upper_chain(lift, a, b):
+    """(start, end, family) for each edge of the upper chain of the lifted
+    points on the line through a and b, in order from a toward b: the
+    ends as lifted points, the family as the last entries of the lifted
+    points on the edge."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    line = {}  # (position along b - a, height) -> lifted point
+    for t in lift:
+        wx, wy = t[0] - a[0], t[1] - a[1]
+        if dx * wy == dy * wx:
+            line[(dx * wx + dy * wy, t[2] - a[2])] = t
+    ring = hull_vertices(line)  # ccw: lower chain to the far end, then back
+    chain = [ring[0]] + ring[:ring.index(max(ring)) - 1:-1]
+    # every lifted point is weakly below the chain, so a point on the line
+    # of a chain edge lies on that edge
+    return [
+        (line[s], line[e], tuple(
+            t[3] for p, t in line.items() if det2((e[0] - s[0], e[1] - s[1]), (p[0] - s[0], p[1] - s[1])) == 0
+        ))
+        for s, e in zip(chain, chain[1:])
+    ]
 
 
 def on_newton_boundary(support, family) -> bool:

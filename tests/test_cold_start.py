@@ -179,6 +179,13 @@ def test_dir_lists_every_export_before_any_is_read():
     assert {"cli", "curve", "sections", "trop", "__version__"} <= listed
 
 
+def test_dir_lists_every_export_and_submodule():
+    listed = dir(troptoric)
+    assert listed == sorted(set(listed))
+    assert set(troptoric.__all__) <= set(listed)
+    assert {"cli", "curve", "divisor", "fan", "intersect", "jsonutil", "sections", "trop"} <= set(listed)
+
+
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError):
         troptoric.no_such_name

@@ -12,6 +12,7 @@ from oracles import (
     random_collinear_polynomial,
     random_divisor,
     random_polynomial,
+    upper_chain,
     upper_hull_cells2,
     upper_hull_dual,
 )
@@ -228,14 +229,54 @@ def test_start_edge_matches_upper_chain_of_first_hull_edge():
         corners = hull_vertices(at)
         start = curve._start_edge(pts)
         if len(corners) == 2:
-            assert start is None
+            assert start[2]
             seen["collinear"] += 1
             continue
-        assert start == curve._upper_chain(pts, at[corners[0]], at[corners[1]])[0][:2]
+        assert start == (*upper_chain(pts, at[corners[0]], at[corners[1]])[0][:2], False)
         if lift is not None:
             seen[lift] += 1
     assert inputs >= 2000
     assert min(seen.values()) >= 100, seen
+
+
+def collinear_lifts(rng):
+    """Lifted points on one lattice line, vertical and negative slopes
+    included, their heights from a tie pool, on one line, on a concave
+    curve or wide apart."""
+    steps = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -3), (2, -1), (3, 2))
+    for _ in range(2400):
+        step = rng.choice(steps)
+        base = (rng.randint(-3, 3), rng.randint(-3, 3))
+        ts = rng.sample(range(-6, 7), rng.randint(2, 9))
+        kind = rng.choice(("pool", "line", "concave", "wide"))
+        slope, level = rng.randint(-3, 3), rng.randint(-5, 5)
+        heights = {
+            "pool": lambda t: rng.choice((-1, 0, 1)),
+            "line": lambda t: slope * t + level + rng.choice((0, 0, -1)),
+            "concave": lambda t: level - t * t + slope * t,
+            "wide": lambda t: rng.randint(-40, 40),
+        }[kind]
+        terms = [((base[0] + t * step[0], base[1] + t * step[1]), heights(t)) for t in ts]
+        yield step, lifted(terms)
+
+
+def test_line_chain_matches_upper_chain():
+    # the collinear chain, one steepest-rise scan from each chain end,
+    # against the hull of the points keyed by position and height
+    rng = random.Random(197)
+    seen = {"vertical": 0, "negative slope": 0, "tied edge": 0, "one edge": 0}
+    inputs = 0
+    for step, pts in collinear_lifts(rng):
+        inputs += 1
+        chain = curve._line_chain(pts)
+        assert chain == upper_chain(pts, pts[0], pts[-1])
+        assert curve._start_edge(pts) == (*chain[0][:2], True)
+        seen["vertical"] += step[0] == 0
+        seen["negative slope"] += step[0] * step[1] < 0
+        seen["tied edge"] += any(len(tags) > 2 for _, _, tags in chain)
+        seen["one edge"] += len(chain) == 1
+    assert inputs >= 2000
+    assert min(seen.values()) >= 200, seen
 
 
 def test_locus_and_subdivision_share_one_gift_wrap(monkeypatch):
@@ -297,6 +338,14 @@ def test_corner_locus_single_monomial_empty():
     assert wc.is_empty
     with pytest.raises(ValueError):
         corner_locus(TropPolynomial(2))
+
+
+def test_curve_functions_reject_other_dimensions_and_the_empty_polynomial():
+    trivariate = TropPolynomial(3, [((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 0, 1), 1)])
+    with pytest.raises(ValueError, match="implemented for two variables"):
+        corner_locus(trivariate)
+    with pytest.raises(ValueError, match="no ray degrees"):
+        degree_from_polygon(TropPolynomial(2), (1, 0))
 
 
 def test_corner_locus_parallel_lines():

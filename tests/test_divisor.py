@@ -62,6 +62,16 @@ def test_canonical_divisor():
     assert canonical_divisor(b).coeffs == (-1, -1, -1, -1)
 
 
+def test_divisor_coeff_and_negation():
+    p2 = projective_plane()
+    d = ToricDivisor(p2, (2, -3, 5))
+    assert [d.coeff(u) for u in ((1, 0), (0, 1), (-1, -1))] == [2, -3, 5]
+    with pytest.raises(ValueError, match="is not a ray of the fan"):
+        d.coeff((1, 1))
+    assert -d == ToricDivisor(p2, (-2, 3, -5))
+    assert -d + d == zero_divisor(p2) and -(-d) == d
+
+
 def test_linearly_equivalent_examples():
     p2 = projective_plane()
     d1 = ray_divisor(p2, (1, 0))

@@ -16,7 +16,15 @@ from oracles import (
     rr_oracle,
 )
 from troptoric import cli
-from troptoric.divisor import ToricDivisor, canonical_divisor, h0, principal_divisor, ray_divisor, zero_divisor
+from troptoric.divisor import (
+    ToricDivisor,
+    canonical_divisor,
+    h0,
+    polytope_vertices,
+    principal_divisor,
+    ray_divisor,
+    zero_divisor,
+)
 from troptoric.fan import (
     Cone,
     Fan,
@@ -389,6 +397,73 @@ def test_rr_check_and_h0_are_gl2z_invariant():
                 assert h0(moved, e) == h0(f, d), (g, a)
                 checks += 1
     assert checks == 1500 and 10 <= flips <= 40
+
+
+def test_polytope_vertices_map_by_inverse_transpose_under_gl2z():
+    # moving the rays by g moves P(D) by (g^-1)^T: <m', g u> = <g^T m', u>;
+    # coefficients >= 0 put the origin in P(D), so most P(D) are nonempty
+    rng = random.Random(1411)
+    nonempty, flips = 0, 0
+    for _ in range(60):
+        f = random_blowup_fan(rng, 12)  # 4 to 15 rays
+        g, det = lattice_automorphism(rng)
+        (p, q), (r, s) = g
+        data = fan_to_dict(f)
+        data["rays"] = [[p * x + q * y, r * x + s * y] for x, y in data["rays"]]
+        moved = fan_from_dict(data)
+        for _ in range(10):
+            a = tuple(rng.randint(-1, 6) for _ in f.rays)
+            verts = polytope_vertices(ToricDivisor(f, a))
+            # (g^-1)^T = det * ((s, -r), (-q, p))
+            image = sorted((det * (s * x - r * y), det * (p * y - q * x)) for x, y in verts)
+            assert list(polytope_vertices(ToricDivisor(moved, a))) == image, (g, a)
+            nonempty += bool(verts)
+            flips += bool(verts) and det == -1
+    assert nonempty >= 300 and flips >= 50, (nonempty, flips)
+
+
+def test_blow_up_keeps_the_rr_report():
+    # the pull-back of D to the blow-up of the cone on u1, u2 keeps D's
+    # coefficients and puts a1 + a2 on the new ray u1 + u2, appended last;
+    # its inequality is the sum of those of u1 and u2, so P is the same,
+    # and K - D pulls back to K' - D' less the exceptional curve, so h0,
+    # the pairing term and every other report field are the same
+    rng = random.Random(191)
+    checks = vertex_checks = 0
+    for _ in range(60):
+        f = random_blowup_fan(rng, 40)  # 4 to 43 rays
+        cone = f.max_cones[rng.randrange(len(f.max_cones))]
+        up = blow_up(f, cone)
+        i, j = (f.ray_index(u) for u in cone.rays)
+        for scale in (5, 100, 10**6):
+            for _ in range(10):
+                a = tuple(rng.randint(-scale, scale) for _ in f.rays)
+                d, e = ToricDivisor(f, a), ToricDivisor(up, a + (a[i] + a[j],))
+                assert rr_check(up, e) == rr_check(f, d), (f.rays, cone, a)
+                assert h0(up, e) == h0(f, d)
+                checks += 1
+                if scale == 5 and len(f.rays) <= 20:
+                    assert polytope_vertices(e) == polytope_vertices(d)
+                    vertex_checks += 1
+    assert checks == 1800 and vertex_checks >= 100, vertex_checks
+
+
+def test_nef_divisors_have_no_higher_cohomology():
+    # Demazure vanishing (Cox, Little and Schenck, Toric Varieties, ch. 9):
+    # a nef D, D.D_rho >= 0 on every ray, has h1 = h2 = 0; h0(K - D) is h2
+    # by Serre duality, and the Riemann-Roch defect is then h1
+    rng = random.Random(193)
+    nef = 0
+    for _ in range(600):
+        f = random_blowup_fan(rng, 4)  # 4 to 7 rays
+        rays = [ray_divisor(f, u) for u in f.rays]
+        for _ in range(30):
+            d = ToricDivisor(f, tuple(rng.randint(-3, 6) for _ in f.rays))
+            if all(pairing(f, d, r) >= 0 for r in rays):
+                report = rr_check(f, d)
+                assert report.defect == 0 and report.h0_K_minus_D == 0, (f.rays, d.coeffs)
+                nef += 1
+    assert nef >= 1000, nef
 
 
 def test_rr_check_raises_on_odd_pairing():

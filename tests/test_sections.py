@@ -186,6 +186,15 @@ def test_is_generic_configuration_examples():
     assert not is_generic_configuration(m, [(3, 4), (3, 4)])
 
 
+def test_rational_points_generic_for_the_hyperplane_class():
+    # on P^2 with H, no cycle sum of the three sections vanishes on these
+    m = hyperplane_sections()
+    assert m.generators == ((0, 0), (1, 0), (0, 1))
+    points = [(Fraction(1, 3), Fraction(7, 5)), (Fraction(-11, 7), Fraction(2, 9))]
+    assert is_generic_configuration(m, points)
+    assert is_generic_configuration(m, [("1/3", "7/5"), ("-11/7", "2/9")])
+
+
 def test_is_generic_configuration_bound():
     p2 = projective_plane()
     gens = tuple((i, 0) for i in range(8))

@@ -48,6 +48,20 @@ def test_dimension_must_be_an_int(dimension):
         tropical_line().times_monomial((0, dimension))
 
 
+def test_polynomial_repr_equality_and_validation():
+    assert repr(tropical_line()) == "TropPolynomial(2, {(0, 0):0, (0, 1):0, (1, 0):0})"
+    assert repr(TropPolynomial(1, [((1,), Fraction(-3, 2))])) == "TropPolynomial(1, {(1,):-3/2})"
+    assert repr(TropPolynomial(2)) == "TropPolynomial(2, -oo)"
+    # another type is never equal: __eq__ returns NotImplemented, and the
+    # reflected int comparison does too, so == falls back to identity
+    assert TropPolynomial(2).__eq__(5) is NotImplemented
+    assert (TropPolynomial(2) == 5) is False and TropPolynomial(2) != 5
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+        TropPolynomial(-1)
+    with pytest.raises(ValueError, match="exponent dimension mismatch"):
+        TropPolynomial(2, [((1, 2, 3), 0)])
+
+
 @pytest.mark.parametrize("rows", [[], [[0, 1]], [[0, 1], [2]], [[0], [1]]])
 def test_trop_det_rejects_empty_and_non_square(rows):
     with pytest.raises(ValueError):
