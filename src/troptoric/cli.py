@@ -152,19 +152,9 @@ def cmd_rr(args) -> int:
 
 def cmd_sections(args) -> int:
     """The generators, h0_a and h0_b, and with --vandermonde the
-    interpolating section through the points: each coefficient and one
-    pass-through flag per point, read off the integer matrix of
-    `sections._vandermonde_minors` with no Fraction or TropPolynomial.
-    The path is integer from the JSON text on: `_parse_points` reads each
-    coordinate as a reduced pair of ints, which the kernel scales by their
-    common denominator.
-
-    Coefficient j is minors[j]/s.  Point k's flag says whether the
-    maximum of minors[j] + rows[k][j] over j is attained twice: the test
-    of `sections.passes_through`, at scale s.  Every flag is true (the
-    proof is in the `sections` module docstring), so a false one reports
-    a fault in `trop._maximal_minors`; the check costs O(l^2) additions.
-    """
+    coefficients and pass-through flags of the interpolating section,
+    formatted from `sections._vandermonde_minors`: the points go in as
+    `_parse_points` reads them, so no Fraction is built."""
     from .sections import _vandermonde_minors, global_sections, h0_a, h0_b
 
     f = _load_fan(args.fan)
@@ -181,10 +171,9 @@ def cmd_sections(args) -> int:
             "h0_b": h0_b(module),
         }
         if points is not None:
-            s, rows, minors = _vandermonde_minors(module.generators, points)
+            s, minors, through = _vandermonde_minors(module.generators, points)
             payload["coefficients"] = [format_ratio(m, s) for m in minors]
-            values = [[m + r for m, r in zip(minors, row)] for row in rows]
-            payload["pass_through"] = [v.count(max(v)) >= 2 for v in values]
+            payload["pass_through"] = through
         args.write(json.dumps(payload) + "\n")
     return EXIT_OK
 

@@ -26,7 +26,9 @@ weight F(p_k) that sends the first row to column j shows that term j
 attains the maximum.  An optimal permutation sends the first row to
 some j and the other copy of row k to some j' != j; swapping the two
 images keeps the weight, as the rows are equal, so term j' attains the
-maximum too.  Scaling every entry by s keeps the maximising terms.
+maximum too.  Scaling every entry by s keeps the maximising terms, so
+every pass-through flag of `_vandermonde_minors` is true, and a false
+one reports a fault in `trop._maximal_minors`.
 """
 
 from __future__ import annotations
@@ -132,9 +134,9 @@ def h0_b(module: SectionModule) -> int:
     return module.rank
 
 
-def _vandermonde_minors(gens, points) -> tuple[int, list[list[int]], list[int]]:
-    """(s, rows, minors): the Vandermonde interpolation of the generator
-    exponents ``gens`` through the l-1 ``points``, all in ints.
+def _vandermonde_minors(gens, points) -> tuple[int, list[int], list[bool]]:
+    """(s, minors, through): the Vandermonde interpolation of the
+    generator exponents ``gens`` through the l-1 ``points``, all in ints.
 
     Each point is a pair of coordinates, each coordinate a pair of ints
     (p, q) with q > 0, the rational p/q, as `cli._parse_points` reads it
@@ -142,10 +144,12 @@ def _vandermonde_minors(gens, points) -> tuple[int, list[list[int]], list[int]]:
     count is checked.  s is the lcm of the q's, the point's scaled
     coordinates are the ints p*(s//q), rows[k][j] = <m_j, s*p_k>, and
     minors[j], the max-plus minor of ``rows`` without column j, is s
-    times the coefficient of x^{m_j}.  With each p/q in lowest terms, s is
-    the lcm of the coordinates' denominators, so equal rationals give
-    equal (s, rows, minors) however they are spelt.  All l minors come
-    from one assignment and one shortest-path pass
+    times the coefficient of x^{m_j}.  through[k] says whether the
+    maximum of minors[j] + rows[k][j] over j is attained twice: the test
+    of `passes_through`, at scale s, in O(l) additions.  With each p/q in
+    lowest terms, s is the lcm of the coordinates' denominators, so equal
+    rationals give equal (s, minors, through) however they are spelt.
+    All l minors come from one assignment and one shortest-path pass
     (`trop._maximal_minors`), so this costs O(l^3), not l determinants.
     """
     l = len(gens)
@@ -159,7 +163,9 @@ def _vandermonde_minors(gens, points) -> tuple[int, list[list[int]], list[int]]:
     for (xp, xq), (yp, yq) in pts:
         x, y = xp * (s // xq), yp * (s // yq)
         rows.append([mx * x + my * y for mx, my in gens])
-    return s, rows, _maximal_minors(rows)
+    minors = _maximal_minors(rows)
+    values = [[m + r for m, r in zip(minors, row)] for row in rows]
+    return s, minors, [v.count(max(v)) >= 2 for v in values]
 
 
 def _ratio_point(x) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -181,7 +187,7 @@ def vandermonde_section(module: SectionModule, points) -> TropPolynomial:
     the CLI's integer route and this one share one kernel.
     """
     gens = module.generators
-    s, _, minors = _vandermonde_minors(gens, map(_ratio_point, points))
+    s, minors, _ = _vandermonde_minors(gens, map(_ratio_point, points))
     return TropPolynomial(2, zip(gens, (Fraction(m, s) for m in minors)))
 
 

@@ -234,37 +234,35 @@ def _maximal_minors(rows) -> list[int]:
 
     One assignment and one shortest-path pass give all of them (Burkard,
     Dell'Amico and Martello, *Assignment Problems*, 2009, ch. 4 and 6).
-    Append a zero row z: a perfect matching of the square matrix that
-    gives column i to z weighs as much as a permutation of the minor
-    without column i, so M_i is the heaviest such matching.  In the
-    minimisation form cost = top - w, take the optimum (cost opt, z on
-    column c) with potentials u, v and reduced costs
-    rc = cost - u - v >= 0, zero on matched edges; any perfect matching
-    costs opt plus the sum of its reduced costs.  Proof of the formula
-    below: the symmetric difference of a matching that puts z on column
-    i with the optimum is a set of alternating cycles.  The one through
-    z runs z -> i -> owner[i] -> j -> owner[j] -> ... -> c -> z, its
-    matched edges cost 0, and every other cycle adds only reduced costs
-    >= 0, so forcing z onto i costs exactly one alternating cycle:
-    rc[z][i] plus a shortest path from column i to column c whose steps
-    go from a column j to owner[j] and across an unmatched edge to a
-    column j', for rc[owner[j]][j'].  Nonnegative steps make a shortest
-    walk a simple path, so one O(k^2) Dijkstra toward c gives every
-    dist[i], with dist[c] = 0, and
-    M_i = (k+1)*top - (opt + rc[z][i] + dist[i]).
+    In the minimisation form cost = -w, match the k rows into the k+1
+    columns: `_min_cost_assignment` leaves one column c free and gives
+    potentials u, v with reduced costs rc = cost - u - v >= 0, zero on
+    matched edges, with v <= 0 and v[c] = 0.  Add a zero row z, of cost
+    0 and potential 0: its reduced costs are -v >= 0, zero on c, so z on
+    c completes the optimum to an optimal perfect matching of the square
+    matrix, of cost opt = sum(u) + sum(v).  A perfect matching that gives
+    column i to z costs minus the weight of a permutation of the minor
+    without column i, so the cheapest one costs -M_i, and any perfect
+    matching costs opt plus the sum of its reduced costs.  Proof of the
+    formula below: the symmetric difference of a matching that puts z on
+    column i with the optimum is a set of alternating cycles.  The one
+    through z runs z -> i -> owner[i] -> j -> owner[j] -> ... -> c -> z,
+    its matched edges cost 0, and every other cycle adds only reduced
+    costs >= 0, so forcing z onto i costs exactly one alternating cycle:
+    -v[i] plus a shortest path from column i to column c whose steps go
+    from a column j to owner[j] and across an unmatched edge to a column
+    j', for rc[owner[j]][j'].  Nonnegative steps make a shortest walk a
+    simple path, so one O(k^2) Dijkstra toward c gives every dist[i],
+    with dist[c] = 0, and M_i = -opt + v[i] - dist[i].  The path ends at
+    c, so it never steps from z, and z is never built.
     """
-    n = len(rows) + 1
-    top = max(0, max(max(row) for row in rows))
-    cost = [[top - x for x in row] for row in rows]
-    cost.append([top] * n)  # the zero row z
+    cost = [[-x for x in row] for row in rows]
     owner, u, v = _min_cost_assignment(cost)
-    opt = sum(cost[owner[j]][j] for j in range(n))
     rc = [[x - ui - vj for x, vj in zip(row, v)] for row, ui in zip(cost, u)]
-    c = owner.index(n - 1)
+    c = owner.index(-1)
     # Dijkstra over the reversed steps j -> j', from c
-    dist = [rc[owner[j]][c] for j in range(n)]
-    dist[c] = 0
-    todo = [j for j in range(n) if j != c]
+    dist = [0 if i < 0 else rc[i][c] for i in owner]
+    todo = [j for j in range(len(v)) if j != c]
     while todo:
         j = min(todo, key=dist.__getitem__)
         todo.remove(j)
@@ -273,34 +271,39 @@ def _maximal_minors(rows) -> list[int]:
             d = rc[owner[j2]][j] + dj
             if d < dist[j2]:
                 dist[j2] = d
-    total = n * top - opt
-    return [total - r - d for r, d in zip(rc[n - 1], dist)]
+    total = -sum(u) - sum(v)
+    return [total + vj - d for vj, d in zip(v, dist)]
 
 
 def _min_cost_assignment(cost):
-    """Min-cost perfect matching of a square integer cost matrix.
+    """Min-cost matching of the k rows of a k x m integer cost matrix,
+    1 <= k <= m, into distinct columns.
 
     Adds one row at a time along a shortest augmenting path, keeping dual
     potentials with u[i] + v[j] <= cost[i][j] everywhere and equality on
     matched edges.  Returns (owner, u, v) with owner[j] the row matched to
-    column j.
+    column j, -1 on the m - k free columns.  v <= 0, and v = 0 on every
+    free column: a column loses potential only inside a search tree, by
+    a step's delta, which is >= 0 on every step but a search's first,
+    when the tree holds the root slot alone; and a column joins a tree
+    only when it is matched, and stays matched.
     """
-    k = len(cost)
+    k, m = len(cost), len(cost[0])
     u = [0] * k
-    v = [0] * (k + 1)  # column k is the root slot of the row being added
-    owner = [-1] * (k + 1)
+    v = [0] * (m + 1)  # column m is the root slot of the row being added
+    owner = [-1] * (m + 1)
     for i in range(k):
-        owner[k] = i
-        j0 = k
-        used = [False] * (k + 1)
-        minv = [cost[i][j] - u[i] - v[j] for j in range(k)]
-        way = [k] * k
+        owner[m] = i
+        j0 = m
+        used = [False] * (m + 1)
+        minv = [cost[i][j] - u[i] - v[j] for j in range(m)]
+        way = [m] * m
         while True:
             used[j0] = True
             i0 = owner[j0]
             row, ui0 = cost[i0], u[i0]
             delta = j1 = None
-            for j in range(k):
+            for j in range(m):
                 if not used[j]:
                     cur = row[j] - ui0 - v[j]
                     if cur < minv[j]:
@@ -308,7 +311,7 @@ def _min_cost_assignment(cost):
                         way[j] = j0
                     if delta is None or minv[j] < delta:
                         delta, j1 = minv[j], j
-            for j in range(k + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[owner[j]] += delta
                     v[j] -= delta
@@ -317,11 +320,11 @@ def _min_cost_assignment(cost):
             j0 = j1
             if owner[j0] == -1:
                 break
-        while j0 != k:
+        while j0 != m:
             j1 = way[j0]
             owner[j0] = owner[j1]
             j0 = j1
-    return owner[:k], u, v
+    return owner[:m], u, v[:m]
 
 
 def _has_cycle(succ) -> bool:

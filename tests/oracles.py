@@ -35,9 +35,13 @@ the pairing oracle sums all n^2 entries of the dense intersection matrix
 (production sums the cycle form, n terms over the counterclockwise cycle),
 the h1 oracle sums the toric cohomology formula over the lattice
 points of alternating four-ray polygons (production reads the defect of
-the Riemann-Roch inequality, which equals h1 by Serre duality), and the
+the Riemann-Roch inequality, which equals h1 by Serre duality), the
 JSON-file oracle reads in text mode with universal newlines (production
-reads the bytes, decodes them and translates the newlines itself).
+reads the bytes, decodes them and translates the newlines itself), and
+the injection oracle places the rows of a k x m matrix one at a time
+over column subsets, counting the best injections onto every k-column
+set (production solves one assignment and reads every maximal minor off
+its potentials).
 """
 
 from __future__ import annotations
@@ -89,6 +93,37 @@ def laplace_det(rows):
     if best is None:
         return (None, math.factorial(k))
     return (best, count)
+
+
+def best_injections(rows) -> dict:
+    """{columns: (value, n_optimal)} for a k x m matrix, k <= m, with None
+    for -infinity: for every set of k columns, as a sorted tuple, the best
+    weight of a bijection of the rows onto those columns and the number of
+    bijections attaining it, (None, 0) when each one weighs -infinity.
+
+    A dynamic program over column subsets, O(k 2^m): the rows are placed
+    in order, each on a column outside the set its predecessors took, and
+    each set keeps its best weight and its count.
+    """
+    k, m = len(rows), len(rows[0])
+    best = {0: (0, 1)}  # column mask -> (value, count)
+    for row in rows:
+        step = {}
+        for mask, (value, count) in best.items():
+            for j, x in enumerate(row):
+                if x is None or mask >> j & 1:
+                    continue
+                key, total = mask | 1 << j, value + x
+                old = step.get(key)
+                if old is None or total > old[0]:
+                    step[key] = (total, count)
+                elif total == old[0]:
+                    step[key] = (total, old[1] + count)
+        best = step
+    return {
+        cols: best.get(sum(1 << j for j in cols), (None, 0))
+        for cols in itertools.combinations(range(m), k)
+    }
 
 
 def vandermonde_oracle(module, points) -> TropPolynomial:

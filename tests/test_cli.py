@@ -494,6 +494,31 @@ def test_vandermonde_output_bytes_pinned(capsys, tmp_path, coeffs, points, diges
     assert json.loads(out)["pass_through"] == [True] * len(points)
 
 
+@pytest.mark.parametrize(
+    "degree, seed, digest",
+    [
+        (5, 21, "844c507b6e41b05636d6e21a1a3e84c6577c234a40aca402cd294e5c51682d0e"),
+        (8, 45, "1568e0fa1386dc2d74d2436dcc058eb24aa329ef0635705fed8c41b70ad47b2c"),
+    ],
+    ids=["p2-5H-rank-21", "p2-8H-rank-45"],
+)
+def test_vandermonde_high_rank_output_bytes_pinned(capsys, tmp_path, degree, seed, digest):
+    # ranks no determinant oracle reaches: the whole stdout through
+    # h0(dH) - 1 seeded "p/q" points, pinned by its sha256
+    rank = (degree + 1) * (degree + 2) // 2
+    rng = random.Random(seed)
+    points = [[f"{rng.randint(-40, 40)}/{rng.randint(1, 6)}" for _ in range(2)] for _ in range(rank - 1)]
+    fan_path = write(tmp_path, "fan.json", P2)
+    div_path = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": degree}})
+    pts_path = write(tmp_path, "pts.json", points)
+    code, out = run(capsys, "sections", fan_path, div_path, "--vandermonde", pts_path)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    payload = json.loads(out)
+    assert len(payload["generators"]) == rank
+    assert payload["pass_through"] == [True] * (rank - 1)
+
+
 # two points for the two-point interpolation of H on P2, each list
 # malformed in its first point; the CLI reads them from JSON and the
 # library takes them as Python values, and both refuse every one

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fraction_support, laplace_det, random_fraction, random_polynomial, random_trop_rows
+from oracles import best_injections, fraction_support, laplace_det, random_fraction, random_polynomial, random_trop_rows
 from troptoric.sections import generator_value
 from troptoric.trop import (
     TropPolynomial,
     _maximal_minors,
+    _min_cost_assignment,
     as_fraction,
     evaluate,
     supporting_monomials,
@@ -162,6 +163,57 @@ def test_maximal_minors_examples():
     assert _maximal_minors([[3, -1]]) == [-1, 3]
     assert _maximal_minors([[0, 0, 0], [0, 0, 0]]) == [0, 0, 0]
     assert _maximal_minors([[1, 0, 0], [0, 1, 0]]) == [1, 1, 2]
+
+
+def test_maximal_minors_match_subset_dp():
+    # the subset oracle shares no code with the assignment, and reaches
+    # k = 10, past the Laplace oracle's 6: 400 of the matrices have k >= 7
+    rng = random.Random(18)
+    for k in range(1, 11):
+        for _ in range(100):
+            rows = _minor_rows(rng, k)
+            best = best_injections(rows)
+            want = [best[tuple(j for j in range(k + 1) if j != i)][0] for i in range(k + 1)]
+            assert _maximal_minors(rows) == want
+
+
+def test_trop_det_matches_subset_dp_beyond_laplace():
+    # k = 7..10 with -infinity entries; the pool {0, 1, 2} makes ties common
+    rng = random.Random(19)
+    finite_ties = 0
+    for n in range(60):
+        k = 7 + n % 4
+        for rows in (random_trop_rows(rng, k), random_trop_rows(rng, k, pool=(0, 1, 2))):
+            value, tie = trop_det(rows)
+            ((oracle_value, count),) = best_injections(rows).values()
+            assert value == oracle_value
+            assert tie == (oracle_value is None or count >= 2)
+            finite_ties += oracle_value is not None and count >= 2
+    assert finite_ties >= 50
+
+
+def test_min_cost_assignment_contract():
+    # k x m costs with m - k in 0..3, the narrow ranges tie-dense: each
+    # row gets its own column at the subset oracle's optimum, and the
+    # potentials are feasible, tight on the matching, <= 0 on columns and
+    # 0 on each free column, which `_maximal_minors` relies on
+    rng = random.Random(20)
+    for n in range(800):
+        k = rng.randint(1, 8)
+        m = k + n % 4
+        lo, hi = rng.choice(((0, 2), (-1, 1), (-20, 20), (-10**6, 10**6)))
+        cost = [[rng.randint(lo, hi) for _ in range(m)] for _ in range(k)]
+        owner, u, v = _min_cost_assignment(cost)
+        assert len(owner) == len(v) == m and len(u) == k
+        assert sorted(i for i in owner if i >= 0) == list(range(k))
+        best = best_injections([[-x for x in row] for row in cost])
+        assert sum(cost[i][j] for j, i in enumerate(owner) if i >= 0) == -max(value for value, _ in best.values())
+        for i, row in enumerate(cost):
+            for j, x in enumerate(row):
+                assert u[i] + v[j] <= x
+                assert owner[j] != i or u[i] + v[j] == x
+        assert all(x <= 0 for x in v)
+        assert all(v[j] == 0 for j in range(m) if owner[j] == -1)
 
 
 def test_evaluation_matches_fraction_sums():
