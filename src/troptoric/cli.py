@@ -11,16 +11,22 @@ by its reader.  Malformed input is a ParseError (exit 1); any other error
 inside the library propagates out of `main` with its traceback, and the
 console entry point `run` prints that traceback and exits 4, so a bug is
 never reported as a parse error.
+
+Argv is read on one of two routes.  Plain argv for h0, rr, sections or
+sweep (the subcommand first, then its arguments, each long option spelled
+in full and given once) is read from one table without argparse.  Any
+other argv, help included, goes to the argparse parser declared from the
+same table, which writes every usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
+import types
 
 from .divisor import UnboundedPolytopeError, divisor_from_dict, h0, lattice_points, polytope_vertices
 from .fan import Fan, blow_up, fan_from_dict, fan_to_dict, hirzebruch, is_smooth, product_p1_p1, projective_plane
@@ -37,13 +43,6 @@ EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE
 
 # h0 and sections list P(D) up to this many points, about 0.2 GB, else exit 2
 MAX_LISTED_POINTS = 10**6
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; our convention reserves 2 for
-    # precondition violations, so usage problems are parse errors (1)
-    def error(self, message):
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def _load_fan(path: str) -> Fan:
@@ -184,25 +183,24 @@ _RANGE_RE = re.compile(rf"({_INT_RE.pattern})\.\.({_INT_RE.pattern})")
 
 
 def _cli_int(text: str) -> int:
-    # the argparse type of every int argument, --range's grammar: int()
-    # alone would also read ' 7', '1_0', '+5' and any Unicode digit, and
-    # past the interpreter's digit limit it raises a bare ValueError,
-    # which argparse would report by this function's name
+    # the type of every int argument, --range's grammar: int() alone would
+    # also read ' 7', '1_0', '+5' and any Unicode digit; past the
+    # interpreter's digit limit its ValueError gets a message of our own
     if not _INT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected an integer like -3, got {text!r}")
+        raise ValueError(f"expected an integer like -3, got {text!r}")
     try:
         return int(text)
     except ValueError:
         n, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
-        raise argparse.ArgumentTypeError(f"an integer of {n} digits is past the limit of {limit} digits") from None
+        raise ValueError(f"an integer of {n} digits is past the limit of {limit} digits") from None
 
 
 def _coeff_range(text: str) -> tuple[int, int]:
-    # an argparse type: a malformed range is a usage error, exit 1;
-    # fullmatch, as $ would also match before a final newline
+    # a malformed range is a usage error, exit 1; fullmatch, as $ would
+    # also match before a final newline
     match = _RANGE_RE.fullmatch(text)
     if not match:
-        raise argparse.ArgumentTypeError(f"range must look like '-3..3', got {text!r}")
+        raise ValueError(f"range must look like '-3..3', got {text!r}")
     return _cli_int(match.group(1)), _cli_int(match.group(2))
 
 
@@ -216,18 +214,53 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
+# The options every subcommand takes, and the subcommands that
+# `_parse_plain` reads: help, positionals and own long options, each option
+# with its add_argument keywords.  `build_parser` declares the same
+# subparsers from these tables.
+_COMMON = {
+    "--seed": {"type": _cli_int, "help": "seed for sampled sweeps"},
+    "--json-out": {"metavar": "PATH", "help": "also write the JSON output to PATH"},
+}
+_COMMANDS = {
+    "h0": ("lattice-point count of P(D)", ("fan", "divisor"), {}),
+    "rr": ("Riemann-Roch inequality report", ("fan", "divisor"), {}),
+    "sections": ("section module generators", ("fan", "divisor"), {"--vandermonde": {"metavar": "POINTS_JSON"}}),
+    "sweep": (
+        "Riemann-Roch reports over a coefficient range",
+        ("fan",),
+        {"--range": {"required": True, "type": _coeff_range, "help": "coefficient range, e.g. -3..3"}},
+    ),
+}
 
 
 @functools.cache  # built once per process: it costs as much as a small command
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The main parser and its subcommand parsers by name."""
+def build_parser():
+    """The main parser, the only writer of help and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on usage errors; our convention reserves 2 for
+        # precondition violations, so usage problems are parse errors (1)
+        def error(self, message):
+            self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+    def add(p, name, type=None, **keywords):
+        # argparse reports a type's ValueError by the type's name; ours
+        # carry the message, which ArgumentTypeError prints as it is
+        def convert(text):
+            try:
+                return type(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        p.add_argument(name, type=None if type is None else convert, **keywords)
+
     # SUPPRESS defaults keep a subcommand's unparsed flags from clobbering
     # values already parsed before the subcommand name
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=_cli_int, default=argparse.SUPPRESS, help="seed for sampled sweeps")
-    common.add_argument("--json-out", metavar="PATH", default=argparse.SUPPRESS, help="also write the JSON output to PATH")
+    for name, option in _COMMON.items():
+        add(common, name, default=argparse.SUPPRESS, **option)
 
     parser = _Parser(prog="troptoric", description=__doc__, parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -236,30 +269,20 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     fan_sub = p_fan.add_subparsers(dest="fan_cmd", required=True)
     p_builtin = fan_sub.add_parser("builtin", help="emit a builtin fan", parents=[common])
     p_builtin.add_argument("name", help="p2 | p1xp1 | hirzebruch")
-    p_builtin.add_argument("param", nargs="?", type=_cli_int, default=None)
+    add(p_builtin, "param", nargs="?", type=_cli_int, default=None)
     p_validate = fan_sub.add_parser("validate", help="check a fan JSON file", parents=[common])
     p_validate.add_argument("fan")
     p_blowup = fan_sub.add_parser("blowup", help="star-subdivide a maximal cone", parents=[common])
     p_blowup.add_argument("fan")
-    p_blowup.add_argument("cone", type=_cli_int)
+    add(p_blowup, "cone", type=_cli_int)
 
-    p_h0 = sub.add_parser("h0", help="lattice-point count of P(D)", parents=[common])
-    p_h0.add_argument("fan")
-    p_h0.add_argument("divisor")
-
-    p_rr = sub.add_parser("rr", help="Riemann-Roch inequality report", parents=[common])
-    p_rr.add_argument("fan")
-    p_rr.add_argument("divisor")
-
-    p_sections = sub.add_parser("sections", help="section module generators", parents=[common])
-    p_sections.add_argument("fan")
-    p_sections.add_argument("divisor")
-    p_sections.add_argument("--vandermonde", metavar="POINTS_JSON")
-
-    p_sweep = sub.add_parser("sweep", help="Riemann-Roch reports over a coefficient range", parents=[common])
-    p_sweep.add_argument("fan")
-    p_sweep.add_argument("--range", required=True, type=_coeff_range, help="coefficient range, e.g. -3..3")
-    return parser, sub.choices
+    for command, (help_text, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, parents=[common])
+        for name in positionals:
+            p.add_argument(name)
+        for name, option in options.items():
+            add(p, name, **option)
+    return parser
 
 
 _HANDLERS = {
@@ -286,21 +309,63 @@ def _join_range_flag(argv):
     return out
 
 
+def _parse_plain(argv):
+    """The namespace argparse would return for plain argv, else None.
+
+    Plain argv names one of `_COMMANDS` first.  Each later token is a
+    positional, which does not start with '-', or one of the subcommand's
+    long options or of `_COMMON`, spelled in full and given once, as
+    `--name=value` or as `--name value`.  A separate value may not start
+    with '-', except that --range takes the next token, as
+    `_join_range_flag` does, and every value must pass its option's type.
+    The namespace holds the subcommand as `command`, its positionals, each
+    of its own options (None when not given) and each common option that
+    is given: the attributes argparse sets."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    _, names, options = spec
+    given = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        option = options.get(name, _COMMON.get(name))
+        if option is None or name in given:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or (value.startswith("-") and name != "--range"):
+                return None
+        kind = option.get("type")
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:  # the main parser reports it
+                return None
+        given[name] = value
+    if len(positionals) != len(names):
+        return None
+    for name, option in options.items():
+        if name not in given:
+            if option.get("required"):
+                return None
+            given[name] = None
+    dests = {name[2:].replace("-", "_"): value for name, value in given.items()}
+    return types.SimpleNamespace(command=argv[0], **dict(zip(names, positionals)), **dests)
+
+
 def _parse_args(argv):
-    """The main parser's namespace for argv, parsed by the subcommand's
-    own parser when argv starts with a subcommand name: about half the
-    work of the main parser, which hands that parser the same arguments.
-    Anything else, and anything that parser leaves over, goes to the main
-    parser, which writes the usage errors."""
-    argv = _join_range_flag(argv)
-    parser, subparsers = _parsers()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    """The namespace for argv: plain argv, as `_parse_plain` reads it,
+    without argparse; any other argv, help included, by the main parser,
+    which writes every usage error."""
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(_join_range_flag(argv))
+    return args
 
 
 class _Output:

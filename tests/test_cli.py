@@ -1236,6 +1236,7 @@ def parity_table(tmp_path):
     pts = write(tmp_path, "pts.json", [[0, 0], ["1/2", 3], [-2, "5/3"], [4, -1], ["-7/2", "-1/4"]])
     out = str(tmp_path / "out.json")
     missing = str(tmp_path / "missing.json")
+    big = "9" * (sys.get_int_max_str_digits() + 1)
     return [
         ["fan", "builtin", "p2"],
         ["fan", "builtin", "hirzebruch", "2"],
@@ -1275,32 +1276,59 @@ def parity_table(tmp_path):
         ["frobnicate"],
         ["--seed", "3"],
         [],
+        # the forms the plain route reads and the edges it leaves to argparse
+        ["sweep", fan, "--range=-1..1", "--seed=5"],
+        ["sweep", fan, "--range=-1..1", "--seed=-5"],
+        ["rr", fan, div, f"--json-out={out}"],
+        ["rr", fan, div, "--json-out="],
+        ["rr", "--seed", "4", fan, div],
+        ["sections", fan, "--vandermonde", pts, div],
+        ["h0", fan, "--json-out", out, div],
+        ["sweep", "--range", "-1..1", fan],
+        ["sweep", fan, "--range", "-1..1", "--seed", "1", "--seed", "2"],
+        ["sweep", fan, "--range", "-1..1", "--seed", "-5"],
+        ["rr", "-", div],
+        ["h0", fan, "--", div],
+        ["sweep", fan, "--seed", "1", "--range"],
+        ["sweep", fan, "--range", "--seed", "3"],
+        ["sweep", fan, "--range=0..0", "--seed", big],
+        ["h0", fan, div, "--vandermonde", pts],
     ]
 
 
-def test_subcommand_parser_matches_the_main_parser(capsys, tmp_path, monkeypatch):
-    # argv that starts with a subcommand name is parsed by that subcommand's
-    # parser alone; with the subcommand map empty, every argv goes to the
-    # main parser.  Both give the same exit code, stdout and stderr on
-    # every entry, usage errors and help included
+def test_plain_route_matches_argparse(capsys, tmp_path, monkeypatch):
+    # plain argv is parsed without argparse; with the plain route's hook
+    # refusing every argv, all of it goes to the main parser.  Both give
+    # the same exit code, stdout and stderr on every entry, usage errors
+    # and help included, and the same namespace on each entry the plain
+    # route reads
     table = parity_table(tmp_path)
-    assert len(table) >= 25
-    parser = cli.build_parser()
+    assert len(table) >= 50
+    plain = 0
     for argv in table:
         direct = outcome(capsys, argv)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_parsers", lambda: (parser, {}))
+            m.setattr(cli, "_parse_plain", lambda argv: None)
             full = outcome(capsys, argv)
         assert direct == full, argv
+        args = cli._parse_plain(argv)
+        if args is not None:
+            plain += 1
+            assert vars(args) == vars(cli.build_parser().parse_args(cli._join_range_flag(argv))), argv
+    assert plain == 16
     # a leftover argument is the main parser's usage error, not ignored
     code, out, err = outcome(capsys, table[8] + ["extra"])
     assert code == ("SystemExit", 1) and out == ""
     assert err.endswith("troptoric: error: unrecognized arguments: extra\n")
 
 
-def test_subcommand_parser_skips_the_main_parser(capsys, tmp_path, monkeypatch):
-    # valid argv starting with a subcommand never reaches the main parser
+def test_plain_argv_never_builds_the_parser(capsys, tmp_path, monkeypatch):
+    # each of the four plain subcommands runs with the parser builder failing
     fan = write(tmp_path, "fan.json", P2)
-    monkeypatch.setattr(cli.build_parser(), "parse_args", lambda argv: pytest.fail("main parser ran"))
-    assert run(capsys, "fan", "validate", fan)[0] == 0
+    div = write(tmp_path, "d.json", {"coeffs": {"0": 0, "1": 0, "2": 2}})
+    pts = write(tmp_path, "pts.json", [[0, 0], ["1/2", 3], [-2, "5/3"], [4, -1], ["-7/2", "-1/4"]])
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built"))
+    assert run(capsys, "h0", fan, div)[0] == 0
+    assert run(capsys, "rr", fan, div, "--json-out", str(tmp_path / "rr.json"))[0] == 0
+    assert run(capsys, "sections", fan, div, "--vandermonde", pts)[0] == 0
     assert run(capsys, "sweep", fan, "--range", "-1..1", "--seed", "2")[0] == 0

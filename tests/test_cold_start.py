@@ -110,6 +110,41 @@ def test_vandermonde_sections_load_no_dataclasses_or_typing(tmp_path):
     assert json.loads(loaded) == [0, []]
 
 
+def test_plain_commands_load_no_argparse(tmp_path):
+    # plain argv is parsed without argparse, so neither the import nor a
+    # sweep nor an interpolation loads it, or the gettext and locale
+    # modules its messages use
+    fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}
+    (tmp_path / "p2.json").write_text(json.dumps(fan))
+    (tmp_path / "2h.json").write_text(json.dumps({"coeffs": {"0": 0, "1": 0, "2": 2}}))
+    (tmp_path / "pts5.json").write_text(json.dumps([[0, 0], ["1/2", 3], [-2, "5/3"], [4, -1], ["-7/2", "-1/4"]]))
+    code = (
+        "import json, sys, troptoric.cli; "
+        "parser = lambda: sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)); "
+        "loaded = [parser()]; "
+        "codes = [troptoric.cli.main(['sweep', 'p2.json', '--range=-1..1', '--seed', '3', '--json-out', 'sweep.json'])]; "
+        "loaded.append(parser()); "
+        "codes.append(troptoric.cli.main(['sections', 'p2.json', '2h.json', '--vandermonde', 'pts5.json'])); "
+        "loaded.append(parser()); "
+        "print(json.dumps([codes, loaded]))"
+    )
+    done = python("-S", "-X", "dev", "-W", "error", "-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert json.loads(lines[-1]) == [[0, 0], [[], [], []]]
+    assert json.loads(lines[-2])["pass_through"] == [True] * 5
+    assert json.loads(lines[-3])["summary"]["count"] == 27
+    assert (tmp_path / "sweep.json").read_text() == "\n".join(lines[:-2]) + "\n"
+
+
+def test_help_still_prints_usage():
+    # help goes to argparse, which the plain route never imports
+    code = "import troptoric.cli; troptoric.cli.main(['-h'])"
+    done = python("-S", "-X", "dev", "-W", "error", "-c", code)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: troptoric ")
+
+
 def test_curve_import_loads_no_dataclasses_or_typing():
     # the corner locus and the Newton subdivision are namedtuple records
     code = (
